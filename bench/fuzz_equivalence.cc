@@ -15,6 +15,10 @@
 // mutated program, and after the last batch the demand-executed goal
 // answers must match the full fixpoint's.
 //
+// Each clean seed's full fixpoint must also be byte-identical
+// (Database::ToString, insertion order included) at 1 and 4 worker
+// lanes: the lane count decides only who runs a round's tasks.
+//
 // Clean seeds also run a body-permutation sweep: PermuteRuleBodies
 // shuffles the literal order of every rule body, and each permuted
 // program must reach the identical canonical model under the full
@@ -22,7 +26,8 @@
 // Join order is an implementation choice the cost-based planner makes
 // per statistics snapshot; the model must not depend on it. --perm-only
 // restricts a run to this sweep (plus the base magic/full agreement),
-// skipping top-down and churn, so large seed counts stay fast.
+// skipping top-down, the lane check and churn, so large seed counts
+// stay fast.
 //
 //   fuzz_equivalence [--seeds N] [--start S] [--perms K] [--perm-only]
 //                    [--fail-log PATH]
@@ -226,19 +231,24 @@ std::string ChurnCheck(const FuzzProgram& fuzz, uint64_t seed) {
   return "";
 }
 
-// Full fixpoint of `source`, rendered as the database's canonical
-// string (sorted, TermStore-independent). On evaluation error returns
-// "" with the message in *error.
-std::string CanonicalModel(const std::string& source, std::string* error) {
-  lps::Session session(lps::LanguageMode::kLDL);
+// Full fixpoint of `source` at `lanes` worker lanes, rendered as the
+// database's canonical string (sorted, TermStore-independent) or, with
+// `canonical` off, as Database::ToString (insertion order included).
+// On evaluation error returns "" with the message in *error.
+std::string Model(const std::string& source, std::string* error,
+                  size_t lanes = 1, bool canonical = true) {
+  lps::Options options;
+  options.threads = lanes;
+  lps::Session session(lps::LanguageMode::kLDL, options);
   lps::Status st = session.Load(source);
   if (st.ok()) st = session.Evaluate();
   if (!st.ok()) {
     *error = st.ToString();
     return "";
   }
-  return session.database()->ToCanonicalString(
-      session.program()->signature());
+  const lps::Signature& sig = session.program()->signature();
+  return canonical ? session.database()->ToCanonicalString(sig)
+                   : session.database()->ToString(sig);
 }
 
 void Dump(const FuzzProgram& fuzz, uint64_t seed) {
@@ -279,6 +289,7 @@ int main(int argc, char** argv) {
 
   size_t failures = 0;
   size_t topdown_compared = 0;
+  size_t lane_checked = 0;
   size_t churned = 0;
   size_t permutations_checked = 0;
   for (uint64_t seed = start; seed < start + seeds; ++seed) {
@@ -315,7 +326,7 @@ int main(int argc, char** argv) {
     // itself one such permutation.
     if (perms > 0) {
       std::string base_err;
-      std::string base_db = CanonicalModel(fuzz.source, &base_err);
+      std::string base_db = Model(fuzz.source, &base_err);
       if (!base_err.empty()) {
         fail("base fixpoint for permutation sweep: " + base_err);
         continue;
@@ -326,7 +337,7 @@ int main(int argc, char** argv) {
         perm.source =
             PermuteRuleBodies(fuzz.source, seed * 1315423911ull + p);
         std::string perr;
-        std::string pdb = CanonicalModel(perm.source, &perr);
+        std::string pdb = Model(perm.source, &perr);
         if (!perr.empty()) {
           fail("permutation " + std::to_string(p) +
                " fixpoint error: " + perr);
@@ -375,6 +386,22 @@ int main(int argc, char** argv) {
       }
     }
 
+    // Lane-count determinism: the same database, byte for byte, at 1
+    // and 4 lanes.
+    std::string lane_err;
+    std::string one_lane = Model(fuzz.source, &lane_err, 1, false);
+    std::string four_lanes =
+        lane_err.empty() ? Model(fuzz.source, &lane_err, 4, false) : "";
+    if (!lane_err.empty()) {
+      fail("lane check fixpoint error: " + lane_err);
+      continue;
+    }
+    if (one_lane != four_lanes) {
+      fail("1-lane and 4-lane fixpoints differ (Database::ToString)");
+      continue;
+    }
+    ++lane_checked;
+
     // Clean seed: drive a churn schedule through the incremental
     // maintainer and re-check convergence after every batch.
     std::string churn = ChurnCheck(fuzz, seed);
@@ -387,11 +414,11 @@ int main(int argc, char** argv) {
 
   std::printf(
       "fuzz_equivalence: %llu seeds [%llu, %llu), %zu with top-down "
-      "comparison, %zu with churn schedules, %zu body permutations, "
-      "%zu failures\n",
+      "comparison, %zu with 1-vs-4-lane checks, %zu with churn "
+      "schedules, %zu body permutations, %zu failures\n",
       static_cast<unsigned long long>(seeds),
       static_cast<unsigned long long>(start),
       static_cast<unsigned long long>(start + seeds), topdown_compared,
-      churned, permutations_checked, failures);
+      lane_checked, churned, permutations_checked, failures);
   return failures == 0 ? 0 : 1;
 }

@@ -67,7 +67,7 @@ Status MutationBatch::StageNamed(bool insert, const std::string& pred,
   PredicateId id = sig.Lookup(pred, args.size());
   if (id == kInvalidPredicate) {
     // Unknown predicate: nothing to retract; inserts declare it by
-    // inference from the argument sorts (as Session::AddFact did).
+    // inference from the argument sorts.
     if (!insert) return Status::OK();
     std::vector<Sort> sorts;
     sorts.reserve(args.size());

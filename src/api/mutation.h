@@ -15,8 +15,7 @@
 // a full from-scratch re-evaluation. Either way the post-commit
 // database equals the from-scratch fixpoint of the mutated program.
 // On a session that has not evaluated yet, Commit() only updates the
-// program, exactly like the deprecated Session::AddFact() always did;
-// the facts take effect at the next Evaluate().
+// program; the facts take effect at the next Evaluate().
 //
 // Abort() (or destruction without Commit()) discards the batch with no
 // state change - except predicates declared by inference while staging
@@ -44,10 +43,10 @@ class MutationBatch {
   ~MutationBatch() = default;  // un-committed batches discard silently
 
   /// Stages the insertion of ground fact pred(args). The string
-  /// overload declares the predicate by inference when unknown (like
-  /// the deprecated Session::AddFact). Errors on non-ground arguments,
-  /// arity mismatch, or special predicates; a failed stage leaves the
-  /// batch usable.
+  /// overload declares the predicate by inference from the argument
+  /// sorts when unknown. Errors on non-ground arguments, arity
+  /// mismatch, or special predicates; a failed stage leaves the batch
+  /// usable.
   Status Add(const std::string& pred, Tuple args);
   Status Add(PredicateId pred, Tuple args);
 

@@ -16,9 +16,10 @@ struct Options {
   bool semi_naive = true;
   size_t max_iterations = 100000;
   size_t max_tuples = 2000000;
-  /// Worker lanes for the parallel fixpoint: 1 = sequential (exact
-  /// legacy behavior), 0 = hardware concurrency, N > 1 = that many
-  /// lanes (see eval/bottomup.h and DESIGN.md section 11).
+  /// Worker lanes for the parallel fixpoint: 0 = hardware
+  /// concurrency, N >= 1 = that many lanes. Every lane count yields
+  /// the same database (see eval/bottomup.h and DESIGN.md section 11);
+  /// 1 starts no pool.
   size_t threads = 1;
   /// Cost-based join ordering (DESIGN.md section 17): rule bodies (and
   /// the magic rewrite's sideways-information-passing order) reorder by

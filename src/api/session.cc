@@ -104,12 +104,6 @@ Status Session::Evaluate(const Options& options) {
 
 MutationBatch Session::Mutate() { return MutationBatch(this); }
 
-Status Session::AddFact(const std::string& pred, std::vector<TermId> args) {
-  MutationBatch batch = Mutate();
-  LPS_RETURN_IF_ERROR(batch.Add(pred, std::move(args)));
-  return batch.Commit();
-}
-
 Result<PreparedQuery> Session::Prepare(const std::string& goal) {
   LPS_RETURN_IF_ERROR(Compile());
   ++parse_count_;

@@ -114,13 +114,6 @@ class Session {
   /// retract support.
   MutationBatch Mutate();
 
-  /// DEPRECATED: use Mutate() - this is a thin wrapper staging one
-  /// Add() and committing. Kept for source compatibility with the
-  /// pre-batch API; note Commit()'s stronger contract: on an
-  /// already-evaluated session the database re-converges immediately
-  /// instead of waiting for the next Evaluate().
-  Status AddFact(const std::string& pred, std::vector<TermId> args);
-
   // ---- Snapshot publication (src/serve/) -----------------------------
 
   /// Freezes the session's current state into an immutable snapshot:
@@ -128,7 +121,7 @@ class Session {
   /// term store, program and database, and eagerly catches up every
   /// relation index, so concurrent readers never trigger a lazy build.
   /// The session stays fully usable afterwards - further Load /
-  /// AddFact / Evaluate calls never touch a published snapshot, which
+  /// Mutate / Evaluate calls never touch a published snapshot, which
   /// is how a writer re-evaluates while readers drain on the old epoch
   /// (serve::SnapshotRegistry). Defined in serve/snapshot.cc.
   Result<std::shared_ptr<const serve::Snapshot>> Freeze();
@@ -198,8 +191,8 @@ class Session {
   size_t parse_count() const { return parse_count_; }
 
   /// Bumped every time the program changes in any way: Compile()
-  /// committing staged units, or a MutationBatch commit (including the
-  /// deprecated AddFact()). The coarse all-or-nothing epoch; prefer
+  /// committing staged units, or a MutationBatch commit. The coarse
+  /// all-or-nothing epoch; prefer
   /// the split epochs below for cache keying.
   uint64_t program_epoch() const { return program_epoch_; }
 

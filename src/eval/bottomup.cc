@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
-#include <unordered_set>
 
 #include "lang/validate.h"
 #include "term/printer.h"
@@ -23,10 +21,62 @@ bool IsInStratumDeltaLiteral(const Literal& lit, const Signature& sig,
          strat.pred_stratum[lit.pred] == stratum;
 }
 
-// Smallest delta/scan chunk worth forking for: shared by the delta
-// sharding, the grouping body sharding, and the pool gate so the three
-// cannot drift.
+// Smallest delta/scan chunk worth forking for: shared by the task
+// chunking and the pool gate so the two cannot drift.
 constexpr size_t kMinChunkTuples = 16;
+
+// Appends the grouping key of `clause`'s head (every argument but the
+// grouped one) to *key and sets *elem to the grouped variable's value,
+// each resolved through `apply`. Shared by both executors.
+template <typename Apply>
+Status GroupPair(const Program& program, const Clause& clause, Apply apply,
+                 std::vector<TermId>* key, TermId* elem) {
+  const TermStore& store = *program.store();
+  const GroupSpec& g = *clause.grouping;
+  for (size_t i = 0; i < clause.head.args.size(); ++i) {
+    if (i == g.arg_index) continue;
+    TermId v = apply(clause.head.args[i]);
+    if (!store.is_ground(v)) {
+      return Status::SafetyError(
+          "unbound head variable in grouping clause for " +
+          program.signature().Name(clause.head.pred));
+    }
+    key->push_back(v);
+  }
+  *elem = apply(g.grouped_var);
+  if (!store.is_ground(*elem)) {
+    return Status::SafetyError(
+        "grouped variable not bound by the body of the grouping clause "
+        "for " +
+        program.signature().Name(clause.head.pred));
+  }
+  return Status::OK();
+}
+
+// Kernel sink for a flat grouping body: buffers each solution's
+// (key, element) pair flat (see FlatOutput).
+class GroupSink {
+ public:
+  GroupSink(const Program& program, const Clause& clause,
+            std::vector<TermId>* keys, std::vector<TermId>* elems)
+      : program_(program), clause_(clause), keys_(keys), elems_(elems) {}
+  Status Emit(const FlatBindings& binds) {
+    const TermStore& store = *program_.store();
+    TermId elem = kInvalidTerm;
+    LPS_RETURN_IF_ERROR(GroupPair(
+        program_, clause_, [&](TermId a) { return binds.Apply(store, a); },
+        keys_, &elem));
+    elems_->push_back(elem);
+    return Status::OK();
+  }
+  bool Done() const { return false; }
+
+ private:
+  const Program& program_;
+  const Clause& clause_;
+  std::vector<TermId>* keys_;
+  std::vector<TermId>* elems_;
+};
 
 // RAII lease of a recycled buffer from a pool: cleared on acquire,
 // returned with its capacity intact on destruction, so steady-state
@@ -77,12 +127,11 @@ Status BottomUpEvaluator::Evaluate() {
   LPS_RETURN_IF_ERROR(CompileRules());
 
   // Resolve the lane count; only semi-naive evaluation shards work
-  // (naive mode is the fully sequential ablation path, grouping
-  // included - see EvalOptions::threads) and only parallel-safe rules
-  // with an in-stratum (delta) literal - or flat grouping rules, whose
-  // body scans shard without a delta - ever generate tasks, so
-  // anything else never pays for a pool (and threads_used stays 0,
-  // truthfully).
+  // (naive mode never starts a pool - see EvalOptions::threads) and
+  // only flat rules with an in-stratum (delta) literal - or flat
+  // grouping rules, whose body scans shard without a delta - ever
+  // generate tasks worth sharing, so anything else never pays for a
+  // pool (and threads_used stays 0, truthfully).
   size_t lanes = WorkerPool::ResolveLanes(options_.threads);
   // A flat grouping rule only ever shards its first scan step's rows.
   // EDB relations are fully loaded at this point, so one that cannot
@@ -187,17 +236,6 @@ Status BottomUpEvaluator::CompileRules() {
   return Status::OK();
 }
 
-Status BottomUpEvaluator::CheckDeadline(uint32_t* tick) const {
-  if (options_.deadline == std::chrono::steady_clock::time_point{}) {
-    return Status::OK();
-  }
-  if ((++*tick & 1023u) != 0) return Status::OK();
-  if (std::chrono::steady_clock::now() >= options_.deadline) {
-    return Status::DeadlineExceeded("evaluation deadline exceeded");
-  }
-  return Status::OK();
-}
-
 Status BottomUpEvaluator::EvaluateStratum(
     const std::vector<size_t>& clause_indices, const Stratification& strat,
     size_t stratum) {
@@ -253,9 +291,11 @@ Status BottomUpEvaluator::EvaluateStratum(
     uint64_t version_before = db_->version();
 
     // Delta ranges for this iteration: everything since the previous
-    // iteration's start.
-    std::unordered_map<PredicateId, std::pair<size_t, size_t>> delta;
-    if (options_.semi_naive && iteration > 0) {
+    // iteration's start. Iteration 0 is the full pass and only takes
+    // the marks, so a relation complete before it (an EDB one) brings
+    // no delta to later rounds.
+    DeltaRanges delta;
+    if (options_.semi_naive) {
       for (size_t ci : clause_indices) {
         for (size_t li : rules_[ci].in_stratum_literals) {
           PredicateId p = rules_[ci].clause->body[li].pred;
@@ -274,14 +314,11 @@ Status BottomUpEvaluator::EvaluateStratum(
       dead_mark[p] = dead_count(p);
     }
 
-    // Phase A (parallel mode only): shard every parallel-safe rule's
-    // delta joins across the pool against the frozen pre-iteration
-    // database, then merge. Iteration 0 (the full first pass) and all
-    // other rules run sequentially below, exactly as in single-thread
-    // mode.
-    const bool parallel = pool_ != nullptr;
-    if (parallel && iteration > 0) {
-      LPS_RETURN_IF_ERROR(RunParallelDeltaPhase(clause_indices, delta));
+    // The flat rules' delta round runs first, against the database as
+    // frozen at the round's start; the other rules then run on
+    // ExecSteps and see its merged derivations.
+    if (options_.semi_naive && iteration > 0) {
+      LPS_RETURN_IF_ERROR(RunFlatRound(clause_indices, delta));
     }
 
     for (size_t ci : clause_indices) {
@@ -291,8 +328,9 @@ Status BottomUpEvaluator::EvaluateStratum(
       if (options_.semi_naive && r.horn_simple) {
         if (iteration == 0) {
           ++stats_.rule_runs;
-          LPS_RETURN_IF_ERROR(RunRule(&r, nullptr));
-        } else if (!parallel || !r.parallel_safe) {
+          LPS_RETURN_IF_ERROR(r.parallel_safe ? RunFlatFirstPass(r)
+                                              : RunRule(&r, nullptr));
+        } else if (!r.parallel_safe) {
           for (size_t li : r.in_stratum_literals) {
             PredicateId p = r.clause->body[li].pred;
             auto range = delta[p];
@@ -334,6 +372,157 @@ Status BottomUpEvaluator::RunRule(CompiledRule* rule,
                    });
 }
 
+const std::vector<PlanStep>& BottomUpEvaluator::CompiledRule::DeltaSteps(
+    size_t li) const {
+  const std::vector<size_t>& lits = plan.free_literals;
+  size_t pos = std::find(lits.begin(), lits.end(), li) - lits.begin();
+  if (pos < plan.delta_plans.size() && !plan.delta_plans[pos].steps.empty()) {
+    return plan.delta_plans[pos].steps;
+  }
+  return plan.free_plan.steps;
+}
+
+Status BottomUpEvaluator::RunFlatFirstPass(const CompiledRule& rule) {
+  const Literal& head = rule.clause->head;
+  LiveRows rows(db_);
+  HeadSink sink(*program_, head, [&](const Tuple& t) {
+    return AddDerived(head.pred, t);
+  });
+  scratch_.deadline = options_.deadline;
+  FlatJoin join(*program_, &rows, &sink, &scratch_);
+  return join.Run(FlatJob{rule.clause, &rule.plan.free_plan.steps, {}});
+}
+
+Status BottomUpEvaluator::RunFlatRound(
+    const std::vector<size_t>& clause_indices, const DeltaRanges& delta) {
+  std::vector<FlatJob> tasks;
+  for (size_t ci : clause_indices) {
+    const CompiledRule& r = rules_[ci];
+    if (!r.parallel_safe) continue;
+    for (size_t li : r.in_stratum_literals) {
+      auto it = delta.find(r.clause->body[li].pred);
+      if (it == delta.end()) continue;
+      auto [begin, end] = it->second;
+      if (begin >= end) continue;  // empty delta
+      ++stats_.rule_runs;
+      FlatJob job{r.clause, &r.DeltaSteps(li), DeltaSpec{li, begin, end}};
+      PrepareIndexes(job);
+      AppendTasks(job, &tasks);
+    }
+  }
+  std::vector<FlatOutput> outputs = RunFlatTasks(tasks);
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    FlatOutput& out = outputs[t];
+    LPS_RETURN_IF_ERROR(out.status);
+    for (TupleRef row : out.derived.rows()) {
+      LPS_RETURN_IF_ERROR(AddDerived(tasks[t].clause->head.pred, row));
+    }
+  }
+  return Status::OK();
+}
+
+void BottomUpEvaluator::PrepareIndexes(const FlatJob& job) {
+  const TermStore& store = *program_->store();
+  std::vector<TermId> bound;
+  for (const PlanStep& step : *job.steps) {
+    if (step.kind != StepKind::kScan) continue;
+    const Literal& lit = job.clause->body[step.literal_index];
+    uint32_t mask = 0;
+    bool all_bound = true;
+    for (size_t i = 0; i < lit.args.size(); ++i) {
+      TermId a = lit.args[i];
+      if (store.is_ground(a) ||
+          std::find(bound.begin(), bound.end(), a) != bound.end()) {
+        mask |= ColumnBit(i);
+      } else {
+        all_bound = false;
+      }
+    }
+    // The kernel walks a delta literal's rows and answers a fully bound
+    // probe with Find, so neither needs an index.
+    if (mask != 0 && !all_bound &&
+        step.literal_index != job.delta.literal_index) {
+      db_->relation(lit.pred).EnsureIndex(mask);
+    }
+    for (TermId a : lit.args) {
+      if (store.IsVariable(a)) bound.push_back(a);
+    }
+  }
+}
+
+void BottomUpEvaluator::AppendTasks(const FlatJob& job,
+                                    std::vector<FlatJob>* tasks) const {
+  const size_t len = job.delta.end - job.delta.begin;
+  const size_t chunks =
+      pool_ == nullptr
+          ? 1
+          : std::clamp<size_t>(len / kMinChunkTuples, 1, pool_->size() * 4);
+  size_t at = job.delta.begin;
+  for (size_t c = 0; c < chunks; ++c) {
+    FlatJob chunk = job;
+    chunk.delta.begin = at;
+    at += len / chunks + (c < len % chunks ? 1 : 0);
+    chunk.delta.end = at;
+    tasks->push_back(chunk);
+  }
+}
+
+std::vector<BottomUpEvaluator::FlatOutput> BottomUpEvaluator::RunFlatTasks(
+    const std::vector<FlatJob>& tasks) {
+  std::vector<FlatOutput> outputs(tasks.size());
+  // Runs task t into its own output slot. Reads only state nobody
+  // writes until every task is done, so any lane may run any task.
+  auto run = [&](size_t t) {
+    const Clause& clause = *tasks[t].clause;
+    FlatOutput& out = outputs[t];
+    FrozenRows rows(db_);
+    FlatScratch scratch;
+    scratch.deadline = options_.deadline;
+    if (clause.grouping.has_value()) {
+      GroupSink sink(*program_, clause, &out.group_keys, &out.group_elems);
+      out.status = FlatJoin(*program_, &rows, &sink, &scratch).Run(tasks[t]);
+    } else {
+      const PredicateId pred = clause.head.pred;
+      out.derived = Relation(clause.head.args.size());
+      // Deduplicating in the task keeps the buffer and the max_tuples
+      // check counting distinct tuples, not join multiplicity.
+      HeadSink sink(*program_, clause.head, [&](const Tuple& tuple) {
+        if (db_->Contains(pred, tuple) || !out.derived.Insert(tuple)) {
+          return Status::OK();
+        }
+        if (out.derived.size() > options_.max_tuples) {
+          return Status::ResourceExhausted("tuple limit exceeded");
+        }
+        return Status::OK();
+      });
+      out.status = FlatJoin(*program_, &rows, &sink, &scratch).Run(tasks[t]);
+    }
+    out.snapshot_fallbacks = rows.fallbacks();
+  };
+  const bool pooled = pool_ != nullptr && tasks.size() > 1;
+  if (pooled) {
+    // Workers claim tasks off a shared counter; the pool's join barrier
+    // publishes their output slots back to this thread.
+    std::atomic<size_t> next{0};
+    pool_->Run([&](size_t) {
+      for (size_t t; (t = next.fetch_add(1, std::memory_order_relaxed)) <
+                     tasks.size();) {
+        run(t);
+      }
+    });
+  } else {
+    for (size_t t = 0; t < tasks.size(); ++t) run(t);
+  }
+  for (const FlatOutput& out : outputs) {
+    stats_.snapshot_fallbacks += out.snapshot_fallbacks;
+    if (pooled) {
+      ++stats_.parallel_tasks;
+      stats_.parallel_tuples += out.derived.size();
+    }
+  }
+  return outputs;
+}
+
 Status BottomUpEvaluator::RunGroupingRule(CompiledRule* rule) {
   ++stats_.rule_runs;
   const Clause& clause = *rule->clause;
@@ -341,18 +530,11 @@ Status BottomUpEvaluator::RunGroupingRule(CompiledRule* rule) {
   TermStore* store = program_->store();
   group_acc_.Reset(clause.head.args.size() - 1);
 
-  // Flat grouping rules run on the flat executor - single-lane as one
-  // inline task (trail-based bindings, no per-row Substitution
-  // copies), multi-lane sharded across the pool with per-task (key,
-  // element) buffers merged in task order. Either way the accumulation
-  // stream equals the sequential ExecSteps stream (chunks partition
-  // the sharded scan's ascending row range in order), so the emitted
-  // database is byte-identical at every lane count.
-  bool flat_done = false;
+  // Flat grouping rules run on the kernel; the (key, element) stream is
+  // the same at every lane count, so the emitted database is too.
   if (rule->group_parallel_safe) {
-    LPS_ASSIGN_OR_RETURN(flat_done, RunGroupingParallel(rule));
-  }
-  if (!flat_done) {
+    LPS_RETURN_IF_ERROR(RunFlatGrouping(*rule));
+  } else {
     Substitution theta;
     Lease<Tuple> key_lease(&tuple_pool_);
     Tuple& key = *key_lease;
@@ -360,26 +542,12 @@ Status BottomUpEvaluator::RunGroupingRule(CompiledRule* rule) {
         *rule, rule->plan.free_plan.steps, 0, &theta, nullptr,
         [&](Substitution* t) {
           return HandleQuantifiers(*rule, t, [&](Substitution* t2) {
-            // Accumulate: key = head args except the grouped position.
             key.clear();
-            for (size_t i = 0; i < clause.head.args.size(); ++i) {
-              if (i == g.arg_index) continue;
-              TermId v = t2->Apply(store, clause.head.args[i]);
-              if (!store->is_ground(v)) {
-                return Status::SafetyError(
-                    "unbound head variable in grouping clause for " +
-                    program_->signature().Name(clause.head.pred));
-              }
-              key.push_back(v);
-            }
-            TermId gv = t2->Apply(store, g.grouped_var);
-            if (!store->is_ground(gv)) {
-              return Status::SafetyError(
-                  "grouped variable not bound by the body of the grouping "
-                  "clause for " +
-                  program_->signature().Name(clause.head.pred));
-            }
-            group_acc_.AppendPair(key, gv);
+            TermId elem = kInvalidTerm;
+            LPS_RETURN_IF_ERROR(GroupPair(
+                *program_, clause,
+                [&](TermId a) { return t2->Apply(store, a); }, &key, &elem));
+            group_acc_.AppendPair(key, elem);
             return Status::OK();
           });
         }));
@@ -406,104 +574,39 @@ Status BottomUpEvaluator::RunGroupingRule(CompiledRule* rule) {
         out.push_back(key[k++]);
       }
     }
-    if (db_->AddTuple(clause.head.pred, out)) {
-      if (++stats_.tuples_derived > options_.max_tuples) {
-        return Status::ResourceExhausted("tuple limit exceeded");
-      }
-    }
+    LPS_RETURN_IF_ERROR(AddDerived(clause.head.pred, out));
   }
   stats_.groups_emitted += group_acc_.num_groups();
   stats_.group_elements += group_acc_.total_elements();
   return Status::OK();
 }
 
-Result<bool> BottomUpEvaluator::RunGroupingParallel(CompiledRule* rule) {
-  const std::vector<PlanStep>& steps = rule->plan.free_plan.steps;
-  // Shard the first scan step's full row range; every other step runs
-  // inside each task exactly as it would sequentially.
-  size_t shard_step = steps.size();
-  for (size_t si = 0; si < steps.size(); ++si) {
-    if (steps[si].kind == StepKind::kScan) {
-      shard_step = si;
-      break;
-    }
-  }
-  if (shard_step == steps.size()) return false;
-  size_t shard_literal = steps[shard_step].literal_index;
-  const Relation* shard_rel =
-      db_->FindRelation(rule->clause->body[shard_literal].pred);
-  size_t len = shard_rel == nullptr ? 0 : shard_rel->size();
-  const size_t kw = group_acc_.key_width();
-  auto merge_into_acc = [&](FlatResult& res) {
-    stats_.snapshot_fallbacks += res.snapshot_fallbacks;
-    const TermId* kp = res.group_keys.data();
-    for (size_t i = 0; i < res.group_elems.size(); ++i, kp += kw) {
-      group_acc_.AppendPair(TupleRef(kp, kw), res.group_elems[i]);
-    }
-  };
-
-  // Build the indexes the executor will probe up front (grouping
-  // bodies read strictly lower strata, so the relations are final):
-  // LookupSnapshot never builds one, and without this the inner scans
-  // of a join body degrade to per-row prefix scans.
-  for (size_t si = 0; si < steps.size(); ++si) {
-    if (steps[si].kind != StepKind::kScan) continue;
-    if (rule->scan_masks[si] == 0) continue;
-    db_->relation(rule->clause->body[steps[si].literal_index].pred)
-        .EnsureIndex(rule->scan_masks[si]);
-  }
-
-  // Single lane (or a relation too small to amortize a fork/join):
-  // run the whole range as one inline task on the coordinator. Same
-  // executor, same order - just without the pool.
-  if (pool_ == nullptr || len < 2 * kMinChunkTuples) {
-    FlatResult res;
-    FlatCtx ctx;
-    ctx.result = &res;
-    ctx.group = &*rule->clause->grouping;
-    ctx.SizeToPlan(steps.size());
-    res.status =
-        ExecFlatSteps(*rule, 0, DeltaSpec{shard_literal, 0, len}, &ctx);
-    LPS_RETURN_IF_ERROR(res.status);
-    merge_into_acc(res);
-    return true;
-  }
-
-  size_t chunks = std::max<size_t>(len / kMinChunkTuples, 1);
-  chunks = std::min(chunks, pool_->size() * 4);
-  std::vector<DeltaSpec> specs;
-  specs.reserve(chunks);
-  size_t base = len / chunks, rem = len % chunks;
-  size_t at = 0;
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t sz = base + (c < rem ? 1 : 0);
-    if (sz == 0) continue;
-    specs.push_back(DeltaSpec{shard_literal, at, at + sz});
-    at += sz;
-  }
-
-  std::vector<FlatResult> results(specs.size());
-  std::atomic<size_t> next{0};
-  const GroupSpec* gs = &*rule->clause->grouping;
-  pool_->Run([&](size_t) {
-    for (;;) {
-      size_t t = next.fetch_add(1, std::memory_order_relaxed);
-      if (t >= specs.size()) break;
-      FlatCtx ctx;
-      ctx.result = &results[t];
-      ctx.group = gs;
-      ctx.SizeToPlan(steps.size());
-      results[t].status = ExecFlatSteps(*rule, 0, specs[t], &ctx);
-    }
+Status BottomUpEvaluator::RunFlatGrouping(const CompiledRule& rule) {
+  const std::vector<PlanStep>& steps = rule.plan.free_plan.steps;
+  FlatJob job{rule.clause, &steps, {}};
+  // With lanes to share it, shard the first scan: it is the outermost
+  // loop, so its chunks' streams concatenate to the unsplit one.
+  auto first_scan = std::find_if(steps.begin(), steps.end(), [](auto& s) {
+    return s.kind == StepKind::kScan;
   });
-
-  // Merge in task order (not completion order): deterministic.
-  for (FlatResult& res : results) {
-    LPS_RETURN_IF_ERROR(res.status);
-    ++stats_.parallel_tasks;
-    merge_into_acc(res);
+  if (pool_ != nullptr && first_scan != steps.end()) {
+    size_t li = first_scan->literal_index;
+    const Relation* rel = db_->FindRelation(rule.clause->body[li].pred);
+    job.delta = DeltaSpec{li, 0, rel == nullptr ? 0 : rel->size()};
   }
-  return true;
+  // Grouping bodies read strictly lower strata: the relations are final.
+  PrepareIndexes(job);
+  std::vector<FlatJob> tasks;
+  AppendTasks(job, &tasks);
+  const size_t kw = group_acc_.key_width();
+  for (FlatOutput& out : RunFlatTasks(tasks)) {
+    LPS_RETURN_IF_ERROR(out.status);
+    const TermId* kp = out.group_keys.data();
+    for (size_t i = 0; i < out.group_elems.size(); ++i, kp += kw) {
+      group_acc_.AppendPair(TupleRef(kp, kw), out.group_elems[i]);
+    }
+  }
+  return Status::OK();
 }
 
 Status BottomUpEvaluator::RunEmptyBranch(CompiledRule* rule) {
@@ -537,331 +640,47 @@ Status BottomUpEvaluator::RunEmptyBranch(CompiledRule* rule) {
 void BottomUpEvaluator::AnalyzeRuleForParallel(CompiledRule* rule) const {
   const TermStore& store = *program_->store();
   const Signature& sig = program_->signature();
-  const std::vector<PlanStep>& steps = rule->plan.free_plan.steps;
-  rule->scan_masks.assign(steps.size(), 0);
   rule->parallel_safe = false;
   rule->group_parallel_safe = false;
-  // Two admissible shapes: plain flat Horn rules (delta-sharded) and
-  // flat grouping rules (body-scan-sharded). Quantified grouping stays
-  // on the coordinator - HandleQuantifiers can intern terms.
+  // Two admissible shapes: plain flat Horn rules and flat grouping
+  // rules. Quantified grouping stays on ExecSteps - HandleQuantifiers
+  // can intern terms.
   const bool grouping = rule->clause->grouping.has_value();
   if (!rule->horn_simple && !grouping) return;
   if (grouping && rule->plan.has_quantifiers) return;
 
   // Flat arguments (ground terms - set and function constants included,
   // since they are interned once at parse time - or plain variables)
-  // are the ones Substitution::Apply resolves without interning
-  // anything new.
-  auto flat = [&](const std::vector<TermId>& args) {
-    for (TermId a : args) {
-      if (!store.is_ground(a) && !store.IsVariable(a)) return false;
-    }
-    return true;
+  // are the ones a binding trail resolves without interning anything.
+  auto flat = [&](TermId a) {
+    return store.is_ground(a) || store.IsVariable(a);
   };
-
-  std::unordered_set<TermId> bound;
-  for (size_t si = 0; si < steps.size(); ++si) {
-    const PlanStep& step = steps[si];
-    switch (step.kind) {
-      case StepKind::kScan: {
-        const Literal& lit = rule->clause->body[step.literal_index];
-        if (!flat(lit.args)) return;
-        // Boundness at a fixed plan position depends only on the plan,
-        // so the scan's probe mask is static.
-        uint32_t mask = 0;
-        for (size_t i = 0; i < lit.args.size(); ++i) {
-          if (store.is_ground(lit.args[i]) || bound.count(lit.args[i])) {
-            mask |= ColumnBit(i);
-          }
-        }
-        rule->scan_masks[si] = mask;
-        for (TermId a : lit.args) {
-          if (store.IsVariable(a)) bound.insert(a);
-        }
-        break;
-      }
-      case StepKind::kNegated: {
-        const Literal& lit = rule->clause->body[step.literal_index];
-        // Negated builtins route through CheckBuiltin, which may intern
-        // terms (set operations); only frozen user relations are safe.
-        if (sig.IsBuiltin(lit.pred)) return;
-        if (!flat(lit.args)) return;
-        break;
-      }
-      default:
-        // Builtin evaluation can intern new terms (arithmetic, set
-        // construction); enumeration steps can appear in grouping-rule
-        // plans and also stay sequential.
-        return;
+  for (const PlanStep& step : rule->plan.free_plan.steps) {
+    // Builtins can intern new terms (arithmetic, set construction; a
+    // negated one runs set-op checks), and enumeration steps appear
+    // only outside the fragment.
+    if (step.kind != StepKind::kScan && step.kind != StepKind::kNegated) {
+      return;
     }
+    const Literal& lit = rule->clause->body[step.literal_index];
+    if (sig.IsBuiltin(lit.pred)) return;
+    if (!std::all_of(lit.args.begin(), lit.args.end(), flat)) return;
   }
-  if (grouping) {
-    // Key arguments must be flat; the grouped position holds the
-    // grouped variable itself and is emitted by the coordinator.
-    const GroupSpec& g = *rule->clause->grouping;
-    for (size_t i = 0; i < rule->clause->head.args.size(); ++i) {
-      if (i == g.arg_index) continue;
-      TermId a = rule->clause->head.args[i];
-      if (!store.is_ground(a) && !store.IsVariable(a)) return;
-    }
-    rule->group_parallel_safe = true;
-    return;
+  // A grouping head's grouped position holds the grouped variable
+  // itself; only its key arguments must be flat.
+  const Literal& head = rule->clause->head;
+  for (size_t i = 0; i < head.args.size(); ++i) {
+    if (grouping && i == rule->clause->grouping->arg_index) continue;
+    if (!flat(head.args[i])) return;
   }
-  if (!flat(rule->clause->head.args)) return;
-  rule->parallel_safe = true;
+  (grouping ? rule->group_parallel_safe : rule->parallel_safe) = true;
 }
 
-Status BottomUpEvaluator::RunParallelDeltaPhase(
-    const std::vector<size_t>& clause_indices,
-    const std::unordered_map<PredicateId, std::pair<size_t, size_t>>&
-        delta) {
-  // Freeze the read paths: catch every index the workers will probe up
-  // to the current size, so LookupSnapshot never has to build one.
-  for (size_t ci : clause_indices) {
-    const CompiledRule& r = rules_[ci];
-    if (!r.parallel_safe) continue;
-    const std::vector<PlanStep>& steps = r.plan.free_plan.steps;
-    for (size_t si = 0; si < steps.size(); ++si) {
-      if (steps[si].kind != StepKind::kScan) continue;
-      if (r.scan_masks[si] == 0) continue;  // full scans need no index
-      db_->relation(r.clause->body[steps[si].literal_index].pred)
-          .EnsureIndex(r.scan_masks[si]);
-    }
-  }
-
-  // Shard each (rule, delta literal) job into chunks. Task enumeration
-  // is deterministic, and splitting a delta range into chunks that are
-  // merged back in range order reproduces the unsplit derivation
-  // sequence, so the merged database is identical for every lane count.
-  std::vector<ParallelTask> tasks;
-  for (size_t ci : clause_indices) {
-    const CompiledRule& r = rules_[ci];
-    if (!r.parallel_safe) continue;
-    for (size_t li : r.in_stratum_literals) {
-      auto it = delta.find(r.clause->body[li].pred);
-      if (it == delta.end()) continue;
-      auto [begin, end] = it->second;
-      if (begin >= end) continue;  // empty delta
-      ++stats_.rule_runs;
-      size_t len = end - begin;
-      size_t chunks = std::max<size_t>(len / kMinChunkTuples, 1);
-      chunks = std::min(chunks, pool_->size() * 4);
-      size_t base = len / chunks, rem = len % chunks;
-      size_t at = begin;
-      for (size_t c = 0; c < chunks; ++c) {
-        size_t sz = base + (c < rem ? 1 : 0);
-        if (sz == 0) continue;
-        tasks.push_back(ParallelTask{&r, DeltaSpec{li, at, at + sz}});
-        at += sz;
-      }
-    }
-  }
-  if (tasks.empty()) return Status::OK();
-
-  // Dynamic scheduling: workers claim tasks off a shared counter and
-  // write only their own result slots; the pool's join barrier
-  // publishes the slots back to this thread.
-  std::vector<FlatResult> results(tasks.size());
-  std::atomic<size_t> next{0};
-  pool_->Run([&](size_t) {
-    for (;;) {
-      size_t t = next.fetch_add(1, std::memory_order_relaxed);
-      if (t >= tasks.size()) break;
-      FlatCtx ctx;
-      ctx.result = &results[t];
-      ctx.SizeToPlan(tasks[t].rule->plan.free_plan.steps.size());
-      results[t].status =
-          ExecFlatSteps(*tasks[t].rule, 0, tasks[t].spec, &ctx);
-    }
-  });
-
-  // Merge in task order (not completion order): deterministic.
-  for (FlatResult& res : results) {
-    LPS_RETURN_IF_ERROR(res.status);
-    ++stats_.parallel_tasks;
-    stats_.parallel_tuples += res.derived.size();
-    stats_.snapshot_fallbacks += res.snapshot_fallbacks;
-    for (auto& [pred, tup] : res.derived) {
-      if (db_->AddTuple(pred, tup)) {
-        if (++stats_.tuples_derived > options_.max_tuples) {
-          return Status::ResourceExhausted("tuple limit exceeded");
-        }
-      }
-    }
-  }
-  return Status::OK();
-}
-
-// LOCK-STEP INVARIANT: this is the worker-side twin of ExecSteps /
-// EmitHead (and, in grouping mode, of RunGroupingRule's sequential
-// accumulation) restricted to the flat fragment (kScan +
-// kNegated-on-user, ground-or-variable args). Any change to scan
-// matching, negation, head-emission or group-accumulation semantics
-// there must be mirrored here, or threaded runs diverge from
-// sequential ones — ParallelEvalTest / ParallelGroupingTest are the
-// tripwire.
-Status BottomUpEvaluator::ExecFlatSteps(const CompiledRule& rule,
-                                        size_t idx, const DeltaSpec& delta,
-                                        FlatCtx* ctx) const {
-  LPS_RETURN_IF_ERROR(CheckDeadline(&ctx->deadline_tick));
-  const std::vector<PlanStep>& steps = rule.plan.free_plan.steps;
-  TermStore* store = program_->store();
-
-  if (idx == steps.size()) {
-    const Literal& head = rule.clause->head;
-    if (ctx->group != nullptr) {
-      // Grouping mode: buffer the (key, element) pair flat. Apply is
-      // pure on flat args (ground terms short-circuit; variables hit
-      // the trail), so nothing here touches shared state.
-      const GroupSpec& g = *ctx->group;
-      for (size_t i = 0; i < head.args.size(); ++i) {
-        if (i == g.arg_index) continue;
-        TermId v = ctx->binds.Apply(*store, head.args[i]);
-        if (!store->is_ground(v)) {
-          return Status::SafetyError(
-              "unbound head variable in grouping clause for " +
-              program_->signature().Name(head.pred));
-        }
-        ctx->result->group_keys.push_back(v);
-      }
-      TermId gv = ctx->binds.Apply(*store, g.grouped_var);
-      if (!store->is_ground(gv)) {
-        return Status::SafetyError(
-            "grouped variable not bound by the body of the grouping "
-            "clause for " +
-            program_->signature().Name(head.pred));
-      }
-      ctx->result->group_elems.push_back(gv);
-      return Status::OK();
-    }
-    // Emit into the task-local buffer. Contains reads the frozen
-    // snapshot; real dedup happens when the coordinator merges.
-    Tuple& out = ctx->out;
-    out.clear();
-    for (TermId a : head.args) {
-      TermId t = ctx->binds.Apply(*store, a);
-      if (!store->is_ground(t)) {
-        return Status::SafetyError(
-            "head variable not bound by the body in clause for " +
-            program_->signature().Name(head.pred) + " (unsafe clause)");
-      }
-      out.push_back(t);
-    }
-    if (db_->Contains(head.pred, out)) return Status::OK();
-    if (!ctx->emitted.insert(out).second) return Status::OK();
-    if (ctx->result->derived.size() >= options_.max_tuples) {
-      return Status::ResourceExhausted("tuple limit exceeded");
-    }
-    ctx->result->derived.emplace_back(head.pred, out);
-    return Status::OK();
-  }
-
-  const PlanStep& step = steps[idx];
-  if (step.kind == StepKind::kNegated) {
-    // Stratification puts negated predicates in strictly lower strata,
-    // so their relations are final; Contains is a pure read.
-    const Literal& lit = rule.clause->body[step.literal_index];
-    Tuple& args = ctx->keys[idx];
-    args.clear();
-    for (size_t i = 0; i < lit.args.size(); ++i) {
-      TermId v = ctx->binds.Apply(*store, lit.args[i]);
-      if (!store->is_ground(v)) {
-        return Status::SafetyError(
-            "literal " + program_->signature().Name(lit.pred) +
-            " is not ground where a ground check is required (unsafe "
-            "clause?)");
-      }
-      args.push_back(v);
-    }
-    if (!db_->Contains(lit.pred, args)) {
-      return ExecFlatSteps(rule, idx + 1, delta, ctx);
-    }
-    return Status::OK();
-  }
-  if (step.kind != StepKind::kScan) {
-    return Status::Internal("non-flat plan step in parallel executor");
-  }
-
-  const Literal& lit = rule.clause->body[step.literal_index];
-  uint32_t mask = rule.scan_masks[idx];
-  Tuple& patterns = ctx->patterns[idx];
-  patterns.resize(lit.args.size());
-  Tuple& key = ctx->keys[idx];
-  key.assign(lit.args.size(), kInvalidTerm);
-  for (size_t i = 0; i < lit.args.size(); ++i) {
-    patterns[i] = ctx->binds.Apply(*store, lit.args[i]);
-    if (MaskHasColumn(mask, i)) key[i] = patterns[i];
-  }
-  const Relation* rel = db_->FindRelation(lit.pred);
-  if (rel == nullptr) return Status::OK();
-
-  auto try_row = [&](RowId ti) -> Status {
-    TupleRef row = rel->row(ti);  // no copy: frozen for the phase
-    size_t mark = ctx->binds.Mark();
-    bool ok = true;
-    for (size_t i = 0; i < patterns.size() && ok; ++i) {
-      if (MaskHasColumn(mask, i)) {
-        ok = (row[i] == key[i]);
-        continue;
-      }
-      TermId p = ctx->binds.Apply(*store, patterns[i]);
-      if (store->is_ground(p)) {
-        ok = (p == row[i]);
-      } else {  // a variable: flat rules have nothing else unbound
-        if (!SortAllowsBinding(*store, p, row[i])) {
-          ok = false;
-        } else {
-          ctx->binds.Bind(p, row[i]);
-        }
-      }
-    }
-    Status st =
-        ok ? ExecFlatSteps(rule, idx + 1, delta, ctx) : Status::OK();
-    ctx->binds.Undo(mark);
-    return st;
-  };
-
-  if (delta.literal_index == step.literal_index) {
-    // The sharded delta literal. With no bound columns, iterate this
-    // task's chunk directly; otherwise probe the index and clip the
-    // (ascending) posting list to the chunk, like the sequential path.
-    if (mask == 0) {
-      for (size_t ti = delta.begin; ti < delta.end; ++ti) {
-        if (!rel->IsLive(static_cast<uint32_t>(ti))) continue;
-        LPS_RETURN_IF_ERROR(try_row(static_cast<uint32_t>(ti)));
-      }
-      return Status::OK();
-    }
-    std::vector<uint32_t>& hits = ctx->scratch[idx];
-    if (!rel->LookupSnapshot(mask, key, rel->size(), &hits)) {
-      ++ctx->result->snapshot_fallbacks;
-    }
-    auto first = std::lower_bound(hits.begin(), hits.end(),
-                                  static_cast<uint32_t>(delta.begin));
-    for (auto it = first; it != hits.end(); ++it) {
-      if (*it >= delta.end) break;
-      LPS_RETURN_IF_ERROR(try_row(*it));
-    }
-    return Status::OK();
-  }
-  std::vector<uint32_t>& hits = ctx->scratch[idx];
-  if (!rel->LookupSnapshot(mask, key, rel->size(), &hits)) {
-    ++ctx->result->snapshot_fallbacks;
-  }
-  for (uint32_t ti : hits) {
-    LPS_RETURN_IF_ERROR(try_row(ti));
-  }
-  return Status::OK();
-}
-
-// LOCK-STEP INVARIANT: the kScan and kNegated semantics here have a
-// worker-side twin in ExecFlatSteps (flat fragment only); keep them in
-// sync — see the note on ExecFlatSteps.
 Status BottomUpEvaluator::ExecSteps(
     const CompiledRule& rule, const std::vector<PlanStep>& steps,
     size_t idx, Substitution* theta, const DeltaSpec* delta,
     const std::function<Status(Substitution*)>& cont) {
-  LPS_RETURN_IF_ERROR(CheckDeadline(&deadline_tick_));
+  LPS_RETURN_IF_ERROR(CheckDeadline(options_.deadline, &deadline_tick_));
   if (idx == steps.size()) return cont(theta);
   const PlanStep& step = steps[idx];
   TermStore* store = program_->store();
@@ -1146,22 +965,16 @@ Status BottomUpEvaluator::EmitHead(const CompiledRule& rule,
   }
   TermStore* store = program_->store();
   Lease<Tuple> out_lease(&tuple_pool_);
-  Tuple& out = *out_lease;
-  out.reserve(rule.clause->head.args.size());
-  for (TermId a : rule.clause->head.args) {
-    TermId t = theta->Apply(store, a);
-    if (!store->is_ground(t)) {
-      return Status::SafetyError(
-          "head variable not bound by the body in clause for " +
-          program_->signature().Name(rule.clause->head.pred) +
-          " (unsafe clause)");
-    }
-    out.push_back(t);
-  }
-  if (db_->AddTuple(rule.clause->head.pred, out)) {
-    if (++stats_.tuples_derived > options_.max_tuples) {
-      return Status::ResourceExhausted("tuple limit exceeded");
-    }
+  LPS_RETURN_IF_ERROR(BuildHead(
+      *program_, rule.clause->head,
+      [&](TermId a) { return theta->Apply(store, a); }, &*out_lease));
+  return AddDerived(rule.clause->head.pred, *out_lease);
+}
+
+Status BottomUpEvaluator::AddDerived(PredicateId pred, TupleRef t) {
+  if (db_->AddTuple(pred, t) &&
+      ++stats_.tuples_derived > options_.max_tuples) {
+    return Status::ResourceExhausted("tuple limit exceeded");
   }
   return Status::OK();
 }

@@ -24,6 +24,7 @@
 #include "base/worker_pool.h"
 #include "eval/builtins.h"
 #include "eval/database.h"
+#include "eval/flat_join.h"
 #include "eval/groupby.h"
 #include "eval/plan.h"
 #include "lang/program.h"
@@ -37,11 +38,11 @@ struct EvalOptions {
   bool semi_naive = true;
   size_t max_iterations = 100000;
   size_t max_tuples = 2000000;
-  /// Worker lanes for the sharded delta joins and grouping body
-  /// scans: 1 = the exact sequential path (bit-identical results and
-  /// stats), 0 = hardware concurrency, N > 1 = that many lanes. Only
-  /// semi-naive evaluation parallelizes; naive mode always runs
-  /// sequentially (grouping included).
+  /// Worker lanes for the flat rules' semi-naive delta rounds and
+  /// grouping body scans: 0 = hardware concurrency, N >= 1 = that many
+  /// lanes. The lane count decides only who runs the work: every lane
+  /// count, 1 included, yields the same database, insertion order
+  /// included. One lane, and naive mode, never start a pool.
   size_t threads = 1;
   /// Cost-based join ordering (eval/plan.h PlannerStats): body literals
   /// reorder by estimated bound-selectivity from relation statistics
@@ -68,11 +69,13 @@ struct EvalStats {
   size_t combos_checked = 0;   // quantifier verification work
   size_t seed_joins = 0;       // division seedings performed
   size_t empty_branch_runs = 0;
-  // ---- Parallel-phase counters (all 0 on the sequential path) --------
+  // ---- Parallel-phase counters (all 0 without a pool) ----------------
   size_t threads_used = 0;      // resolved lane count when parallel ran
-  size_t parallel_tasks = 0;    // sharded delta chunks executed
-  size_t parallel_tuples = 0;   // tuples buffered by workers (pre-merge)
-  size_t snapshot_fallbacks = 0;  // probes that missed a prebuilt index
+  size_t parallel_tasks = 0;    // tasks the pool executed
+  size_t parallel_tuples = 0;   // tuples buffered by pooled tasks
+                                // (pre-merge)
+  size_t snapshot_fallbacks = 0;  // frozen-database probes that missed a
+                                  // prebuilt index (at any lane count)
   // ---- Cost-based join planning (eval/plan.h; DESIGN.md section 17) --
   size_t plan_reorders = 0;   // plans whose cost order differs from the
                               // boundness-heuristic order
@@ -140,149 +143,92 @@ class BottomUpEvaluator {
 
  private:
   // The incremental maintainer (eval/incremental.h) reuses the compiled
-  // rules and the delta-driven join machinery (RunRule + DeltaSpec) to
-  // re-converge after a mutation batch without a from-scratch fixpoint.
+  // rules, AddDerived and ExecSteps to re-converge after a mutation
+  // batch without a from-scratch fixpoint.
   friend class IncrementalMaintainer;
 
   struct CompiledRule {
     const Clause* clause = nullptr;
     RulePlan plan;
     bool horn_simple = false;   // eligible for delta joins
-    // Flat fragment: only kScan / kNegated-on-user-predicate steps and
-    // every literal and head argument is ground or a plain variable
-    // (ground set and function terms included - Substitution::Apply
-    // short-circuits on ground terms, so set-carrying EDB scans shard
-    // like any other flat rule). Executing such a rule provably never
-    // interns new terms or touches the database's mutable state, so its
-    // delta joins can be sharded across worker threads against a frozen
-    // snapshot.
+    // Flat fragment (eval/flat_join.h): only kScan / kNegated-on-user-
+    // predicate steps, and every literal and head argument is ground or
+    // a plain variable (ground set and function terms included - they
+    // are interned once at parse time). Such rules run on the flat join
+    // kernel at every lane count; it never interns a term or writes the
+    // database mid-round, so their delta rounds can spread over worker
+    // lanes against a frozen database.
     bool parallel_safe = false;
     // Grouping rules in the same flat fragment (no quantifiers, flat
-    // key and body args): the grouping body scan can be sharded, with
-    // per-task (key, element) buffers merged in deterministic task
-    // order into the group accumulator.
+    // key and body args): the grouping body runs on the kernel with its
+    // first scan sharded, per-task (key, element) buffers merged in
+    // task order into the group accumulator.
     bool group_parallel_safe = false;
-    // For parallel_safe rules: the bound-column mask of each free_plan
-    // step (meaningful for kScan steps only). Static because boundness
-    // at any plan position is determined by the plan alone.
-    std::vector<uint32_t> scan_masks;
     std::vector<size_t> in_stratum_literals;  // positive user literals on
                                               // same-stratum predicates
     uint64_t last_version = UINT64_MAX;       // for complex-rule gating
+
+    /// The plan for joining a delta on body literal `li`: the planner's
+    /// delta-first variant when built (for every positive user literal
+    /// of a quantifier-free rule), else the free plan. Leading with the
+    /// delta keeps a round's cost proportional to the delta, and lets a
+    /// delta split into chunks without changing the derivation order.
+    const std::vector<PlanStep>& DeltaSteps(size_t li) const;
   };
 
-  // Delta restriction for one scan literal. Range mode (rows ==
-  // nullptr) restricts the scan to arena rows [begin, end) - the
-  // contiguous semi-naive watermark window. Rows mode (rows != nullptr)
-  // restricts it to the explicit RowIds rows[begin..end), which sit at
-  // arbitrary arena positions - incremental maintenance's deltas
-  // (over-deleted or re-inserted rows) are not contiguous. Rows-mode
-  // scans skip the index probe and re-check every bound column per row.
-  struct DeltaSpec {
-    size_t literal_index;
-    size_t begin;
-    size_t end;
-    const std::vector<RowId>* rows = nullptr;
-  };
+  using DeltaRanges =
+      std::unordered_map<PredicateId, std::pair<size_t, size_t>>;
 
-  // One sharded unit of parallel work: a chunk of a rule's delta range.
-  struct ParallelTask {
-    const CompiledRule* rule;
-    DeltaSpec spec;
-  };
-
-  // Per-task worker state: derived tuples buffered for the merge, a
-  // per-depth scratch pool for snapshot probes, and local counters.
-  struct FlatResult {
-    std::vector<std::pair<PredicateId, Tuple>> derived;
-    // Grouping-mode buffers (FlatCtx::group != nullptr): pair i is the
-    // key span at [i * key_width, (i + 1) * key_width) in group_keys
-    // plus group_elems[i]. Flat so a task's accumulation allocates
-    // nothing per body row.
+  // What one flat task leaves for the merge: derived head tuples (new
+  // to the frozen database, deduplicated, in derivation order) or, for
+  // a grouping rule, (key, element) pairs - pair i is the key span
+  // [i * key_width, (i + 1) * key_width) of group_keys plus
+  // group_elems[i], flat so accumulation allocates nothing per row.
+  struct FlatOutput {
+    Relation derived{0};
     std::vector<TermId> group_keys;
     std::vector<TermId> group_elems;
     Status status;
     size_t snapshot_fallbacks = 0;
   };
-  // Trail-based variable bindings for the flat fragment: flat rules
-  // bind only plain variables, so a small undo stack with linear
-  // lookup replaces the per-row Substitution (hash map) copies that
-  // used to dominate the flat executor's allocation profile.
-  struct FlatBindings {
-    std::vector<std::pair<TermId, TermId>> binds;
-    size_t Mark() const { return binds.size(); }
-    void Undo(size_t mark) { binds.resize(mark); }
-    void Bind(TermId var, TermId value) { binds.emplace_back(var, value); }
-    TermId Apply(const TermStore& store, TermId term) const {
-      if (store.node(term).kind != TermKind::kVariable) return term;
-      for (auto it = binds.rbegin(); it != binds.rend(); ++it) {
-        if (it->first == term) return it->second;
-      }
-      return term;
-    }
-  };
-  struct FlatCtx {
-    FlatResult* result;
-    // Non-null: grouping accumulation - the tail buffers (key, element)
-    // pairs instead of head tuples.
-    const GroupSpec* group = nullptr;
-    FlatBindings binds;
-    std::vector<std::vector<uint32_t>> scratch;  // probe hits, per depth
-    std::vector<Tuple> patterns;                 // scan patterns, per depth
-    std::vector<Tuple> keys;                     // probe keys, per depth
-    Tuple out;                                   // head-emission scratch
-    // Task-local dedup (a task derives for exactly one head predicate):
-    // keeps `derived` and the max_tuples check counting distinct
-    // tuples, not join multiplicity.
-    std::unordered_set<Tuple, TupleHash> emitted;
-    // Per-task cooperative deadline countdown (CheckDeadline). Lives
-    // here rather than on the evaluator because ExecFlatSteps is const
-    // and runs concurrently on worker lanes - a shared counter would
-    // be a data race.
-    uint32_t deadline_tick = 0;
 
-    void SizeToPlan(size_t depth) {
-      scratch.resize(depth);
-      patterns.resize(depth);
-      keys.resize(depth);
-    }
-  };
-
-  /// (Re)compiles every clause into rules_: plans, horn/flat analysis,
-  /// static scan masks. Shared by Evaluate() and the incremental
-  /// maintainer, which drives RunRule with hand-built DeltaSpecs.
+  /// (Re)compiles every clause into rules_: plans and the horn/flat
+  /// analysis. Shared by Evaluate() and the incremental maintainer.
   Status CompileRules();
 
   Status EvaluateStratum(const std::vector<size_t>& clause_indices,
                          const Stratification& strat, size_t stratum);
+  /// Runs a rule on ExecSteps: naive mode and the non-flat rules.
   Status RunRule(CompiledRule* rule, const DeltaSpec* delta);
+  /// A flat rule's first pass: the kernel over the live database,
+  /// inserting as it derives, so later probes see earlier derivations.
+  Status RunFlatFirstPass(const CompiledRule& rule);
+  /// One semi-naive round of every flat rule in `clause_indices`: each
+  /// (rule, delta literal) job runs on the kernel against the database
+  /// as frozen at the round's start, and the derivations merge in task
+  /// order - so the lane count never changes what is inserted, or when.
+  Status RunFlatRound(const std::vector<size_t>& clause_indices,
+                      const DeltaRanges& delta);
   Status RunGroupingRule(CompiledRule* rule);
-  /// Shards the grouping body scan of a flat grouping rule across the
-  /// pool and merges per-task (key, element) buffers into group_acc_ in
-  /// task order. Returns false (without touching group_acc_) when the
-  /// rule is better run sequentially (no scan step / tiny relation).
-  Result<bool> RunGroupingParallel(CompiledRule* rule);
+  /// A flat grouping rule's body on the kernel, its first scan sharded
+  /// like a delta; the (key, element) pairs merge into group_acc_ in
+  /// task order.
+  Status RunFlatGrouping(const CompiledRule& rule);
   Status RunEmptyBranch(CompiledRule* rule);
 
-  /// Decides parallel-safety and precomputes static scan masks.
+  /// Decides whether the rule is in the flat fragment.
   void AnalyzeRuleForParallel(CompiledRule* rule) const;
 
-  /// Phase A of a parallel iteration: shards every parallel-safe rule's
-  /// delta range across the pool, runs the chunks against the frozen
-  /// database, then merges the buffered derivations in deterministic
-  /// task order.
-  Status RunParallelDeltaPhase(
-      const std::vector<size_t>& clause_indices,
-      const std::unordered_map<PredicateId, std::pair<size_t, size_t>>&
-          delta);
-
-  /// Read-only flat-rule interpreter used by workers (and, for flat
-  /// grouping rules, by the coordinator). Must not touch the term
-  /// store, database, stats_, or any other shared mutable state (the
-  /// database is frozen for the duration of the phase). Bindings live
-  /// in ctx->binds (trail-based, undone on backtrack).
-  Status ExecFlatSteps(const CompiledRule& rule, size_t idx,
-                       const DeltaSpec& delta, FlatCtx* ctx) const;
+  /// Builds every index `job` will probe against the frozen database:
+  /// FrozenRows never builds one.
+  void PrepareIndexes(const FlatJob& job);
+  /// Appends `job` to *tasks: whole without a pool, else with its delta
+  /// split into consecutive chunks for the lanes to share.
+  void AppendTasks(const FlatJob& job, std::vector<FlatJob>* tasks) const;
+  /// Runs `tasks` on the kernel against the frozen database - on the
+  /// pool when there is one and more than one task, inline otherwise -
+  /// and returns each task's output in task order.
+  std::vector<FlatOutput> RunFlatTasks(const std::vector<FlatJob>& tasks);
 
   // Executes plan steps [idx..) extending theta; calls cont on success.
   Status ExecSteps(const CompiledRule& rule,
@@ -298,19 +244,15 @@ class BottomUpEvaluator {
 
   Status EmitHead(const CompiledRule& rule, Substitution* theta);
 
-  /// Cooperative deadline probe: reads the clock only on every 1024th
-  /// call (counted through *tick, which the caller owns - a member for
-  /// the sequential path, FlatCtx::deadline_tick per worker task), so
-  /// the per-step cost is one branch and an increment. Returns
-  /// kDeadlineExceeded once options_.deadline has passed, OK before
-  /// (and always OK when no deadline is set).
-  Status CheckDeadline(uint32_t* tick) const;
+  /// Inserts a derived tuple; a new one counts against max_tuples.
+  Status AddDerived(PredicateId pred, TupleRef t);
 
   const Program* program_;
   Database* db_;
   EvalOptions options_;
   EvalStats stats_;
-  uint32_t deadline_tick_ = 0;  // CheckDeadline countdown, sequential path
+  uint32_t deadline_tick_ = 0;  // CheckDeadline countdown for ExecSteps
+  FlatScratch scratch_;         // kernel state for first passes
 
   // Recycled scratch buffers for the sequential join loop: ExecSteps
   // frames lease a buffer on entry and return it on exit, so steady-
@@ -318,8 +260,9 @@ class BottomUpEvaluator {
   std::vector<Tuple> tuple_pool_;
   std::vector<std::vector<RowId>> rowid_pool_;
 
-  // Non-null iff the resolved thread count is > 1 and semi-naive mode
-  // is on; reused across iterations and strata.
+  // Non-null iff the resolved thread count is > 1, semi-naive mode is
+  // on and some flat rule can shard; reused across iterations and
+  // strata.
   std::unique_ptr<WorkerPool> pool_;
 
   std::vector<CompiledRule> rules_;

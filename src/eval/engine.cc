@@ -9,12 +9,6 @@ Status Engine::LoadString(const std::string& source) {
   return session_.Compile();
 }
 
-Status Engine::AddFact(const std::string& pred, std::vector<TermId> args) {
-  MutationBatch batch = session_.Mutate();
-  LPS_RETURN_IF_ERROR(batch.Add(pred, std::move(args)));
-  return batch.Commit();
-}
-
 Status Engine::Evaluate(EvalOptions options) {
   return session_.Evaluate(Options::FromEval(options));
 }

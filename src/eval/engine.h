@@ -42,14 +42,6 @@ class Engine {
   /// resulting program is validated against the engine's language mode.
   Status LoadString(const std::string& source);
 
-  /// DEPRECATED: adds one ground fact programmatically. A thin wrapper
-  /// over Session::Mutate() - one Add() committed immediately. Use
-  /// session().Mutate() for batches, retracts, text-form facts, and
-  /// transactional Abort(); note the MutationBatch contract: on an
-  /// already-evaluated session the commit re-converges the database at
-  /// once (incrementally under Options::incremental).
-  Status AddFact(const std::string& pred, std::vector<TermId> args);
-
   /// Runs the bottom-up evaluator to fixpoint.
   Status Evaluate(EvalOptions options = {});
   const EvalStats& eval_stats() const { return session_.eval_stats(); }

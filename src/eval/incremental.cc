@@ -22,25 +22,10 @@ bool IsWitness(const Status& st) {
 
 }  // namespace
 
-const std::vector<PlanStep>& IncrementalMaintainer::DeltaSteps(
-    const BottomUpEvaluator::CompiledRule& rule, size_t pos) {
-  const RulePlan& plan = rule.plan;
-  if (pos < plan.delta_plans.size() &&
-      !plan.delta_plans[pos].steps.empty()) {
-    return plan.delta_plans[pos].steps;
-  }
-  return plan.free_plan.steps;
-}
-
 IncrementalMaintainer::IncrementalMaintainer(const Program* program,
                                              Database* db,
                                              EvalOptions options)
-    : program_(program), db_(db), eval_(program, db, [&options] {
-        // The maintainer drives the sequential join machinery only;
-        // deltas here are far too small to amortize a pool.
-        options.threads = 1;
-        return options;
-      }()) {}
+    : program_(program), db_(db), eval_(program, db, options) {}
 
 Result<bool> IncrementalMaintainer::Maintain(
     const std::vector<FactOp>& inserts,
@@ -86,7 +71,6 @@ Result<bool> IncrementalMaintainer::Maintain(
 
 Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
   const Signature& sig = program_->signature();
-  TermStore* store = program_->store();
 
   // The over-deleted set, per predicate: `rows` in discovery order (the
   // frontier is a slice of it), `member` for dedup. References into
@@ -127,47 +111,24 @@ Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
     if (frontier.empty()) break;
     for (auto& rule : eval_.rules_) {
       const Literal& head = rule.clause->head;
-      auto condemn_tuple = [&](const Tuple& out) -> Status {
+      auto condemn = [&](const Tuple& out) -> Status {
         RowId r = db_->FindRow(head.pred, out);
-        if (r != Relation::kNoRow) {
-          if (record(head.pred, r)) ++eval_.stats_.tuples_derived;
+        if (r != Relation::kNoRow && record(head.pred, r)) {
+          ++eval_.stats_.tuples_derived;
         }
         return Status::OK();
       };
-      auto condemn = [&](Substitution* theta) -> Status {
-        Tuple out;
-        out.reserve(head.args.size());
-        for (TermId a : head.args) {
-          TermId t = theta->Apply(store, a);
-          if (!store->is_ground(t)) {
-            return Status::SafetyError(
-                "head variable not bound by the body in clause for " +
-                sig.Name(head.pred) + " (unsafe clause)");
-          }
-          out.push_back(t);
-        }
-        return condemn_tuple(out);
-      };
-      const bool flat = FlatEligible(rule);
-      for (size_t pos = 0; pos < rule.plan.free_literals.size(); ++pos) {
-        size_t li = rule.plan.free_literals[pos];
+      for (size_t li : rule.plan.free_literals) {
         const Literal& lit = rule.clause->body[li];
         if (!lit.positive || sig.IsBuiltin(lit.pred)) continue;
         auto fit = frontier.find(lit.pred);
         if (fit == frontier.end()) continue;
-        BottomUpEvaluator::DeltaSpec spec{li, fit->second.first,
-                                          fit->second.second,
-                                          &deleted[lit.pred].rows};
         ++eval_.stats_.rule_runs;
-        if (flat) {
-          LPS_RETURN_IF_ERROR(
-              FlatDeltaJoin(rule, DeltaSteps(rule, pos), spec,
-                            condemn_tuple));
-        } else {
-          Substitution theta;
-          LPS_RETURN_IF_ERROR(eval_.ExecSteps(
-              rule, DeltaSteps(rule, pos), 0, &theta, &spec, condemn));
-        }
+        LPS_RETURN_IF_ERROR(RunDelta(
+            rule,
+            DeltaSpec{li, fit->second.first, fit->second.second,
+                      &deleted[lit.pred].rows},
+            condemn));
       }
     }
   }
@@ -266,11 +227,7 @@ Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
       bool alive = false;
       if (rit != rules_by_head.end()) {
         for (const auto* rule : rit->second) {
-          if (FlatEligible(*rule)) {
-            alive = FlatWitness(*rule, tuple);
-          } else {
-            LPS_ASSIGN_OR_RETURN(alive, DerivesTuple(*rule, tuple));
-          }
+          LPS_ASSIGN_OR_RETURN(alive, Derives(*rule, tuple));
           if (alive) break;
         }
       }
@@ -297,7 +254,7 @@ Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
       const Literal& head = rule.clause->head;
       auto dit = dead_index.find(head.pred);
       if (dit == dead_index.end()) continue;  // head cannot be dead
-      auto rederive_tuple = [&](const Tuple& out) -> Status {
+      auto rederive = [&](const Tuple& out) -> Status {
         auto hit = dit->second.find(out);
         if (hit != dit->second.end() &&
             !db_->FindRelation(head.pred)->IsLive(hit->second)) {
@@ -305,250 +262,86 @@ Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
         }
         return Status::OK();
       };
-      auto rederive = [&](Substitution* theta) -> Status {
-        Tuple out;
-        out.reserve(head.args.size());
-        for (TermId a : head.args) {
-          TermId t = theta->Apply(store, a);
-          if (!store->is_ground(t)) {
-            return Status::SafetyError(
-                "head variable not bound by the body in clause for " +
-                sig.Name(head.pred) + " (unsafe clause)");
-          }
-          out.push_back(t);
-        }
-        return rederive_tuple(out);
-      };
-      const bool flat = FlatEligible(rule);
-      for (size_t pos = 0; pos < rule.plan.free_literals.size(); ++pos) {
-        size_t li = rule.plan.free_literals[pos];
+      for (size_t li : rule.plan.free_literals) {
         const Literal& lit = rule.clause->body[li];
         if (!lit.positive || sig.IsBuiltin(lit.pred)) continue;
         auto fit = frontier.find(lit.pred);
         if (fit == frontier.end()) continue;
-        BottomUpEvaluator::DeltaSpec spec{li, fit->second.first,
-                                          fit->second.second,
-                                          &revived[lit.pred]};
         ++eval_.stats_.rule_runs;
-        if (flat) {
-          LPS_RETURN_IF_ERROR(
-              FlatDeltaJoin(rule, DeltaSteps(rule, pos), spec,
-                            rederive_tuple));
-        } else {
-          Substitution theta;
-          LPS_RETURN_IF_ERROR(eval_.ExecSteps(
-              rule, DeltaSteps(rule, pos), 0, &theta, &spec, rederive));
-        }
+        LPS_RETURN_IF_ERROR(RunDelta(
+            rule,
+            DeltaSpec{li, fit->second.first, fit->second.second,
+                      &revived[lit.pred]},
+            rederive));
       }
     }
   }
   return Status::OK();
 }
 
-bool IncrementalMaintainer::FlatEligible(
-    const BottomUpEvaluator::CompiledRule& rule) {
-  if (!rule.parallel_safe) return false;
-  // parallel_safe admits kNegated steps, but Maintain() already
-  // rejected negation; re-check so the fast paths never have to.
-  for (const PlanStep& s : rule.plan.free_plan.steps) {
-    if (s.kind != StepKind::kScan) return false;
+template <typename Fn>
+Status IncrementalMaintainer::RunDelta(
+    const BottomUpEvaluator::CompiledRule& rule, const DeltaSpec& spec,
+    Fn fn) {
+  const std::vector<PlanStep>& steps = rule.DeltaSteps(spec.literal_index);
+  if (rule.parallel_safe) {
+    LiveRows rows(db_);
+    HeadSink sink(*program_, rule.clause->head, fn);
+    return FlatJoin(*program_, &rows, &sink, &scratch_)
+        .Run(FlatJob{rule.clause, &steps, spec});
   }
-  return true;
+  TermStore* store = program_->store();
+  Substitution theta;
+  Tuple out;
+  return eval_.ExecSteps(
+      rule, steps, 0, &theta, &spec, [&](Substitution* t) -> Status {
+        LPS_RETURN_IF_ERROR(BuildHead(
+            *program_, rule.clause->head,
+            [&](TermId a) { return t->Apply(store, a); }, &out));
+        return fn(out);
+      });
 }
 
-Status IncrementalMaintainer::FlatDeltaJoin(
-    const BottomUpEvaluator::CompiledRule& rule,
-    const std::vector<PlanStep>& steps,
-    const BottomUpEvaluator::DeltaSpec& spec,
-    const std::function<Status(const Tuple&)>& emit) {
-  if (wit_rows_.size() < steps.size()) {
-    wit_rows_.resize(steps.size());
-    wit_keys_.resize(steps.size());
-  }
-  BottomUpEvaluator::FlatBindings binds;
-  return FlatDeltaStep(rule, steps, 0, spec, &binds, emit);
-}
-
-Status IncrementalMaintainer::FlatDeltaStep(
-    const BottomUpEvaluator::CompiledRule& rule,
-    const std::vector<PlanStep>& steps, size_t step,
-    const BottomUpEvaluator::DeltaSpec& spec,
-    BottomUpEvaluator::FlatBindings* binds,
-    const std::function<Status(const Tuple&)>& emit) {
-  const TermStore& store = *program_->store();
-  if (step == steps.size()) {
-    const Literal& head = rule.clause->head;
-    Tuple& out = flat_out_;
-    out.clear();
-    out.reserve(head.args.size());
-    for (TermId a : head.args) {
-      TermId v = binds->Apply(store, a);
-      if (store.IsVariable(v)) {
-        return Status::SafetyError(
-            "head variable not bound by the body in clause for " +
-            program_->signature().Name(head.pred) + " (unsafe clause)");
-      }
-      out.push_back(v);
-    }
-    return emit(out);
-  }
-  const Literal& lit = rule.clause->body[steps[step].literal_index];
-  Relation& rel = db_->relation(lit.pred);
-  // Bind a candidate row and recurse. TermIds are stable, and the row
-  // view is not read past the recursive call, so arena growth from
-  // emitted inserts is safe.
-  auto try_row = [&](RowId r) -> Status {
-    TupleRef row = rel.row(r);
-    size_t mark = binds->Mark();
+Result<bool> IncrementalMaintainer::Derives(
+    const BottomUpEvaluator::CompiledRule& rule, const Tuple& t) {
+  const Literal& head = rule.clause->head;
+  if (head.args.size() != t.size()) return false;
+  if (rule.parallel_safe) {
+    // Bind the head against the target through the sort check a body
+    // scan makes, then search the body for a first witness. The trail
+    // is empty between kernel runs and is left that way.
+    const TermStore& store = *program_->store();
+    FlatBindings& binds = scratch_.binds;
     bool ok = true;
-    for (size_t i = 0; i < lit.args.size(); ++i) {
-      TermId v = binds->Apply(store, lit.args[i]);
-      if (store.IsVariable(v)) {
-        binds->Bind(v, row[i]);
-      } else if (v != row[i]) {
+    for (size_t i = 0; i < head.args.size() && ok; ++i) {
+      TermId v = binds.Apply(store, head.args[i]);
+      if (!store.IsVariable(v)) {
+        ok = v == t[i];
+      } else if (SortAllowsBinding(store, v, t[i])) {
+        binds.Bind(v, t[i]);
+      } else {
         ok = false;
-        break;
       }
     }
-    Status st = ok ? FlatDeltaStep(rule, steps, step + 1, spec, binds, emit)
-                   : Status::OK();
-    binds->Undo(mark);
-    return st;
-  };
-  if (steps[step].literal_index == spec.literal_index) {
-    // The delta literal: enumerate the (small) delta directly and let
-    // the bind loop re-check any bound columns - probing an index to
-    // then intersect with a handful of rows would cost more.
-    const bool rows_mode = spec.rows != nullptr;
-    for (size_t i = spec.begin; i < spec.end; ++i) {
-      RowId r = rows_mode ? (*spec.rows)[i] : static_cast<RowId>(i);
-      if (!rows_mode && !rel.IsLive(r)) continue;
-      LPS_RETURN_IF_ERROR(try_row(r));
-    }
-    return Status::OK();
-  }
-  Tuple& key = wit_keys_[step];
-  key.assign(lit.args.size(), TermId{});
-  uint32_t mask = 0;
-  size_t ground_cols = 0;
-  for (size_t i = 0; i < lit.args.size(); ++i) {
-    TermId v = binds->Apply(store, lit.args[i]);
-    if (!store.IsVariable(v)) {
-      mask |= ColumnBit(i);
-      key[i] = v;
-      ++ground_cols;
-    }
-  }
-  if (ground_cols == lit.args.size()) {
-    // Fully bound: one dedup probe (Find skips tombstones itself).
-    if (rel.Find(key) == Relation::kNoRow) return Status::OK();
-    return FlatDeltaStep(rule, steps, step + 1, spec, binds, emit);
-  }
-  std::vector<RowId>& rows = wit_rows_[step];
-  if (mask == 0) {
-    rows.resize(rel.size());
-    for (size_t r = 0; r < rows.size(); ++r) {
-      rows[r] = static_cast<RowId>(r);
-    }
-  } else {
-    const std::vector<RowId>& hits = rel.Lookup(mask, key);
-    rows.assign(hits.begin(), hits.end());
-  }
-  for (RowId r : rows) {
-    if (!rel.IsLive(r)) continue;
-    LPS_RETURN_IF_ERROR(try_row(r));
-  }
-  return Status::OK();
-}
-
-bool IncrementalMaintainer::FlatWitness(
-    const BottomUpEvaluator::CompiledRule& rule, const Tuple& t) {
-  const TermStore& store = *program_->store();
-  const Literal& head = rule.clause->head;
-  if (head.args.size() != t.size()) return false;
-  BottomUpEvaluator::FlatBindings binds;
-  for (size_t i = 0; i < head.args.size(); ++i) {
-    TermId a = head.args[i];
-    if (store.IsVariable(a)) {
-      TermId cur = binds.Apply(store, a);
-      if (cur == a) {
-        binds.Bind(a, t[i]);
-      } else if (cur != t[i]) {
-        return false;  // repeated head variable, mismatched columns
+    struct WitnessSink {
+      bool found = false;
+      Status Emit(const FlatBindings&) {
+        found = true;
+        return Status::OK();
       }
-    } else if (a != t[i]) {
-      return false;  // ground head column differs from the target
+      bool Done() const { return found; }
+    } sink;
+    Status st = Status::OK();
+    if (ok) {
+      ++eval_.stats_.rule_runs;
+      LiveRows rows(db_);
+      FlatJoin join(*program_, &rows, &sink, &scratch_);
+      st = join.Run(FlatJob{rule.clause, &rule.plan.free_plan.steps, {}});
     }
+    binds.Undo(0);
+    LPS_RETURN_IF_ERROR(st);
+    return sink.found;
   }
-  size_t depth = rule.plan.free_plan.steps.size();
-  if (wit_rows_.size() < depth) {
-    wit_rows_.resize(depth);
-    wit_keys_.resize(depth);
-  }
-  ++eval_.stats_.rule_runs;
-  return FlatWitnessStep(rule, 0, &binds);
-}
-
-bool IncrementalMaintainer::FlatWitnessStep(
-    const BottomUpEvaluator::CompiledRule& rule, size_t step,
-    BottomUpEvaluator::FlatBindings* binds) {
-  const std::vector<PlanStep>& steps = rule.plan.free_plan.steps;
-  if (step == steps.size()) return true;
-  const TermStore& store = *program_->store();
-  const Literal& lit = rule.clause->body[steps[step].literal_index];
-  Relation& rel = db_->relation(lit.pred);
-  Tuple& key = wit_keys_[step];
-  key.assign(lit.args.size(), TermId{});
-  uint32_t mask = 0;
-  size_t ground_cols = 0;
-  for (size_t i = 0; i < lit.args.size(); ++i) {
-    TermId v = binds->Apply(store, lit.args[i]);
-    if (!store.IsVariable(v)) {
-      mask |= ColumnBit(i);
-      key[i] = v;
-      ++ground_cols;
-    }
-  }
-  if (ground_cols == lit.args.size()) {
-    // Fully bound: one dedup probe (Find skips tombstones), and no
-    // full-tuple-mask index ever gets built.
-    return rel.Find(key) != Relation::kNoRow &&
-           FlatWitnessStep(rule, step + 1, binds);
-  }
-  std::vector<RowId>& rows = wit_rows_[step];
-  if (mask == 0) {
-    rows.resize(rel.size());
-    for (size_t r = 0; r < rows.size(); ++r) {
-      rows[r] = static_cast<RowId>(r);
-    }
-  } else {
-    const std::vector<RowId>& hits = rel.Lookup(mask, key);
-    rows.assign(hits.begin(), hits.end());
-  }
-  for (RowId r : rows) {
-    if (!rel.IsLive(r)) continue;
-    TupleRef row = rel.row(r);
-    size_t mark = binds->Mark();
-    bool ok = true;
-    for (size_t i = 0; i < lit.args.size(); ++i) {
-      TermId v = binds->Apply(store, lit.args[i]);
-      if (store.IsVariable(v)) {
-        binds->Bind(v, row[i]);
-      } else if (v != row[i]) {
-        ok = false;  // unindexed or repeated-variable column mismatch
-        break;
-      }
-    }
-    if (ok && FlatWitnessStep(rule, step + 1, binds)) return true;
-    binds->Undo(mark);
-  }
-  return false;
-}
-
-Result<bool> IncrementalMaintainer::DerivesTuple(
-    const BottomUpEvaluator::CompiledRule& rule, const Tuple& t) {
-  const Literal& head = rule.clause->head;
-  if (head.args.size() != t.size()) return false;
   // Pre-bind the head against the target tuple; each unifier seeds a
   // body search whose scans then run with those columns bound.
   Unifier unifier(program_->store(), eval_.options_.builtins.unify);
@@ -630,41 +423,25 @@ Status IncrementalMaintainer::Insert(const std::vector<FactOp>& inserts) {
     }
     if (delta.empty() && revived.empty()) break;
     for (auto& rule : eval_.rules_) {
-      auto emit_tuple = [&](const Tuple& out) -> Status {
-        if (db_->AddTuple(rule.clause->head.pred, out)) {
-          if (++eval_.stats_.tuples_derived > eval_.options_.max_tuples) {
-            return Status::ResourceExhausted("tuple limit exceeded");
-          }
-        }
-        return Status::OK();
+      auto insert = [&](const Tuple& out) {
+        return eval_.AddDerived(rule.clause->head.pred, out);
       };
-      const bool flat = FlatEligible(rule);
-      for (size_t pos = 0; pos < rule.plan.free_literals.size(); ++pos) {
-        size_t li = rule.plan.free_literals[pos];
+      for (size_t li : rule.plan.free_literals) {
         const Literal& lit = rule.clause->body[li];
         if (!lit.positive || sig.IsBuiltin(lit.pred)) continue;
         auto it = delta.find(lit.pred);
-        auto rv = revived.find(lit.pred);
-        if (it == delta.end() && rv == revived.end()) continue;
-        auto run_spec =
-            [&](const BottomUpEvaluator::DeltaSpec& spec) -> Status {
-          ++eval_.stats_.rule_runs;
-          if (flat) {
-            return FlatDeltaJoin(rule, DeltaSteps(rule, pos), spec,
-                                 emit_tuple);
-          }
-          Substitution theta;
-          return eval_.ExecSteps(
-              rule, DeltaSteps(rule, pos), 0, &theta, &spec,
-              [&](Substitution* t) { return eval_.EmitHead(rule, t); });
-        };
         if (it != delta.end()) {
-          LPS_RETURN_IF_ERROR(run_spec(BottomUpEvaluator::DeltaSpec{
-              li, it->second.first, it->second.second}));
+          ++eval_.stats_.rule_runs;
+          LPS_RETURN_IF_ERROR(RunDelta(
+              rule, DeltaSpec{li, it->second.first, it->second.second},
+              insert));
         }
+        auto rv = revived.find(lit.pred);
         if (rv != revived.end()) {
-          LPS_RETURN_IF_ERROR(run_spec(BottomUpEvaluator::DeltaSpec{
-              li, 0, rv->second.size(), &rv->second}));
+          ++eval_.stats_.rule_runs;
+          LPS_RETURN_IF_ERROR(RunDelta(
+              rule, DeltaSpec{li, 0, rv->second.size(), &rv->second},
+              insert));
         }
       }
     }

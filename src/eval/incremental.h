@@ -3,9 +3,9 @@
 // without a from-scratch fixpoint.
 //
 //  * Inserts run a delta semi-naive pass seeded from only the new EDB
-//    rows, reusing the evaluator's delta-join machinery over the live
-//    arena: per-predicate watermarks are taken at the pre-batch
-//    relation sizes, so the first round joins exactly the batch.
+//    rows, on the evaluator's join machinery over the live arena:
+//    per-predicate watermarks are taken at the pre-batch relation
+//    sizes, so the first round joins exactly the batch.
 //  * Retracts run delete-rederive (DRed): an over-delete fixpoint
 //    tombstones every tuple with a derivation through a retracted one
 //    (explicit-rows delta joins against the still-intact pre-batch
@@ -26,7 +26,6 @@
 #ifndef LPS_EVAL_INCREMENTAL_H_
 #define LPS_EVAL_INCREMENTAL_H_
 
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -84,68 +83,28 @@ class IncrementalMaintainer {
   Status Retract(const std::vector<FactOp>& retracts);
   Status Insert(const std::vector<FactOp>& inserts);
 
-  /// The plan for joining a delta on `rule`'s free_literals[pos]: the
-  /// planner's delta-first variant when built (always, for the Horn
-  /// fragment the maintainer accepts), else the general free plan.
-  /// Leading with the delta literal keeps a maintenance round's cost
-  /// proportional to the delta, not to the largest body relation.
-  static const std::vector<PlanStep>& DeltaSteps(
-      const BottomUpEvaluator::CompiledRule& rule, size_t pos);
+  /// Joins the delta `spec` through `rule`'s delta-first plan for the
+  /// literal it restricts (leading with the delta keeps a maintenance
+  /// round's cost proportional to the delta, not to the largest body
+  /// relation), handing each derived ground head tuple to `fn` (Status
+  /// fn(const Tuple&)). Flat rules run on the flat join kernel over the
+  /// live database, the rest on ExecSteps.
+  template <typename Fn>
+  Status RunDelta(const BottomUpEvaluator::CompiledRule& rule,
+                  const DeltaSpec& spec, Fn fn);
 
   /// True when some instance of `rule` derives exactly the tuple `t`
-  /// from the current (live) database: unifies the head against `t`
-  /// and runs the body plan head-bound, stopping at the first witness.
-  /// General fallback; flat rules take FlatWitness below.
-  Result<bool> DerivesTuple(const BottomUpEvaluator::CompiledRule& rule,
-                            const Tuple& t);
-
-  /// Fast-path eligibility: parallel_safe with a pure-kScan plan - the
-  /// whole maintainable fragment in practice (negation is rejected by
-  /// Maintain(), so only builtin steps route a rule through the generic
-  /// ExecSteps machinery). Such rules bind nothing but plain variables,
-  /// so a trail of (var, value) pairs replaces the per-row Substitution
-  /// (hash map) copies that dominate the generic executor's cost.
-  static bool FlatEligible(const BottomUpEvaluator::CompiledRule& rule);
-
-  /// Witness fast path for flat rules: the head is bound directly
-  /// against the target and body literals are probed in plan order
-  /// with masks computed from the binding trail. No Unifier, no
-  /// continuation plumbing; a failing witness costs a handful of index
-  /// probes.
-  bool FlatWitness(const BottomUpEvaluator::CompiledRule& rule,
-                   const Tuple& t);
-  bool FlatWitnessStep(const BottomUpEvaluator::CompiledRule& rule,
-                       size_t step,
-                       BottomUpEvaluator::FlatBindings* binds);
-
-  /// Forward delta-join fast path for flat rules: runs `steps` with
-  /// `spec` restricting the delta literal and hands each ground head
-  /// tuple to `emit`. Mirrors ExecSteps' delta semantics: rows-mode
-  /// delta rows are taken as given, range-mode and plain scans skip
-  /// tombstones.
-  Status FlatDeltaJoin(const BottomUpEvaluator::CompiledRule& rule,
-                       const std::vector<PlanStep>& steps,
-                       const BottomUpEvaluator::DeltaSpec& spec,
-                       const std::function<Status(const Tuple&)>& emit);
-  Status FlatDeltaStep(const BottomUpEvaluator::CompiledRule& rule,
-                       const std::vector<PlanStep>& steps, size_t step,
-                       const BottomUpEvaluator::DeltaSpec& spec,
-                       BottomUpEvaluator::FlatBindings* binds,
-                       const std::function<Status(const Tuple&)>& emit);
+  /// from the current (live) database: binds the head against `t` and
+  /// searches the body head-bound, stopping at the first witness.
+  Result<bool> Derives(const BottomUpEvaluator::CompiledRule& rule,
+                       const Tuple& t);
 
   const Program* program_;
   Database* db_;
-  BottomUpEvaluator eval_;  // compiled rules + delta-join machinery
+  BottomUpEvaluator eval_;  // compiled rules + ExecSteps
   std::string ineligible_reason_;
   const FactCounts* edb_counts_ = nullptr;  // borrowed for one Maintain()
-  // Flat-executor scratch, one slot per plan depth: probe hits must be
-  // copied out of Lookup's invalidated-by-next-probe reference anyway,
-  // so reuse the buffers across the whole batch. flat_out_ is the head
-  // emission buffer (the emit callback gets a reference; it must copy
-  // if it keeps the tuple).
-  std::vector<std::vector<RowId>> wit_rows_;
-  std::vector<Tuple> wit_keys_;
-  Tuple flat_out_;
+  FlatScratch scratch_;  // kernel state, reused across the whole batch
 };
 
 }  // namespace lps

@@ -47,6 +47,10 @@ Result<std::shared_ptr<const serve::Snapshot>> Session::Freeze(
   snap->store_ = store_->Clone();
   snap->program_ = std::make_unique<Program>(
       program_->CloneInto(snap->store_.get()));
+  // Catch the session's own indexes up before cloning: an index the
+  // fixpoint built early and then stopped probing would otherwise be
+  // caught up again in every snapshot cloned from it.
+  db_->FreezeIndexes();
   snap->db_ =
       db_->CloneInto(snap->store_.get(), &snap->program_->signature());
   for (const serve::FreezeOptions::IndexSpec& spec : opts.indexes) {
@@ -103,6 +107,7 @@ Result<std::shared_ptr<const serve::Snapshot>> Session::FreezeIncremental(
   // no re-interning, so a shared store is never mutated here).
   snap->program_ = std::make_unique<Program>(
       program_->CloneInto(snap->store_.get()));
+  db_->FreezeIndexes();  // as in Freeze(): clones index only new rows
   snap->db_ = db_->CloneIntoCow(snap->store_.get(),
                                 &snap->program_->signature(),
                                 prev->database());

@@ -316,7 +316,7 @@ TEST(ParallelEvalTest, FourThreadsReachSameFixpoint) {
 TEST(ParallelEvalTest, LaneCountDoesNotChangeInsertionOrder) {
   // The merge happens in deterministic task order and chunking only
   // splits a range that is concatenated back in order, so any lane
-  // count >= 2 produces a byte-identical database.
+  // count produces a byte-identical database.
   std::string src = TcProgram(40);
   EvalOptions two;
   two.threads = 2;
@@ -329,6 +329,38 @@ TEST(ParallelEvalTest, LaneCountDoesNotChangeInsertionOrder) {
   EXPECT_EQ(p2->eval_stats().tuples_derived,
             p4->eval_stats().tuples_derived);
   EXPECT_EQ(p2->eval_stats().iterations, p4->eval_stats().iterations);
+
+  // One lane runs the same rounds inline, so it matches too - on this
+  // linear closure and on non-linear and mutual recursion over the
+  // same edges, where rules feed each other within a round.
+  const std::string edges = src.substr(0, src.find("path("));
+  const std::string programs[] = {
+      src,
+      edges + "path(X, Y) :- edge(X, Y).\n"
+              "path(X, Z) :- path(X, Y), path(Y, Z).\n",
+      edges + "odd(X, Y) :- edge(X, Y).\n"
+              "odd(X, Z) :- even(X, Y), edge(Y, Z).\n"
+              "even(X, Z) :- odd(X, Y), edge(Y, Z).\n",
+  };
+  for (const std::string& program : programs) {
+    std::unique_ptr<Engine> runs[3];
+    const size_t lanes[3] = {1, 2, 4};
+    for (int i = 0; i < 3; ++i) {
+      EvalOptions opts;
+      opts.threads = lanes[i];
+      runs[i] = RunProgram(program, LanguageMode::kLDL, opts);
+    }
+    for (int i = 1; i < 3; ++i) {
+      EXPECT_EQ(runs[0]->database()->ToString(*runs[0]->signature()),
+                runs[i]->database()->ToString(*runs[i]->signature()))
+          << lanes[i] << " lanes vs 1 on\n" << program;
+      EXPECT_EQ(runs[0]->eval_stats().tuples_derived,
+                runs[i]->eval_stats().tuples_derived);
+      EXPECT_EQ(runs[0]->eval_stats().iterations,
+                runs[i]->eval_stats().iterations);
+    }
+    EXPECT_GT(runs[2]->eval_stats().parallel_tasks, 0u);
+  }
 }
 
 TEST(ParallelEvalTest, ThreadsOneBitIdenticalToDefault) {

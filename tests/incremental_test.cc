@@ -36,8 +36,9 @@ Options Incremental() {
 // The canonical database of `source` after `mutate` ran against an
 // evaluated session, computed the trusted way: full re-evaluation.
 template <typename Fn>
-std::string GroundTruth(const std::string& source, Fn mutate) {
-  Session session(LanguageMode::kLPS);  // incremental off: exact path
+std::string GroundTruth(const std::string& source, Fn mutate,
+                        LanguageMode mode = LanguageMode::kLPS) {
+  Session session(mode);  // incremental off: exact path
   EXPECT_TRUE(session.Load(source).ok());
   EXPECT_TRUE(session.Evaluate().ok());
   mutate(session);
@@ -62,6 +63,34 @@ TEST(IncrementalTest, InsertBatchMatchesFromScratch) {
   // The delta pass ran (and left its counters) instead of a rebuild.
   EXPECT_GT(session.eval_stats().delta_rounds, 0u);
   EXPECT_TRUE(session.converged());
+}
+
+TEST(IncrementalTest, InsertRespectsDeclaredSorts) {
+  // p({b}) must not reach q, whose argument is declared an atom: the
+  // maintainer binds X through the same sort check as a from-scratch
+  // evaluation, in every language mode.
+  constexpr const char* kSorted = R"(
+    pred q(atom).
+    p(a).
+    q(X) :- p(X).
+  )";
+  auto mutate = [](Session& s) {
+    MutationBatch batch = s.Mutate();
+    ASSERT_OK(batch.AddText("p({b})"));
+    ASSERT_OK(batch.Commit());
+  };
+  for (LanguageMode mode :
+       {LanguageMode::kLPS, LanguageMode::kELPS, LanguageMode::kLDL}) {
+    Session session(mode, Incremental());
+    ASSERT_OK(session.Load(kSorted));
+    ASSERT_OK(session.Evaluate());
+    mutate(session);
+    const std::string maintained = session.database()->ToCanonicalString(
+        session.program()->signature());
+    EXPECT_EQ(maintained, GroundTruth(kSorted, mutate, mode));
+    EXPECT_EQ(maintained.find("q({b})"), std::string::npos) << maintained;
+    EXPECT_GT(session.eval_stats().delta_rounds, 0u);
+  }
 }
 
 TEST(IncrementalTest, RetractRunsDRedWithRederivation) {
@@ -209,8 +238,8 @@ TEST(MutationBatchTest, AbortLeavesNoTrace) {
 }
 
 TEST(MutationBatchTest, DeferredCommitTakesEffectAtEvaluate) {
-  // Committing before the first Evaluate() only updates the program,
-  // like the deprecated AddFact always did.
+  // Committing before the first Evaluate() only updates the program;
+  // the facts take effect at the next Evaluate().
   Session session(LanguageMode::kLPS, Incremental());
   ASSERT_OK(session.Load(kGraph));
   ASSERT_OK(session.Compile());  // AddText parses against the signature
@@ -231,7 +260,7 @@ TEST(MutationBatchTest, StagingValidatesWithoutMutating) {
   TermStore* store = session.store();
   // Arity mismatch and non-ground arguments are rejected at staging;
   // the batch stays usable. (The *named* Add overload would instead
-  // declare a fresh edge/1 by inference - the AddFact contract.)
+  // declare a fresh edge/1 by inference.)
   PredicateId edge = session.program()->signature().Lookup("edge", 2);
   EXPECT_FALSE(batch.Add(edge, {store->MakeConstant("a")}).ok());
   EXPECT_FALSE(

@@ -438,11 +438,13 @@ TEST(DemandExecutionTest, AddFactInvalidatesCachedRewrite) {
   auto q = session->Prepare("path(a, X)");
   ASSERT_OK(q.status());
   EXPECT_EQ(*q->Execute()->Count(), 1u);
-  // AddFact bypasses Load/Compile but still changes the program; the
-  // cached rewrite (which snapshots the fact set) must not go stale.
+  // A committed mutation bypasses Load/Compile but still changes the
+  // program; the cached rewrite must not go stale.
   TermStore* store = session->store();
-  ASSERT_OK(session->AddFact(
+  MutationBatch batch = session->Mutate();
+  ASSERT_OK(batch.Add(
       "edge", {store->MakeConstant("b"), store->MakeConstant("c")}));
+  ASSERT_OK(batch.Commit());
   EXPECT_EQ(*q->Execute()->Count(), 2u);
 }
 
