@@ -3,8 +3,9 @@
 // BM_ServeThreads/N runs a fixed batch of path(n_i, Y) point queries
 // through an N-lane serve::QueryServer against one published snapshot;
 // every request takes the demand (magic-set) route into a private
-// result database, so the lanes share nothing but the immutable
-// snapshot and the batch should scale near-linearly. The CI gate
+// result database that aliases the snapshot's EDB relations, so the
+// lanes share nothing but the immutable snapshot - its EDB included,
+// read-only - and the batch should scale near-linearly. The CI gate
 // (scripts/check_bench.py --min-ratio) requires the 4-lane batch to be
 // >= 2x faster than the 1-lane batch, i.e. >= 2x QPS at 4 threads.
 //

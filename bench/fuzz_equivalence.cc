@@ -13,7 +13,10 @@
 // batch the incrementally maintained database must equal - canonical
 // string for canonical string - a from-scratch fixpoint of the same
 // mutated program, and after the last batch the demand-executed goal
-// answers must match the full fixpoint's.
+// answers must match the full fixpoint's - both from the session and
+// from a 2-lane serve::QueryServer over a snapshot republished with
+// FreezeIncremental, whose demand requests read the snapshot's EDB
+// relations (tombstones included) in place.
 //
 // Each clean seed's full fixpoint must also be byte-identical
 // (Database::ToString, insertion order included) at 1 and 4 worker
@@ -39,6 +42,9 @@
 #include <string>
 #include <vector>
 
+#include "serve/registry.h"
+#include "serve/server.h"
+#include "serve/snapshot.h"
 #include "workloads.h"
 
 namespace {
@@ -122,6 +128,8 @@ std::string ChurnCheck(const FuzzProgram& fuzz, uint64_t seed) {
   if (!inc.Load(fuzz.source).ok() || !inc.Evaluate().ok()) {
     return "";  // base program does not evaluate: nothing to churn
   }
+  auto base = inc.Freeze();  // republished copy-on-write after churn
+  if (!base.ok()) return "freeze: " + base.status().ToString();
 
   // Per-(predicate, position) pools of argument texts.
   struct Pool {
@@ -223,8 +231,29 @@ std::string ChurnCheck(const FuzzProgram& fuzz, uint64_t seed) {
       auto ri = ci->ToVector();
       auto rr = cr->ToVector();
       if (!ri.ok() || !rr.ok()) return "churn cursor failed";
-      if (Render(&inc, *ri) != Render(&ref, *rr)) {
+      const std::vector<std::string> want_rows = Render(&ref, *rr);
+      if (Render(&inc, *ri) != want_rows) {
         return "churned demand answers != full fixpoint answers";
+      }
+      auto snap = inc.FreezeIncremental(*base);
+      if (!snap.ok()) return "churn freeze: " + snap.status().ToString();
+      lps::serve::SnapshotRegistry registry;
+      registry.Publish(*snap);
+      lps::serve::ServeOptions serve_opts;
+      serve_opts.threads = 2;
+      lps::serve::QueryServer server(&registry, serve_opts);
+      auto id = server.Prepare(fuzz.goal);
+      if (!id.ok()) return "served prepare: " + id.status().ToString();
+      auto served = server.Execute({*id, {}});
+      if (!served.ok() || !served->status.ok()) {
+        return "served goal failed";
+      }
+      std::vector<std::string> rows = served->rows;
+      std::sort(rows.begin(), rows.end());
+      rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+      if (rows != want_rows) {
+        return "served answers over the churned snapshot != full "
+               "fixpoint answers";
       }
     }
   }

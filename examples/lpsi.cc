@@ -122,6 +122,7 @@ void PrintServeStats(const lps::serve::ServeStats& s) {
   std::printf("  errors            %llu\n", u64(s.errors));
   std::printf("  rewrites_built    %llu\n", u64(s.rewrites_built));
   std::printf("  rewrite_cache_hits %llu\n", u64(s.rewrite_cache_hits));
+  std::printf("  index_misses      %llu\n", u64(s.index_misses));
   std::printf("  worker_rebinds    %llu\n", u64(s.worker_rebinds));
   std::printf("  worker_refreshes  %llu\n", u64(s.worker_refreshes));
   std::printf("  deadline_exceeded %llu\n", u64(s.deadline_exceeded));
@@ -200,6 +201,7 @@ void Serve(lps::Session* session, lps::serve::SnapshotRegistry* registry,
   total->errors += s.errors;
   total->rewrites_built += s.rewrites_built;
   total->rewrite_cache_hits += s.rewrite_cache_hits;
+  total->index_misses += s.index_misses;
   total->worker_rebinds += s.worker_rebinds;
   total->worker_refreshes += s.worker_refreshes;
   total->deadline_exceeded += s.deadline_exceeded;

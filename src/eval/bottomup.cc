@@ -116,10 +116,19 @@ Status BottomUpEvaluator::Evaluate() {
   const size_t set_interns_before = store.set_interns();
   const size_t set_intern_hits_before = store.set_intern_hits();
 
-  // Load EDB facts.
+  // Load EDB facts, noting which predicates this evaluation writes. The
+  // others are read-only for the whole run: a demand rewrite served
+  // over a converged snapshot reads the snapshot's EDB relations in
+  // place (Database::AliasRelation, serve/server.cc), so every read of
+  // a read-only predicate goes through const paths, and only an index
+  // its relation lacks is built - on a copy, when the relation is
+  // shared.
+  read_only_.assign(sig.size(), true);
   for (const Literal& f : program_->facts()) {
+    read_only_[f.pred] = false;
     if (db_->AddTuple(f.pred, f.args)) ++stats_.tuples_derived;
   }
+  for (const Clause& c : program_->clauses()) read_only_[c.head.pred] = false;
 
   LPS_ASSIGN_OR_RETURN(Stratification strat, Stratify(*program_));
   stats_.strata = strat.num_strata;
@@ -384,13 +393,15 @@ const std::vector<PlanStep>& BottomUpEvaluator::CompiledRule::DeltaSteps(
 
 Status BottomUpEvaluator::RunFlatFirstPass(const CompiledRule& rule) {
   const Literal& head = rule.clause->head;
-  LiveRows rows(db_);
+  const FlatJob job{rule.clause, &rule.plan.free_plan.steps, {}};
+  PrepareIndexes(job, /*live=*/true);
+  LiveRows rows(db_, &read_only_);
   HeadSink sink(*program_, head, [&](const Tuple& t) {
     return AddDerived(head.pred, t);
   });
   scratch_.deadline = options_.deadline;
   FlatJoin join(*program_, &rows, &sink, &scratch_);
-  return join.Run(FlatJob{rule.clause, &rule.plan.free_plan.steps, {}});
+  return join.Run(job);
 }
 
 Status BottomUpEvaluator::RunFlatRound(
@@ -406,7 +417,7 @@ Status BottomUpEvaluator::RunFlatRound(
       if (begin >= end) continue;  // empty delta
       ++stats_.rule_runs;
       FlatJob job{r.clause, &r.DeltaSteps(li), DeltaSpec{li, begin, end}};
-      PrepareIndexes(job);
+      PrepareIndexes(job, /*live=*/false);
       AppendTasks(job, &tasks);
     }
   }
@@ -421,7 +432,7 @@ Status BottomUpEvaluator::RunFlatRound(
   return Status::OK();
 }
 
-void BottomUpEvaluator::PrepareIndexes(const FlatJob& job) {
+void BottomUpEvaluator::PrepareIndexes(const FlatJob& job, bool live) {
   const TermStore& store = *program_->store();
   std::vector<TermId> bound;
   for (const PlanStep& step : *job.steps) {
@@ -441,8 +452,9 @@ void BottomUpEvaluator::PrepareIndexes(const FlatJob& job) {
     // The kernel walks a delta literal's rows and answers a fully bound
     // probe with Find, so neither needs an index.
     if (mask != 0 && !all_bound &&
-        step.literal_index != job.delta.literal_index) {
-      db_->relation(lit.pred).EnsureIndex(mask);
+        step.literal_index != job.delta.literal_index &&
+        (!live || ReadOnly(lit.pred))) {
+      db_->EnsureIndex(lit.pred, mask);
     }
     for (TermId a : lit.args) {
       if (store.IsVariable(a)) bound.push_back(a);
@@ -595,7 +607,7 @@ Status BottomUpEvaluator::RunFlatGrouping(const CompiledRule& rule) {
     job.delta = DeltaSpec{li, 0, rel == nullptr ? 0 : rel->size()};
   }
   // Grouping bodies read strictly lower strata: the relations are final.
-  PrepareIndexes(job);
+  PrepareIndexes(job, /*live=*/false);
   std::vector<FlatJob> tasks;
   AppendTasks(job, &tasks);
   const size_t kw = group_acc_.key_width();
@@ -703,7 +715,11 @@ Status BottomUpEvaluator::ExecSteps(
           key[i] = patterns[i];
         }
       }
-      Relation& rel = db_->relation(lit.pred);
+      // A read-only predicate's relation may be shared with another
+      // database: read it through const paths only (`own` stays null).
+      Relation* own = ReadOnly(lit.pred) ? nullptr : &db_->relation(lit.pred);
+      const Relation* rel = own != nullptr ? own : db_->FindRelation(lit.pred);
+      if (rel == nullptr) return Status::OK();
       bool is_delta =
           delta != nullptr && delta->literal_index == step.literal_index;
       bool rows_mode = is_delta && delta->rows != nullptr;
@@ -729,9 +745,17 @@ Status BottomUpEvaluator::ExecSteps(
         for (size_t ti = delta->begin; ti < delta->end; ++ti) {
           indices.push_back(static_cast<RowId>(ti));
         }
-      } else {
-        const std::vector<RowId>& hits = rel.Lookup(mask, key);
+      } else if (own != nullptr) {
+        const std::vector<RowId>& hits = own->Lookup(mask, key);
         indices.assign(hits.begin(), hits.end());
+      } else {
+        if (mask != 0) {
+          // A no-op on a built index; a missing one is built in place,
+          // or on a copy if the relation is shared.
+          db_->EnsureIndex(lit.pred, mask);
+          rel = db_->FindRelation(lit.pred);
+        }
+        rel->LookupSnapshot(mask, key, rel->size(), &indices);
       }
       Lease<Tuple> row_lease(&tuple_pool_);
       Tuple& row = *row_lease;
@@ -741,10 +765,10 @@ Status BottomUpEvaluator::ExecSteps(
           continue;
         }
         // Tombstoned rows stay in index postings; skip them here.
-        if (!rows_mode && !rel.IsLive(ti)) continue;
+        if (!rows_mode && !rel->IsLive(ti)) continue;
         {
           // Copy: the arena may grow (and reallocate) during recursion.
-          TupleRef r = rel.row(ti);
+          TupleRef r = rel->row(ti);
           row.assign(r.begin(), r.end());
         }
         // Bind the non-ground positions.

@@ -166,6 +166,7 @@ Database::StorageStats Database::storage_stats(
     bool with_index_bytes) const {
   StorageStats s;
   for (const auto& [pred, rel] : relations_) {
+    if (rel.use_count() > 1) continue;  // another database's storage
     s.arena_bytes += rel->ArenaBytes();
     if (with_index_bytes) s.index_bytes += rel->IndexBytes();
     s.dedup_probes += rel->dedup_probes();
@@ -209,6 +210,11 @@ std::unique_ptr<Database> Database::CloneIntoCow(
   clone->domains_ = domains_;
   clone->version_ = version_;
   return clone;
+}
+
+void Database::AliasRelation(PredicateId pred, const Database& src) {
+  auto it = src.relations_.find(pred);
+  if (it != src.relations_.end()) relations_.insert_or_assign(pred, it->second);
 }
 
 void Database::EnsureIndex(PredicateId pred, uint32_t mask) {

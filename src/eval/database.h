@@ -164,11 +164,14 @@ class Database {
   /// the unordered_map iteration order never influences a plan.
   std::vector<std::pair<PredicateId, RelationStats>> CollectStats() const;
 
-  /// Aggregate storage-engine footprint across all relations (see
-  /// Relation::ArenaBytes / IndexBytes / dedup_probes). IndexBytes
-  /// walks every posting bucket, so callers on a per-commit fast path
-  /// (incremental maintenance) pass `with_index_bytes = false` and
-  /// keep the last fully computed figure instead.
+  /// Aggregate storage-engine footprint across the relations this
+  /// database holds alone (see Relation::ArenaBytes / IndexBytes /
+  /// dedup_probes); a relation shared with another database
+  /// (AliasRelation, CloneIntoCow) is that database's storage and is
+  /// not walked. IndexBytes walks every posting bucket, so callers on a
+  /// per-commit fast path (incremental maintenance) pass
+  /// `with_index_bytes = false` and keep the last fully computed figure
+  /// instead.
   struct StorageStats {
     size_t arena_bytes = 0;
     size_t index_bytes = 0;
@@ -213,6 +216,16 @@ class Database {
   std::unique_ptr<Database> CloneIntoCow(TermStore* store,
                                          const Signature* sig,
                                          const Database& prev) const;
+
+  /// Makes `src`'s relation for `pred` this database's relation too
+  /// (replacing any it had; a no-op when `src` has none), shared the
+  /// way CloneIntoCow shares: reads see `src`'s rows and indexes in
+  /// place, and the first write through relation() - an insert or an
+  /// index build - copies the relation first, so `src` never observes
+  /// it. Both databases must resolve pred's TermIds identically (see
+  /// CloneInto). The serving path's demand requests alias a converged
+  /// snapshot's EDB relations this way (serve/server.cc).
+  void AliasRelation(PredicateId pred, const Database& src);
 
   /// Builds the per-mask index for `mask` on `pred`'s relation,
   /// creating the relation if absent. Freeze-time eager indexing for

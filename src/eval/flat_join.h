@@ -12,7 +12,9 @@
 //    every incremental-maintenance loop); FrozenRows probes through
 //    Relation::LookupSnapshot against a database nobody writes until
 //    the join ends (semi-naive delta rounds and grouping bodies, on any
-//    number of lanes).
+//    number of lanes). LiveRows reads the predicates an evaluation
+//    never writes the FrozenRows way: they may be relations shared
+//    with a published snapshot.
 //  * Sink - what a solution becomes: an inserted tuple, a buffered one,
 //    a (key, element) group pair, a first witness, a DRed casualty.
 #ifndef LPS_EVAL_FLAT_JOIN_H_
@@ -99,14 +101,35 @@ struct FlatScratch {
 
 /// Rows policy for a database that changes while the join runs. Probe
 /// hits are copied out: a sink's insert invalidates Lookup's result.
+/// Predicates marked in `read_only` (indexed by PredicateId, decided
+/// once per evaluation; null marks none) are ones the join never
+/// writes. Their relations may be shared with another database
+/// (Database::AliasRelation), so they are read as FrozenRows reads:
+/// through const paths, over indexes the caller built beforehand.
 class LiveRows {
  public:
-  explicit LiveRows(Database* db) : db_(db) {}
-  Relation* Get(PredicateId pred) { return &db_->relation(pred); }
+  explicit LiveRows(Database* db,
+                    const std::vector<bool>* read_only = nullptr)
+      : db_(db), read_only_(read_only) {}
+  /// Calls fn with pred's relation: a `Relation*` the join may index in
+  /// place, or a `const Relation*` (null when absent) for a read-only
+  /// predicate.
+  template <typename Fn>
+  Status Visit(PredicateId pred, Fn fn) {
+    if (read_only_ != nullptr && pred < read_only_->size() &&
+        (*read_only_)[pred]) {
+      return fn(std::as_const(*db_).FindRelation(pred));
+    }
+    return fn(&db_->relation(pred));
+  }
   void Probe(Relation* rel, uint32_t mask, TupleRef key,
              std::vector<RowId>* hits) {
     const std::vector<RowId>& found = rel->Lookup(mask, key);
     hits->assign(found.begin(), found.end());
+  }
+  void Probe(const Relation* rel, uint32_t mask, TupleRef key,
+             std::vector<RowId>* hits) {
+    rel->LookupSnapshot(mask, key, rel->size(), hits);
   }
   bool Contains(PredicateId pred, TupleRef t) const {
     return db_->Contains(pred, t);
@@ -114,6 +137,7 @@ class LiveRows {
 
  private:
   Database* db_;
+  const std::vector<bool>* read_only_;
 };
 
 /// Rows policy for a database frozen for the join's duration: pure
@@ -123,8 +147,9 @@ class LiveRows {
 class FrozenRows {
  public:
   explicit FrozenRows(const Database* db) : db_(db) {}
-  const Relation* Get(PredicateId pred) const {
-    return db_->FindRelation(pred);
+  template <typename Fn>
+  Status Visit(PredicateId pred, Fn fn) const {
+    return fn(db_->FindRelation(pred));
   }
   void Probe(const Relation* rel, uint32_t mask, TupleRef key,
              std::vector<RowId>* hits) {
@@ -248,9 +273,19 @@ class FlatJoin {
     if (step.kind != StepKind::kScan) {
       return Status::Internal("non-flat plan step in the flat join kernel");
     }
-    auto* rel = rows_->Get(lit.pred);
-    if (rel == nullptr) return Status::OK();
+    return rows_->Visit(lit.pred, [&](auto* rel) {
+      return Scan(rel, idx, mask, all_bound);
+    });
+  }
 
+  // The scan at depth idx over `rel`: a Relation the rows policy lets
+  // the join index in place, or a const one it only reads.
+  template <typename Rel>
+  Status Scan(Rel* rel, size_t idx, uint32_t mask, bool all_bound) {
+    if (rel == nullptr) return Status::OK();
+    const PlanStep& step = (*job_->steps)[idx];
+    const Literal& lit = job_->clause->body[step.literal_index];
+    const Tuple& key = s_->keys[idx];
     const DeltaSpec& delta = job_->delta;
     if (delta.literal_index == step.literal_index) {
       // Walk the delta itself: intersecting an index probe with it

@@ -83,17 +83,32 @@ void QueryServer::BindWorker(Worker* w, const PinnedSnapshot& pin) {
     // advance the epoch.
     w->epoch = pin.epoch();
     ++w->delta.worker_refreshes;
-    return;
+  } else {
+    w->store = snap.store().Clone();
+    w->program =
+        std::make_unique<Program>(snap.program().CloneInto(w->store.get()));
+    w->entries.clear();
+    w->epoch = pin.epoch();
+    w->rule_epoch = snap.rule_epoch();
+    w->store_size = snap.store_size();
+    w->sig_preds = snap.signature().size();
+    ++w->delta.worker_rebinds;
   }
-  w->store = snap.store().Clone();
-  w->program =
-      std::make_unique<Program>(snap.program().CloneInto(w->store.get()));
-  w->entries.clear();
-  w->epoch = pin.epoch();
-  w->rule_epoch = snap.rule_epoch();
-  w->store_size = snap.store_size();
-  w->sig_preds = snap.signature().size();
-  ++w->delta.worker_rebinds;
+  // What a demand request over this snapshot loads, listed once per
+  // epoch (facts change on a refresh too) instead of per request.
+  w->aliased.clear();
+  w->head_facts.clear();
+  if (!snap.converged()) return;
+  std::vector<bool> heads_rule(snap.signature().size());
+  for (const Clause& c : snap.program().clauses()) {
+    heads_rule[c.head.pred] = true;
+  }
+  for (const auto& [pred, rel] : snap.database().Relations()) {
+    if (!heads_rule[pred]) w->aliased.push_back(pred);
+  }
+  for (const Literal& f : snap.program().facts()) {
+    if (heads_rule[f.pred]) w->head_facts.push_back(&f);
+  }
 }
 
 QueryServer::QueryEntry& QueryServer::Materialize(Worker* w,
@@ -128,30 +143,32 @@ ServeAnswer QueryServer::ExecuteOne(
   ServeAnswer out;
   ++w->delta.queries;
   bool admission = false;  // rejected before any work (vs cut mid-flight)
-  auto finish = [&]() -> ServeAnswer {
-    out.micros = MicrosSince(t0);
-    w->latencies.push_back(out.micros);
-    w->delta.answers += out.count;
-    if (!out.status.ok()) {
-      if (out.status.code() == StatusCode::kDeadlineExceeded) {
-        // Policy outcome, not a malfunction: tracked separately so
-        // `errors` keeps meaning "something went wrong".
-        if (admission) {
-          ++w->delta.admission_rejected;
-        } else {
-          ++w->delta.deadline_exceeded;
-        }
+  out.status = Answer(w, snap, req, t0, batch_deadline, &admission, &out);
+  // Stamped once Answer has returned, so the service time includes
+  // freeing what the request allocated (its private database above all).
+  out.micros = MicrosSince(t0);
+  w->latencies.push_back(out.micros);
+  w->delta.answers += out.count;
+  if (!out.status.ok()) {
+    if (out.status.code() == StatusCode::kDeadlineExceeded) {
+      // Policy outcome, not a malfunction: tracked separately so
+      // `errors` keeps meaning "something went wrong".
+      if (admission) {
+        ++w->delta.admission_rejected;
       } else {
-        ++w->delta.errors;
+        ++w->delta.deadline_exceeded;
       }
+    } else {
+      ++w->delta.errors;
     }
-    return std::move(out);
-  };
-  auto fail = [&](Status s) -> ServeAnswer {
-    out.status = std::move(s);
-    return finish();
-  };
+  }
+  return out;
+}
 
+Status QueryServer::Answer(Worker* w, const Snapshot& snap,
+                           const ServeRequest& req, Clock::time_point t0,
+                           Clock::time_point batch_deadline, bool* admission,
+                           ServeAnswer* out) {
   // ---- Admission control ---------------------------------------------
   // Effective deadline = min(batch deadline, request start + timeout);
   // either side absent (zero) drops out. A request whose turn comes
@@ -171,10 +188,10 @@ ServeAnswer QueryServer::ExecuteOne(
     }
   }
   if (deadline != Clock::time_point{} && t0 >= deadline) {
-    admission = true;
-    out.note = "admission rejected: deadline expired before start";
-    return fail(Status::DeadlineExceeded(
-        "admission rejected: deadline expired before request start"));
+    *admission = true;
+    out->note = "admission rejected: deadline expired before start";
+    return Status::DeadlineExceeded(
+        "admission rejected: deadline expired before request start");
   }
   const size_t max_tuples =
       req.max_tuples > 0 ? req.max_tuples : options_.default_max_tuples;
@@ -190,18 +207,18 @@ ServeAnswer QueryServer::ExecuteOne(
   // True when the row cap was reached (emission should stop; the
   // answer stays OK but is marked partial).
   auto capped = [&]() -> bool {
-    if (max_tuples == 0 || out.count < max_tuples) return false;
-    out.partial = true;
-    if (out.note.empty()) out.note = "truncated: max_tuples reached";
+    if (max_tuples == 0 || out->count < max_tuples) return false;
+    out->partial = true;
+    if (out->note.empty()) out->note = "truncated: max_tuples reached";
     return true;
   };
 
   if (req.query >= queries_.size()) {
-    return fail(Status::InvalidArgument("unknown query id " +
-                                        std::to_string(req.query)));
+    return Status::InvalidArgument("unknown query id " +
+                                   std::to_string(req.query));
   }
   QueryEntry& e = Materialize(w, snap, req.query);
-  if (!e.error.ok()) return fail(e.error);
+  if (!e.error.ok()) return e.error;
 
   TermStore* store = w->store.get();
   const Signature& sig = w->program->signature();
@@ -226,11 +243,11 @@ ServeAnswer QueryServer::ExecuteOne(
       }
     }
     if (var == kInvalidTerm) {
-      return fail(Status::NotFound("goal " + queries_[req.query] +
-                                   " has no variable " + name));
+      return Status::NotFound("goal " + queries_[req.query] +
+                              " has no variable " + name);
     }
     Result<Resolution> r = TryResolveGroundTerm(*store, text);
-    if (!r.ok()) return fail(r.status());
+    if (!r.ok()) return r.status();
     Resolution res = *r;
     if (res.missing == MissKind::kNone && res.id >= snap.store_size()) {
       // Interned into this worker's scratch by an earlier request: the
@@ -261,8 +278,8 @@ ServeAnswer QueryServer::ExecuteOne(
   if (!is_builtin && (worst == MissKind::kConstant ||
                       (worst != MissKind::kNone && !demand_route))) {
     ++w->delta.empty_fast_path;
-    out.note = "empty fast path: parameter not in snapshot";
-    return finish();
+    out->note = "empty fast path: parameter not in snapshot";
+    return Status::OK();
   }
 
   // ---- Bind ----------------------------------------------------------
@@ -270,13 +287,13 @@ ServeAnswer QueryServer::ExecuteOne(
   for (Param& p : params) {
     if (p.id == kInvalidTerm) {
       Result<TermId> interned = InternGroundTerm(store, *p.text);
-      if (!interned.ok()) return fail(interned.status());
+      if (!interned.ok()) return interned.status();
       p.id = *interned;
     }
     if (!SortAllowsBinding(*store, p.var, p.id)) {
-      return fail(Status::SortError("parameter value " + *p.text +
-                                    " has the wrong sort for goal " +
-                                    queries_[req.query]));
+      return Status::SortError("parameter value " + *p.text +
+                               " has the wrong sort for goal " +
+                               queries_[req.query]);
     }
     bindings.Bind(p.var, p.id);
   }
@@ -288,12 +305,12 @@ ServeAnswer QueryServer::ExecuteOne(
     std::vector<Tuple> rows;
     GoalPlanExecutor exec(store, &snap.database(), builtins, e.goal);
     Status s = exec.Run(e.plan.body.steps, bindings, &rows);
-    if (!s.ok()) return fail(s);
+    if (!s.ok()) return s;
     for (const Tuple& t : rows) {
       if (capped()) break;
-      EmitRow(*store, t, options_.record_answers, &out);
+      EmitRow(*store, t, options_.record_answers, out);
     }
-    return finish();
+    return Status::OK();
   }
 
   std::vector<TermId> patterns(e.goal.args.size());
@@ -309,7 +326,7 @@ ServeAnswer QueryServer::ExecuteOne(
 
   // Read-only stream over the frozen snapshot relation (prebuilt
   // indexes or a bounded scan; never a lazy build).
-  auto scan = [&]() -> ServeAnswer {
+  auto scan = [&]() -> Status {
     ++w->delta.scan_queries;
     const Relation* rel = snap.database().FindRelation(e.goal.pred);
     RelationScanSource src(store, builtins.unify, rel, patterns);
@@ -318,16 +335,16 @@ ServeAnswer QueryServer::ExecuteOne(
     for (;;) {
       if (capped()) break;
       if (deadline_hit()) {
-        out.partial = true;
-        return fail(Status::DeadlineExceeded(
-            "deadline exceeded during snapshot scan"));
+        out->partial = true;
+        return Status::DeadlineExceeded(
+            "deadline exceeded during snapshot scan");
       }
       Result<bool> more = src.Next(&t);
-      if (!more.ok()) return fail(more.status());
+      if (!more.ok()) return more.status();
       if (!*more) break;
-      EmitRow(*store, t, options_.record_answers, &out);
+      EmitRow(*store, t, options_.record_answers, out);
     }
-    return finish();
+    return Status::OK();
   };
 
   if (!demand_route || !any_bound) return scan();
@@ -349,7 +366,7 @@ ServeAnswer QueryServer::ExecuteOne(
   }
   if (entry == nullptr) {
     Result<MagicRewriteResult> rw = MagicRewrite(*w->program, e.goal, bound);
-    if (!rw.ok()) return fail(rw.status());
+    if (!rw.ok()) return rw.status();
     ++w->delta.rewrites_built;
     CachedRewrite fresh;
     fresh.fallback_reason = std::move(rw->fallback_reason);
@@ -362,7 +379,7 @@ ServeAnswer QueryServer::ExecuteOne(
     }
   }
   if (entry->rewrite == nullptr) {
-    out.note = "demand fallback: " + entry->fallback_reason;
+    out->note = "demand fallback: " + entry->fallback_reason;
     return scan();
   }
   ++w->delta.demand_queries;
@@ -373,13 +390,26 @@ ServeAnswer QueryServer::ExecuteOne(
   seed.reserve(rw->seed_positions.size());
   for (size_t pos : rw->seed_positions) seed.push_back(patterns[pos]);
   db.AddTuple(rw->seed_pred, seed);
-  // The rewrite carries no facts (transform/magic.h): load the pinned
-  // snapshot's fact set, which is what keeps a rewrite cached before a
+  // The rewrite carries no facts (transform/magic.h): they come from
+  // the pinned snapshot, which is what keeps a rewrite cached before a
   // fact-only republish answering over the *new* facts. Sound against
   // the worker store because a refresh requires store_size equality -
   // every fact term id sits inside the shared frozen prefix.
-  for (const Literal& f : snap.program().facts()) {
-    db.AddTuple(f.pred, f.args);
+  if (snap.converged()) {
+    // At fixpoint the relation of a predicate that heads no rule holds
+    // exactly the ledger's live facts, so share it rather than copy
+    // it. The evaluation never writes such a predicate and reads it
+    // through const paths (BottomUpEvaluator's read-only predicates);
+    // and it never reads the active domains the skipped inserts would
+    // have filled, because magic.cc's post-check (a) rejects every
+    // rewrite with an enumeration step.
+    for (PredicateId p : w->aliased) db.AliasRelation(p, snap.database());
+    for (const Literal* f : w->head_facts) db.AddTuple(f->pred, f->args);
+  } else {
+    // Relations frozen before the fixpoint may lack facts.
+    for (const Literal& f : snap.program().facts()) {
+      db.AddTuple(f.pred, f.args);
+    }
   }
   EvalOptions eval_opts = snap.options().eval();
   eval_opts.threads = 1;  // lanes are the parallelism; no nested pools
@@ -389,9 +419,17 @@ ServeAnswer QueryServer::ExecuteOne(
   eval_opts.deadline = deadline;
   BottomUpEvaluator eval(&rw->program, &db, eval_opts);
   Status es = eval.Evaluate();
+  // An aliased relation that is no longer the snapshot's was copied to
+  // build an index the snapshot lacks (FreezeOptions::indexes adds it).
+  for (PredicateId p : w->aliased) {
+    if (db.FindRelation(p) != snap.database().FindRelation(p)) {
+      ++w->delta.index_misses;
+      break;
+    }
+  }
   if (!es.ok()) {
-    if (es.code() == StatusCode::kDeadlineExceeded) out.partial = true;
-    return fail(es);
+    if (es.code() == StatusCode::kDeadlineExceeded) out->partial = true;
+    return es;
   }
 
   Relation* rel = nullptr;
@@ -403,16 +441,16 @@ ServeAnswer QueryServer::ExecuteOne(
   for (;;) {
     if (capped()) break;
     if (deadline_hit()) {
-      out.partial = true;
-      return fail(Status::DeadlineExceeded(
-          "deadline exceeded streaming demand answers"));
+      out->partial = true;
+      return Status::DeadlineExceeded(
+          "deadline exceeded streaming demand answers");
     }
     Result<bool> more = src.Next(&t);
-    if (!more.ok()) return fail(more.status());
+    if (!more.ok()) return more.status();
     if (!*more) break;
-    EmitRow(*store, t, options_.record_answers, &out);
+    EmitRow(*store, t, options_.record_answers, out);
   }
-  return finish();
+  return Status::OK();
 }
 
 Result<size_t> QueryServer::Prepare(const std::string& goal_text) {

@@ -17,7 +17,13 @@
 //  * a Program re-bound to that clone, plus per-query plans and a
 //    per-(query, binding-mask) magic-rewrite cache;
 //  * a private result Database per demand query, owned for exactly the
-//    duration of one request.
+//    duration of one request. It owns only the magic and adorned
+//    relations plus the facts of rule-headed predicates: when the
+//    pinned snapshot is converged, every EDB relation (a predicate
+//    heading no rule) is aliased from it copy-on-write
+//    (Database::AliasRelation) and read in place, so a request costs
+//    the slice it demands, not the size of the EDB. Only a probe that
+//    needs an index the snapshot lacks copies the relation it indexes.
 //
 // Workers re-bind (fresh clone, caches dropped) only when the batch
 // pins a *newer* epoch than the one they were bound to, so steady-state
@@ -117,7 +123,10 @@ struct ServeStats {
   uint64_t answers = 0;         // total answer tuples produced
   uint64_t rewrites_built = 0;  // magic rewrites constructed
   uint64_t rewrite_cache_hits = 0;
-  uint64_t index_misses = 0;    // snapshot scans with no prebuilt index
+  // Requests whose snapshot reads found no prebuilt index: a scan that
+  // fell back to walking rows, or a demand evaluation that copied an
+  // aliased relation to build the index its rewrite probes.
+  uint64_t index_misses = 0;
   uint64_t worker_rebinds = 0;  // worker re-clones after a new epoch
   /// Worker took the cheap path on a new epoch: the republished
   /// snapshot has the same rule_epoch/store_size/signature as the one
@@ -210,6 +219,13 @@ class QueryServer {
     std::unique_ptr<TermStore> store;
     std::unique_ptr<Program> program;
     std::vector<QueryEntry> entries;  // indexed by query id
+    // What a demand request loads from a converged snapshot (both empty
+    // for an unconverged one, whose fact ledger is loaded instead);
+    // listed by BindWorker on every rebind and refresh. `aliased`: the
+    // predicates heading no rule, whose snapshot relations the request
+    // shares; `head_facts`: the facts of the others, which it inserts.
+    std::vector<PredicateId> aliased;
+    std::vector<const Literal*> head_facts;
     ServeStats delta;                 // counters gathered this batch
     std::vector<double> latencies;    // per-request micros this batch
   };
@@ -220,12 +236,20 @@ class QueryServer {
   /// and magic rewrites are pure functions of the rules, and demand
   /// facts are read from the pinned snapshot at execution time.
   /// Anything else: re-clones store/program and drops all entries.
+  /// Either way re-lists the worker's `aliased` and `head_facts`.
   void BindWorker(Worker* w, const PinnedSnapshot& pin);
   /// Parses/validates/plans queries_[query] into w->entries[query].
   QueryEntry& Materialize(Worker* w, const Snapshot& snap, size_t query);
   ServeAnswer ExecuteOne(Worker* w, const Snapshot& snap,
                          const ServeRequest& request,
                          std::chrono::steady_clock::time_point batch_deadline);
+  /// ExecuteOne's work: fills *out and returns the answer's status
+  /// (*admission = rejected before any work). Everything the request
+  /// allocates is freed before it returns, inside the timed span.
+  Status Answer(Worker* w, const Snapshot& snap, const ServeRequest& request,
+                std::chrono::steady_clock::time_point t0,
+                std::chrono::steady_clock::time_point batch_deadline,
+                bool* admission, ServeAnswer* out);
 
   SnapshotRegistry* registry_;
   ServeOptions options_;

@@ -2,7 +2,8 @@
 // freezing and cloning invariants, registry epoch/refcount lifecycle
 // (pin -> republish -> unpin -> reclamation), read-safe parameter
 // resolution, the QueryServer execution paths (scan / demand / builtin
-// / empty fast path), and a multi-threaded hammer whose per-thread
+// / empty fast path; demand over a converged snapshot's EDB read in
+// place), and a multi-threaded hammer whose per-thread
 // answer checksums must match a sequential ground truth - including
 // while a writer keeps republishing fresh epochs underneath the
 // readers (the TSan target for the whole subsystem).
@@ -549,6 +550,177 @@ TEST(QueryServerTest, ConcurrentWriterRepublication) {
   EXPECT_EQ(final_ans->count, 12u);
   EXPECT_EQ(registry.live_snapshots(), 1u);
   EXPECT_EQ(registry.reclaimed_count(), registry.published_count() - 1);
+}
+
+// ---- Demand over a converged snapshot's EDB, read in place ----------
+
+// Session::Query's answers to pred(c<tail> for each constant c, rendered
+// the way QueryServer renders rows.
+std::map<std::string, std::set<std::string>> SessionRows(
+    Session* session, const std::string& pred, const std::string& tail,
+    const std::vector<std::string>& consts) {
+  std::map<std::string, std::set<std::string>> out;
+  for (const std::string& c : consts) {
+    auto rows = session->Query(pred + "(" + c + tail);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    if (!rows.ok()) continue;
+    for (const Tuple& t : *rows) {
+      out[c].insert("(" + TermListToString(*session->store(), t) + ")");
+    }
+  }
+  return out;
+}
+
+// Serves pred(X<tail> for every constant through `server`, eight
+// copies each striped over its lanes - so several lanes read one
+// aliased relation at once - and expects each answer to be the
+// session's rendered rows, every request on the demand route.
+void ExpectServedRowsMatchSession(Session* session, QueryServer* server,
+                                  const std::string& pred,
+                                  const std::string& tail,
+                                  const std::vector<std::string>& consts) {
+  std::map<std::string, std::set<std::string>> truth =
+      SessionRows(session, pred, tail, consts);
+  auto q = server->Prepare(pred + "(X" + tail);
+  ASSERT_OK(q.status());
+  std::vector<ServeRequest> batch;
+  for (int rep = 0; rep < 8; ++rep) {
+    for (const std::string& c : consts) {
+      ServeRequest req;
+      req.query = *q;
+      req.params = {{"X", c}};
+      batch.push_back(req);
+    }
+  }
+  const uint64_t demand_before = server->stats().demand_queries;
+  auto answers = server->ExecuteBatch(batch);
+  ASSERT_OK(answers.status());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const std::string& c = batch[i].params[0].second;
+    const ServeAnswer& a = (*answers)[i];
+    ASSERT_OK(a.status);
+    EXPECT_EQ(std::set<std::string>(a.rows.begin(), a.rows.end()), truth[c])
+        << pred << "(" << c << tail;
+  }
+  EXPECT_EQ(server->stats().demand_queries - demand_before, batch.size())
+      << pred;
+}
+
+TEST(QueryServerTest, DemandOverAliasedEdbMatchesSession) {
+  ServeOptions four_lanes;
+  four_lanes.threads = 4;
+  const std::vector<std::string> consts = {"a", "b", "c", "d", "e"};
+
+  // path/2 has a fact of its own beside its rules (e's only way out);
+  // the negated hub/1 heads a rule, so the rewrite evaluates it - and
+  // the path closure under it - unrestricted; circle/2 groups.
+  Session session(LanguageMode::kLDL);
+  ASSERT_OK(session.Load(R"(
+    edge(a, b). edge(b, c). edge(c, a). edge(c, d). edge(d, e).
+    path(e, a).
+    path(X, Y) :- edge(X, Y).
+    path(X, Z) :- path(X, Y), edge(Y, Z).
+    hub(Y) :- path(Y, Y).
+    leaf(X, Y) :- path(X, Y), not hub(Y).
+    circle(U, <V>) :- path(U, V).
+  )"));
+  SnapshotRegistry registry;
+  registry.Publish(FreezeGraph(&session));
+  QueryServer server(&registry, four_lanes);
+  ExpectServedRowsMatchSession(&session, &server, "path", ", Y)", consts);
+  ExpectServedRowsMatchSession(&session, &server, "leaf", ", Y)", consts);
+  ExpectServedRowsMatchSession(&session, &server, "circle", ", S)", consts);
+
+  // One incremental commit retracts an EDB row, which stays in the
+  // republished relation as a tombstone and must not answer, and adds
+  // a fact to the rule-headed path/2. Republishing it is fact-only, so
+  // the workers refresh in place and must list the new fact.
+  Options opt;
+  opt.incremental = true;
+  Session churned(LanguageMode::kLPS, opt);
+  ASSERT_OK(churned.Load(kGraph));
+  auto first = churned.Freeze();
+  ASSERT_OK(first.status());
+  SnapshotRegistry churned_registry;
+  churned_registry.Publish(*first);
+  QueryServer churned_server(&churned_registry, four_lanes);
+  ExpectServedRowsMatchSession(&churned, &churned_server, "path", ", Y)",
+                               consts);
+  MutationBatch batch = churned.Mutate();
+  ASSERT_OK(batch.RetractText("edge(b, c)"));
+  ASSERT_OK(batch.AddText("path(e, a)"));
+  ASSERT_OK(batch.Commit());
+  auto next = churned.FreezeIncremental(*first);
+  ASSERT_OK(next.status());
+  const PredicateId edge = (*next)->signature().Lookup("edge", 2);
+  ASSERT_EQ((*next)->database().FindRelation(edge)->dead_count(), 1u);
+  churned_registry.Publish(*next);
+  ExpectServedRowsMatchSession(&churned, &churned_server, "path", ", Y)",
+                               consts);
+  serve::ServeStats stats = churned_server.stats();
+  EXPECT_EQ(stats.worker_rebinds, 4u);  // the first bind only
+  EXPECT_EQ(stats.worker_refreshes, 4u);
+}
+
+TEST(QueryServerTest, DemandIndexMissCopiesOnlyWhenSnapshotLacksIndex) {
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(kGraph));
+  // Serves `goal` once with `var` = `value` over `snap` and returns the
+  // request's index_misses, after checking the rows against the session.
+  auto misses = [&](std::shared_ptr<const Snapshot> snap,
+                    const std::string& goal, const std::string& var,
+                    const std::string& value,
+                    const std::string& session_goal) -> uint64_t {
+    SnapshotRegistry registry;
+    registry.Publish(snap);
+    QueryServer server(&registry, TwoThreads());
+    auto q = server.Prepare(goal);
+    auto truth = session.Query(session_goal);
+    if (!q.ok() || !truth.ok()) {
+      ADD_FAILURE() << session_goal << ": prepare or ground truth failed";
+      return 0;
+    }
+    ServeRequest req;
+    req.query = *q;
+    req.params = {{var, value}};
+    auto ans = server.Execute(req);
+    if (!ans.ok() || !ans->status.ok()) {
+      ADD_FAILURE() << session_goal << ": serving failed";
+      return 0;
+    }
+    std::set<std::string> want;
+    for (const Tuple& t : *truth) {
+      want.insert("(" + TermListToString(*session.store(), t) + ")");
+    }
+    EXPECT_EQ(std::set<std::string>(ans->rows.begin(), ans->rows.end()),
+              want)
+        << session_goal;
+    EXPECT_EQ(server.stats().demand_queries, 1u);
+    return server.stats().index_misses;
+  };
+
+  // Binding only the second argument of the left-linear closure makes
+  // the rewrite probe edge/2 by its second column, which no fixpoint
+  // plan indexed: the request copies edge to build that index, and the
+  // published relation is left as it was.
+  std::shared_ptr<const Snapshot> plain = FreezeGraph(&session);
+  const PredicateId edge = plain->signature().Lookup("edge", 2);
+  const Relation* published = plain->database().FindRelation(edge);
+  ASSERT_FALSE(published->HasIndexBuilt(ColumnBit(1)));
+  EXPECT_GE(misses(plain, "path(X, Y)", "Y", "d", "path(X, d)"), 1u);
+  EXPECT_FALSE(published->HasIndexBuilt(ColumnBit(1)));
+  EXPECT_EQ(plain->database().FindRelation(edge), published);
+
+  // Freezing with that index serves the same goal with no copy...
+  serve::FreezeOptions fopts;
+  fopts.indexes.push_back({"edge", 2, ColumnBit(1)});
+  auto indexed = session.Freeze(fopts);
+  ASSERT_OK(indexed.status());
+  EXPECT_EQ(misses(*indexed, "path(X, Y)", "Y", "d", "path(X, d)"), 0u);
+
+  // ...and a first-argument point query never needed one: the common
+  // path aliases the snapshot's relation rather than copying it.
+  EXPECT_EQ(misses(plain, "path(X, Y)", "X", "a", "path(a, Y)"), 0u);
 }
 
 // ---- Copy-on-write republication (Session::FreezeIncremental) -------
