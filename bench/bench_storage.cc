@@ -115,32 +115,8 @@ void BM_StorageDedup(benchmark::State& state) {
 }
 BENCHMARK(BM_StorageDedup)->Arg(1024)->Arg(16384)->Arg(131072);
 
-// Indexed point probes over a prebuilt single-column index.
-void BM_StorageProbe(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  std::vector<Tuple> rows = RandomRows(n, 13, n);  // dense keys: real hits
-  Relation rel(kArity);
-  for (const Tuple& t : rows) rel.Insert(t);
-  rel.EnsureIndex(0b001);
-  Tuple key(kArity, 0);
-  uint64_t hits = 0;
-  uint64_t allocs = 0;
-  for (auto _ : state) {
-    AllocWindow window;
-    for (const Tuple& t : rows) {
-      key[0] = t[0];
-      hits += rel.Lookup(0b001, key).size();
-    }
-    allocs = window.count();
-  }
-  benchmark::DoNotOptimize(hits);
-  state.SetItemsProcessed(state.iterations() * n);
-  state.counters["allocs"] = static_cast<double>(allocs);
-}
-BENCHMARK(BM_StorageProbe)->Arg(1024)->Arg(16384)->Arg(131072);
-
-// Snapshot probes against a frozen relation (the parallel-phase read
-// path): prebuilt index, watermark at full size, reusable out buffer.
+// Indexed point probes over a prebuilt single-column index (the one
+// Relation::Lookup every reader uses), into a reusable out buffer.
 void BM_StorageSnapshotProbe(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   std::vector<Tuple> rows = RandomRows(n, 17, n);
@@ -153,7 +129,7 @@ void BM_StorageSnapshotProbe(benchmark::State& state) {
   for (auto _ : state) {
     for (const Tuple& t : rows) {
       key[0] = t[0];
-      rel.LookupSnapshot(0b001, key, rel.size(), &out);
+      rel.Lookup(0b001, key, &out);
       hits += out.size();
     }
   }

@@ -2,26 +2,13 @@
 
 namespace lps {
 
-RelationScanSource::RelationScanSource(TermStore* store,
-                                       UnifyOptions unify, Relation* rel,
-                                       std::vector<TermId> patterns)
-    : store_(store),
-      unify_(unify),
-      rel_(rel),
-      patterns_(std::move(patterns)) {
-  Tuple key;
-  InitMask(&key);
-  if (rel == nullptr) return;
-  if (mask_ == 0) {
-    rel->AllIndices(&indices_);
-  } else {
-    // Copy: Lookup's reference is invalidated by later Lookups. Posting
-    // lists keep tombstoned rows; drop them here.
-    indices_.clear();
-    for (RowId r : rel->Lookup(mask_, key)) {
-      if (rel->IsLive(r)) indices_.push_back(r);
-    }
+uint32_t GroundMask(const TermStore& store,
+                    std::span<const TermId> patterns) {
+  uint32_t mask = 0;
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    if (store.is_ground(patterns[i])) mask |= ColumnBit(i);
   }
+  return mask;
 }
 
 RelationScanSource::RelationScanSource(TermStore* store,
@@ -31,25 +18,10 @@ RelationScanSource::RelationScanSource(TermStore* store,
     : store_(store),
       unify_(unify),
       rel_(rel),
-      patterns_(std::move(patterns)) {
-  Tuple key;
-  InitMask(&key);
-  if (rel == nullptr) return;
-  if (mask_ == 0) {
-    rel->AllIndices(&indices_);
-  } else {
-    index_hit_ = rel->LookupSnapshot(mask_, key, rel->size(), &indices_);
-  }
-}
-
-void RelationScanSource::InitMask(Tuple* key) {
-  key->assign(patterns_.size(), kInvalidTerm);
-  for (size_t i = 0; i < patterns_.size(); ++i) {
-    if (store_->is_ground(patterns_[i])) {
-      mask_ |= ColumnBit(i);
-      (*key)[i] = patterns_[i];
-    }
-  }
+      patterns_(std::move(patterns)),
+      mask_(GroundMask(*store_, patterns_)) {
+  // The probe reads its key only at the mask's (ground) columns.
+  if (rel != nullptr) index_hit_ = rel->Lookup(mask_, patterns_, &indices_);
 }
 
 Result<bool> RelationScanSource::Next(TupleRef* out) {

@@ -3,20 +3,17 @@
 // relation's rows that match a partially ground goal pattern, and
 // running a builtin goal plan.
 //
-// RelationScanSource has two modes with identical answer semantics:
-//
-//  * session mode (mutable Relation*): Lookup() may lazily build the
-//    relation's per-mask index on first use - the single-caller
-//    PreparedQuery path;
-//  * snapshot mode (const Relation*): LookupSnapshot() probes only
-//    prebuilt indexes (falling back to a bounded scan) and provably
-//    never mutates the relation, so any number of threads may stream
-//    over one frozen relation concurrently. Snapshots freeze their
-//    indexes at publication (Database::FreezeIndexes), so the fallback
-//    scan only triggers for masks never indexed before the freeze.
+// RelationScanSource only reads: it probes the relation with the const
+// Relation::Lookup, which never mutates it, so any number of threads
+// may stream over one frozen relation concurrently. A caller that owns
+// the database builds the pattern's index first
+// (Database::EnsureIndex with GroundMask(patterns)); over a snapshot,
+// whose indexes were frozen at publication, a mask never indexed
+// before the freeze falls back to a scan (index_hit() is then false).
 #ifndef LPS_API_GOAL_EXEC_H_
 #define LPS_API_GOAL_EXEC_H_
 
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -43,28 +40,22 @@ namespace lps {
 // unifier extension under delta gating - keep the two in sync.
 class RelationScanSource final : public AnswerSource {
  public:
-  /// Session mode: `rel` may be null (predicate never stored - the
-  /// stream is empty); Lookup() may build its per-mask index lazily.
-  RelationScanSource(TermStore* store, UnifyOptions unify, Relation* rel,
-                     std::vector<TermId> patterns);
-
-  /// Snapshot mode: read-only against a frozen relation. `store` is
-  /// the *caller's* store (a worker's private clone when serving): it
-  /// must share the relation's TermId prefix, i.e. be the snapshot
-  /// store itself or a TermStore::Clone() descendant of it.
+  /// `rel` may be null (predicate never stored - the stream is empty).
+  /// `store` is the *caller's* store (a worker's private clone when
+  /// serving): it must share the relation's TermId prefix, i.e. be the
+  /// relation's store itself or a TermStore::Clone() descendant of it.
   RelationScanSource(TermStore* store, UnifyOptions unify,
                      const Relation* rel, std::vector<TermId> patterns);
 
   Result<bool> Next(TupleRef* out) override;
   void Rewind() override { pos_ = 0; }
 
-  /// Snapshot mode: false when the probe had to fall back to scanning
-  /// because no prebuilt index covered the mask (ServeStats counts
-  /// these). Always true in session mode (Lookup builds on demand).
+  /// False when the probe had to fall back to scanning because no
+  /// index covering every row matched the mask (ServeStats counts
+  /// these).
   bool index_hit() const { return index_hit_; }
 
  private:
-  void InitMask(Tuple* key);
   // One row matches when the non-indexed positions can be consistently
   // bound: repeated variables must agree, complex patterns (set or
   // function terms containing variables) go through set unification.
@@ -74,11 +65,15 @@ class RelationScanSource final : public AnswerSource {
   UnifyOptions unify_;
   const Relation* rel_;
   std::vector<TermId> patterns_;
-  uint32_t mask_ = 0;
+  uint32_t mask_;
   bool index_hit_ = true;
   std::vector<RowId> indices_;
   size_t pos_ = 0;
 };
+
+/// Bound-column mask of a goal pattern: the bit of every ground
+/// position (ColumnBit, so none past column 31).
+uint32_t GroundMask(const TermStore& store, std::span<const TermId> patterns);
 
 // Runs a builtin goal plan (active-domain enumeration steps followed by
 // the builtin itself) eagerly, emitting one tuple of substituted goal

@@ -241,7 +241,7 @@ Status MutationBatch::Commit() {
                                      s->options_.eval());
     LPS_ASSIGN_OR_RETURN(
         bool maintained,
-        maintainer.Maintain(inserts, retracts, &s->fact_counts_));
+        maintainer.Maintain(inserts, retracts, s->fact_counts_));
     if (maintained) {
       // The maintainer skips the O(index-buckets) IndexBytes walk;
       // keep the last fully computed figure.

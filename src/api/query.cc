@@ -27,10 +27,8 @@ class DemandScanSource final : public AnswerSource {
                    std::shared_ptr<Database> db, TermStore* store,
                    UnifyOptions unify, std::vector<TermId> patterns)
       : rewrite_(std::move(rewrite)), db_(std::move(db)) {
-    Relation* rel = nullptr;
-    if (db_->FindRelation(rewrite_->goal.pred) != nullptr) {
-      rel = &db_->relation(rewrite_->goal.pred);
-    }
+    const Relation* rel =
+        db_->EnsureIndex(rewrite_->goal.pred, GroundMask(*store, patterns));
     inner_ = std::make_unique<RelationScanSource>(store, unify, rel,
                                                   std::move(patterns));
   }
@@ -152,10 +150,8 @@ Result<AnswerCursor> PreparedQuery::ExecuteScan() {
     for (size_t i = 0; i < goal_.args.size(); ++i) {
       patterns[i] = bindings_.Apply(store, goal_.args[i]);
     }
-    Relation* rel = nullptr;
-    if (session_->database()->FindRelation(goal_.pred) != nullptr) {
-      rel = &session_->database()->relation(goal_.pred);
-    }
+    const Relation* rel = session_->database()->EnsureIndex(
+        goal_.pred, GroundMask(*store, patterns));
     return AnswerCursor(std::make_unique<RelationScanSource>(
         store, builtins.unify, rel, std::move(patterns)));
   }

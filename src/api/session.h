@@ -119,11 +119,13 @@ class Session {
   /// Freezes the session's current state into an immutable snapshot:
   /// compiles (and by default evaluates to fixpoint), deep-clones the
   /// term store, program and database, and eagerly catches up every
-  /// relation index, so concurrent readers never trigger a lazy build.
-  /// The session stays fully usable afterwards - further Load /
-  /// Mutate / Evaluate calls never touch a published snapshot, which
+  /// relation index, so concurrent readers' probes hit prebuilt
+  /// indexes. The session stays fully usable afterwards - further Load
+  /// / Mutate / Evaluate calls never touch a published snapshot, which
   /// is how a writer re-evaluates while readers drain on the old epoch
-  /// (serve::SnapshotRegistry). Defined in serve/snapshot.cc.
+  /// (serve::SnapshotRegistry). Same as FreezeIncremental(nullptr,
+  /// opts); an invalid FreezeOptions::indexes mask is an error.
+  /// Defined in serve/snapshot.cc.
   Result<std::shared_ptr<const serve::Snapshot>> Freeze();
   Result<std::shared_ptr<const serve::Snapshot>> Freeze(
       const serve::FreezeOptions& opts);

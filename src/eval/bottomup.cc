@@ -116,19 +116,9 @@ Status BottomUpEvaluator::Evaluate() {
   const size_t set_interns_before = store.set_interns();
   const size_t set_intern_hits_before = store.set_intern_hits();
 
-  // Load EDB facts, noting which predicates this evaluation writes. The
-  // others are read-only for the whole run: a demand rewrite served
-  // over a converged snapshot reads the snapshot's EDB relations in
-  // place (Database::AliasRelation, serve/server.cc), so every read of
-  // a read-only predicate goes through const paths, and only an index
-  // its relation lacks is built - on a copy, when the relation is
-  // shared.
-  read_only_.assign(sig.size(), true);
   for (const Literal& f : program_->facts()) {
-    read_only_[f.pred] = false;
     if (db_->AddTuple(f.pred, f.args)) ++stats_.tuples_derived;
   }
-  for (const Clause& c : program_->clauses()) read_only_[c.head.pred] = false;
 
   LPS_ASSIGN_OR_RETURN(Stratification strat, Stratify(*program_));
   stats_.strata = strat.num_strata;
@@ -394,8 +384,7 @@ const std::vector<PlanStep>& BottomUpEvaluator::CompiledRule::DeltaSteps(
 Status BottomUpEvaluator::RunFlatFirstPass(const CompiledRule& rule) {
   const Literal& head = rule.clause->head;
   const FlatJob job{rule.clause, &rule.plan.free_plan.steps, {}};
-  PrepareIndexes(job, /*live=*/true);
-  LiveRows rows(db_, &read_only_);
+  LiveRows rows(db_);
   HeadSink sink(*program_, head, [&](const Tuple& t) {
     return AddDerived(head.pred, t);
   });
@@ -417,7 +406,7 @@ Status BottomUpEvaluator::RunFlatRound(
       if (begin >= end) continue;  // empty delta
       ++stats_.rule_runs;
       FlatJob job{r.clause, &r.DeltaSteps(li), DeltaSpec{li, begin, end}};
-      PrepareIndexes(job, /*live=*/false);
+      PrepareIndexes(job);
       AppendTasks(job, &tasks);
     }
   }
@@ -432,7 +421,7 @@ Status BottomUpEvaluator::RunFlatRound(
   return Status::OK();
 }
 
-void BottomUpEvaluator::PrepareIndexes(const FlatJob& job, bool live) {
+void BottomUpEvaluator::PrepareIndexes(const FlatJob& job) {
   const TermStore& store = *program_->store();
   std::vector<TermId> bound;
   for (const PlanStep& step : *job.steps) {
@@ -451,9 +440,7 @@ void BottomUpEvaluator::PrepareIndexes(const FlatJob& job, bool live) {
     }
     // The kernel walks a delta literal's rows and answers a fully bound
     // probe with Find, so neither needs an index.
-    if (mask != 0 && !all_bound &&
-        step.literal_index != job.delta.literal_index &&
-        (!live || ReadOnly(lit.pred))) {
+    if (!all_bound && step.literal_index != job.delta.literal_index) {
       db_->EnsureIndex(lit.pred, mask);
     }
     for (TermId a : lit.args) {
@@ -607,7 +594,7 @@ Status BottomUpEvaluator::RunFlatGrouping(const CompiledRule& rule) {
     job.delta = DeltaSpec{li, 0, rel == nullptr ? 0 : rel->size()};
   }
   // Grouping bodies read strictly lower strata: the relations are final.
-  PrepareIndexes(job, /*live=*/false);
+  PrepareIndexes(job);
   std::vector<FlatJob> tasks;
   AppendTasks(job, &tasks);
   const size_t kw = group_acc_.key_width();
@@ -704,37 +691,26 @@ Status BottomUpEvaluator::ExecSteps(
       Lease<Tuple> patterns_lease(&tuple_pool_);
       Tuple& patterns = *patterns_lease;
       patterns.resize(lit.args.size());
-      Lease<Tuple> key_lease(&tuple_pool_);
-      Tuple& key = *key_lease;
-      key.assign(lit.args.size(), kInvalidTerm);
       uint32_t mask = 0;
       for (size_t i = 0; i < lit.args.size(); ++i) {
         patterns[i] = theta->Apply(store, lit.args[i]);
-        if (store->is_ground(patterns[i])) {
-          mask |= ColumnBit(i);
-          key[i] = patterns[i];
-        }
+        if (store->is_ground(patterns[i])) mask |= ColumnBit(i);
       }
-      // A read-only predicate's relation may be shared with another
-      // database: read it through const paths only (`own` stays null).
-      Relation* own = ReadOnly(lit.pred) ? nullptr : &db_->relation(lit.pred);
-      const Relation* rel = own != nullptr ? own : db_->FindRelation(lit.pred);
-      if (rel == nullptr) return Status::OK();
       bool is_delta =
           delta != nullptr && delta->literal_index == step.literal_index;
       bool rows_mode = is_delta && delta->rows != nullptr;
-      // Copy: Lookup's reference is invalidated by later inserts (and
-      // by recursive Lookups on the same relation).
+      // An explicit-rows delta (incremental maintenance) sits at
+      // scattered arena positions: mask 0 builds no index and routes
+      // every column through the binding loop below, which re-checks
+      // bound columns per row.
+      if (rows_mode) mask = 0;
+      const Relation* rel = db_->EnsureIndex(lit.pred, mask);
+      if (rel == nullptr) return Status::OK();
       Lease<std::vector<RowId>> indices_lease(&rowid_pool_);
       std::vector<RowId>& indices = *indices_lease;
       if (rows_mode) {
-        // Explicit-rows delta (incremental maintenance): the rows sit
-        // at scattered arena positions, so skip the index probe and
-        // route every column through the binding loop below (mask 0
-        // re-checks bound columns per row). The maintainer picked the
-        // rows deliberately; they are iterated as given, tombstoned or
-        // not.
-        mask = 0;
+        // The maintainer picked the rows deliberately; they are
+        // iterated as given, tombstoned or not.
         indices.assign(delta->rows->begin() + delta->begin,
                        delta->rows->begin() + delta->end);
       } else if (is_delta && mask == 0) {
@@ -745,17 +721,10 @@ Status BottomUpEvaluator::ExecSteps(
         for (size_t ti = delta->begin; ti < delta->end; ++ti) {
           indices.push_back(static_cast<RowId>(ti));
         }
-      } else if (own != nullptr) {
-        const std::vector<RowId>& hits = own->Lookup(mask, key);
-        indices.assign(hits.begin(), hits.end());
       } else {
-        if (mask != 0) {
-          // A no-op on a built index; a missing one is built in place,
-          // or on a copy if the relation is shared.
-          db_->EnsureIndex(lit.pred, mask);
-          rel = db_->FindRelation(lit.pred);
-        }
-        rel->LookupSnapshot(mask, key, rel->size(), &indices);
+        // The probe lists live rows only; its key is read at the mask's
+        // (ground) columns.
+        rel->Lookup(mask, patterns, &indices);
       }
       Lease<Tuple> row_lease(&tuple_pool_);
       Tuple& row = *row_lease;
@@ -764,7 +733,7 @@ Status BottomUpEvaluator::ExecSteps(
             (ti < delta->begin || ti >= delta->end)) {
           continue;
         }
-        // Tombstoned rows stay in index postings; skip them here.
+        // A range delta lists tombstoned rows too; skip them here.
         if (!rows_mode && !rel->IsLive(ti)) continue;
         {
           // Copy: the arena may grow (and reallocate) during recursion.

@@ -219,10 +219,9 @@ class BottomUpEvaluator {
   /// Decides whether the rule is in the flat fragment.
   void AnalyzeRuleForParallel(CompiledRule* rule) const;
 
-  /// Builds every index `job` will probe through a const path: on any
-  /// relation for a job against the frozen database (FrozenRows never
-  /// builds one), on read-only predicates' relations for a live one.
-  void PrepareIndexes(const FlatJob& job, bool live);
+  /// Builds every index `job` will probe, before it runs against the
+  /// frozen database (FrozenRows never builds one).
+  void PrepareIndexes(const FlatJob& job);
   /// Appends `job` to *tasks: whole without a pool, else with its delta
   /// split into consecutive chunks for the lanes to share.
   void AppendTasks(const FlatJob& job, std::vector<FlatJob>* tasks) const;
@@ -248,20 +247,10 @@ class BottomUpEvaluator {
   /// Inserts a derived tuple; a new one counts against max_tuples.
   Status AddDerived(PredicateId pred, TupleRef t);
 
-  /// Whether this evaluation never writes `pred` (see read_only_).
-  bool ReadOnly(PredicateId pred) const {
-    return pred < read_only_.size() && read_only_[pred];
-  }
-
   const Program* program_;
   Database* db_;
   EvalOptions options_;
   EvalStats stats_;
-  // Indexed by PredicateId, set once per Evaluate(): true for every
-  // predicate with neither a program fact nor a rule head, which the
-  // evaluation therefore never writes. Empty (nothing read-only) until
-  // Evaluate() runs - the incremental maintainer never calls it.
-  std::vector<bool> read_only_;
   uint32_t deadline_tick_ = 0;  // CheckDeadline countdown for ExecSteps
   FlatScratch scratch_;         // kernel state for first passes
 

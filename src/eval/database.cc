@@ -13,16 +13,21 @@ Database::Database(TermStore* store, const Signature* sig)
   RegisterTerm(store_->EmptySet());
 }
 
+namespace {
+
+// Copy-on-write: a relation shared with another database (a published
+// snapshot, or a demand request aliasing one) is privatized before any
+// mutation escapes.
+Relation* Own(std::shared_ptr<Relation>* rel) {
+  if (rel->use_count() > 1) *rel = std::make_shared<Relation>(**rel);
+  return rel->get();
+}
+
+}  // namespace
+
 Relation& Database::relation(PredicateId pred) {
   auto it = relations_.find(pred);
-  if (it != relations_.end()) {
-    // Copy-on-write: a relation shared with a published snapshot
-    // (CloneIntoCow) must be privatized before any mutation escapes.
-    if (it->second.use_count() > 1) {
-      it->second = std::make_shared<Relation>(*it->second);
-    }
-    return *it->second;
-  }
+  if (it != relations_.end()) return *Own(&it->second);
   size_t arity = sig_->info(pred).arity();
   return *relations_.emplace(pred, std::make_shared<Relation>(arity))
               .first->second;
@@ -31,10 +36,7 @@ Relation& Database::relation(PredicateId pred) {
 Relation* Database::MutableRelation(PredicateId pred) {
   auto it = relations_.find(pred);
   if (it == relations_.end()) return nullptr;
-  if (it->second.use_count() > 1) {
-    it->second = std::make_shared<Relation>(*it->second);
-  }
-  return it->second.get();
+  return Own(&it->second);
 }
 
 const Relation* Database::FindRelation(PredicateId pred) const {
@@ -119,8 +121,8 @@ void Database::RegisterTerm(TermId t) {
   if (!store_->is_ground(t)) return;
   if (domains_->registered.count(t)) return;
   // Copy-on-write: domains shared with a published snapshot
-  // (CloneInto / CloneIntoCow alias them) are privatized before the
-  // first mutation escapes.
+  // (CloneInto aliases them) are privatized before the first mutation
+  // escapes.
   if (domains_.use_count() > 1) {
     domains_ = std::make_shared<TermDomains>(*domains_);
   }
@@ -175,38 +177,30 @@ Database::StorageStats Database::storage_stats(
 }
 
 std::unique_ptr<Database> Database::CloneInto(TermStore* store,
-                                              const Signature* sig) const {
+                                              const Signature* sig,
+                                              const Database* prev) const {
   auto clone = std::make_unique<Database>(store, sig);
-  // Plain member copies overwrite the constructor's {}-registration;
-  // relations are deep-copied (Relation's value semantics copy arenas
-  // and indexes) so the clone never aliases this database's storage.
   clone->relations_.reserve(relations_.size());
   for (const auto& [pred, rel] : relations_) {
+    if (prev != nullptr) {
+      auto it = prev->relations_.find(pred);
+      if (it != prev->relations_.end() &&
+          it->second->content_tick() == rel->content_tick()) {
+        // Unchanged since prev froze it: alias prev's immutable object.
+        // Equal ticks imply identical content (NextContentTick is
+        // process-wide unique), and prev's copy is already
+        // index-frozen.
+        clone->relations_.emplace(pred, it->second);
+        continue;
+      }
+    }
+    // Relation's value semantics copy arenas and indexes, so the clone
+    // never aliases this database's storage.
     clone->relations_.emplace(pred, std::make_shared<Relation>(*rel));
   }
+  // Plain member copies overwrite the constructor's {}-registration.
   // Domains alias rather than copy: they are append-only, and
   // RegisterTerm on either side privatizes before writing.
-  clone->domains_ = domains_;
-  clone->version_ = version_;
-  return clone;
-}
-
-std::unique_ptr<Database> Database::CloneIntoCow(
-    TermStore* store, const Signature* sig, const Database& prev) const {
-  auto clone = std::make_unique<Database>(store, sig);
-  clone->relations_.reserve(relations_.size());
-  for (const auto& [pred, rel] : relations_) {
-    auto it = prev.relations_.find(pred);
-    if (it != prev.relations_.end() &&
-        it->second->content_tick() == rel->content_tick()) {
-      // Unchanged since prev froze it: alias prev's immutable object.
-      // Equal ticks imply identical content (NextContentTick is
-      // process-wide unique), and prev's copy is already index-frozen.
-      clone->relations_.emplace(pred, it->second);
-    } else {
-      clone->relations_.emplace(pred, std::make_shared<Relation>(*rel));
-    }
-  }
   clone->domains_ = domains_;
   clone->version_ = version_;
   return clone;
@@ -217,10 +211,13 @@ void Database::AliasRelation(PredicateId pred, const Database& src) {
   if (it != src.relations_.end()) relations_.insert_or_assign(pred, it->second);
 }
 
-void Database::EnsureIndex(PredicateId pred, uint32_t mask) {
-  const Relation* rel = FindRelation(pred);
-  if (rel != nullptr && rel->HasIndexBuilt(mask)) return;
-  relation(pred).EnsureIndex(mask);
+const Relation* Database::EnsureIndex(PredicateId pred, uint32_t mask) {
+  auto it = relations_.find(pred);
+  if (it == relations_.end()) return nullptr;
+  if (mask == 0 || it->second->HasIndexBuilt(mask)) return it->second.get();
+  Relation* rel = Own(&it->second);
+  rel->EnsureIndex(mask);
+  return rel;
 }
 
 void Database::FreezeIndexes() {

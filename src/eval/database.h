@@ -7,6 +7,14 @@
 // Definition 4's vacuous-truth rule makes ubiquitous). Quantified
 // variables whose value is not otherwise constrained range over these
 // domains (see DESIGN.md, substitution table).
+//
+// Relations may be shared between databases (a snapshot and its
+// successor, a demand request and the snapshot it reads). Readers use
+// const paths only - FindRelation, Relation::Lookup, Contains - and the
+// only writes are inserts, erases and index builds, every one of which
+// copies a shared relation first. That copy-on-write is the single
+// guard on shared relations: an evaluator never needs to know which
+// of its relations are shared.
 #ifndef LPS_EVAL_DATABASE_H_
 #define LPS_EVAL_DATABASE_H_
 
@@ -28,12 +36,13 @@ class Database {
   TermStore* store() const { return store_; }
 
   /// Mutable accessor; creates the relation on first use. Relations
-  /// are held by shared_ptr so consecutive snapshots can share
-  /// unchanged ones (CloneIntoCow); this accessor copies-on-write when
-  /// the relation is shared with another database, so a mutation here
-  /// can never be observed through a published snapshot. Session-side
-  /// relations are never shared (sharing happens snapshot-to-snapshot
-  /// only), so the hot evaluation paths never pay the copy.
+  /// are held by shared_ptr so a database can share unchanged ones with
+  /// another (CloneInto with a `prev`, AliasRelation); this accessor,
+  /// like every other write path here (inserts, erases, EnsureIndex),
+  /// copies-on-write when the relation is shared, so a mutation can
+  /// never be observed through the other database. Session-side
+  /// relations are never shared, so the hot evaluation paths never pay
+  /// the copy.
   Relation& relation(PredicateId pred);
   const Relation* FindRelation(PredicateId pred) const;
 
@@ -167,11 +176,11 @@ class Database {
   /// Aggregate storage-engine footprint across the relations this
   /// database holds alone (see Relation::ArenaBytes / IndexBytes /
   /// dedup_probes); a relation shared with another database
-  /// (AliasRelation, CloneIntoCow) is that database's storage and is
-  /// not walked. IndexBytes walks every posting bucket, so callers on a
-  /// per-commit fast path (incremental maintenance) pass
-  /// `with_index_bytes = false` and keep the last fully computed figure
-  /// instead.
+  /// (AliasRelation, CloneInto with a `prev`) is that database's
+  /// storage and is not walked. IndexBytes walks every posting bucket,
+  /// so callers on a per-commit fast path (incremental maintenance)
+  /// pass `with_index_bytes = false` and keep the last fully computed
+  /// figure instead.
   struct StorageStats {
     size_t arena_bytes = 0;
     size_t index_bytes = 0;
@@ -193,53 +202,48 @@ class Database {
 
   // ---- Snapshot publication (serve/snapshot.h) -----------------------
 
-  /// Deep copy re-bound to `store` and `sig`, which must resolve every
+  /// Copy re-bound to `store` and `sig`, which must resolve every
   /// TermId / PredicateId this database holds identically - i.e. be
   /// the TermStore::Clone() of this database's store and the signature
   /// of a Program::CloneInto against it. Copies rows, domains, indexes
   /// and the version counter, so the clone is byte-equivalent for
-  /// every read.
-  std::unique_ptr<Database> CloneInto(TermStore* store,
-                                      const Signature* sig) const;
-
-  /// Copy-on-write clone for incremental snapshot republication
-  /// (Session::FreezeIncremental). Like CloneInto, but a relation
-  /// whose content_tick matches the same predicate's relation in
-  /// `prev` - i.e. one that has not changed since `prev` was frozen
-  /// from this session - shares prev's immutable Relation object
-  /// (arena, dedup table and per-mask indexes included) instead of
-  /// deep-copying; only touched relations are cloned. Domains and the
-  /// version counter are still copied, so the clone answers every read
-  /// byte-identically to CloneInto. `prev` must be a frozen snapshot
-  /// database of the same session lineage (enforced by the caller via
-  /// snapshot session ids).
-  std::unique_ptr<Database> CloneIntoCow(TermStore* store,
-                                         const Signature* sig,
-                                         const Database& prev) const;
+  /// every read. With `prev` (incremental snapshot republication,
+  /// Session::FreezeIncremental), a relation whose content_tick matches
+  /// the same predicate's relation in `prev` - one that has not changed
+  /// since `prev` was frozen from this database - shares prev's
+  /// immutable Relation object (arena, dedup table and per-mask indexes
+  /// included) instead of being deep-copied. `prev` must be a frozen
+  /// snapshot database of the same session lineage (enforced by the
+  /// caller via snapshot session ids).
+  std::unique_ptr<Database> CloneInto(TermStore* store, const Signature* sig,
+                                      const Database* prev = nullptr) const;
 
   /// Makes `src`'s relation for `pred` this database's relation too
   /// (replacing any it had; a no-op when `src` has none), shared the
-  /// way CloneIntoCow shares: reads see `src`'s rows and indexes in
-  /// place, and the first write through relation() - an insert or an
-  /// index build - copies the relation first, so `src` never observes
-  /// it. Both databases must resolve pred's TermIds identically (see
+  /// way CloneInto with a `prev` shares: reads see `src`'s rows and
+  /// indexes in place, and the first write - an insert or an index
+  /// build - copies the relation first, so `src` never observes it.
+  /// Both databases must resolve pred's TermIds identically (see
   /// CloneInto). The serving path's demand requests alias a converged
   /// snapshot's EDB relations this way (serve/server.cc).
   void AliasRelation(PredicateId pred, const Database& src);
 
-  /// Builds the per-mask index for `mask` on `pred`'s relation,
-  /// creating the relation if absent. Freeze-time eager indexing for
-  /// binding patterns the server expects to probe. A no-op when the
-  /// index already covers every row, so it never copy-on-write-clones
-  /// a shared relation that is already fully indexed.
-  void EnsureIndex(PredicateId pred, uint32_t mask);
+  /// The one way an index gets built: makes `pred`'s relation carry a
+  /// per-mask index for `mask` covering every row, so its Lookup(mask)
+  /// hits, and returns the relation - or null when it is absent (none
+  /// is created). Builds nothing for mask 0 (Lookup lists rows without
+  /// an index) or when the index already covers every row; a shared
+  /// relation is copied only when it must build, so an indexed
+  /// snapshot relation stays shared.
+  const Relation* EnsureIndex(PredicateId pred, uint32_t mask);
 
   /// Catches up every index of every relation
   /// (Relation::FreezeIndexes); the last mutation before a snapshot is
-  /// published. Relations shared with another database (CloneIntoCow)
-  /// are skipped: they were frozen when first published and are
-  /// unchanged since, so catch-up would be a no-op - and routing it
-  /// through the copy-on-write accessor would needlessly unshare them.
+  /// published. Relations shared with another database (CloneInto
+  /// with a `prev`) are skipped: they were frozen when first published
+  /// and are unchanged since, so catch-up would be a no-op - and
+  /// routing it through the copy-on-write accessor would needlessly
+  /// unshare them.
   void FreezeIndexes();
 
   /// (pred, relation) pointer of every materialized relation, in
@@ -253,8 +257,8 @@ class Database {
   Relation* MutableRelation(PredicateId pred);
 
   /// The active Herbrand domains, held behind a shared_ptr so clones
-  /// (CloneInto / CloneIntoCow) alias them instead of copying the
-  /// registered-term set. Append-only; RegisterTerm privatizes the
+  /// (CloneInto) alias them instead of copying the registered-term
+  /// set. Append-only; RegisterTerm privatizes the
   /// object first whenever it is shared with another database, so a
   /// published snapshot never observes a mutation.
   struct TermDomains {

@@ -7,14 +7,14 @@
 // never interns a term.
 //
 // The kernel is a template over two policies:
-//  * Rows - how a scan reaches the database: LiveRows probes through
-//    Relation::Lookup while sinks insert (the evaluator's first pass,
-//    every incremental-maintenance loop); FrozenRows probes through
-//    Relation::LookupSnapshot against a database nobody writes until
+//  * Rows - when a probe's index is built. Both policies hand the
+//    kernel a const Relation* and probe it with the one const
+//    Relation::Lookup. LiveRows builds the index a probe needs first
+//    (Database::EnsureIndex), because sinks insert while it runs (the
+//    evaluator's first pass, every incremental-maintenance loop);
+//    FrozenRows never builds, because nobody writes its database until
 //    the join ends (semi-naive delta rounds and grouping bodies, on any
-//    number of lanes). LiveRows reads the predicates an evaluation
-//    never writes the FrozenRows way: they may be relations shared
-//    with a published snapshot.
+//    number of lanes, over indexes built before the round).
 //  * Sink - what a solution becomes: an inserted tuple, a buffered one,
 //    a (key, element) group pair, a first witness, a DRed casualty.
 #ifndef LPS_EVAL_FLAT_JOIN_H_
@@ -99,37 +99,24 @@ struct FlatScratch {
   uint32_t deadline_tick = 0;
 };
 
-/// Rows policy for a database that changes while the join runs. Probe
-/// hits are copied out: a sink's insert invalidates Lookup's result.
-/// Predicates marked in `read_only` (indexed by PredicateId, decided
-/// once per evaluation; null marks none) are ones the join never
-/// writes. Their relations may be shared with another database
-/// (Database::AliasRelation), so they are read as FrozenRows reads:
-/// through const paths, over indexes the caller built beforehand.
+/// Rows policy for a database that changes while the join runs: each
+/// probe first brings its index up to date with what earlier sinks
+/// inserted. Database::EnsureIndex copies a shared relation rather
+/// than index it in place, so the join may read relations shared with
+/// another database.
 class LiveRows {
  public:
-  explicit LiveRows(Database* db,
-                    const std::vector<bool>* read_only = nullptr)
-      : db_(db), read_only_(read_only) {}
-  /// Calls fn with pred's relation: a `Relation*` the join may index in
-  /// place, or a `const Relation*` (null when absent) for a read-only
-  /// predicate.
-  template <typename Fn>
-  Status Visit(PredicateId pred, Fn fn) {
-    if (read_only_ != nullptr && pred < read_only_->size() &&
-        (*read_only_)[pred]) {
-      return fn(std::as_const(*db_).FindRelation(pred));
-    }
-    return fn(&db_->relation(pred));
+  explicit LiveRows(Database* db) : db_(db) {}
+  const Relation* Find(PredicateId pred) const {
+    return db_->FindRelation(pred);
   }
-  void Probe(Relation* rel, uint32_t mask, TupleRef key,
-             std::vector<RowId>* hits) {
-    const std::vector<RowId>& found = rel->Lookup(mask, key);
-    hits->assign(found.begin(), found.end());
-  }
-  void Probe(const Relation* rel, uint32_t mask, TupleRef key,
-             std::vector<RowId>* hits) {
-    rel->LookupSnapshot(mask, key, rel->size(), hits);
+  /// Fills `hits` and returns the relation it probed (null when
+  /// absent): one relation-map lookup per probe.
+  const Relation* Probe(PredicateId pred, uint32_t mask, TupleRef key,
+                        std::vector<RowId>* hits) {
+    const Relation* rel = db_->EnsureIndex(pred, mask);
+    if (rel != nullptr) rel->Lookup(mask, key, hits);
+    return rel;
   }
   bool Contains(PredicateId pred, TupleRef t) const {
     return db_->Contains(pred, t);
@@ -137,7 +124,6 @@ class LiveRows {
 
  private:
   Database* db_;
-  const std::vector<bool>* read_only_;
 };
 
 /// Rows policy for a database frozen for the join's duration: pure
@@ -147,13 +133,14 @@ class LiveRows {
 class FrozenRows {
  public:
   explicit FrozenRows(const Database* db) : db_(db) {}
-  template <typename Fn>
-  Status Visit(PredicateId pred, Fn fn) const {
-    return fn(db_->FindRelation(pred));
+  const Relation* Find(PredicateId pred) const {
+    return db_->FindRelation(pred);
   }
-  void Probe(const Relation* rel, uint32_t mask, TupleRef key,
-             std::vector<RowId>* hits) {
-    if (!rel->LookupSnapshot(mask, key, rel->size(), hits)) ++fallbacks_;
+  const Relation* Probe(PredicateId pred, uint32_t mask, TupleRef key,
+                        std::vector<RowId>* hits) {
+    const Relation* rel = db_->FindRelation(pred);
+    if (rel != nullptr && !rel->Lookup(mask, key, hits)) ++fallbacks_;
+    return rel;
   }
   bool Contains(PredicateId pred, TupleRef t) const {
     return db_->Contains(pred, t);
@@ -273,21 +260,18 @@ class FlatJoin {
     if (step.kind != StepKind::kScan) {
       return Status::Internal("non-flat plan step in the flat join kernel");
     }
-    return rows_->Visit(lit.pred, [&](auto* rel) {
-      return Scan(rel, idx, mask, all_bound);
-    });
-  }
 
-  // The scan at depth idx over `rel`: a Relation the rows policy lets
-  // the join index in place, or a const one it only reads.
-  template <typename Rel>
-  Status Scan(Rel* rel, size_t idx, uint32_t mask, bool all_bound) {
-    if (rel == nullptr) return Status::OK();
-    const PlanStep& step = (*job_->steps)[idx];
-    const Literal& lit = job_->clause->body[step.literal_index];
-    const Tuple& key = s_->keys[idx];
+    // One relation-map lookup per scan: a probe when the literal has
+    // bound columns an index can serve, else a find of the relation to
+    // walk.
     const DeltaSpec& delta = job_->delta;
-    if (delta.literal_index == step.literal_index) {
+    const bool is_delta = delta.literal_index == step.literal_index;
+    std::vector<RowId>& hits = s_->hits[idx];
+    const Relation* rel = !is_delta && !all_bound && mask != 0
+                              ? rows_->Probe(lit.pred, mask, key, &hits)
+                              : rows_->Find(lit.pred);
+    if (rel == nullptr) return Status::OK();
+    if (is_delta) {
       // Walk the delta itself: intersecting an index probe with it
       // would cost more than re-checking the bound columns per row.
       for (size_t i = delta.begin; i < delta.end && !sink_->Done(); ++i) {
@@ -314,11 +298,9 @@ class FlatJoin {
       }
       return Status::OK();
     }
-    std::vector<RowId>& hits = s_->hits[idx];
-    rows_->Probe(rel, mask, key, &hits);
+    // Lookup lists live rows only.
     for (RowId r : hits) {
       if (sink_->Done()) break;
-      if (!rel->IsLive(r)) continue;
       LPS_RETURN_IF_ERROR(TryRow(*rel, lit, key, r, idx));
     }
     return Status::OK();

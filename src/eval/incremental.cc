@@ -29,9 +29,9 @@ IncrementalMaintainer::IncrementalMaintainer(const Program* program,
 
 Result<bool> IncrementalMaintainer::Maintain(
     const std::vector<FactOp>& inserts,
-    const std::vector<FactOp>& retracts, const FactCounts* edb_counts) {
+    const std::vector<FactOp>& retracts, const FactCounts& edb_counts) {
   ineligible_reason_.clear();
-  edb_counts_ = edb_counts;
+  edb_counts_ = &edb_counts;
   LPS_RETURN_IF_ERROR(eval_.CompileRules());
 
   // Eligibility: deletion is only invertible rule-by-rule in the Horn
@@ -174,38 +174,15 @@ Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
   // Re-derivation (DRed phase 2). The maintainable fragment is
   // positive Horn, so re-derivation is a *monotone* fixpoint and needs
   // no stratification. EDB facts of the post-batch program revive
-  // unconditionally first. With a borrowed fact-count index this is
-  // one probe per casualty; without one, one pass over the program's
-  // facts probing the dead index (not a per-batch set of every fact -
-  // the fact list is usually far larger than the casualty list).
-  if (edb_counts_ != nullptr) {
-    for (const auto& [pred, by_tuple] : dead_index) {
-      auto pit = edb_counts_->find(pred);
-      if (pit == edb_counts_->end()) continue;
-      const Relation* rel = db_->FindRelation(pred);
-      for (const auto& [args, row] : by_tuple) {
-        if (!rel->IsLive(row) && pit->second.count(args) > 0) {
-          revive(pred, row);
-        }
-      }
-    }
-  } else {
-    // Dense pred-id pre-filter: typically no EDB predicate has
-    // casualties at all, so the per-fact check must be an array index,
-    // not a hash find.
-    PredicateId max_dead = 0;
-    for (const auto& [pred, by_tuple] : dead_index) {
-      if (pred > max_dead) max_dead = pred;
-    }
-    std::vector<char> pred_dead(static_cast<size_t>(max_dead) + 1, 0);
-    for (const auto& [pred, by_tuple] : dead_index) pred_dead[pred] = 1;
-    for (const Literal& f : program_->facts()) {
-      if (f.pred >= pred_dead.size() || !pred_dead[f.pred]) continue;
-      auto& by_tuple = dead_index[f.pred];
-      auto hit = by_tuple.find(f.args);
-      if (hit != by_tuple.end() &&
-          !db_->FindRelation(f.pred)->IsLive(hit->second)) {
-        revive(f.pred, hit->second);
+  // unconditionally first: one probe of the fact-count index per
+  // casualty.
+  for (const auto& [pred, by_tuple] : dead_index) {
+    auto pit = edb_counts_->find(pred);
+    if (pit == edb_counts_->end()) continue;
+    const Relation* rel = db_->FindRelation(pred);
+    for (const auto& [args, row] : by_tuple) {
+      if (!rel->IsLive(row) && pit->second.count(args) > 0) {
+        revive(pred, row);
       }
     }
   }

@@ -51,8 +51,8 @@ class IncrementalMaintainer {
 
   /// Multiset of the post-batch program's facts: (pred, args) ->
   /// physical copy count. Session keeps one as a persistent index;
-  /// Maintain() can borrow it to answer "is this condemned tuple still
-  /// an EDB fact" per casualty instead of scanning the whole fact list.
+  /// Maintain() borrows it to answer "is this condemned tuple still an
+  /// EDB fact" per casualty instead of scanning the whole fact list.
   using FactCounts =
       std::unordered_map<PredicateId,
                          std::unordered_map<Tuple, size_t, TupleHash>>;
@@ -63,12 +63,12 @@ class IncrementalMaintainer {
   /// fragment (see ineligible_reason()), in which case the database is
   /// untouched and the caller must re-evaluate from scratch. Errors
   /// propagate from rule execution (safety violations, tuple limits).
-  /// `edb_counts`, when given, must describe exactly the post-batch
-  /// program's fact multiset and must outlive the call; DRed's
-  /// EDB-protection pass then costs O(casualties) instead of O(facts).
+  /// `edb_counts` must describe exactly the post-batch program's fact
+  /// multiset; DRed's EDB-protection pass then costs O(casualties), not
+  /// O(facts).
   Result<bool> Maintain(const std::vector<FactOp>& inserts,
                         const std::vector<FactOp>& retracts,
-                        const FactCounts* edb_counts = nullptr);
+                        const FactCounts& edb_counts);
 
   /// Why the last Maintain() returned false; empty when it ran.
   const std::string& ineligible_reason() const {

@@ -6,8 +6,6 @@
 
 namespace lps {
 
-const std::vector<RowId> Relation::kEmpty;
-
 uint64_t NextContentTick() {
   // Relaxed is enough: ticks only need to be unique and monotonic per
   // observer, never to order unrelated memory operations.
@@ -171,26 +169,28 @@ bool Relation::Revive(RowId r) {
   return true;
 }
 
-Relation::Index* Relation::GetIndex(uint32_t mask) {
-  Index* index = nullptr;
+void Relation::EnsureIndex(uint32_t mask) {
   for (Index& ix : indexes_) {
     if (ix.mask == mask) {
-      index = &ix;
-      break;
+      CatchUp(&ix);
+      return;
     }
   }
-  if (index == nullptr) {
-    indexes_.push_back(Index{mask, 0, {}, {}});
-    index = &indexes_.back();
-    index->slots.assign(kInitialSlots, 0);
+  indexes_.push_back(Index{mask, 0, {}, {}});
+  indexes_.back().slots.assign(kInitialSlots, 0);
+  CatchUp(&indexes_.back());
+}
+
+void Relation::FreezeIndexes() {
+  for (Index& ix : indexes_) CatchUp(&ix);
+}
+
+void Relation::CatchUp(Index* ix) {
+  // Insertion order, so posting lists stay ascending.
+  for (size_t i = ix->built_up_to; i < num_rows_; ++i) {
+    IndexInsert(ix, static_cast<RowId>(i));
   }
-  // Catch up with newly inserted rows, in insertion order so posting
-  // lists stay ascending.
-  for (size_t i = index->built_up_to; i < num_rows_; ++i) {
-    IndexInsert(index, static_cast<RowId>(i));
-  }
-  index->built_up_to = num_rows_;
-  return index;
+  ix->built_up_to = num_rows_;
 }
 
 void Relation::IndexInsert(Index* ix, RowId r) {
@@ -245,14 +245,6 @@ const std::vector<RowId>* Relation::ProbeIndex(const Index& ix,
   }
 }
 
-const std::vector<RowId>& Relation::Lookup(uint32_t mask, TupleRef key) {
-  Index* index = GetIndex(mask);
-  const std::vector<RowId>* bucket = ProbeIndex(*index, key);
-  return bucket == nullptr ? kEmpty : *bucket;
-}
-
-void Relation::EnsureIndex(uint32_t mask) { GetIndex(mask); }
-
 bool Relation::HasIndexBuilt(uint32_t mask) const {
   for (const Index& ix : indexes_) {
     if (ix.mask == mask) return ix.built_up_to == num_rows_;
@@ -260,23 +252,12 @@ bool Relation::HasIndexBuilt(uint32_t mask) const {
   return false;
 }
 
-void Relation::FreezeIndexes() {
-  for (Index& ix : indexes_) {
-    for (size_t i = ix.built_up_to; i < num_rows_; ++i) {
-      IndexInsert(&ix, static_cast<RowId>(i));
-    }
-    ix.built_up_to = num_rows_;
-  }
-}
-
-bool Relation::LookupSnapshot(uint32_t mask, TupleRef key,
-                              size_t watermark,
-                              std::vector<RowId>* out) const {
+bool Relation::Lookup(uint32_t mask, TupleRef key,
+                      std::vector<RowId>* out) const {
   out->clear();
-  if (watermark > num_rows_) watermark = num_rows_;
   if (mask == 0) {
-    out->reserve(watermark - (dead_count_ < watermark ? dead_count_ : 0));
-    for (size_t i = 0; i < watermark; ++i) {
+    out->reserve(num_rows_ - dead_count_);
+    for (size_t i = 0; i < num_rows_; ++i) {
       if (IsLive(static_cast<RowId>(i))) {
         out->push_back(static_cast<RowId>(i));
       }
@@ -284,20 +265,18 @@ bool Relation::LookupSnapshot(uint32_t mask, TupleRef key,
     return true;
   }
   for (const Index& ix : indexes_) {
-    if (ix.mask != mask || ix.built_up_to < watermark) continue;
+    if (ix.mask != mask || ix.built_up_to < num_rows_) continue;
     const std::vector<RowId>* bucket = ProbeIndex(ix, key);
     if (bucket != nullptr) {
-      // Posting lists are ascending, so the prefix below the watermark
-      // is a clean cut. Tombstoned rows stay listed and are skipped.
+      // Tombstoned rows stay listed and are skipped.
       for (RowId ti : *bucket) {
-        if (ti >= watermark) break;
         if (IsLive(ti)) out->push_back(ti);
       }
     }
     return true;
   }
-  // No index built up to the watermark: scan the prefix.
-  for (size_t i = 0; i < watermark; ++i) {
+  // No index covers every row: scan.
+  for (size_t i = 0; i < num_rows_; ++i) {
     if (!IsLive(static_cast<RowId>(i))) continue;
     TupleRef t = row(static_cast<RowId>(i));
     bool match = true;
@@ -307,16 +286,6 @@ bool Relation::LookupSnapshot(uint32_t mask, TupleRef key,
     if (match) out->push_back(static_cast<RowId>(i));
   }
   return false;
-}
-
-void Relation::AllIndices(std::vector<RowId>* out) const {
-  out->clear();
-  out->reserve(num_rows_ - dead_count_);
-  for (size_t i = 0; i < num_rows_; ++i) {
-    if (IsLive(static_cast<RowId>(i))) {
-      out->push_back(static_cast<RowId>(i));
-    }
-  }
 }
 
 RelationStats Relation::Stats() const {

@@ -1,5 +1,5 @@
-// Flat row-arena tuple storage for one predicate, with lazily built
-// open-addressed hash indexes on bound-column masks.
+// Flat row-arena tuple storage for one predicate, with open-addressed
+// hash indexes on bound-column masks.
 //
 // Every stored row lives in one contiguous TermId arena (row i = the
 // span at i * arity), addressed by dense RowIds. The dedup table and
@@ -87,9 +87,15 @@ struct RelationStats {
 /// whose probe lands on a dead row *revives* that row in place
 /// instead of appending a duplicate, so toggle churn (retract/insert
 /// of the same facts) runs at steady arena size. Readers filter
-/// through IsLive - LookupSnapshot/AllIndices do it internally,
-/// callers of Lookup/rows() must do it themselves. An erase/revive
-/// round trip is invisible to the indexes.
+/// through IsLive - Lookup does it internally, walkers of rows() must
+/// do it themselves. An erase/revive round trip is invisible to the
+/// indexes.
+///
+/// Reads and index builds are separate: Lookup is the one probe, and
+/// it is const - it never builds or extends an index - so any number
+/// of threads may probe while no insert or index build runs. Indexes
+/// are built only by EnsureIndex (callers go through
+/// Database::EnsureIndex, which copies a shared relation first).
 class Relation {
  public:
   /// Bound-column masks are 32-bit, so only the first 32 columns can
@@ -247,60 +253,41 @@ class Relation {
   /// dead.
   bool Revive(RowId r);
 
-  /// RowIds (ascending) of rows whose columns selected by `mask` (bit i
-  /// = column i bound) equal the corresponding entries of `key`
-  /// (entries for unbound columns are ignored). Builds the per-mask
-  /// index on first use and maintains it incrementally afterwards. The
-  /// returned reference is invalidated by the next Insert or Lookup.
-  const std::vector<RowId>& Lookup(uint32_t mask, TupleRef key);
-  const std::vector<RowId>& Lookup(uint32_t mask,
-                                   std::initializer_list<TermId> key) {
-    return Lookup(mask, TupleRef(key.begin(), key.size()));
-  }
-
   /// Builds (or catches up) the index for `mask` over all rows
-  /// currently stored. Call before a parallel phase so concurrent
-  /// LookupSnapshot probes hit a fully built index.
+  /// currently stored, so that Lookup(mask, ...) hits it until the next
+  /// insert.
   void EnsureIndex(uint32_t mask);
 
   /// Catches every existing per-mask index up to the current row count,
-  /// so a subsequent LookupSnapshot at watermark == size() always hits
-  /// a prebuilt index for those masks (no scan fallback, no lazy
-  /// build). Freeze-time step of snapshot publication
-  /// (serve/snapshot.h): after this, the relation satisfies the const
-  /// read-path contract as long as no further Insert runs.
+  /// so a subsequent Lookup always hits a prebuilt index for those
+  /// masks. Freeze-time step of snapshot publication
+  /// (serve/snapshot.h).
   void FreezeIndexes();
 
   /// True iff the index for `mask` exists and covers every stored row,
-  /// i.e. EnsureIndex(mask) would be a pure no-op. Lets freeze-time
-  /// index provisioning skip relations shared with a previous snapshot
-  /// instead of copy-on-write-cloning them just to rebuild an index
-  /// they already carry.
+  /// i.e. EnsureIndex(mask) would be a pure no-op. Lets
+  /// Database::EnsureIndex leave an indexed shared relation shared
+  /// instead of copying it just to rebuild an index it already carries.
   bool HasIndexBuilt(uint32_t mask) const;
 
-  /// Snapshot probe for concurrent readers: fills `out` with the
-  /// RowIds (ascending) of rows among the first `watermark` whose
-  /// masked columns equal `key`. Never builds or extends an index and
-  /// never mutates the relation, so any number of threads may call it
-  /// while no inserts are running. Returns true when a prebuilt index
-  /// covered the probe, false when it had to fall back to scanning the
-  /// watermark prefix (the result is correct either way).
-  bool LookupSnapshot(uint32_t mask, TupleRef key, size_t watermark,
-                      std::vector<RowId>* out) const;
-  bool LookupSnapshot(uint32_t mask, std::initializer_list<TermId> key,
-                      size_t watermark, std::vector<RowId>* out) const {
-    return LookupSnapshot(mask, TupleRef(key.begin(), key.size()),
-                          watermark, out);
+  /// The probe: fills `out` with the RowIds (ascending) of the live
+  /// rows whose columns selected by `mask` (bit i = column i bound)
+  /// equal the corresponding entries of `key` (entries for unbound
+  /// columns are ignored); mask 0 lists every live row. Never builds or
+  /// extends an index and never mutates the relation. Returns true when
+  /// an index covering every row answered it (or mask is 0), false when
+  /// it had to scan (the result is correct either way).
+  bool Lookup(uint32_t mask, TupleRef key, std::vector<RowId>* out) const;
+  bool Lookup(uint32_t mask, std::initializer_list<TermId> key,
+              std::vector<RowId>* out) const {
+    return Lookup(mask, TupleRef(key.begin(), key.size()), out);
   }
-
-  /// All RowIds (identity scan).
-  void AllIndices(std::vector<RowId>* out) const;
 
   /// Statistics snapshot for the cost-based planner: live rows plus
   /// the distinct-key count of every index built so far. Pure reads of
   /// already-materialized state (no index build, no row scan), so it
-  /// is safe to call concurrently with LookupSnapshot readers as long
-  /// as no insert runs - the same frozen-relation contract.
+  /// is safe to call concurrently with Lookup readers as long as no
+  /// insert runs - the same frozen-relation contract.
   RelationStats Stats() const;
 
   // ---- Storage accounting (EvalStats / .stats) -----------------------
@@ -310,8 +297,8 @@ class Relation {
   /// Bytes reserved by the dedup table and every per-mask index.
   size_t IndexBytes() const;
   /// Open-addressing probes made by Insert-side dedup so far. Counted
-  /// only on the mutating path, so concurrent Contains/LookupSnapshot
-  /// readers stay pure (no shared counter races during the parallel
+  /// only on the mutating path, so concurrent Contains/Lookup readers
+  /// stay pure (no shared counter races during the parallel
   /// phase).
   uint64_t dedup_probes() const { return dedup_probes_; }
 
@@ -331,7 +318,8 @@ class Relation {
   static bool MaskedEquals(TupleRef a, TupleRef b, uint32_t mask);
 
   void GrowDedup();
-  Index* GetIndex(uint32_t mask);
+  /// Indexes the rows `ix` has not seen yet.
+  void CatchUp(Index* ix);
   void IndexInsert(Index* ix, RowId r);
   static void GrowIndex(Index* ix, const Relation& rel);
   const std::vector<RowId>* ProbeIndex(const Index& ix, TupleRef key) const;
@@ -349,7 +337,6 @@ class Relation {
   std::vector<bool> dead_;            // sized lazily on first erase
   size_t dead_count_ = 0;
   std::vector<Index> indexes_;
-  static const std::vector<RowId> kEmpty;
 };
 
 /// Bit for column i in a bound-column mask. Columns past

@@ -398,11 +398,11 @@ Status QueryServer::Answer(Worker* w, const Snapshot& snap,
   if (snap.converged()) {
     // At fixpoint the relation of a predicate that heads no rule holds
     // exactly the ledger's live facts, so share it rather than copy
-    // it. The evaluation never writes such a predicate and reads it
-    // through const paths (BottomUpEvaluator's read-only predicates);
-    // and it never reads the active domains the skipped inserts would
-    // have filled, because magic.cc's post-check (a) rejects every
-    // rewrite with an enumeration step.
+    // it. The evaluation never inserts into such a predicate, reads it
+    // through const paths, and builds an index it lacks on a copy
+    // (Database::EnsureIndex); and it never reads the active domains
+    // the skipped inserts would have filled, because magic.cc's
+    // post-check (a) rejects every rewrite with an enumeration step.
     for (PredicateId p : w->aliased) db.AliasRelation(p, snap.database());
     for (const Literal* f : w->head_facts) db.AddTuple(f->pred, f->args);
   } else {
@@ -432,10 +432,7 @@ Status QueryServer::Answer(Worker* w, const Snapshot& snap,
     return es;
   }
 
-  Relation* rel = nullptr;
-  if (db.FindRelation(rw->goal.pred) != nullptr) {
-    rel = &db.relation(rw->goal.pred);
-  }
+  const Relation* rel = db.EnsureIndex(rw->goal.pred, mask);
   RelationScanSource src(store, builtins.unify, rel, std::move(patterns));
   TupleRef t;
   for (;;) {

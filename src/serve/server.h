@@ -5,9 +5,9 @@
 // epoch once, fans its requests out over a WorkerPool, and unpins when
 // the last request drains. Between pin and unpin the execution path is
 // lock-free - every read touches only the immutable snapshot (const
-// TermStore::TryLookup* probes, Relation::LookupSnapshot over prebuilt
-// indexes, active-domain reads) and every *write* goes to state a
-// worker owns privately:
+// TermStore::TryLookup* probes, the const Relation::Lookup over
+// prebuilt indexes, active-domain reads) and every *write* goes to
+// state a worker owns privately:
 //
 //  * a TermStore clone of the snapshot store (the per-connection
 //    intern scratch: parameter terms, magic rewrite variables and
@@ -23,7 +23,8 @@
 //    heading no rule) is aliased from it copy-on-write
 //    (Database::AliasRelation) and read in place, so a request costs
 //    the slice it demands, not the size of the EDB. Only a probe that
-//    needs an index the snapshot lacks copies the relation it indexes.
+//    needs an index the snapshot lacks copies the relation it indexes
+//    (Database::EnsureIndex copies a shared relation before building).
 //
 // Workers re-bind (fresh clone, caches dropped) only when the batch
 // pins a *newer* epoch than the one they were bound to, so steady-state

@@ -4,12 +4,15 @@
 // Session::Freeze() deep-clones the term store (TermStore::Clone - id
 // and symbol assignments are preserved exactly), re-binds a copy of
 // the program and database to the clone, and catches up every
-// relation index (Database::FreezeIndexes). After publication nothing
-// ever mutates a Snapshot: the read path is Relation::LookupSnapshot
-// probes of prebuilt indexes, const TermStore::TryLookup* probes of
-// the intern tables, and active-domain reads - all verified free of
-// lazy mutation - so readers need no locks at all (DESIGN.md section
-// 15). Writers keep loading facts and re-evaluating on the *session*
+// relation index (Database::FreezeIndexes); FreezeIncremental does the
+// same but shares what is unchanged since the previous snapshot
+// (Database::CloneInto with a `prev`). After publication nothing ever
+// mutates a Snapshot: the read path is the const Relation::Lookup over
+// prebuilt indexes, const TermStore::TryLookup* probes of the intern
+// tables, and active-domain reads - all free of lazy mutation - so
+// readers need no locks at all (DESIGN.md section 15). A reader that
+// shares a snapshot relation (a demand request's AliasRelation) and
+// needs an index it lacks gets a copy from Database::EnsureIndex. Writers keep loading facts and re-evaluating on the *session*
 // copies and publish fresh snapshots through serve::SnapshotRegistry
 // while readers drain on the old epoch.
 #ifndef LPS_SERVE_SNAPSHOT_H_
@@ -42,7 +45,9 @@ struct FreezeOptions {
   /// binding patterns the server is expected to probe that no prior
   /// execution has indexed yet. Predicates are named (name, arity);
   /// unknown predicates are skipped, not errors - the scan fallback
-  /// stays correct, just slower.
+  /// stays correct, just slower. A mask with a bit at or past `arity`
+  /// fails the freeze with kInvalidArgument before anything is cloned;
+  /// mask 0 builds nothing (an unbound scan needs no index).
   struct IndexSpec {
     std::string pred;
     size_t arity = 0;
@@ -112,7 +117,7 @@ class Snapshot {
   // The store is shared_ptr so consecutive snapshots of a quiet store
   // can alias one TermStore; program and database are per-snapshot
   // (the database's *relations* alias internally, see
-  // Database::CloneIntoCow).
+  // Database::CloneInto).
   std::shared_ptr<TermStore> store_;
   std::unique_ptr<Program> program_;
   std::unique_ptr<Database> db_;

@@ -243,6 +243,23 @@ TEST(BottomUpTest, EvaluateIsIdempotent) {
   EXPECT_EQ(engine.database()->ToString(*engine.signature()), first);
 }
 
+TEST(BottomUpTest, UnboundScanOfNonFlatRuleBuildsNoIndex) {
+  // `add` keeps the rule off the flat kernel, so ExecSteps scans num
+  // with nothing bound. Listing every row needs no index, and the scan
+  // must leave none behind (a one-bucket mask-0 index of every row
+  // once cost ~4 KB of index bytes per 1,000 rows).
+  std::string src;
+  for (int i = 0; i < 1000; ++i) src += "num(" + std::to_string(i) + "). ";
+  src += "dbl(X, Y) :- num(X), add(X, X, Y).";
+  auto e = RunProgram(src);
+  const Relation* num =
+      e->database()->FindRelation(e->signature()->Lookup("num", 1));
+  ASSERT_NE(num, nullptr);
+  EXPECT_FALSE(num->HasIndexBuilt(0));
+  EXPECT_TRUE(num->Stats().masks.empty());
+  EXPECT_TRUE(*e->HoldsText("dbl(21, 42)"));
+}
+
 TEST(BottomUpTest, EmptySetAlwaysInDomain) {
   // disj({}, {}) must hold even when {} never occurs in the EDB,
   // because U_s always contains the empty set.

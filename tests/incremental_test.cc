@@ -187,7 +187,7 @@ TEST(IncrementalTest, MaintainerReportsIneligibleReason) {
   )"));
   ASSERT_OK(session.Evaluate());
   IncrementalMaintainer maintainer(session.program(), session.database());
-  auto ran = maintainer.Maintain({}, {});
+  auto ran = maintainer.Maintain({}, {}, IncrementalMaintainer::FactCounts{});
   ASSERT_OK(ran.status());
   EXPECT_FALSE(*ran);
   EXPECT_FALSE(maintainer.ineligible_reason().empty());

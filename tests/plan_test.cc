@@ -287,7 +287,7 @@ TEST_F(PlanTest, CostOrderIsDeterministic) {
 
 TEST_F(PlanTest, StatsReadsAreRaceFreeAgainstSnapshotReaders) {
   // Relation::Stats() documents that it is safe concurrent with
-  // LookupSnapshot while no insert runs - the coordinator snapshots
+  // Lookup while no insert runs - the coordinator snapshots
   // statistics while serve-side readers scan. Run both under TSan.
   Database db(&store_, &program_.signature());
   TermId key = kInvalidTerm;
@@ -306,7 +306,7 @@ TEST_F(PlanTest, StatsReadsAreRaceFreeAgainstSnapshotReaders) {
     std::vector<RowId> hits;
     Tuple k{key, kInvalidTerm};
     for (int i = 0; i < 1000; ++i) {
-      rel.LookupSnapshot(ColumnBit(0), k, rel.size(), &hits);
+      rel.Lookup(ColumnBit(0), k, &hits);
       rows_seen += hits.size();
     }
   });

@@ -10,6 +10,14 @@
 namespace lps {
 namespace {
 
+// The probe's hits, for compact assertions.
+std::vector<RowId> Hits(const Relation& rel, uint32_t mask,
+                        const Tuple& key) {
+  std::vector<RowId> out;
+  rel.Lookup(mask, key, &out);
+  return out;
+}
+
 TEST(RelationTest, InsertDedupsAndKeepsOrder) {
   Relation rel(2);
   EXPECT_TRUE(rel.Insert({1, 2}));
@@ -43,10 +51,11 @@ TEST(RelationTest, TombstoneChurnKeepsDedupAndLiveViewsCoherent) {
   EXPECT_EQ(rel.size(), 3u);       // arena never compacts
   EXPECT_EQ(rel.live_size(), 2u);  // tombstone counted out
 
-  // Live-row enumeration skips the corpse.
-  std::vector<RowId> live;
-  rel.AllIndices(&live);
-  EXPECT_EQ(live, (std::vector<RowId>{0, 2}));
+  // Live-row enumeration skips the corpse, and so does an indexed
+  // probe although the posting list still holds it.
+  EXPECT_EQ(Hits(rel, 0, {0, 0}), (std::vector<RowId>{0, 2}));
+  rel.EnsureIndex(0b01);
+  EXPECT_TRUE(Hits(rel, 0b01, {2, 0}).empty());
 
   // Erase + Revive round-trip (the DRed rederive path).
   EXPECT_TRUE(rel.Revive(1));
@@ -78,7 +87,8 @@ TEST(RelationTest, TombstoneChurnKeepsDedupAndLiveViewsCoherent) {
 }
 
 TEST(RelationTest, ContentTickAdvancesOnMutationOnly) {
-  // The copy-on-write sharing witness (Database::CloneIntoCow): ticks
+  // The copy-on-write sharing witness (Database::CloneInto with a
+  // `prev`): ticks
   // are process-globally unique, advance on every successful content
   // mutation, stand still on no-ops and reads, and copies carry their
   // source's tick - so tick equality across a clone lineage certifies
@@ -123,134 +133,124 @@ TEST(RelationTest, IndexLookupByMask) {
   rel.Insert({1, 10});
   rel.Insert({1, 20});
   rel.Insert({2, 10});
+  for (uint32_t mask : {0b01u, 0b10u, 0b11u}) rel.EnsureIndex(mask);
+  std::vector<RowId> out;
   // Mask 0b01: first column bound.
-  const auto& ones = rel.Lookup(0b01, {1, 0});
-  EXPECT_EQ(ones.size(), 2u);
+  EXPECT_TRUE(rel.Lookup(0b01, {1, 0}, &out));
+  EXPECT_EQ(out, (std::vector<RowId>{0, 1}));
   // Mask 0b10: second column bound.
-  const auto& tens = rel.Lookup(0b10, {0, 10});
-  EXPECT_EQ(tens.size(), 2u);
+  EXPECT_TRUE(rel.Lookup(0b10, {0, 10}, &out));
+  EXPECT_EQ(out, (std::vector<RowId>{0, 2}));
   // Full mask.
-  EXPECT_EQ(rel.Lookup(0b11, {2, 10}).size(), 1u);
-  EXPECT_TRUE(rel.Lookup(0b11, {2, 20}).empty());
+  EXPECT_EQ(Hits(rel, 0b11, {2, 10}).size(), 1u);
+  EXPECT_TRUE(Hits(rel, 0b11, {2, 20}).empty());
 }
 
 TEST(RelationTest, IndexCatchesUpAfterInserts) {
   Relation rel(1);
   rel.Insert({7});
-  EXPECT_EQ(rel.Lookup(0b1, {7}).size(), 1u);
+  rel.EnsureIndex(0b1);
+  EXPECT_EQ(Hits(rel, 0b1, {7}).size(), 1u);
   rel.Insert({7});  // duplicate: no change
+  EXPECT_TRUE(rel.HasIndexBuilt(0b1));
   rel.Insert({8});
-  EXPECT_EQ(rel.Lookup(0b1, {8}).size(), 1u);
-  EXPECT_EQ(rel.Lookup(0b1, {7}).size(), 1u);
+  EXPECT_FALSE(rel.HasIndexBuilt(0b1));
+  rel.EnsureIndex(0b1);
+  EXPECT_TRUE(rel.HasIndexBuilt(0b1));
+  EXPECT_EQ(Hits(rel, 0b1, {8}).size(), 1u);
+  EXPECT_EQ(Hits(rel, 0b1, {7}).size(), 1u);
 }
 
-TEST(RelationTest, EmptyMaskScansEverything) {
+TEST(RelationTest, EmptyMaskScansEverythingWithoutAnIndex) {
   Relation rel(2);
   rel.Insert({1, 2});
   rel.Insert({3, 4});
-  EXPECT_EQ(rel.Lookup(0, {0, 0}).size(), 2u);
-  std::vector<uint32_t> all;
-  rel.AllIndices(&all);
-  EXPECT_EQ(all.size(), 2u);
+  std::vector<RowId> out;
+  EXPECT_TRUE(rel.Lookup(0, {0, 0}, &out));
+  EXPECT_EQ(out.size(), 2u);
+  EXPECT_FALSE(rel.HasIndexBuilt(0));
 }
 
 TEST(RelationTest, ZeroArityRelation) {
   Relation rel(0);
   EXPECT_TRUE(rel.Insert({}));
   EXPECT_FALSE(rel.Insert({}));
-  EXPECT_EQ(rel.Lookup(0, {}).size(), 1u);
+  EXPECT_EQ(Hits(rel, 0, {}).size(), 1u);
 }
 
-// ---- Index maintenance and snapshot reads (parallel evaluator) -------
+// ---- Index maintenance: builds are explicit, probes are const --------
 
-TEST(RelationTest, LookupSeesTuplesInsertedAfterIndexBuild) {
+TEST(RelationTest, EnsureIndexCatchesUpInInsertionOrder) {
   Relation rel(2);
   rel.Insert({1, 10});
-  // Build the first-column index, then keep growing the relation.
-  EXPECT_EQ(rel.Lookup(0b01, {1, 0}).size(), 1u);
+  rel.EnsureIndex(0b01);
+  EXPECT_EQ(Hits(rel, 0b01, {1, 0}).size(), 1u);
   rel.Insert({1, 20});
   rel.Insert({2, 30});
   rel.Insert({1, 40});
   // The index catches up incrementally and in insertion order.
-  const auto& hits = rel.Lookup(0b01, {1, 0});
-  ASSERT_EQ(hits.size(), 3u);
-  EXPECT_EQ(hits[0], 0u);
-  EXPECT_EQ(hits[1], 1u);
-  EXPECT_EQ(hits[2], 3u);
+  rel.EnsureIndex(0b01);
+  std::vector<RowId> hits;
+  EXPECT_TRUE(rel.Lookup(0b01, {1, 0}, &hits));
+  EXPECT_EQ(hits, (std::vector<RowId>{0, 1, 3}));
   // A second mask built late still sees everything.
-  EXPECT_EQ(rel.Lookup(0b10, {0, 20}).size(), 1u);
-  EXPECT_EQ(rel.Lookup(0b11, {1, 40}).size(), 1u);
+  rel.EnsureIndex(0b10);
+  rel.EnsureIndex(0b11);
+  EXPECT_EQ(Hits(rel, 0b10, {0, 20}).size(), 1u);
+  EXPECT_EQ(Hits(rel, 0b11, {1, 40}).size(), 1u);
 }
 
-TEST(RelationTest, EnsureIndexCoversSnapshotProbes) {
+TEST(RelationTest, EnsureIndexCoversProbes) {
   Relation rel(2);
   rel.Insert({1, 10});
   rel.Insert({2, 20});
   rel.EnsureIndex(0b01);
-  std::vector<uint32_t> out;
+  std::vector<RowId> out;
   // Fully built index: the probe reports an index hit.
-  EXPECT_TRUE(rel.LookupSnapshot(0b01, {1, 0}, rel.size(), &out));
+  EXPECT_TRUE(rel.Lookup(0b01, {1, 0}, &out));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], 0u);
 }
 
-TEST(RelationTest, SnapshotReadsDuringGrowthStayAtWatermark) {
+TEST(RelationTest, StaleIndexScansUntilCaughtUp) {
   Relation rel(2);
   rel.Insert({1, 10});
   rel.Insert({1, 20});
   rel.EnsureIndex(0b01);
-  size_t watermark = rel.size();
-  // The relation grows past the watermark without the index catching
-  // up - exactly the state between two parallel iterations.
+  // The relation grows without the index catching up - the state
+  // between two semi-naive rounds.
   rel.Insert({1, 30});
   rel.Insert({1, 40});
-  std::vector<uint32_t> out;
-  // Probing at the old watermark still hits the prebuilt index and
-  // must not surface post-watermark tuples.
-  EXPECT_TRUE(rel.LookupSnapshot(0b01, {1, 0}, watermark, &out));
-  EXPECT_EQ(out, (std::vector<uint32_t>{0, 1}));
-  // Probing the full size falls back to a scan (the index is stale)
-  // but remains correct.
-  EXPECT_FALSE(rel.LookupSnapshot(0b01, {1, 0}, rel.size(), &out));
-  EXPECT_EQ(out, (std::vector<uint32_t>{0, 1, 2, 3}));
+  std::vector<RowId> out;
+  // The stale index covers only a prefix, so the probe scans (and
+  // builds nothing) but remains correct.
+  EXPECT_FALSE(rel.Lookup(0b01, {1, 0}, &out));
+  EXPECT_EQ(out, (std::vector<RowId>{0, 1, 2, 3}));
+  EXPECT_FALSE(rel.HasIndexBuilt(0b01));
   // After EnsureIndex catches up, the same probe is indexed again.
   rel.EnsureIndex(0b01);
-  EXPECT_TRUE(rel.LookupSnapshot(0b01, {1, 0}, rel.size(), &out));
-  EXPECT_EQ(out, (std::vector<uint32_t>{0, 1, 2, 3}));
+  EXPECT_TRUE(rel.Lookup(0b01, {1, 0}, &out));
+  EXPECT_EQ(out, (std::vector<RowId>{0, 1, 2, 3}));
 }
 
-TEST(RelationTest, SnapshotWithoutIndexFallsBackToScan) {
+TEST(RelationTest, LookupWithoutIndexScans) {
   Relation rel(2);
   rel.Insert({1, 10});
   rel.Insert({2, 20});
   rel.Insert({1, 30});
-  std::vector<uint32_t> out;
-  EXPECT_FALSE(rel.LookupSnapshot(0b01, {1, 0}, rel.size(), &out));
-  EXPECT_EQ(out, (std::vector<uint32_t>{0, 2}));
-  // Watermark below size() truncates the scan too.
-  EXPECT_FALSE(rel.LookupSnapshot(0b01, {1, 0}, 1, &out));
-  EXPECT_EQ(out, (std::vector<uint32_t>{0}));
-}
-
-TEST(RelationTest, SnapshotEmptyMaskEnumeratesWatermarkPrefix) {
-  Relation rel(1);
-  rel.Insert({5});
-  rel.Insert({6});
-  rel.Insert({7});
-  std::vector<uint32_t> out;
-  EXPECT_TRUE(rel.LookupSnapshot(0, {0}, 2, &out));
-  EXPECT_EQ(out, (std::vector<uint32_t>{0, 1}));
+  std::vector<RowId> out;
+  EXPECT_FALSE(rel.Lookup(0b01, {1, 0}, &out));
+  EXPECT_EQ(out, (std::vector<RowId>{0, 2}));
+  EXPECT_FALSE(rel.HasIndexBuilt(0b01));
 }
 
 // ---- Storage parity: randomized differential vs a linear-scan oracle -
 
 // What the storage engine must implement, spelled out the slow way.
 std::vector<RowId> OracleLookup(const std::vector<Tuple>& rows,
-                                uint32_t mask, const Tuple& key,
-                                size_t watermark) {
+                                uint32_t mask, const Tuple& key) {
   std::vector<RowId> out;
-  if (watermark > rows.size()) watermark = rows.size();
-  for (size_t i = 0; i < watermark; ++i) {
+  for (size_t i = 0; i < rows.size(); ++i) {
     bool match = true;
     for (size_t c = 0; c < rows[i].size() && match; ++c) {
       if (MaskHasColumn(mask, c) && rows[i][c] != key[c]) match = false;
@@ -294,21 +294,17 @@ TEST(RelationTest, RandomizedLookupMatchesLinearScanOracle) {
     } else if (dice < 6) {
       // Build / catch up an index mid-stream at a random mask.
       rel.EnsureIndex(static_cast<uint32_t>(XorShift(&seed) % 8));
-    } else if (dice < 8) {
-      uint32_t mask = static_cast<uint32_t>(XorShift(&seed) % 8);
-      Tuple key = random_tuple();
-      ASSERT_EQ(rel.Lookup(mask, key),
-                OracleLookup(rows, mask, key, rows.size()))
-          << "op " << op << " mask " << mask;
     } else {
       uint32_t mask = static_cast<uint32_t>(XorShift(&seed) % 8);
       Tuple key = random_tuple();
-      size_t watermark = XorShift(&seed) % (rows.size() + 2);
       std::vector<RowId> out;
-      // Indexed or scan fallback, the result must match the oracle.
-      rel.LookupSnapshot(mask, key, watermark, &out);
-      ASSERT_EQ(out, OracleLookup(rows, mask, key, watermark))
-          << "op " << op << " mask " << mask << " mark " << watermark;
+      // Indexed or scan fallback, the result must match the oracle,
+      // and the probe is indexed exactly when a full index exists.
+      bool hit = rel.Lookup(mask, key, &out);
+      ASSERT_EQ(out, OracleLookup(rows, mask, key))
+          << "op " << op << " mask " << mask;
+      ASSERT_EQ(hit, mask == 0 || rel.HasIndexBuilt(mask))
+          << "op " << op << " mask " << mask;
     }
   }
   // Contains parity over everything stored plus fresh randoms.
@@ -345,13 +341,15 @@ TEST(RelationTest, WideRelationStoresAndScansPastColumn32) {
   // An all-ones mask binds only the first 32 columns, so both rows
   // match a key equal to `a` (they agree there); column 35 must be
   // re-checked by the caller's scan-side equality, not the index.
-  EXPECT_EQ(rel.Lookup(0xffffffffu, a).size(), 2u);
-  // The snapshot scan fallback applies the same masking rule.
+  rel.EnsureIndex(0xffffffffu);
+  std::vector<RowId> out;
+  EXPECT_TRUE(rel.Lookup(0xffffffffu, a, &out));
+  EXPECT_EQ(out, (std::vector<RowId>{0, 1}));
+  // The scan fallback applies the same masking rule.
   Relation fresh(kWide);
   fresh.Insert(a);
   fresh.Insert(b);
-  std::vector<RowId> out;
-  EXPECT_FALSE(fresh.LookupSnapshot(0xffffffffu, a, fresh.size(), &out));
+  EXPECT_FALSE(fresh.Lookup(0xffffffffu, a, &out));
   EXPECT_EQ(out, (std::vector<RowId>{0, 1}));
 }
 
@@ -439,8 +437,8 @@ TEST(RelationTest, BulkInsertWithPresizeMatchesOneAtATimeOracle) {
   presized.EnsureIndex(0b01);
   oracle.EnsureIndex(0b01);
   for (TermId a = 0; a < 61; ++a) {
-    std::vector<RowId> pv = presized.Lookup(0b01, {a, 0});
-    std::vector<RowId> ov = oracle.Lookup(0b01, {a, 0});
+    std::vector<RowId> pv = Hits(presized, 0b01, {a, 0});
+    std::vector<RowId> ov = Hits(oracle, 0b01, {a, 0});
     ASSERT_EQ(pv, ov) << "postings diverge for key " << a;
   }
 }
@@ -519,6 +517,32 @@ TEST_F(DatabaseTest, ToStringOrdersByPredicateIdNotInsertion) {
   EXPECT_EQ(dump, expected);
   // And it is stable across repeated calls.
   EXPECT_EQ(db_.ToString(sig_), dump);
+}
+
+TEST_F(DatabaseTest, EnsureIndexBuildsOnlyWhatAProbeNeeds) {
+  PredicateId p = *sig_.Declare("p", {Sort::kAtom, Sort::kAtom});
+  PredicateId q = *sig_.Declare("q", {Sort::kAtom});
+  db_.AddTuple(p, {store_.MakeConstant("a"), store_.MakeConstant("b")});
+  // An absent relation stays absent.
+  EXPECT_EQ(db_.EnsureIndex(q, 0b1), nullptr);
+  EXPECT_EQ(db_.FindRelation(q), nullptr);
+  // Mask 0 builds nothing: Lookup lists rows without an index.
+  const Relation* rel = db_.EnsureIndex(p, 0);
+  ASSERT_EQ(rel, db_.FindRelation(p));
+  EXPECT_TRUE(rel->Stats().masks.empty());
+
+  // A relation shared with another database is copied only to build.
+  Database reader(&store_, &sig_);
+  reader.AliasRelation(p, db_);
+  EXPECT_EQ(reader.EnsureIndex(p, 0), rel);
+  const Relation* own = reader.EnsureIndex(p, 0b01);
+  EXPECT_NE(own, rel);
+  EXPECT_TRUE(own->HasIndexBuilt(0b01));
+  EXPECT_FALSE(rel->HasIndexBuilt(0b01));  // the source never sees it
+  // Once the source carries the index, an alias of it stays shared.
+  EXPECT_EQ(db_.EnsureIndex(p, 0b01), rel);
+  reader.AliasRelation(p, db_);
+  EXPECT_EQ(reader.EnsureIndex(p, 0b01), rel);
 }
 
 TEST_F(DatabaseTest, StorageStatsAggregateAcrossRelations) {

@@ -723,6 +723,46 @@ TEST(QueryServerTest, DemandIndexMissCopiesOnlyWhenSnapshotLacksIndex) {
   EXPECT_EQ(misses(plain, "path(X, Y)", "X", "a", "path(a, Y)"), 0u);
 }
 
+TEST(SnapshotTest, IndexSpecsAreValidatedAndMaskZeroBuildsNothing) {
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(kGraph));
+  // A bit at or past the arity names a column edge/2 does not have:
+  // the freeze fails before anything is cloned, naming the predicate
+  // and the mask (building it read past the row arena).
+  serve::FreezeOptions bad;
+  bad.indexes.push_back({"edge", 2, 0b100});
+  auto rejected = session.Freeze(bad);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  const std::string& why = rejected.status().message();
+  EXPECT_NE(why.find("edge/2"), std::string::npos) << why;
+  EXPECT_NE(why.find("mask 4"), std::string::npos) << why;
+  // Incremental republication validates the same way.
+  auto base = session.Freeze();
+  ASSERT_OK(base.status());
+  EXPECT_EQ(session.FreezeIncremental(*base, bad).status().code(),
+            StatusCode::kInvalidArgument);
+  // From arity 32 on every mask is in range (the check never shifts by
+  // 32 or more), and unknown predicates stay skipped.
+  serve::FreezeOptions wide;
+  wide.indexes.push_back({"nosuch", 40, 0xffffffffu});
+  wide.indexes.push_back({"nosuch", 32, 0x80000000u});
+  ASSERT_OK(session.Freeze(wide).status());
+
+  // Mask 0 builds nothing: an unbound scan lists rows without an index.
+  serve::FreezeOptions zero;
+  zero.indexes.push_back({"edge", 2, 0});
+  auto snap = session.Freeze(zero);
+  ASSERT_OK(snap.status());
+  const Relation* edge = (*snap)->database().FindRelation(
+      (*snap)->signature().Lookup("edge", 2));
+  ASSERT_NE(edge, nullptr);
+  EXPECT_FALSE(edge->HasIndexBuilt(0));
+  for (const RelationStats::MaskStats& m : edge->Stats().masks) {
+    EXPECT_NE(m.mask, 0u);
+  }
+}
+
 // ---- Copy-on-write republication (Session::FreezeIncremental) -------
 
 // Two independent predicate families, so a mutation confined to one

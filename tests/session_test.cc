@@ -134,6 +134,33 @@ TEST(SessionTest, PreparedQueryExecutesWithoutReparsing) {
   EXPECT_EQ(session.parse_count(), parses_after_prepare + 1);
 }
 
+TEST(SessionTest, PreparedPointQueryBuildsItsIndexButNoRelation) {
+  // A point query over the session database builds the index for its
+  // binding pattern, so later executions probe it; a query on a
+  // predicate nothing ever stored creates no relation.
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(kGraph));
+  ASSERT_OK(session.Load("loop(X) :- edge(X, X)."));
+  ASSERT_OK(session.Evaluate());
+  const Signature& sig = *session.signature();
+  const Relation* path =
+      session.database()->FindRelation(sig.Lookup("path", 2));
+  ASSERT_NE(path, nullptr);
+  ASSERT_FALSE(path->HasIndexBuilt(ColumnBit(0)));
+  auto query = session.Prepare("path(a, X)");
+  ASSERT_TRUE(query.ok());
+  EXPECT_EQ(*query->Execute()->Count(), 3u);
+  EXPECT_TRUE(path->HasIndexBuilt(ColumnBit(0)));
+
+  const PredicateId loop = sig.Lookup("loop", 1);
+  ASSERT_NE(loop, kInvalidPredicate);
+  ASSERT_EQ(session.database()->FindRelation(loop), nullptr);
+  auto none = session.Prepare("loop(a)");
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(*none->Execute()->Count(), 0u);
+  EXPECT_EQ(session.database()->FindRelation(loop), nullptr);
+}
+
 TEST(SessionTest, PreparedQueryReuseAfterResetDatabase) {
   Session session(LanguageMode::kLPS);
   ASSERT_OK(session.Load(kGraph));
