@@ -12,9 +12,10 @@
 //
 // BM_*ChurnFull commits with Options::incremental off (every commit
 // pays a from-scratch fixpoint); BM_*ChurnIncremental turns it on
-// (delta semi-naive inserts + DRed retracts, eval/incremental.h). The
-// CI gate (scripts/check_bench.py --min-ratio) requires incremental to
-// be >= 20x faster on both workloads.
+// (delta semi-naive inserts + Backward/Forward retracts,
+// eval/incremental.h). The CI gate (scripts/check_bench.py
+// --min-ratio) requires incremental to be >= 20x faster on both
+// workloads.
 //
 // Before measuring, the bench verifies correctness: several churn
 // rounds through the incremental path must leave a database whose
@@ -36,15 +37,16 @@ namespace {
 
 // Ancestry closure over a forest of random trees: the closure (and so
 // a full re-evaluation) scales with the whole forest, while a
-// retracted parent edge can only condemn ancestor pairs routed through
-// it - subtree x ancestor chain, a handful of tuples. This is the
-// locality incremental maintenance exists to exploit (org charts,
-// file-system hierarchies, ownership trees: closures that are huge in
-// aggregate and churn locally). The opposite extreme - transitive
-// closure of one dense strongly-connected digraph, where retracting
-// any edge condemns nearly every closure tuple - makes DRed degenerate
-// to a full re-evaluation by construction and is called out as a
-// non-goal in DESIGN.md section 16.
+// retracted parent edge can only put in doubt ancestor pairs routed
+// through it - subtree x ancestor chain, a handful of tuples, every
+// one of which really goes (a tree has one path between two nodes).
+// This is the locality incremental maintenance exists to exploit (org
+// charts, file-system hierarchies, ownership trees: closures that are
+// huge in aggregate and churn locally), and the case where the
+// retract's check must fail fast. The opposite shape - closure over
+// dense strongly connected communities, where almost every tuple
+// through a retracted edge keeps another derivation - is e2ebench's
+// churn_publish workload (DESIGN.md section 16).
 constexpr int kForestTrees = 400;
 constexpr int kTreeNodes = 25;
 

@@ -36,8 +36,9 @@
 //
 // With --incremental a .add/.retract commit re-converges by delta
 // rules (DESIGN.md section 16) instead of a from-scratch re-evaluation;
-// .stats then shows the delta_rounds / rederived / overdeleted
-// counters of the last maintenance pass.
+// .stats then shows the counters of the last maintenance pass: the
+// insert pass's delta_rounds, the tuples a retract put in doubt
+// (overdeleted) and those of them it proved and kept (rederived).
 //
 //   build/examples/lpsi [--demand] [--incremental] [--lanes N] program.lps
 //   echo "path(a, X)" | build/examples/lpsi --demand program.lps
@@ -86,9 +87,11 @@ void PrintStats(const lps::EvalStats& s, size_t subsumptions) {
                   ? "(none)"
                   : s.demand_fallback_reason.c_str());
   std::printf("incremental:\n");
-  std::printf("  delta_rounds       %zu\n", s.delta_rounds);
-  std::printf("  rederived_tuples   %zu\n", s.rederived_tuples);
-  std::printf("  overdeleted_tuples %zu\n", s.overdeleted_tuples);
+  std::printf("  delta_rounds       %zu  (insert pass)\n", s.delta_rounds);
+  std::printf("  rederived_tuples   %zu  (in doubt, proved, kept)\n",
+              s.rederived_tuples);
+  std::printf("  overdeleted_tuples %zu  (put in doubt by retracts)\n",
+              s.overdeleted_tuples);
   std::printf("planner:\n");
   std::printf("  plan_reorders         %zu\n", s.plan_reorders);
   std::printf("  plan_estimated_tuples %.0f\n", s.plan_estimated_tuples);

@@ -239,10 +239,16 @@ Status MutationBatch::Commit() {
   if (s->options_.incremental) {
     IncrementalMaintainer maintainer(s->program_.get(), s->db_.get(),
                                      s->options_.eval());
-    LPS_ASSIGN_OR_RETURN(
-        bool maintained,
-        maintainer.Maintain(inserts, retracts, s->fact_counts_));
-    if (maintained) {
+    Result<bool> maintained =
+        maintainer.Maintain(inserts, retracts, s->fact_counts_);
+    if (!maintained.ok()) {
+      // A failed pass leaves a partial model: drop it, so the session
+      // is no longer converged and the next Evaluate() or Freeze()
+      // rebuilds from the facts instead of serving it.
+      s->ResetDatabase();
+      return maintained.status();
+    }
+    if (*maintained) {
       // The maintainer skips the O(index-buckets) IndexBytes walk;
       // keep the last fully computed figure.
       size_t index_bytes = s->eval_stats_.index_bytes;

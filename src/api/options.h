@@ -48,8 +48,9 @@ struct Options {
   /// Incremental view maintenance (DESIGN.md section 16): when true, a
   /// MutationBatch commit on an already-evaluated session re-converges
   /// the database by delta rules - a semi-naive pass seeded from the
-  /// new facts for inserts, delete-rederive for retracts
-  /// (eval/incremental.h) - instead of a from-scratch re-evaluation.
+  /// new facts for inserts, Backward/Forward for retracts (a tuple is
+  /// deleted only once a check finds it no surviving derivation;
+  /// eval/incremental.h) - instead of a from-scratch re-evaluation.
   /// Programs outside the maintainable Horn fragment (negation,
   /// grouping, quantifiers, domain enumeration) fall back to the full
   /// re-evaluation automatically; either path yields a database

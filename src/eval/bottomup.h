@@ -105,9 +105,13 @@ struct EvalStats {
   // ---- Incremental maintenance (eval/incremental.h), filled when a
   // mutation batch commits through the delta path; all zero after a
   // plain full-fixpoint Evaluate(). -------------------------------------
-  size_t delta_rounds = 0;        // semi-naive rounds seeded from the batch
-  size_t overdeleted_tuples = 0;  // tuples tombstoned by DRed over-delete
-  size_t rederived_tuples = 0;    // over-deleted tuples saved by rederive
+  size_t delta_rounds = 0;        // insert-pass semi-naive rounds
+  size_t overdeleted_tuples = 0;  // tuples a retract put in doubt: the
+                                  // retracted facts present plus every
+                                  // tuple checked
+  size_t rederived_tuples = 0;    // in-doubt tuples proved to keep a
+                                  // derivation (never tombstoned); the
+                                  // difference is the tuples deleted
   // ---- Bulk ingestion (api/ingest.cc), filled by the last
   // Session::LoadFactsParallel; all zero otherwise. Unlike the rest of
   // EvalStats this block survives later evaluations and mutation

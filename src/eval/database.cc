@@ -110,13 +110,6 @@ bool Database::EraseRow(PredicateId pred, RowId r) {
   return true;
 }
 
-bool Database::ReviveRow(PredicateId pred, RowId r) {
-  Relation* rel = MutableRelation(pred);
-  if (rel == nullptr || !rel->Revive(r)) return false;
-  ++version_;
-  return true;
-}
-
 void Database::RegisterTerm(TermId t) {
   if (!store_->is_ground(t)) return;
   if (domains_->registered.count(t)) return;

@@ -143,9 +143,6 @@ class Database {
   /// Tombstones row r of pred's relation (Relation::EraseRow).
   bool EraseRow(PredicateId pred, RowId r);
 
-  /// Un-tombstones row r of pred's relation (Relation::Revive).
-  bool ReviveRow(PredicateId pred, RowId r);
-
   /// Ground atoms of sort a seen so far.
   const std::vector<TermId>& atom_domain() const { return domains_->atoms; }
   /// Ground sets seen so far (always contains {}).

@@ -16,7 +16,7 @@
 //    the join ends (semi-naive delta rounds and grouping bodies, on any
 //    number of lanes, over indexes built before the round).
 //  * Sink - what a solution becomes: an inserted tuple, a buffered one,
-//    a (key, element) group pair, a first witness, a DRed casualty.
+//    a (key, element) group pair, a rule instance a retract checks.
 #ifndef LPS_EVAL_FLAT_JOIN_H_
 #define LPS_EVAL_FLAT_JOIN_H_
 
@@ -69,8 +69,8 @@ struct FlatBindings {
 /// restricts the scan to arena rows [begin, end) - a contiguous
 /// semi-naive watermark window - and skips tombstones. Rows mode
 /// restricts it to the explicit RowIds rows[begin..end), which sit at
-/// arbitrary arena positions (incremental maintenance's over-deleted or
-/// revived rows) and are taken as given, tombstoned or not. Either way
+/// arbitrary arena positions (the rows incremental maintenance deletes
+/// or revives) and are taken as given, tombstoned or not. Either way
 /// the scan walks the delta itself and re-checks every bound column.
 struct DeltaSpec {
   static constexpr size_t kNone = static_cast<size_t>(-1);
@@ -196,7 +196,7 @@ class HeadSink {
 };
 
 /// The kernel. Run() executes a job from the bindings already on the
-/// trail (a witness search pre-binds the head) and restores the trail
+/// trail (a retract's check pre-binds the head) and restores the trail
 /// before returning. Every step visits its rows in a fixed order, so a
 /// job whose delta literal is its outermost scan emits the same stream
 /// whether its delta runs whole or split into consecutive chunks - what

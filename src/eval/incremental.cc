@@ -1,7 +1,10 @@
 #include "eval/incremental.h"
 
+#include <algorithm>
+#include <bit>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "unify/unify.h"
 
@@ -9,23 +12,151 @@ namespace lps {
 
 namespace {
 
-// Early-stop sentinel threaded out of ExecSteps by the re-derivation
-// continuation: the first witness ends the search. kAlreadyExists is
-// never produced by body execution, so the pair (code, message) cannot
-// collide with a real error.
-constexpr char kWitnessMsg[] = "incremental rederive witness";
+// How a predicate's live rows stand before a retract checks anything.
+constexpr uint8_t kSettled = 0;  // no retracted predicate reaches it
+                                 // through rule bodies: every row stays
+constexpr uint8_t kBase = 1;     // retracted and heads no rule: every row
+                                 // but the retracted ones stays
+constexpr uint8_t kDerived = 2;  // reached and heads a rule: a row in
+                                 // doubt needs a check
 
-bool IsWitness(const Status& st) {
-  return st.code() == StatusCode::kAlreadyExists &&
-         st.message() == kWitnessMsg;
+// Memo bits of one fact during a retract.
+constexpr uint8_t kQueued = 1;      // on the deletion worklist
+constexpr uint8_t kChecked = 2;     // visited by a check
+constexpr uint8_t kProved = 4;      // derivable from proved facts: stays
+constexpr uint8_t kDisproved = 8;   // unproved when its check ended
+constexpr uint8_t kRetracted = 16;  // one of the batch's retracted facts
+
+uint64_t FactKey(PredicateId pred, RowId row) {
+  return (static_cast<uint64_t>(pred) << 32) | row;
 }
 
+// Memo bits per fact, keyed by FactKey: an open-addressed table that
+// grows with the facts a retract touches, never with a relation.
+class FactMemo {
+ public:
+  uint8_t Get(uint64_t key) const {
+    if (keys_.empty()) return 0;
+    for (size_t i = Home(key);; i = (i + 1) & mask_) {
+      if (keys_[i] == key) return bits_[i];
+      if (keys_[i] == kEmpty) return 0;
+    }
+  }
+  // The bits of `key`, inserted as 0 when absent. The reference is
+  // invalidated by the next At().
+  uint8_t& At(uint64_t key) {
+    if (2 * (size_ + 1) > keys_.size()) Grow();
+    for (size_t i = Home(key);; i = (i + 1) & mask_) {
+      if (keys_[i] == key) return bits_[i];
+      if (keys_[i] == kEmpty) {
+        keys_[i] = key;
+        ++size_;
+        return bits_[i];
+      }
+    }
+  }
+
+ private:
+  // (kNoPredicate, kNoRow): never a stored fact.
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+
+  size_t Home(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  void Grow() {
+    std::vector<uint64_t> keys = std::move(keys_);
+    std::vector<uint8_t> bits = std::move(bits_);
+    const size_t cap = std::max<size_t>(64, 2 * keys.size());
+    keys_.assign(cap, kEmpty);
+    bits_.assign(cap, 0);
+    mask_ = cap - 1;
+    shift_ = 64 - static_cast<int>(std::countr_zero(cap));
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (keys[i] == kEmpty) continue;
+      size_t j = Home(keys[i]);
+      while (keys_[j] != kEmpty) j = (j + 1) & mask_;
+      keys_[j] = keys[i];
+      bits_[j] = bits[i];
+    }
+  }
+
+  std::vector<uint64_t> keys_;
+  std::vector<uint8_t> bits_;
+  size_t size_ = 0;
+  size_t mask_ = 0;
+  int shift_ = 64;
+};
+
+// Flat-kernel sink handing each solution's bindings to fn(apply); the
+// kernel stops walking once *stop is set.
+template <typename Fn>
+class InstanceSink {
+ public:
+  InstanceSink(const TermStore& store, Fn* fn, const bool* stop)
+      : store_(store), fn_(fn), stop_(stop) {}
+  Status Emit(const FlatBindings& binds) {
+    return (*fn_)([&](TermId a) { return binds.Apply(store_, a); });
+  }
+  bool Done() const { return stop_ != nullptr && *stop_; }
+
+ private:
+  const TermStore& store_;
+  Fn* fn_;
+  const bool* stop_;
+};
+
 }  // namespace
+
+// One retract's Backward/Forward state. The check is a depth-first
+// search with an explicit stack, since derivation chains run tens of
+// facts deep: a frame is a checked fact plus the rule instances
+// deriving it that it still has to explore. Instances and their open
+// body facts live in two stacks shared by all frames; a frame's slices
+// sit above its parent's and are dropped when it pops.
+struct IncrementalMaintainer::Retraction {
+  struct Frame {
+    FactRef fact;
+    size_t first_inst;  // inst[first_inst, inst_end): its instances
+    size_t inst_end;
+    size_t body_begin;  // body[body_begin..): their open body facts
+    size_t next_inst;   // the instance being explored
+    size_t next_body;   // its next body fact
+  };
+
+  FactMemo memo;
+  std::vector<uint8_t> pred_class;  // PredicateId -> kSettled, kBase
+                                    // or kDerived
+  // PredicateId -> indices into the compiled rules heading it (kDerived
+  // predicates only) / (rule, body literal) pairs scanning it.
+  std::vector<std::vector<size_t>> by_head;
+  std::vector<std::vector<std::pair<size_t, size_t>>> by_body;
+  // PredicateId -> its fact counts, for rule-headed predicates that
+  // also have facts.
+  std::vector<const std::unordered_map<Tuple, size_t, TupleHash>*>
+      facts_of;
+  // Rule index -> its body plan with the head's variables bound.
+  std::vector<std::vector<PlanStep>> head_steps;
+
+  std::vector<Frame> stack;
+  std::vector<std::pair<size_t, size_t>> inst;  // [begin, end) of body
+  std::vector<FactRef> body;
+  std::vector<FactRef> checked_now;  // checked by the current top level
+  size_t pending = 0;                // of those, not yet proved
+  std::vector<FactRef> saturate;     // proved, not yet forward-saturated
+  std::vector<FactRef> heads;        // heads one saturation join proves
+  std::vector<FactRef> instance;     // body facts of one instance
+  std::vector<RowId> one_row;        // the saturating fact's delta
+  Tuple fact;                        // the fact being visited
+  Tuple head;                        // a derived head
+  Tuple atom;                        // a body fact being looked up
+};
 
 IncrementalMaintainer::IncrementalMaintainer(const Program* program,
                                              Database* db,
                                              EvalOptions options)
     : program_(program), db_(db), eval_(program, db, options) {}
+
+IncrementalMaintainer::~IncrementalMaintainer() = default;
 
 Result<bool> IncrementalMaintainer::Maintain(
     const std::vector<FactOp>& inserts,
@@ -71,273 +202,387 @@ Result<bool> IncrementalMaintainer::Maintain(
 
 Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
   const Signature& sig = program_->signature();
+  const TermStore& store = *program_->store();
 
-  // The over-deleted set, per predicate: `rows` in discovery order (the
-  // frontier is a slice of it), `member` for dedup. References into
-  // this map stay valid across inserts (unordered_map is node-based).
-  struct Deleted {
-    std::vector<RowId> rows;
-    std::unordered_set<RowId> member;
-  };
-  std::unordered_map<PredicateId, Deleted> deleted;
-  size_t total = 0;
-  auto record = [&](PredicateId pred, RowId r) {
-    Deleted& d = deleted[pred];
-    if (!d.member.insert(r).second) return false;
-    d.rows.push_back(r);
-    ++total;
-    return true;
-  };
+  std::vector<FactRef> frontier;
   for (const FactOp& op : retracts) {
     RowId r = db_->FindRow(op.pred, op.args);
-    if (r != Relation::kNoRow) record(op.pred, r);  // absent: no-op
+    if (r != Relation::kNoRow) frontier.push_back({op.pred, r});
   }
-  if (total == 0) return Status::OK();
+  if (frontier.empty()) return Status::OK();  // all absent: a no-op
+  bf_ = std::make_unique<Retraction>();
+  Retraction& s = *bf_;
 
-  // Over-delete fixpoint (DRed phase 1): grow the set with every tuple
-  // that has a derivation through an already-condemned one. All rows
-  // stay live for the duration - the over-estimate deliberately joins
-  // against the pre-batch database - so the condemned frontier is fed
-  // to the scans as an explicit-rows delta.
-  std::unordered_map<PredicateId, size_t> frontier_done;
-  for (;;) {
-    ++eval_.stats_.delta_rounds;
-    std::unordered_map<PredicateId, std::pair<size_t, size_t>> frontier;
-    for (auto& [pred, d] : deleted) {
-      size_t begin = frontier_done.count(pred) ? frontier_done[pred] : 0;
-      if (begin < d.rows.size()) frontier[pred] = {begin, d.rows.size()};
-      frontier_done[pred] = d.rows.size();
-    }
-    if (frontier.empty()) break;
-    for (auto& rule : eval_.rules_) {
-      const Literal& head = rule.clause->head;
-      auto condemn = [&](const Tuple& out) -> Status {
-        RowId r = db_->FindRow(head.pred, out);
-        if (r != Relation::kNoRow && record(head.pred, r)) {
-          ++eval_.stats_.tuples_derived;
-        }
-        return Status::OK();
-      };
-      for (size_t li : rule.plan.free_literals) {
-        const Literal& lit = rule.clause->body[li];
-        if (!lit.positive || sig.IsBuiltin(lit.pred)) continue;
-        auto fit = frontier.find(lit.pred);
-        if (fit == frontier.end()) continue;
-        ++eval_.stats_.rule_runs;
-        LPS_RETURN_IF_ERROR(RunDelta(
-            rule,
-            DeltaSpec{li, fit->second.first, fit->second.second,
-                      &deleted[lit.pred].rows},
-            condemn));
+  // Which predicates a retract can reach: the retracted ones, then
+  // every rule head with a reached body literal. Facts of the rest are
+  // never in doubt, so no check ever re-proves them.
+  const size_t npred = sig.size();
+  s.pred_class.assign(npred, kSettled);
+  for (FactRef f : frontier) s.pred_class[f.pred] = kBase;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const CompiledRule& rule : eval_.rules_) {
+      uint8_t& head = s.pred_class[rule.clause->head.pred];
+      if (head == kDerived) continue;
+      bool reached = head == kBase;  // a retracted, rule-headed predicate
+      for (const Literal& lit : rule.clause->body) {
+        reached = reached || (!sig.IsBuiltin(lit.pred) &&
+                              s.pred_class[lit.pred] != kSettled);
+      }
+      if (reached) {
+        head = kDerived;
+        grew = true;
       }
     }
   }
-  eval_.stats_.overdeleted_tuples += total;
 
-  // Phase boundary: tombstone the whole over-deleted set at once, so
-  // re-derivation sees exactly the surviving under-approximation.
-  for (auto& [pred, d] : deleted) {
-    for (RowId r : d.rows) db_->EraseRow(pred, r);
+  // The rules a check or a propagation can run, and each rule's body
+  // plan with its head bound: a check enumerates the instances deriving
+  // one known tuple.
+  PlannerStats planner_stats;
+  const PlannerStats* stats = nullptr;
+  if (eval_.options_.reorder) {
+    planner_stats = PlannerStats::FromDatabase(*db_);
+    stats = &planner_stats;
   }
-
-  std::unordered_map<PredicateId,
-                     std::vector<const BottomUpEvaluator::CompiledRule*>>
-      rules_by_head;
-  for (const auto& rule : eval_.rules_) {
-    rules_by_head[rule.clause->head.pred].push_back(&rule);
-  }
-
-  // Tuple -> still-dead condemned row, so the propagation pass can
-  // recognize a freshly derived head as a revivable casualty.
-  std::unordered_map<PredicateId,
-                     std::unordered_map<Tuple, RowId, TupleHash>>
-      dead_index;
-  for (auto& [pred, d] : deleted) {
-    const Relation* rel = db_->FindRelation(pred);
-    auto& by_tuple = dead_index[pred];
-    for (RowId r : d.rows) {
-      TupleRef t = rel->row(r);
-      by_tuple.emplace(Tuple(t.begin(), t.end()), r);
+  s.by_head.assign(npred, {});
+  s.by_body.assign(npred, {});
+  s.facts_of.assign(npred, nullptr);
+  s.head_steps.resize(eval_.rules_.size());
+  for (size_t i = 0; i < eval_.rules_.size(); ++i) {
+    const CompiledRule& rule = eval_.rules_[i];
+    const Clause& clause = *rule.clause;
+    const PredicateId head = clause.head.pred;
+    if (s.pred_class[head] != kDerived) continue;
+    s.by_head[head].push_back(i);
+    for (size_t li = 0; li < clause.body.size(); ++li) {
+      const PredicateId p = clause.body[li].pred;
+      if (!sig.IsBuiltin(p) && s.pred_class[p] != kSettled) {
+        s.by_body[p].emplace_back(i, li);
+      }
+    }
+    std::vector<TermId> head_vars;
+    for (TermId a : clause.head.args) store.CollectVariables(a, &head_vars);
+    // Binding more variables only unblocks literals, so this plan
+    // enumerates no domain where the free plan does not.
+    s.head_steps[i] = BuildBodyPlan(store, sig, clause,
+                                    rule.plan.free_literals, head_vars, {},
+                                    true, stats)
+                          .steps;
+    if (s.facts_of[head] == nullptr) {
+      auto it = edb_counts_->find(head);
+      if (it != edb_counts_->end() && !it->second.empty()) {
+        s.facts_of[head] = &it->second;
+      }
     }
   }
 
-  // Revived rows per predicate in revival order; the propagation
-  // frontier below is a window of it (same shape as the over-delete
-  // pass). Reviving keeps the arena row, so RowIds stay stable.
-  std::unordered_map<PredicateId, std::vector<RowId>> revived;
-  auto revive = [&](PredicateId pred, RowId r) {
-    db_->ReviveRow(pred, r);
-    revived[pred].push_back(r);
+  // The retracted rows are in doubt. One whose predicate heads no rule
+  // is disproved outright: it is no longer a fact.
+  std::vector<FactRef> retracted = std::move(frontier);
+  frontier.clear();
+  for (FactRef f : retracted) {
+    uint8_t& m = s.memo.At(FactKey(f.pred, f.row));
+    if (m & kQueued) continue;  // retracted twice
+    m = kQueued | kRetracted;
+    if (s.pred_class[f.pred] == kBase) m |= kChecked | kDisproved;
+    ++eval_.stats_.overdeleted_tuples;
+    frontier.push_back(f);
+  }
+
+  // Rounds: check the queued facts, then propagate the underivable ones
+  // by delta joins through them over the live database - before they
+  // are tombstoned, so a body that repeats their predicate still
+  // matches them at every position - queueing the heads derived, and
+  // only then tombstone them.
+  std::vector<std::vector<RowId>> doomed(npred);
+  std::vector<PredicateId> doomed_preds;
+  while (!frontier.empty()) {
+    for (FactRef f : frontier) {
+      if (!(s.memo.Get(FactKey(f.pred, f.row)) & kChecked)) {
+        LPS_RETURN_IF_ERROR(Check(f));
+      }
+      if (s.memo.Get(FactKey(f.pred, f.row)) & kProved) continue;
+      if (doomed[f.pred].empty()) doomed_preds.push_back(f.pred);
+      doomed[f.pred].push_back(f.row);
+    }
+    frontier.clear();
+    for (PredicateId p : doomed_preds) {
+      for (const auto& [ri, li] : s.by_body[p]) {
+        const CompiledRule& rule = eval_.rules_[ri];
+        const PredicateId hp = rule.clause->head.pred;
+        LPS_RETURN_IF_ERROR(RunDelta(
+            rule, DeltaSpec{li, 0, doomed[p].size(), &doomed[p]},
+            [&](const Tuple& head) -> Status {
+              RowId h = db_->FindRow(hp, head);
+              if (h == Relation::kNoRow) return Status::OK();
+              uint8_t& m = s.memo.At(FactKey(hp, h));
+              if (m & (kQueued | kProved)) return Status::OK();
+              m |= kQueued;
+              frontier.push_back({hp, h});
+              return Status::OK();
+            }));
+      }
+    }
+    for (PredicateId p : doomed_preds) {
+      for (RowId r : doomed[p]) db_->EraseRow(p, r);
+      doomed[p].clear();
+    }
+    doomed_preds.clear();
+    // The first round tombstoned every retracted row of a rule-less
+    // predicate: its live rows left are all facts, settled from now on.
+    std::replace(s.pred_class.begin(), s.pred_class.end(), kBase, kSettled);
+  }
+  bf_.reset();
+  return Status::OK();
+}
+
+IncrementalMaintainer::Standing IncrementalMaintainer::Classify(
+    FactRef f) const {
+  if (f.row == Relation::kNoRow) return Standing::kDisproved;
+  const uint8_t cls = bf_->pred_class[f.pred];
+  if (cls == kSettled) return Standing::kProved;
+  const uint8_t m = bf_->memo.Get(FactKey(f.pred, f.row));
+  if (m & kProved) return Standing::kProved;
+  if (m & kDisproved) return Standing::kDisproved;
+  if (m & kChecked) return Standing::kPending;
+  return cls == kBase ? Standing::kProved : Standing::kOpen;
+}
+
+Status IncrementalMaintainer::Check(FactRef f) {
+  Retraction& s = *bf_;
+  LPS_RETURN_IF_ERROR(Visit(f));
+  while (!s.stack.empty()) {
+    Retraction::Frame& t = s.stack.back();
+    if ((s.memo.Get(FactKey(t.fact.pred, t.fact.row)) & kProved) ||
+        t.next_inst == t.inst_end) {
+      s.inst.resize(t.first_inst);
+      s.body.resize(t.body_begin);
+      s.stack.pop_back();
+      continue;
+    }
+    // Walk the instance's open body facts. A pending one (checked in
+    // this top-level check, unproved so far) does not stop the walk:
+    // forward saturation proves the head once every body fact is
+    // proved, and that needs every one of them checked.
+    const auto [b, e] = s.inst[t.next_inst];
+    bool descended = false;
+    while (!descended && b + t.next_body < e) {
+      const FactRef g = s.body[b + t.next_body++];
+      const Standing st = Classify(g);
+      // A disproved body fact means this instance never proves the head.
+      if (st == Standing::kDisproved) t.next_body = e - b;
+      descended = st == Standing::kOpen;
+      if (descended) LPS_RETURN_IF_ERROR(Visit(g));  // may push: t dangles
+    }
+    if (descended) continue;
+    ++t.next_inst;
+    t.next_body = 0;
+  }
+  // Every fact this check left unproved has no derivation from facts
+  // that can still be proved, for the rest of the commit.
+  for (FactRef g : s.checked_now) {
+    uint8_t& m = s.memo.At(FactKey(g.pred, g.row));
+    if (!(m & kProved)) m |= kDisproved;
+  }
+  s.checked_now.clear();
+  s.pending = 0;
+  return Status::OK();
+}
+
+Status IncrementalMaintainer::Visit(FactRef f) {
+  Retraction& s = *bf_;
+  {
+    uint8_t& m = s.memo.At(FactKey(f.pred, f.row));
+    m |= kChecked;
+    if (!(m & kRetracted)) ++eval_.stats_.overdeleted_tuples;
+  }
+  s.checked_now.push_back(f);
+  ++s.pending;
+  {
+    TupleRef view = db_->FindRelation(f.pred)->row(f.row);
+    s.fact.assign(view.begin(), view.end());
+  }
+  const auto* facts = s.facts_of[f.pred];
+  if (facts != nullptr && facts->count(s.fact) > 0) return Prove(f);
+
+  // Backward step: every rule instance deriving f over the live
+  // database. An instance with a disproved body fact is dropped, one
+  // whose body facts are all proved proves f at once (and ends the
+  // enumeration), and the rest are kept with their open body facts.
+  const size_t first_inst = s.inst.size();
+  const size_t body_begin = s.body.size();
+  bool proved = false;
+  for (size_t ri : s.by_head[f.pred]) {
+    const CompiledRule& rule = eval_.rules_[ri];
+    LPS_RETURN_IF_ERROR(ForEachInstance(
+        rule, s.head_steps[ri], DeltaSpec{}, &s.fact, &proved,
+        [&](auto apply) -> Status {
+          s.instance.clear();
+          BodyFacts(rule, apply, &s.instance);
+          const size_t b = s.body.size();
+          for (FactRef g : s.instance) {
+            const Standing st = Classify(g);
+            if (st == Standing::kDisproved) {
+              s.body.resize(b);
+              return Status::OK();
+            }
+            if (st != Standing::kProved) s.body.push_back(g);
+          }
+          if (s.body.size() == b) {
+            proved = true;
+          } else {
+            s.inst.emplace_back(b, s.body.size());
+          }
+          return Status::OK();
+        }));
+    if (proved) break;
+  }
+  if (proved) {
+    s.inst.resize(first_inst);
+    s.body.resize(body_begin);
+    return Prove(f);
+  }
+  if (s.inst.size() > first_inst) {
+    s.stack.push_back(Retraction::Frame{f, first_inst, s.inst.size(),
+                                        body_begin, first_inst, 0});
+  }
+  return Status::OK();
+}
+
+Status IncrementalMaintainer::Prove(FactRef f) {
+  Retraction& s = *bf_;
+  auto prove = [&](FactRef g) {
+    s.memo.At(FactKey(g.pred, g.row)) |= kProved;
     ++eval_.stats_.rederived_tuples;
+    --s.pending;
+    s.saturate.push_back(g);
   };
-
-  // Re-derivation (DRed phase 2). The maintainable fragment is
-  // positive Horn, so re-derivation is a *monotone* fixpoint and needs
-  // no stratification. EDB facts of the post-batch program revive
-  // unconditionally first: one probe of the fact-count index per
-  // casualty.
-  for (const auto& [pred, by_tuple] : dead_index) {
-    auto pit = edb_counts_->find(pred);
-    if (pit == edb_counts_->end()) continue;
-    const Relation* rel = db_->FindRelation(pred);
-    for (const auto& [args, row] : by_tuple) {
-      if (!rel->IsLive(row) && pit->second.count(args) > 0) {
-        revive(pred, row);
-      }
-    }
-  }
-
-  // Then one counting-style witness sweep: a casualty revives iff the
-  // surviving database still derives it (head-bound body search, first
-  // witness wins). For non-recursive programs this sweep is already
-  // complete.
-  Tuple tuple;
-  for (auto& [pred, d] : deleted) {
-    auto rit = rules_by_head.find(pred);
-    const Relation* rel = db_->FindRelation(pred);
-    for (RowId r : d.rows) {
-      if (rel->IsLive(r)) continue;  // already revived as an EDB fact
-      {
-        TupleRef view = rel->row(r);
-        tuple.assign(view.begin(), view.end());
-      }
-      bool alive = false;
-      if (rit != rules_by_head.end()) {
-        for (const auto* rule : rit->second) {
-          LPS_ASSIGN_OR_RETURN(alive, Derives(*rule, tuple));
-          if (alive) break;
-        }
-      }
-      if (alive) revive(pred, r);
-    }
-  }
-
-  // Then propagate: each revival can re-support further casualties, so
-  // delta-join the newly revived rows through the rules (explicit-rows
-  // delta, exactly like the over-delete pass) and revive any derived
-  // head that is a still-dead casualty - never a repeated sweep over
-  // the whole condemned set.
-  std::unordered_map<PredicateId, size_t> prop_done;
-  for (;;) {
-    ++eval_.stats_.delta_rounds;
-    std::unordered_map<PredicateId, std::pair<size_t, size_t>> frontier;
-    for (auto& [pred, rows] : revived) {
-      size_t begin = prop_done.count(pred) ? prop_done[pred] : 0;
-      if (begin < rows.size()) frontier[pred] = {begin, rows.size()};
-      prop_done[pred] = rows.size();
-    }
-    if (frontier.empty()) break;
-    for (auto& rule : eval_.rules_) {
+  prove(f);
+  // Forward saturation: every instance through a newly proved fact
+  // whose other body facts are proved proves its head, if that head is
+  // checked and still unproved. Once no checked fact awaits a proof,
+  // nothing is left to saturate.
+  while (!s.saturate.empty() && s.pending > 0) {
+    const FactRef g = s.saturate.back();
+    s.saturate.pop_back();
+    s.one_row.assign(1, g.row);
+    for (const auto& [ri, li] : s.by_body[g.pred]) {
+      const CompiledRule& rule = eval_.rules_[ri];
       const Literal& head = rule.clause->head;
-      auto dit = dead_index.find(head.pred);
-      if (dit == dead_index.end()) continue;  // head cannot be dead
-      auto rederive = [&](const Tuple& out) -> Status {
-        auto hit = dit->second.find(out);
-        if (hit != dit->second.end() &&
-            !db_->FindRelation(head.pred)->IsLive(hit->second)) {
-          revive(head.pred, hit->second);
-        }
-        return Status::OK();
-      };
-      for (size_t li : rule.plan.free_literals) {
-        const Literal& lit = rule.clause->body[li];
-        if (!lit.positive || sig.IsBuiltin(lit.pred)) continue;
-        auto fit = frontier.find(lit.pred);
-        if (fit == frontier.end()) continue;
-        ++eval_.stats_.rule_runs;
-        LPS_RETURN_IF_ERROR(RunDelta(
-            rule,
-            DeltaSpec{li, fit->second.first, fit->second.second,
-                      &revived[lit.pred]},
-            rederive));
+      s.heads.clear();
+      LPS_RETURN_IF_ERROR(ForEachInstance(
+          rule, rule.DeltaSteps(li), DeltaSpec{li, 0, 1, &s.one_row},
+          nullptr, nullptr, [&](auto apply) -> Status {
+            LPS_RETURN_IF_ERROR(BuildHead(*program_, head, apply, &s.head));
+            const RowId h = db_->FindRow(head.pred, s.head);
+            const FactRef hf{head.pred, h};
+            if (h == Relation::kNoRow ||
+                Classify(hf) != Standing::kPending) {
+              return Status::OK();
+            }
+            s.instance.clear();
+            BodyFacts(rule, apply, &s.instance);
+            for (FactRef b : s.instance) {
+              if (Classify(b) != Standing::kProved) return Status::OK();
+            }
+            s.heads.push_back(hf);
+            return Status::OK();
+          }));
+      for (FactRef h : s.heads) {
+        if (!(s.memo.Get(FactKey(h.pred, h.row)) & kProved)) prove(h);
       }
     }
+  }
+  s.saturate.clear();
+  return Status::OK();
+}
+
+template <typename Apply>
+void IncrementalMaintainer::BodyFacts(const CompiledRule& rule, Apply apply,
+                                      std::vector<FactRef>* out) {
+  const Signature& sig = program_->signature();
+  Tuple& atom = bf_->atom;
+  for (const Literal& lit : rule.clause->body) {
+    // Builtins are not facts, and a settled predicate's rows are
+    // proved: neither needs its row.
+    if (sig.IsBuiltin(lit.pred) || bf_->pred_class[lit.pred] == kSettled) {
+      continue;
+    }
+    atom.clear();
+    for (TermId a : lit.args) atom.push_back(apply(a));
+    out->push_back({lit.pred, db_->FindRow(lit.pred, atom)});
+  }
+}
+
+template <typename Fn>
+Status IncrementalMaintainer::ForEachInstance(
+    const CompiledRule& rule, const std::vector<PlanStep>& steps,
+    const DeltaSpec& spec, const Tuple* head, const bool* stop, Fn fn) {
+  ++eval_.stats_.rule_runs;
+  const Literal& h = rule.clause->head;
+  if (rule.parallel_safe) {
+    // Bind the head through the sort check a body scan makes. The
+    // trail is empty between kernel runs and is left that way.
+    const TermStore& store = *program_->store();
+    FlatBindings& binds = scratch_.binds;
+    bool ok = true;
+    for (size_t i = 0; head != nullptr && i < h.args.size() && ok; ++i) {
+      TermId v = binds.Apply(store, h.args[i]);
+      if (!store.IsVariable(v)) {
+        ok = v == (*head)[i];
+      } else if (SortAllowsBinding(store, v, (*head)[i])) {
+        binds.Bind(v, (*head)[i]);
+      } else {
+        ok = false;
+      }
+    }
+    Status st = Status::OK();
+    if (ok) {
+      LiveRows rows(db_);
+      InstanceSink<Fn> sink(store, &fn, stop);
+      st = FlatJoin(*program_, &rows, &sink, &scratch_)
+               .Run(FlatJob{rule.clause, &steps, spec});
+    }
+    binds.Undo(0);
+    return st;
+  }
+  TermStore* store = program_->store();
+  const DeltaSpec* delta =
+      spec.literal_index == DeltaSpec::kNone ? nullptr : &spec;
+  auto cont = [&](Substitution* theta) -> Status {
+    if (stop != nullptr && *stop) return Status::OK();
+    return fn([&](TermId a) { return theta->Apply(store, a); });
+  };
+  if (head == nullptr) {
+    Substitution theta;
+    return eval_.ExecSteps(rule, steps, 0, &theta, delta, cont);
+  }
+  // Each unifier of the head with the tuple seeds a body search whose
+  // scans then run with those columns bound.
+  Unifier unifier(store, eval_.options_.builtins.unify);
+  std::vector<Substitution> unifiers;
+  LPS_RETURN_IF_ERROR(unifier.EnumerateTuples(
+      std::span<const TermId>(h.args.data(), h.args.size()),
+      std::span<const TermId>(head->data(), head->size()), &unifiers));
+  for (Substitution& theta : unifiers) {
+    if (stop != nullptr && *stop) break;
+    LPS_RETURN_IF_ERROR(eval_.ExecSteps(rule, steps, 0, &theta, delta, cont));
   }
   return Status::OK();
 }
 
 template <typename Fn>
-Status IncrementalMaintainer::RunDelta(
-    const BottomUpEvaluator::CompiledRule& rule, const DeltaSpec& spec,
-    Fn fn) {
-  const std::vector<PlanStep>& steps = rule.DeltaSteps(spec.literal_index);
-  if (rule.parallel_safe) {
-    LiveRows rows(db_);
-    HeadSink sink(*program_, rule.clause->head, fn);
-    return FlatJoin(*program_, &rows, &sink, &scratch_)
-        .Run(FlatJob{rule.clause, &steps, spec});
-  }
-  TermStore* store = program_->store();
-  Substitution theta;
+Status IncrementalMaintainer::RunDelta(const CompiledRule& rule,
+                                       const DeltaSpec& spec, Fn fn) {
   Tuple out;
-  return eval_.ExecSteps(
-      rule, steps, 0, &theta, &spec, [&](Substitution* t) -> Status {
-        LPS_RETURN_IF_ERROR(BuildHead(
-            *program_, rule.clause->head,
-            [&](TermId a) { return t->Apply(store, a); }, &out));
+  return ForEachInstance(
+      rule, rule.DeltaSteps(spec.literal_index), spec, nullptr, nullptr,
+      [&](auto apply) -> Status {
+        LPS_RETURN_IF_ERROR(
+            BuildHead(*program_, rule.clause->head, apply, &out));
         return fn(out);
       });
-}
-
-Result<bool> IncrementalMaintainer::Derives(
-    const BottomUpEvaluator::CompiledRule& rule, const Tuple& t) {
-  const Literal& head = rule.clause->head;
-  if (head.args.size() != t.size()) return false;
-  if (rule.parallel_safe) {
-    // Bind the head against the target through the sort check a body
-    // scan makes, then search the body for a first witness. The trail
-    // is empty between kernel runs and is left that way.
-    const TermStore& store = *program_->store();
-    FlatBindings& binds = scratch_.binds;
-    bool ok = true;
-    for (size_t i = 0; i < head.args.size() && ok; ++i) {
-      TermId v = binds.Apply(store, head.args[i]);
-      if (!store.IsVariable(v)) {
-        ok = v == t[i];
-      } else if (SortAllowsBinding(store, v, t[i])) {
-        binds.Bind(v, t[i]);
-      } else {
-        ok = false;
-      }
-    }
-    struct WitnessSink {
-      bool found = false;
-      Status Emit(const FlatBindings&) {
-        found = true;
-        return Status::OK();
-      }
-      bool Done() const { return found; }
-    } sink;
-    Status st = Status::OK();
-    if (ok) {
-      ++eval_.stats_.rule_runs;
-      LiveRows rows(db_);
-      FlatJoin join(*program_, &rows, &sink, &scratch_);
-      st = join.Run(FlatJob{rule.clause, &rule.plan.free_plan.steps, {}});
-    }
-    binds.Undo(0);
-    LPS_RETURN_IF_ERROR(st);
-    return sink.found;
-  }
-  // Pre-bind the head against the target tuple; each unifier seeds a
-  // body search whose scans then run with those columns bound.
-  Unifier unifier(program_->store(), eval_.options_.builtins.unify);
-  std::vector<Substitution> unifiers;
-  LPS_RETURN_IF_ERROR(unifier.EnumerateTuples(
-      std::span<const TermId>(head.args.data(), head.args.size()),
-      std::span<const TermId>(t.data(), t.size()), &unifiers));
-  for (const Substitution& u : unifiers) {
-    Substitution theta = u;
-    ++eval_.stats_.rule_runs;
-    Status st = eval_.ExecSteps(
-        rule, rule.plan.free_plan.steps, 0, &theta, nullptr,
-        [](Substitution*) {
-          return Status::AlreadyExists(kWitnessMsg);
-        });
-    if (IsWitness(st)) return true;
-    LPS_RETURN_IF_ERROR(st);
-  }
-  return false;
 }
 
 Status IncrementalMaintainer::Insert(const std::vector<FactOp>& inserts) {
@@ -359,11 +604,11 @@ Status IncrementalMaintainer::Insert(const std::vector<FactOp>& inserts) {
   }
   for (const FactOp& op : inserts) ensure_mark(op.pred);
 
-  // An insert that lands on a tuple DRed tombstoned earlier *revives*
-  // its original row, which sits below the watermark - range deltas
-  // would silently miss it. Log every reviving insert (seed facts and
-  // in-round derivations alike) and feed the rows back as explicit
-  // rows-mode deltas each round.
+  // An insert that lands on a tuple a retract tombstoned earlier
+  // *revives* its original row, which sits below the watermark - range
+  // deltas would silently miss it. Log every reviving insert (seed
+  // facts and in-round derivations alike) and feed the rows back as
+  // explicit rows-mode deltas each round.
   db_->EnableReviveLog();
   struct ReviveLogGuard {
     Database* db;
@@ -408,14 +653,12 @@ Status IncrementalMaintainer::Insert(const std::vector<FactOp>& inserts) {
         if (!lit.positive || sig.IsBuiltin(lit.pred)) continue;
         auto it = delta.find(lit.pred);
         if (it != delta.end()) {
-          ++eval_.stats_.rule_runs;
           LPS_RETURN_IF_ERROR(RunDelta(
               rule, DeltaSpec{li, it->second.first, it->second.second},
               insert));
         }
         auto rv = revived.find(lit.pred);
         if (rv != revived.end()) {
-          ++eval_.stats_.rule_runs;
           LPS_RETURN_IF_ERROR(RunDelta(
               rule, DeltaSpec{li, 0, rv->second.size(), &rv->second},
               insert));

@@ -6,15 +6,17 @@
 //    rows, on the evaluator's join machinery over the live arena:
 //    per-predicate watermarks are taken at the pre-batch relation
 //    sizes, so the first round joins exactly the batch.
-//  * Retracts run delete-rederive (DRed): an over-delete fixpoint
-//    tombstones every tuple with a derivation through a retracted one
-//    (explicit-rows delta joins against the still-intact pre-batch
-//    database); re-derivation then revives each casualty that still
-//    has a derivation - one counting-style witness sweep against the
-//    surviving database (complete by itself for non-recursive
-//    programs), followed by delta propagation of the revivals for
-//    recursive ones (the fragment is positive Horn, so re-derivation
-//    is a monotone fixpoint and needs no stratification).
+//  * Retracts run Backward/Forward (Motik, Nenov, Piro & Horrocks,
+//    AAAI 2015): a deletion candidate is tombstoned only after a check
+//    finds no derivation of it from proved facts. The check chains
+//    backward through the rule instances deriving the candidate
+//    (iteratively, with a per-commit memo so each fact is checked at
+//    most once), and every fact it proves forward-saturates, so a
+//    fact on a cycle never justifies itself. Only facts found
+//    underivable propagate, by delta joins through them over the live
+//    database, to the next candidates. A tuple that keeps a
+//    derivation is never tombstoned, so a relation the retract does
+//    not really change keeps its content and a later freeze shares it.
 //
 // The result is tuple-for-tuple identical to re-evaluating the mutated
 // program from scratch (Database::ToCanonicalString equality; arena
@@ -26,6 +28,7 @@
 #ifndef LPS_EVAL_INCREMENTAL_H_
 #define LPS_EVAL_INCREMENTAL_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,6 +45,7 @@ class IncrementalMaintainer {
   /// fixpoint of the pre-batch program.
   IncrementalMaintainer(const Program* program, Database* db,
                         EvalOptions options = {});
+  ~IncrementalMaintainer();
 
   /// One mutation, as a ground tuple over program->store().
   struct FactOp {
@@ -51,21 +55,23 @@ class IncrementalMaintainer {
 
   /// Multiset of the post-batch program's facts: (pred, args) ->
   /// physical copy count. Session keeps one as a persistent index;
-  /// Maintain() borrows it to answer "is this condemned tuple still an
-  /// EDB fact" per casualty instead of scanning the whole fact list.
+  /// Maintain() borrows it to answer "is this in-doubt tuple still an
+  /// EDB fact" per checked tuple instead of scanning the whole fact
+  /// list.
   using FactCounts =
       std::unordered_map<PredicateId,
                          std::unordered_map<Tuple, size_t, TupleHash>>;
 
-  /// Applies the batch: retracts (DRed) first, then inserts (delta
-  /// semi-naive). Returns true when the database was incrementally
-  /// re-converged; false when the program is outside the maintainable
-  /// fragment (see ineligible_reason()), in which case the database is
-  /// untouched and the caller must re-evaluate from scratch. Errors
-  /// propagate from rule execution (safety violations, tuple limits).
-  /// `edb_counts` must describe exactly the post-batch program's fact
-  /// multiset; DRed's EDB-protection pass then costs O(casualties), not
-  /// O(facts).
+  /// Applies the batch: retracts (Backward/Forward) first, then
+  /// inserts (delta semi-naive). Returns true when the database was
+  /// incrementally re-converged; false when the program is outside the
+  /// maintainable fragment (see ineligible_reason()), in which case the
+  /// database is untouched and the caller must re-evaluate from
+  /// scratch. Errors propagate from rule execution (safety violations,
+  /// tuple limits) and leave the database partially maintained: the
+  /// caller must discard it. `edb_counts` must describe exactly the
+  /// post-batch program's fact multiset; the check then asks it only
+  /// about tuples of rule-headed predicates that also have facts.
   Result<bool> Maintain(const std::vector<FactOp>& inserts,
                         const std::vector<FactOp>& retracts,
                         const FactCounts& edb_counts);
@@ -75,29 +81,65 @@ class IncrementalMaintainer {
     return ineligible_reason_;
   }
 
-  /// Work counters: delta_rounds / overdeleted_tuples /
-  /// rederived_tuples, plus the usual rule-run and storage numbers.
+  /// Work counters: delta_rounds (insert pass) / overdeleted_tuples
+  /// (tuples a retract put in doubt) / rederived_tuples (in-doubt
+  /// tuples proved to keep a derivation), plus the usual rule-run and
+  /// storage numbers.
   const EvalStats& stats() const { return eval_.stats(); }
 
  private:
+  using CompiledRule = BottomUpEvaluator::CompiledRule;
+
+  /// A stored row of one relation: the unit a retract checks.
+  struct FactRef {
+    PredicateId pred;
+    RowId row;
+  };
+  /// Where a fact stands during one retract: it stays (kProved); it is
+  /// in doubt and unchecked (kOpen); a running top-level check visited
+  /// it and has not proved it yet (kPending); or it can no longer be
+  /// proved this commit (kDisproved).
+  enum class Standing : uint8_t { kProved, kOpen, kPending, kDisproved };
+
+  /// One retract's Backward/Forward state (defined in incremental.cc).
+  struct Retraction;
+
   Status Retract(const std::vector<FactOp>& retracts);
   Status Insert(const std::vector<FactOp>& inserts);
+
+  /// Backward/Forward pieces, all over the Retraction `bf_`. Check runs
+  /// one top-level check of `f` to completion; Visit marks `f` checked
+  /// and either proves it at once or pushes a frame of its open rule
+  /// instances; Prove marks `f` proved and forward-saturates.
+  Status Check(FactRef f);
+  Status Visit(FactRef f);
+  Status Prove(FactRef f);
+  Standing Classify(FactRef f) const;
+  /// Appends the (pred, row) of every user body fact of `rule`'s
+  /// instance under `apply` to *out.
+  template <typename Apply>
+  void BodyFacts(const CompiledRule& rule, Apply apply,
+                 std::vector<FactRef>* out);
+
+  /// Runs `steps` of `rule` over the live database - `spec` restricting
+  /// one literal, and `head` (when non-null) pre-binding the head -
+  /// and calls fn(apply) (Status fn(auto apply)) for every rule
+  /// instance found, apply(TermId) resolving a clause term under the
+  /// instance's bindings. Stops early once *stop is true. Flat rules
+  /// run on the flat join kernel, the rest on ExecSteps.
+  template <typename Fn>
+  Status ForEachInstance(const CompiledRule& rule,
+                         const std::vector<PlanStep>& steps,
+                         const DeltaSpec& spec, const Tuple* head,
+                         const bool* stop, Fn fn);
 
   /// Joins the delta `spec` through `rule`'s delta-first plan for the
   /// literal it restricts (leading with the delta keeps a maintenance
   /// round's cost proportional to the delta, not to the largest body
   /// relation), handing each derived ground head tuple to `fn` (Status
-  /// fn(const Tuple&)). Flat rules run on the flat join kernel over the
-  /// live database, the rest on ExecSteps.
+  /// fn(const Tuple&)).
   template <typename Fn>
-  Status RunDelta(const BottomUpEvaluator::CompiledRule& rule,
-                  const DeltaSpec& spec, Fn fn);
-
-  /// True when some instance of `rule` derives exactly the tuple `t`
-  /// from the current (live) database: binds the head against `t` and
-  /// searches the body head-bound, stopping at the first witness.
-  Result<bool> Derives(const BottomUpEvaluator::CompiledRule& rule,
-                       const Tuple& t);
+  Status RunDelta(const CompiledRule& rule, const DeltaSpec& spec, Fn fn);
 
   const Program* program_;
   Database* db_;
@@ -105,6 +147,7 @@ class IncrementalMaintainer {
   std::string ineligible_reason_;
   const FactCounts* edb_counts_ = nullptr;  // borrowed for one Maintain()
   FlatScratch scratch_;  // kernel state, reused across the whole batch
+  std::unique_ptr<Retraction> bf_;  // one Retract()'s state
 };
 
 }  // namespace lps

@@ -57,7 +57,7 @@ TEST(RelationTest, TombstoneChurnKeepsDedupAndLiveViewsCoherent) {
   rel.EnsureIndex(0b01);
   EXPECT_TRUE(Hits(rel, 0b01, {2, 0}).empty());
 
-  // Erase + Revive round-trip (the DRed rederive path).
+  // Erase + Revive round-trip.
   EXPECT_TRUE(rel.Revive(1));
   EXPECT_FALSE(rel.Revive(1));  // already live
   EXPECT_TRUE(rel.Contains({2, 20}));
