@@ -56,11 +56,11 @@ void RunEliminated(benchmark::State& state, SetPrimitive prim) {
       state.SkipWithError(rewritten.status().ToString().c_str());
       return;
     }
-    Database db(engine->store(), &rewritten->signature());
+    std::unique_ptr<Database> db = engine->database()->FactsFor(*rewritten);
     state.ResumeTiming();
     EvalOptions opts;
     opts.max_tuples = 20000000;
-    auto stats = EvaluateProgram(*rewritten, &db, opts);
+    auto stats = EvaluateProgram(*rewritten, db.get(), opts);
     if (!stats.ok()) {
       state.SkipWithError(stats.status().ToString().c_str());
       return;

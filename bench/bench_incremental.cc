@@ -88,16 +88,24 @@ void MustOk(const Status& st, const char* what) {
   }
 }
 
-// The fact texts of `pred` in the session's compiled program.
+// The fact text of `f`, as Load() would read it.
+std::string FactText(Session* session, const Database::Fact& f) {
+  return LiteralToString(*session->store(), *session->signature(),
+                         Literal{f.pred, Tuple(f.args.begin(), f.args.end()),
+                                 true});
+}
+
+// The fact texts of `pred` in the session's database, each as many
+// times as it was asserted.
 std::vector<std::string> FactTexts(Session* session,
                                    const std::string& pred) {
   std::vector<std::string> out;
-  const Signature& sig = session->program()->signature();
-  for (const Literal& f : session->program()->facts()) {
+  const Signature& sig = *session->signature();
+  session->database()->ForEachFact([&](const Database::Fact& f) {
     if (sig.Name(f.pred) == pred) {
-      out.push_back(LiteralToString(*session->store(), sig, f));
+      out.insert(out.end(), f.count, FactText(session, f));
     }
-  }
+  });
   return out;
 }
 
@@ -111,16 +119,16 @@ std::vector<std::string> FactTexts(Session* session,
 class Churn {
  public:
   Churn(Session* session, const std::string& pred) : session_(session) {
-    const Signature& sig = session->program()->signature();
+    const Signature& sig = *session->signature();
     std::vector<Tuple> edges;
-    for (const Literal& f : session->program()->facts()) {
+    session->database()->ForEachFact([&](const Database::Fact& f) {
       if (sig.Name(f.pred) == pred) {
         pred_ = f.pred;
-        edges.push_back(f.args);
+        edges.emplace_back(f.args.begin(), f.args.end());
       }
-    }
+    });
     size_t k = (edges.size() + 199) / 200;  // 0.5% per chunk, 1%/batch
-    // Stride the picks across the whole fact list so the churn spreads
+    // Stride the picks across all the facts so the churn spreads
     // over the workload instead of clustering at the front.
     size_t stride = edges.size() / (2 * k);
     if (stride == 0) stride = 1;
@@ -182,12 +190,12 @@ void VerifyChurnConverges(const std::string& source,
   // Referee: same source, the same net mutations, full fixpoint.
   auto ref = EvaluatedSession(source, /*incremental=*/false);
   {
-    const Signature& sig = inc->program()->signature();
+    const Signature& sig = *inc->signature();
     std::vector<std::pair<std::string, std::string>> facts;
-    for (const Literal& f : inc->program()->facts()) {
-      facts.emplace_back(sig.Name(f.pred),
-                         LiteralToString(*inc->store(), sig, f));
-    }
+    inc->database()->ForEachFact([&](const Database::Fact& f) {
+      facts.insert(facts.end(), f.count,
+                   {sig.Name(f.pred), FactText(inc.get(), f)});
+    });
     // Rebuild the referee's fact multiset to match: clear by retract
     // of everything it has, then re-add the incremental session's.
     MutationBatch wipe = ref->Mutate();

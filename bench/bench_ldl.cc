@@ -71,11 +71,11 @@ void BM_GroupingViaNegation(benchmark::State& state) {
       state.SkipWithError(translated.status().ToString().c_str());
       return;
     }
-    Database db(engine->store(), &translated->signature());
+    std::unique_ptr<Database> db = engine->database()->FactsFor(*translated);
     state.ResumeTiming();
     EvalOptions opts;
     opts.max_tuples = 20000000;
-    auto stats = EvaluateProgram(*translated, &db, opts);
+    auto stats = EvaluateProgram(*translated, db.get(), opts);
     if (!stats.ok()) {
       state.SkipWithError(stats.status().ToString().c_str());
       return;
@@ -104,9 +104,9 @@ void BM_UnionViaGroupingTranslation(benchmark::State& state) {
       state.SkipWithError(translated.status().ToString().c_str());
       return;
     }
-    Database db(engine->store(), &translated->signature());
+    std::unique_ptr<Database> db = engine->database()->FactsFor(*translated);
     state.ResumeTiming();
-    auto stats = EvaluateProgram(*translated, &db);
+    auto stats = EvaluateProgram(*translated, db.get());
     if (!stats.ok()) {
       state.SkipWithError(stats.status().ToString().c_str());
       return;

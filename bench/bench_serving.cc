@@ -281,9 +281,8 @@ void VerifyRepublishEquivalence(Session* session) {
   }
   const serve::CowStats& cow = (*inc)->cow_stats();
   // Churn touches edge0 and path0; every other shard's two relations
-  // must be physically shared, no new term was interned, and the
-  // churn (tail-resident fact adds) left every sealed EDB fact chunk
-  // aliased from the base snapshot.
+  // must be physically shared - the untouched shards' fact relations
+  // among them - and no new term was interned.
   const size_t min_shared = 2 * (kShards - 1);
   if (cow.relations_shared < min_shared || !cow.store_shared ||
       cow.bytes_shared == 0 || cow.fact_chunks_shared == 0) {

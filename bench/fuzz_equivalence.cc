@@ -98,7 +98,7 @@ Answers RunMode(const FuzzProgram& fuzz, const char* mode) {
       return out;
     }
     cursor = q->Execute();
-  } else {  // topdown: reads program facts, never evaluates
+  } else {  // topdown: reads the stored facts, never evaluates
     cursor = q->SolveTopDown();
   }
   if (!cursor.ok()) {
@@ -140,7 +140,7 @@ std::string ChurnCheck(const FuzzProgram& fuzz, uint64_t seed) {
   {
     const lps::Signature& sig = inc.program()->signature();
     std::vector<lps::PredicateId> order;
-    for (const lps::Literal& f : inc.program()->facts()) {
+    inc.database()->ForEachFact([&](const lps::Database::Fact& f) {
       size_t i = 0;
       while (i < order.size() && order[i] != f.pred) ++i;
       if (i == order.size()) {
@@ -152,7 +152,7 @@ std::string ChurnCheck(const FuzzProgram& fuzz, uint64_t seed) {
         pools[i].args[a].push_back(
             lps::TermToString(*inc.store(), f.args[a]));
       }
-    }
+    });
   }
   if (pools.empty()) return "";
 
@@ -163,11 +163,15 @@ std::string ChurnCheck(const FuzzProgram& fuzz, uint64_t seed) {
     size_t staged = 0;
     const size_t ops = 1 + rng.Below(4);
     for (size_t op = 0; op < ops; ++op) {
-      const auto& facts = inc.program()->facts();
+      std::vector<lps::Database::Fact> facts;
+      inc.database()->ForEachFact(
+          [&](const lps::Database::Fact& f) { facts.push_back(f); });
       if (!facts.empty() && rng.Below(2) == 0) {  // retract a live fact
-        const lps::Literal& f = facts[rng.Below(facts.size())];
+        const lps::Database::Fact& f = facts[rng.Below(facts.size())];
         std::string text = lps::LiteralToString(
-            *inc.store(), inc.program()->signature(), f);
+            *inc.store(), inc.program()->signature(),
+            lps::Literal{f.pred, lps::Tuple(f.args.begin(), f.args.end()),
+                         true});
         if (!b.RetractText(text).ok()) continue;
         log.push_back({false, std::move(text)});
       } else {  // insert a recombination of seen arguments

@@ -70,14 +70,15 @@ int main() {
                    translated.status().ToString().c_str());
       return 1;
     }
-    lps::Database db(session.store(), &translated->signature());
-    auto stats = lps::EvaluateProgram(*translated, &db);
+    std::unique_ptr<lps::Database> db =
+        session.database()->FactsFor(*translated);
+    auto stats = lps::EvaluateProgram(*translated, db.get());
     if (!stats.ok()) return 1;
     std::printf(
         "\n(2) Theorem 11 translation (grouping -> negation), "
         "non-empty groups:\n");
     lps::PredicateId team = translated->signature().Lookup("team", 2);
-    const lps::Relation* rel = db.FindRelation(team);
+    const lps::Relation* rel = db->FindRelation(team);
     if (rel != nullptr) {
       for (lps::RowId r = 0; r < rel->size(); ++r) {
         if (!rel->IsLive(r)) continue;

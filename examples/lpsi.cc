@@ -161,7 +161,7 @@ void Serve(lps::Session* session, lps::serve::SnapshotRegistry* registry,
   const lps::serve::CowStats& cow = (*snap)->cow_stats();
   std::printf(
       "%% snapshot: %zu relations shared, %zu cloned, %zu bytes shared, "
-      "%zu fact chunks shared, store %s\n",
+      "%zu fact relations shared, store %s\n",
       cow.relations_shared, cow.relations_cloned, cow.bytes_shared,
       cow.fact_chunks_shared, cow.store_shared ? "shared" : "cloned");
   registry->Publish(*snap);

@@ -40,8 +40,11 @@ int main() {
 
   // Bridge into LPS and compute with rules: people in more than one
   // department, via the same unnest expressed logically, then re-nest
-  // with an LDL grouping head.
-  if (!departments.ExportFacts(session.program(), "departments").ok()) {
+  // with an LDL grouping head. The rows enter the session as facts
+  // through a mutation batch.
+  lps::MutationBatch batch = session.Mutate();
+  if (!departments.ExportFacts(&batch, "departments").ok() ||
+      !batch.Commit().ok()) {
     std::abort();
   }
   lps::Status st = session.Load(R"(

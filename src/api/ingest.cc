@@ -12,9 +12,10 @@
 //           table - the same prefix-stable scratch-intern discipline
 //           serve::QueryServer uses. Lanes take chunks round-robin and
 //           run the full sequential front end per chunk (ParseSource,
-//           LowerParsedUnit, ValidateGoal per fact) against their
-//           scratch, so every error the sequential loader would raise
-//           is raised here, before the session is touched.
+//           LowerParsedUnit, CheckFact and ValidateGoal per fact)
+//           against their scratch, so every error the sequential
+//           loader would raise is raised here, before the session is
+//           touched.
 //   merge   Three passes over the chunks. Pass A (sequential) interns
 //           the lanes' first-occurrence term lists into the session
 //           store in chunk order, filling per-lane id translation
@@ -26,16 +27,16 @@
 //           Pass C (sequential) drains chunks in input order into
 //           relations presized via Database::Reserve from the chunk
 //           fact counts (one growth rehash instead of log-many),
-//           prefetching dedup slots a few facts ahead, and appends
-//           the rows to the program's fact ledger. Only A and C are
-//           order-sensitive, and both touch far less memory per fact
-//           than the full remap, so the sequential fraction of the
-//           pipeline stays small (see DESIGN.md section 19).
+//           prefetching dedup slots a few facts ahead and raising
+//           each row's base count. Only A and C are order-sensitive,
+//           and both touch far less memory per fact than the full
+//           remap, so the sequential fraction of the pipeline stays
+//           small (see DESIGN.md section 19).
 //
 // Determinism: the merge visits facts in exactly the order the
 // sequential loader would (chunks partition the source in order), so
-// program fact order, database row order, and active-domain order are
-// all byte-identical to Load + Compile + Evaluate - ToString parity,
+// database row order, base counts and active-domain order are all
+// byte-identical to Load + Compile + Evaluate - ToString parity,
 // strictly stronger than the ToCanonicalString contract. Inferred
 // declarations match because per-chunk MergeDecl lattice joins are
 // associative and ground fact arguments never contribute the
@@ -44,10 +45,10 @@
 // the same sorted (name, arity) order LowerParsedUnit uses.
 //
 // Transactionality: every fallible check (parse, facts-only shape,
-// sort inference, validation, special-predicate use) runs against
-// lane scratches during the dry run; the first error in chunk order
-// is returned and the session store, signature, program and database
-// are untouched. The commit that follows a clean dry run cannot fail.
+// sort inference, validation, the fact checks) runs against lane
+// scratches during the dry run; the first error in chunk order is
+// returned and the session store, signature, program and database are
+// untouched. The commit that follows a clean dry run cannot fail.
 #include <algorithm>
 #include <chrono>
 #include <map>
@@ -252,7 +253,10 @@ Status Session::LoadFactsParallel(const std::string& source,
           continue;
         }
         for (const Literal& f : lowered->facts) {
-          res.status = ValidateGoal(*ls.store, *ls.sig, f, mode_);
+          res.status = CheckFact(*ls.store, *ls.sig, f.pred, f.args);
+          if (res.status.ok()) {
+            res.status = ValidateGoal(*ls.store, *ls.sig, f, mode_);
+          }
           if (!res.status.ok()) break;
         }
         if (!res.status.ok()) continue;
@@ -294,18 +298,6 @@ Status Session::LoadFactsParallel(const std::string& source,
     }
   }
 
-  // Dry-run predicate resolution: facts on special predicates are the
-  // one error the front end cannot see (Program::AddFact raises it),
-  // so raise it here, before anything commits.
-  for (size_t ci = 0; ci < chunks.size(); ++ci) {
-    const LaneScratch& ls = lane_state[ci % lane_count];
-    for (const Literal& f : results[ci].facts) {
-      if (ls.sig->IsSpecial(f.pred)) {
-        return Status::InvalidArgument(
-            "facts may not use special predicate " + ls.sig->Name(f.pred));
-      }
-    }
-  }
   ingest.parse_ms = MsSince(parse_t0);
   for (const LaneScratch& ls : lane_state) {
     ingest.scratch_terms += ls.store->size() - ls.term_base;
@@ -352,17 +344,6 @@ Status Session::LoadFactsParallel(const std::string& source,
               ? p
               : sig.Lookup(ls.sig->Name(p), ls.sig->info(p).arity());
     }
-  }
-
-  // Replay the program's existing facts into the database first, in
-  // program order - exactly the seeding pass Evaluate() opens with. On
-  // an evaluated session every insert is a dedup hit; on a fresh one
-  // this puts the earlier units' facts ahead of the bulk rows, which
-  // is where the sequential Load path would have them. Either way the
-  // row order (and so ToString) matches the sequential loader, and the
-  // seeding pass inside the next Evaluate() becomes a pure no-op.
-  for (const Literal& f : program_->facts()) {
-    db_->AddTuple(f.pred, f.args);
   }
 
   // Pass A - intern (sequential). Re-intern each chunk's
@@ -442,19 +423,16 @@ Status Session::LoadFactsParallel(const std::string& source,
   }
 
   // Pass C - insert (sequential). Drain chunks in input order into
-  // the database and the program fact ledger - the same row and
-  // active-domain order the sequential loader produces, which is what
-  // makes the result byte-identical at every lane count. BulkInserter
-  // amortizes the per-fact relation-map probe and the per-arg
-  // domain-registration probe; the dedup slot of a fact a few
-  // positions ahead is prefetched so the probe's dependent load is
-  // usually in cache by the time it runs; the ledger push skips
-  // Program::AddFact's validation because every check (declared pred,
-  // arity, groundness, no special predicates) already ran against the
-  // scratches before this point.
+  // the database - the same row and active-domain order the
+  // sequential loader produces, which is what makes the result
+  // byte-identical at every lane count. BulkInserter amortizes the
+  // per-fact relation-map probe and the per-arg domain-registration
+  // probe; the dedup slot of a fact a few positions ahead is
+  // prefetched so the probe's dependent load is usually in cache by
+  // the time it runs. Every check (declared pred, arity, groundness,
+  // no special predicates) already ran against the scratches.
   constexpr size_t kPrefetchAhead = 16;
   Database::BulkInserter inserter(db_.get());
-  FactLedger* ledger = program_->mutable_facts();
   for (ChunkResult& res : results) {
     ingest.facts_parsed += res.facts.size();
     const size_t n = res.facts.size();
@@ -463,11 +441,10 @@ Status Session::LoadFactsParallel(const std::string& source,
         inserter.Prefetch(res.facts[i + kPrefetchAhead].pred,
                           res.hashes[i + kPrefetchAhead]);
       }
-      Literal& f = res.facts[i];
+      const Literal& f = res.facts[i];
       if (inserter.Insert(f.pred, f.args, res.hashes[i]).added) {
         ++ingest.facts_inserted;
       }
-      ledger->push_back(std::move(f));
     }
   }
   ingest.merge_ms = MsSince(merge_t0);
@@ -476,7 +453,6 @@ Status Session::LoadFactsParallel(const std::string& source,
     // Same epoch discipline as Compile() committing staged facts.
     ++program_epoch_;
     ++fact_epoch_;
-    fact_counts_valid_ = false;
     converged_ = false;
   }
   eval_stats_.ingest = ingest;

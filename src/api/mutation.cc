@@ -1,6 +1,5 @@
 #include "api/mutation.h"
 
-#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -37,23 +36,10 @@ Status MutationBatch::Stage(bool insert, PredicateId pred, Tuple args) {
   if (done_) {
     return Status::InvalidArgument("staging into a consumed batch");
   }
-  // Validate here so Commit()'s program updates cannot fail half-way
-  // (mirrors Program::AddFact's checks).
-  const Signature& sig = session_->program()->signature();
-  if (sig.IsSpecial(pred)) {
-    return Status::InvalidArgument("facts may not use special predicate " +
-                                   sig.Name(pred));
-  }
-  if (args.size() != sig.info(pred).arity()) {
-    return Status::InvalidArgument("arity mismatch in fact for " +
-                                   sig.Name(pred));
-  }
-  for (TermId t : args) {
-    if (!session_->store()->is_ground(t)) {
-      return Status::InvalidArgument("facts must be ground: " +
-                                     sig.Name(pred));
-    }
-  }
+  // Check here so Commit() cannot fail half-way.
+  LPS_RETURN_IF_ERROR(CheckFact(*session_->store(),
+                                session_->program()->signature(), pred,
+                                args));
   ops_.push_back(Op{insert, pred, std::move(args)});
   return Status::OK();
 }
@@ -63,18 +49,28 @@ Status MutationBatch::StageNamed(bool insert, const std::string& pred,
   if (done_) {
     return Status::InvalidArgument("staging into a consumed batch");
   }
-  Signature& sig = session_->program()->signature();
-  PredicateId id = sig.Lookup(pred, args.size());
-  if (id == kInvalidPredicate) {
-    // Unknown predicate: nothing to retract; inserts declare it by
-    // inference from the argument sorts.
-    if (!insert) return Status::OK();
-    std::vector<Sort> sorts;
-    sorts.reserve(args.size());
-    for (TermId a : args) sorts.push_back(session_->store()->sort(a));
-    LPS_ASSIGN_OR_RETURN(id, sig.Declare(pred, std::move(sorts)));
+  PredicateId id = session_->program()->signature().Lookup(pred, args.size());
+  if (id != kInvalidPredicate) return Stage(insert, id, std::move(args));
+  // Unknown predicate: an insert declares it by inference from the
+  // argument sorts, at Commit(). A retract nets against the inserts this
+  // batch staged before it; with none there is nothing to retract.
+  size_t k = 0;
+  while (k < fresh_.size() && (fresh_[k].first != pred ||
+                               fresh_[k].second.size() != args.size())) {
+    ++k;
   }
-  return Stage(insert, id, std::move(args));
+  if (k == fresh_.size() && !insert) return Status::OK();
+  std::vector<Sort> sorts;
+  sorts.reserve(args.size());
+  for (TermId a : args) {
+    if (!session_->store()->is_ground(a)) {
+      return Status::InvalidArgument("facts must be ground: " + pred);
+    }
+    sorts.push_back(session_->store()->sort(a));
+  }
+  if (k == fresh_.size()) fresh_.emplace_back(pred, std::move(sorts));
+  ops_.push_back(Op{insert, kInvalidPredicate, std::move(args), k});
+  return Status::OK();
 }
 
 Status MutationBatch::StageText(bool insert, const std::string& fact) {
@@ -98,6 +94,7 @@ Status MutationBatch::StageText(bool insert, const std::string& fact) {
 void MutationBatch::Abort() {
   done_ = true;
   ops_.clear();
+  fresh_.clear();
 }
 
 Status MutationBatch::Commit() {
@@ -110,145 +107,107 @@ Status MutationBatch::Commit() {
   // Flush staged source first so the batch applies to the program it
   // was staged against.
   LPS_RETURN_IF_ERROR(s->Compile());
-
-  // Net effect per touched tuple: program facts are a multiset (AddFact
-  // never deduplicated), the database a set, so a tuple's database
-  // membership changes exactly when its fact count crosses zero. The
-  // counts come from the session's persistent fact-count index - built
-  // with one fact-list scan on the first commit, maintained
-  // incrementally afterwards - so netting costs O(ops), not O(facts).
-  if (!s->fact_counts_valid_) {
-    s->fact_counts_.clear();
-    for (const Literal& f : s->program()->facts()) {
-      ++s->fact_counts_[f.pred][f.args];
-    }
-    s->fact_counts_valid_ = true;
+  std::vector<PredicateId> declared;
+  for (auto& [name, sorts] : fresh_) {
+    LPS_ASSIGN_OR_RETURN(PredicateId id,
+                         s->program_->signature().Declare(name, sorts));
+    declared.push_back(id);
   }
+
+  // Net effect per touched tuple, against its base count: the facts
+  // are a multiset (Add never deduplicates), the database a set, so a
+  // tuple's membership changes exactly when its count crosses zero.
+  // O(ops): one count probe per distinct tuple.
+  Database* db = s->db_.get();
   struct Net {
-    size_t count = 0;     // multiset count, replayed through the ops
-    size_t physical = 0;  // copies on the fact list (>= count)
-    bool before = false;  // in the database when the batch started
+    uint32_t before = 0;
+    uint32_t count = 0;
   };
   std::unordered_map<PredicateId, std::unordered_map<Tuple, Net, TupleHash>>
       net;
-  for (const Op& op : ops_) net[op.pred][op.args];
-  for (auto& [pred, tuples] : net) {
-    auto pit = s->fact_counts_.find(pred);
-    for (auto& [args, n] : tuples) {
-      if (pit != s->fact_counts_.end()) {
-        auto it = pit->second.find(args);
-        if (it != pit->second.end()) n.count = it->second;
-      }
-      n.physical = n.count;
-      n.before = n.count > 0;
+  // First touches in op order.
+  std::vector<std::pair<PredicateId, std::pair<const Tuple, Net>*>> touched;
+  for (const Op& op : ops_) {
+    const PredicateId pred =
+        op.pred == kInvalidPredicate ? declared[op.fresh] : op.pred;
+    auto [it, fresh] = net[pred].try_emplace(op.args);
+    Net& n = it->second;
+    if (fresh) {
+      n.before = n.count = db->FactCount(pred, op.args);
+      touched.emplace_back(pred, &*it);
+    }
+    if (op.insert) {
+      ++n.count;
+    } else if (n.count > 0) {
+      --n.count;
     }
   }
 
+  // A count that stays above zero changes here and now. A retracted
+  // fact's count drops to zero before maintenance, so no check proves
+  // it from itself; an inserted fact's count is raised only once it
+  // is in the database, so maintenance still sees its row as new.
   bool facts_changed = false;
-  size_t surplus_total = 0;
-  for (const Op& op : ops_) {
-    Net& n = net[op.pred][op.args];
-    if (op.insert) {
-      LPS_RETURN_IF_ERROR(s->program_->AddFact(op.pred, op.args));
-      ++n.count;
-      ++n.physical;
-      facts_changed = true;
-    } else if (n.count > 0) {
-      --n.count;
-      ++surplus_total;
-      facts_changed = true;
+  std::vector<IncrementalMaintainer::FactOp> inserts;
+  std::vector<uint32_t> insert_counts;
+  std::vector<IncrementalMaintainer::FactOp> retracts;
+  for (const auto& [pred, entry] : touched) {
+    const auto& [args, n] = *entry;
+    if (n.count == n.before) continue;
+    facts_changed = true;
+    if (n.before == 0) {
+      inserts.push_back({pred, args});
+      insert_counts.push_back(n.count);
+      continue;
     }
-  }
-  // Physical removal: a tuple keeps its final count many copies. One
-  // pass over the fact list - pred-filtered through a dense bitmap,
-  // stopping as soon as every surplus copy is found - collects the
-  // earliest surplus positions (all copies are identical literals, and
-  // earliest-first matches the per-op removal this replaces) for one
-  // compaction. Insert-only batches skip the pass entirely.
-  if (surplus_total > 0) {
-    PredicateId max_pred = 0;
-    for (const auto& [pred, tuples] : net) {
-      if (pred > max_pred) max_pred = pred;
-    }
-    std::vector<char> touched(static_cast<size_t>(max_pred) + 1, 0);
-    for (const auto& [pred, tuples] : net) {
-      for (const auto& [args, n] : tuples) {
-        if (n.physical > n.count) touched[pred] = 1;
-      }
-    }
-    std::vector<size_t> drop;
-    drop.reserve(surplus_total);
-    const FactLedger& fact_list = s->program()->facts();
-    PredicateId last_pred = kInvalidPredicate;
-    std::unordered_map<Tuple, Net, TupleHash>* tuples = nullptr;
-    size_t i = 0;
-    for (const Literal& f : fact_list) {
-      if (drop.size() >= surplus_total) break;
-      const size_t index = i++;
-      if (f.pred >= touched.size() || !touched[f.pred]) continue;
-      if (f.pred != last_pred) {  // facts cluster by predicate
-        last_pred = f.pred;
-        tuples = &net[f.pred];
-      }
-      auto it = tuples->find(f.args);
-      if (it == tuples->end()) continue;
-      Net& n = it->second;
-      if (n.physical > n.count) {
-        --n.physical;
-        drop.push_back(index);
-      }
-    }
-    s->program_->RemoveFactsAt(drop);  // built ascending
+    db->SetFactCount(pred, args, n.count);
+    if (n.count == 0) retracts.push_back({pred, args});
   }
   if (!facts_changed) return Status::OK();
-  // Write the batch's final counts back into the index.
-  for (auto& [pred, tuples] : net) {
-    auto& by_tuple = s->fact_counts_[pred];
-    for (auto& [args, n] : tuples) {
-      if (n.count == 0) {
-        by_tuple.erase(args);
-      } else {
-        by_tuple[args] = n.count;
-      }
-    }
-  }
   ++s->fact_epoch_;
   ++s->program_epoch_;  // demand answers change; rule_epoch_ does not
 
-  std::vector<IncrementalMaintainer::FactOp> inserts;
-  std::vector<IncrementalMaintainer::FactOp> retracts;
-  for (auto& [pred, tuples] : net) {
-    for (auto& [args, n] : tuples) {
-      bool now = n.count > 0;
-      if (n.before == now) continue;
-      auto& side = now ? inserts : retracts;
-      side.push_back({pred, args});
+  auto count_inserts = [&] {
+    for (size_t i = 0; i < inserts.size(); ++i) {
+      db->SetFactCount(inserts[i].pred, inserts[i].args, insert_counts[i]);
     }
-  }
+  };
+  // The batch's facts without maintenance: the inserted ones stored
+  // with their counts, the retracted ones gone. Resetting the database
+  // to its facts then drops whatever was derived from them.
+  auto apply = [&] {
+    count_inserts();
+    for (const auto& op : retracts) db->EraseTuple(op.pred, op.args);
+  };
 
   if (!s->converged_) {
     // Deferred mode (session never evaluated, or stale since the last
-    // rule commit): the facts take effect at the next Evaluate(). A
-    // stale non-empty database cannot un-derive retracted tuples by
-    // re-evaluating, so drop it and let Evaluate() rebuild.
-    if (!retracts.empty() && s->db_->TupleCount() > 0) s->ResetDatabase();
+    // rule commit): the consequences follow at the next Evaluate(). A
+    // stale database cannot un-derive retracted tuples, or forget the
+    // terms only they carried, by re-evaluating, so a retract resets it
+    // to its facts now: readers that do not evaluate first (top-down
+    // solving, scans, an unevaluated freeze) never see a tuple derived
+    // from a retracted fact.
+    apply();
+    if (!retracts.empty()) s->ResetDatabase();
     return Status::OK();
   }
   if (inserts.empty() && retracts.empty()) return Status::OK();
 
   if (s->options_.incremental) {
-    IncrementalMaintainer maintainer(s->program_.get(), s->db_.get(),
+    IncrementalMaintainer maintainer(s->program_.get(), db,
                                      s->options_.eval());
-    Result<bool> maintained =
-        maintainer.Maintain(inserts, retracts, s->fact_counts_);
+    Result<bool> maintained = maintainer.Maintain(inserts, retracts);
     if (!maintained.ok()) {
       // A failed pass leaves a partial model: drop it, so the session
       // is no longer converged and the next Evaluate() or Freeze()
       // rebuilds from the facts instead of serving it.
+      apply();
       s->ResetDatabase();
       return maintained.status();
     }
     if (*maintained) {
+      count_inserts();
       // The maintainer skips the O(index-buckets) IndexBytes walk;
       // keep the last fully computed figure.
       size_t index_bytes = s->eval_stats_.index_bytes;
@@ -262,6 +221,7 @@ Status MutationBatch::Commit() {
     // Outside the maintainable fragment: fall through to the exact
     // from-scratch path.
   }
+  apply();
   s->ResetDatabase();
   return s->Evaluate();
 }

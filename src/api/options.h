@@ -33,16 +33,19 @@ struct Options {
   /// magic-set rewrite of the program into a private database
   /// (transform/magic.h) instead of scanning the session database -
   /// deriving only the slice the goal demands, with no prior
-  /// Session::Evaluate() needed for those goals (a goal inside the
-  /// fragment's reach that the rewrite still rejects, e.g. quantifiers
-  /// in its rule slice, falls back by running Evaluate() and scanning,
-  /// reason in EvalStats::demand_fallback_reason). Everything else -
+  /// Session::Evaluate() needed for those goals. The private database
+  /// shares the session's fact relations while it evaluates instead of
+  /// copying them, so a point query costs the slice, not the facts. A
+  /// goal inside the fragment's reach that the rewrite still rejects,
+  /// e.g. quantifiers in its rule slice, falls back by running
+  /// Evaluate() (when the session is not converged) and scanning,
+  /// reason in EvalStats::demand_fallback_reason. Everything else -
   /// all-free binding patterns, builtin goals, plain relation scans -
   /// keeps the exact demand-off contract: a lazy scan of the session
   /// database, complete only after an Evaluate(), with the reason
   /// recorded but no evaluation triggered. Use
   /// PreparedQuery::ExecuteDemand() directly for the self-contained
-  /// variant that falls back through Evaluate() for every ineligible
+  /// variant that falls back to the full fixpoint for every ineligible
   /// goal (lpsi --demand does). Off by default.
   bool demand = false;
   /// Incremental view maintenance (DESIGN.md section 16): when true, a

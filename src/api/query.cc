@@ -102,9 +102,9 @@ void PreparedQuery::RefreshDemandState() {
   // rewrites and re-decide eligibility (rules for the goal predicate
   // may have appeared or vanished since Prepare()). Fact-only
   // mutations deliberately do not land here - the rewrite carries no
-  // facts (transform/magic.cc) and ExecuteDemand() loads the current
-  // fact set at execution time, so cached rewrites stay correct
-  // across fact churn.
+  // facts (transform/magic.cc) and ExecuteDemand() seeds the current
+  // facts at execution time, so cached rewrites stay correct across
+  // fact churn.
   demand_cache_.clear();
   demand_epoch_ = session_->rule_epoch();
   plan_.demand_ineligible_reason.clear();
@@ -171,10 +171,13 @@ Result<AnswerCursor> PreparedQuery::ExecuteDemand() {
   TermStore* store = session_->store();
 
   // Fall back to the full fixpoint on the session database; the
-  // answers are the same, demand just could not narrow the work.
+  // answers are the same, demand just could not narrow the work. A
+  // converged session already holds it: its evaluation counters stay.
   auto fall_back = [&](std::string reason) -> Result<AnswerCursor> {
-    LPS_RETURN_IF_ERROR(session_->Evaluate());
+    if (!session_->converged()) LPS_RETURN_IF_ERROR(session_->Evaluate());
     session_->eval_stats_.demand_fallback_reason = std::move(reason);
+    session_->eval_stats_.magic_predicates = 0;
+    session_->eval_stats_.magic_tuples = 0;
     return ExecuteScan();
   };
 
@@ -254,19 +257,17 @@ Result<AnswerCursor> PreparedQuery::ExecuteDemand() {
   }
   if (entry == nullptr) {
     ++session_->demand_rewrite_count_;
-    // SIP statistics (transform/magic.h): measured cardinalities when
-    // the session database is at fixpoint, program fact counts before
-    // any evaluation. Gated on the same knob as rule planning; off
-    // keeps the legacy source-order rewrite byte-exact. The rewrite is
-    // still cached on rule_epoch(): a SIP order picked under stale
-    // statistics stays *correct* (any order is), only its intermediate
-    // relation sizes drift until rules change and the cache refills.
+    // SIP statistics (transform/magic.h): the session database's
+    // measured cardinalities - the facts alone before any evaluation.
+    // Gated on the same knob as rule planning; off keeps the legacy
+    // source-order rewrite byte-exact. The rewrite is still cached on
+    // rule_epoch(): a SIP order picked under stale statistics stays
+    // *correct* (any order is), only its intermediate relation sizes
+    // drift until rules change and the cache refills.
     PlannerStats sip_stats;
     const PlannerStats* sip = nullptr;
     if (session_->options().reorder) {
-      sip_stats = session_->converged()
-                      ? PlannerStats::FromDatabase(*session_->database())
-                      : PlannerStats::FromFacts(*session_->program());
+      sip_stats = PlannerStats::FromDatabase(*session_->database());
       for (const Clause& c : session_->program()->clauses()) {
         sip_stats.MarkDerived(c.head.pred);
       }
@@ -291,30 +292,36 @@ Result<AnswerCursor> PreparedQuery::ExecuteDemand() {
   }
   std::shared_ptr<const MagicProgram> rw = entry->rewrite;
 
-  // Seed the magic predicate with the goal's bound values, then run
-  // the rewritten program to fixpoint in a private database.
-  auto db = std::make_shared<Database>(store, &rw->program.signature());
+  // Seed the magic predicate with the goal's bound values and the
+  // private database with the session's *current* facts - sharing the
+  // relations of predicates that head no rule, copying only the base
+  // rows of the others, and building an index the evaluation needs on
+  // a shared relation in the session's own (Database::SeedFacts) - so
+  // a rewrite cached before a fact mutation answers over the mutated
+  // facts. Then run the rewritten program to fixpoint.
+  Database* session_db = session_->database();
+  Database db(store, &rw->program.signature());
   Tuple seed;
   seed.reserve(rw->seed_positions.size());
   for (size_t pos : rw->seed_positions) {
     seed.push_back(patterns[pos]);
   }
-  db->AddTuple(rw->seed_pred, seed);
-  // The rewrite carries no facts of its own (transform/magic.cc):
-  // load the session's *current* fact set, so a rewrite cached before
-  // a fact-only mutation still answers over the post-mutation EDB.
-  for (const Literal& f : session_->program()->facts()) {
-    db->AddTuple(f.pred, f.args);
-  }
-  BottomUpEvaluator eval(&rw->program, db.get(),
-                         session_->options().eval());
+  db.AddTuple(rw->seed_pred, seed);
+  db.SeedFacts(*session_db, session_db->ListFactSeed(*session_->program()),
+               session_db);
+  BottomUpEvaluator eval(&rw->program, &db, session_->options().eval());
   LPS_RETURN_IF_ERROR(eval.Evaluate());
 
   EvalStats stats = eval.stats();
   stats.magic_predicates = rw->magic_preds.size();
   for (PredicateId m : rw->magic_preds) {
-    stats.magic_tuples += db->RelationSize(m);
+    stats.magic_tuples += db.RelationSize(m);
   }
+  // Keep the answer relation alone: a cached result or a live cursor
+  // must not hold session relations shared, or the next commit would
+  // copy them on write.
+  auto result = std::make_shared<Database>(store, &rw->program.signature());
+  result->AliasRelation(rw->goal.pred, db);
 
   // Memoize the converged database as this mask's materialized result:
   // later executions whose binding subsumes (or repeats) this one
@@ -322,7 +329,7 @@ Result<AnswerCursor> PreparedQuery::ExecuteDemand() {
   // point - cursors only read it. `entry` is stable: map nodes do not
   // move, and the uncached (> 32 columns) case skips memoization.
   if (cacheable) {
-    entry->result_db = db;
+    entry->result_db = result;
     entry->result_seed = seed;
     entry->result_fact_epoch = session_->fact_epoch();
     entry->result_stats = stats;
@@ -332,7 +339,7 @@ Result<AnswerCursor> PreparedQuery::ExecuteDemand() {
   session_->eval_stats_ = std::move(stats);
 
   return AnswerCursor(std::make_unique<DemandScanSource>(
-      std::move(rw), std::move(db), store,
+      std::move(rw), std::move(result), store,
       session_->options().builtins.unify, std::move(patterns)));
 }
 

@@ -76,15 +76,19 @@ class PreparedQuery {
   Result<AnswerCursor> Execute();
 
   /// Goal-directed execution: evaluates a magic-set rewrite of the
-  /// program (only the slice this goal's binding pattern demands) into
-  /// a private database owned by the returned cursor, so no prior
-  /// Session::Evaluate() is needed and the session database is left
-  /// untouched. The rewrite is cached per binding pattern and
-  /// invalidated when Session::Compile() commits new clauses. Goals
-  /// outside the magic fragment (all-free pattern, builtin or
-  /// rule-less predicates, quantifiers/grouping/set-terms in the
-  /// reachable slice) fall back to the full fixpoint on the session
-  /// database - running Evaluate() first - with the reason recorded in
+  /// program (only the slice this goal's binding pattern demands) in a
+  /// private database seeded with the session's facts - relations of
+  /// predicates that head no rule are shared for the evaluation's
+  /// duration, not copied (Database::SeedFacts) - so no prior
+  /// Session::Evaluate() is needed. The session's tuples are left
+  /// untouched; it may gain an index the evaluation probed. The
+  /// returned cursor owns the answer relation alone. The rewrite is
+  /// cached per binding pattern and invalidated when Session::Compile()
+  /// commits new clauses. Goals outside the magic fragment (all-free
+  /// pattern, builtin or rule-less predicates, quantifiers/grouping/
+  /// set-terms in the reachable slice) fall back to the full fixpoint
+  /// on the session database - running Evaluate() first unless the
+  /// session is converged - with the reason recorded in
   /// Session::eval_stats().demand_fallback_reason. Either way the
   /// answer set is identical to the full-fixpoint answers.
   Result<AnswerCursor> ExecuteDemand();

@@ -37,14 +37,15 @@ Status Session::Load(const std::string& source) {
 Status Session::Compile() {
   if (staged_.empty()) return Status::OK();
   // Transactional per call: lower every staged unit into one candidate
-  // copy of the program (sharing the term store) and commit only if
-  // the whole batch validates. A rejected batch leaves no trace, so
-  // the session stays consistent and usable after an error.
+  // copy of the program (sharing the term store), with the facts held
+  // aside, and commit only if the whole batch validates. A rejected
+  // batch leaves no trace, so the session stays consistent and usable
+  // after an error.
   std::vector<ParsedUnit> units = std::move(staged_);
   staged_.clear();
   Program candidate = *program_;
   size_t old_clauses = candidate.clauses().size();
-  size_t old_facts = candidate.facts().size();
+  std::vector<Literal> new_facts;
   std::vector<Literal> new_queries;
   for (const ParsedUnit& unit : units) {
     LPS_ASSIGN_OR_RETURN(
@@ -55,7 +56,9 @@ Status Session::Compile() {
       LPS_RETURN_IF_ERROR(AddGeneralClause(&candidate, gc));
     }
     for (Literal& f : lowered.facts) {
-      LPS_RETURN_IF_ERROR(candidate.AddFact(f.pred, std::move(f.args)));
+      LPS_RETURN_IF_ERROR(
+          CheckFact(*store_, candidate.signature(), f.pred, f.args));
+      new_facts.push_back(std::move(f));
     }
     for (Literal& q : lowered.queries) {
       new_queries.push_back(std::move(q));
@@ -67,23 +70,20 @@ Status Session::Compile() {
     LPS_RETURN_IF_ERROR(ValidateClause(*store_, candidate.signature(),
                                        candidate.clauses()[i], mode_));
   }
-  for (size_t i = old_facts; i < candidate.facts().size(); ++i) {
-    LPS_RETURN_IF_ERROR(ValidateGoal(*store_, candidate.signature(),
-                                     candidate.facts()[i], mode_));
+  for (const Literal& f : new_facts) {
+    LPS_RETURN_IF_ERROR(
+        ValidateGoal(*store_, candidate.signature(), f, mode_));
   }
   // Commit in place: db_ points at program_'s signature member, so
   // assignment (not reallocation) keeps that pointer valid.
   bool clauses_grew = candidate.clauses().size() > old_clauses;
-  bool facts_grew = candidate.facts().size() > old_facts;
   *program_ = candidate;
+  for (const Literal& f : new_facts) db_->AddFact(f.pred, f.args);
   for (Literal& q : new_queries) queries_.push_back(std::move(q));
   ++program_epoch_;
   if (clauses_grew) ++rule_epoch_;  // invalidates cached demand rewrites
-  if (facts_grew) {
-    ++fact_epoch_;
-    fact_counts_valid_ = false;  // rebuilt on the next mutation commit
-  }
-  if (clauses_grew || facts_grew) converged_ = false;
+  if (!new_facts.empty()) ++fact_epoch_;
+  if (clauses_grew || !new_facts.empty()) converged_ = false;
   return Status::OK();
 }
 
@@ -162,7 +162,7 @@ std::string Session::TupleToString(const Tuple& tuple) const {
 }
 
 void Session::ResetDatabase() {
-  db_ = std::make_unique<Database>(store_.get(), &program_->signature());
+  db_ = db_->FactsFor(*program_);
   converged_ = false;
 }
 

@@ -1,12 +1,15 @@
 // Session: the compile-once / execute-many entry point to the LPS
-// engine. A Session owns the term store, program and database and
-// moves through a staged lifecycle:
+// engine. A Session owns the term store, the program (its rules) and
+// the database (its facts and everything derived from them) and moves
+// through a staged lifecycle:
 //
 //   Load      parse source text and stage it (parse errors surface
 //             here; nothing is committed to the program yet);
 //   Compile   lower staged units - sort inference, Theorem 6
 //             compilation of positive bodies, validation against the
-//             session's language mode - and collect "?- goal." items;
+//             session's language mode - then commit their clauses to
+//             the program and their facts to the database, and
+//             collect "?- goal." items;
 //   Evaluate  run the bottom-up evaluator to fixpoint (implies
 //             Compile() of anything still staged);
 //   Prepare   turn goal text into a PreparedQuery handle - parsed,
@@ -22,7 +25,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "api/answer_cursor.h"
@@ -66,9 +68,12 @@ class Session {
   /// from Compile().
   Status Load(const std::string& source);
 
-  /// Lowers everything staged since the last Compile() into the
-  /// program (sort inference, Theorem 6 compilation, validation) and
-  /// collects its "?- goal." queries. No-op when nothing is staged.
+  /// Lowers everything staged since the last Compile() (sort
+  /// inference, Theorem 6 compilation, validation) and, only once the
+  /// whole batch validates, commits its clauses to the program and its
+  /// facts to the database, in source order - they are visible there
+  /// at once, before any Evaluate(). Collects the "?- goal." queries.
+  /// No-op when nothing is staged.
   Status Compile();
 
   /// Bulk-loads a facts-only source through the pipelined parallel
@@ -107,11 +112,11 @@ class Session {
   // ---- Fact mutations (api/mutation.h) -------------------------------
 
   /// Opens a transactional mutation batch: stage Add/Retract ops, then
-  /// Commit() to apply them atomically (program facts updated,
-  /// fact_epoch() bumped, database re-converged when it was at
-  /// fixpoint - incrementally under Options::incremental) or Abort()
-  /// to discard with no state change. The only mutation surface with
-  /// retract support.
+  /// Commit() to apply them atomically (the facts' base counts in the
+  /// database updated, fact_epoch() bumped, the database re-converged
+  /// when it was at fixpoint - incrementally under
+  /// Options::incremental) or Abort() to discard with no state change.
+  /// The only mutation surface with retract support.
   MutationBatch Mutate();
 
   // ---- Snapshot publication (src/serve/) -----------------------------
@@ -179,10 +184,14 @@ class Session {
   /// Renders a tuple for display.
   std::string TupleToString(const Tuple& tuple) const;
 
-  /// Discards all stored tuples and active domains (keeps the program,
-  /// its facts and every PreparedQuery handle). Outstanding
-  /// AnswerCursors are invalidated; prepared queries re-executed
-  /// afterwards see the fresh database.
+  /// Discards every derived tuple and keeps the facts: relations of
+  /// predicates that head no rule stay as they are, each rule-headed
+  /// relation is rebuilt from its base rows (base count above 0) in
+  /// row order, and the active domains are rebuilt from what remains,
+  /// so a term only a retracted fact carried is gone. Keeps the program
+  /// and every PreparedQuery handle. Outstanding AnswerCursors are
+  /// invalidated; prepared queries re-executed afterwards see the
+  /// reset database.
   void ResetDatabase();
 
   // ---- Instrumentation -----------------------------------------------
@@ -206,8 +215,9 @@ class Session {
   /// change. Serve-side worker caches key on it too (serve/server.h).
   uint64_t rule_epoch() const { return rule_epoch_; }
 
-  /// Bumped whenever the program's fact set changes: a MutationBatch
-  /// commit that touched facts, or Compile() committing new facts.
+  /// Bumped whenever the fact set changes: a MutationBatch commit that
+  /// changed a fact's count, Compile() or LoadFactsParallel()
+  /// committing new facts.
   uint64_t fact_epoch() const { return fact_epoch_; }
 
   /// True while the database holds the fixpoint of the current
@@ -255,16 +265,6 @@ class Session {
   uint64_t fact_epoch_ = 0;
   uint64_t session_id_ = 0;  // assigned in the constructor, never 0
   bool converged_ = false;
-  // Multiset index over program_->facts(): (pred, args) -> physical
-  // copy count. Built with one fact-list scan on a MutationBatch's
-  // first commit and maintained incrementally by every commit after,
-  // so netting a batch costs O(ops) instead of O(facts). Compile()
-  // invalidates it when staged source appends facts (the only other
-  // fact-list writer).
-  std::unordered_map<PredicateId,
-                     std::unordered_map<Tuple, size_t, TupleHash>>
-      fact_counts_;
-  bool fact_counts_valid_ = false;
 };
 
 }  // namespace lps

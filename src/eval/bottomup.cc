@@ -116,10 +116,6 @@ Status BottomUpEvaluator::Evaluate() {
   const size_t set_interns_before = store.set_interns();
   const size_t set_intern_hits_before = store.set_intern_hits();
 
-  for (const Literal& f : program_->facts()) {
-    if (db_->AddTuple(f.pred, f.args)) ++stats_.tuples_derived;
-  }
-
   LPS_ASSIGN_OR_RETURN(Stratification strat, Stratify(*program_));
   stats_.strata = strat.num_strata;
 
@@ -190,8 +186,8 @@ Status BottomUpEvaluator::Evaluate() {
 Status BottomUpEvaluator::CompileRules() {
   const TermStore& store = *program_->store();
   const Signature& sig = program_->signature();
-  // Statistics snapshot for cost-based literal ordering. Taken after
-  // Evaluate() loaded the EDB facts, so extensional cardinalities are
+  // Statistics snapshot for cost-based literal ordering. The database
+  // holds the EDB facts already, so extensional cardinalities are
   // real; IDB relations (possibly still empty on a first evaluation)
   // are marked derived so they estimate as unknown-sized, not empty.
   // The snapshot is a pure function of the database contents, so every

@@ -65,7 +65,7 @@ struct EvalStats {
   size_t strata = 0;
   size_t iterations = 0;
   size_t rule_runs = 0;
-  size_t tuples_derived = 0;
+  size_t tuples_derived = 0;    // rows rules added (facts are not counted)
   size_t combos_checked = 0;   // quantifier verification work
   size_t seed_joins = 0;       // division seedings performed
   size_t empty_branch_runs = 0;
@@ -135,8 +135,8 @@ struct EvalStats {
 
 class BottomUpEvaluator {
  public:
-  /// `program` and `db` must outlive the evaluator. Facts are loaded
-  /// into `db` by Evaluate().
+  /// `program` and `db` must outlive the evaluator. `db` holds the
+  /// facts already (Database::AddFact); Evaluate() derives from them.
   BottomUpEvaluator(const Program* program, Database* db,
                     EvalOptions options = {});
 
@@ -278,7 +278,7 @@ class BottomUpEvaluator {
   SetBuilder set_builder_;
 };
 
-/// Convenience: load facts, stratify, evaluate; returns stats.
+/// Convenience: stratify and evaluate over `db`'s facts; returns stats.
 Result<EvalStats> EvaluateProgram(const Program& program, Database* db,
                                   EvalOptions options = {});
 

@@ -55,6 +55,79 @@ Relation::InsertOutcome Database::AddTupleEx(PredicateId pred,
   return out;
 }
 
+bool Database::AddFact(PredicateId pred, TupleRef args) {
+  Relation::InsertOutcome out = AddTupleEx(pred, args);
+  Relation& rel = relation(pred);
+  rel.SetBaseCount(out.row, rel.base_count(out.row) + 1);
+  return out.added;
+}
+
+uint32_t Database::FactCount(PredicateId pred, TupleRef args) const {
+  const Relation* rel = FindRelation(pred);
+  RowId r = rel == nullptr ? Relation::kNoRow : rel->Find(args);
+  return r == Relation::kNoRow ? 0 : rel->base_count(r);
+}
+
+void Database::SetFactCount(PredicateId pred, TupleRef args,
+                            uint32_t count) {
+  RowId r = count > 0 ? AddTupleEx(pred, args).row : FindRow(pred, args);
+  if (r != Relation::kNoRow) relation(pred).SetBaseCount(r, count);
+}
+
+size_t Database::fact_count() const {
+  size_t n = 0;
+  for (const auto& [pred, rel] : relations_) n += rel->base_rows();
+  return n;
+}
+
+Database::FactSeed Database::ListFactSeed(const Program& program) const {
+  std::vector<bool> heads_rule(program.signature().size());
+  for (const Clause& c : program.clauses()) heads_rule[c.head.pred] = true;
+  FactSeed seed;
+  for (PredicateId p : SortedPredicates()) {
+    const Relation& rel = *FindRelation(p);
+    if (p >= heads_rule.size() || !heads_rule[p]) {
+      seed.aliased.push_back(p);
+      continue;
+    }
+    if (rel.base_rows() == 0) continue;
+    for (RowId r = 0; r < rel.size(); ++r) {
+      if (rel.base_count(r) > 0) seed.copied.emplace_back(p, r);
+    }
+  }
+  return seed;
+}
+
+void Database::SeedFacts(const Database& src, const FactSeed& seed,
+                         Database* index_home) {
+  index_home_ = index_home;
+  for (PredicateId p : seed.aliased) AliasRelation(p, src);
+  for (const auto& [p, r] : seed.copied) {
+    const Relation& from = *src.FindRelation(p);
+    Relation& to = relation(p);
+    to.SetBaseCount(to.InsertRow(from.row(r)).row, from.base_count(r));
+  }
+}
+
+std::unique_ptr<Database> Database::FactsFor(const Program& program) const {
+  auto db = std::make_unique<Database>(store_, &program.signature());
+  db->SeedFacts(*this, ListFactSeed(program));
+  // A term recurs across many rows: one registration probe each.
+  std::vector<bool> seen(store_->size(), false);
+  for (PredicateId p : db->SortedPredicates()) {
+    const Relation& rel = *db->FindRelation(p);
+    for (RowId r = 0; r < rel.size(); ++r) {
+      if (!rel.IsLive(r)) continue;
+      for (TermId t : rel.row(r)) {
+        if (seen[t]) continue;
+        seen[t] = true;
+        db->RegisterTerm(t);
+      }
+    }
+  }
+  return db;
+}
+
 size_t Database::Reserve(PredicateId pred, size_t additional_rows) {
   return relation(pred).Reserve(additional_rows);
 }
@@ -77,6 +150,7 @@ Relation::InsertOutcome Database::BulkInserter::Insert(PredicateId pred,
   Relation*& rel = rels_[pred];
   if (rel == nullptr) rel = &db_->relation(pred);
   Relation::InsertOutcome out = rel->InsertRow(t, hash);
+  rel->SetBaseCount(out.row, rel->base_count(out.row) + 1);
   if (out.added) ++db_->version_;
   if (out.revived && db_->revive_log_enabled_) {
     db_->revive_log_.push_back({pred, out.row});
@@ -208,6 +282,17 @@ const Relation* Database::EnsureIndex(PredicateId pred, uint32_t mask) {
   auto it = relations_.find(pred);
   if (it == relations_.end()) return nullptr;
   if (mask == 0 || it->second->HasIndexBuilt(mask)) return it->second.get();
+  if (index_home_ != nullptr) {
+    auto home = index_home_->relations_.find(pred);
+    if (home != index_home_->relations_.end() && home->second == it->second) {
+      // Dropping this share first lets the home build in place unless
+      // a snapshot shares the relation too.
+      it->second.reset();
+      Own(&home->second)->EnsureIndex(mask);
+      it->second = home->second;
+      return it->second.get();
+    }
+  }
   Relation* rel = Own(&it->second);
   rel->EnsureIndex(mask);
   return rel;
@@ -230,14 +315,19 @@ std::vector<std::pair<PredicateId, const Relation*>> Database::Relations()
   return out;
 }
 
-std::string Database::ToString(const Signature& sig) const {
+std::vector<PredicateId> Database::SortedPredicates() const {
   // relations_ is an unordered_map, so sort by predicate id: dump order
   // must not vary run to run (locked in by DatabaseTest).
   std::vector<PredicateId> preds;
+  preds.reserve(relations_.size());
   for (const auto& [pred, rel] : relations_) preds.push_back(pred);
   std::sort(preds.begin(), preds.end());
+  return preds;
+}
+
+std::string Database::ToString(const Signature& sig) const {
   std::string out;
-  for (PredicateId p : preds) {
+  for (PredicateId p : SortedPredicates()) {
     const Relation& rel = *FindRelation(p);
     for (RowId r = 0; r < rel.size(); ++r) {
       if (!rel.IsLive(r)) continue;
@@ -251,12 +341,9 @@ std::string Database::ToString(const Signature& sig) const {
 }
 
 std::string Database::ToCanonicalString(const Signature& sig) const {
-  std::vector<PredicateId> preds;
-  for (const auto& [pred, rel] : relations_) preds.push_back(pred);
-  std::sort(preds.begin(), preds.end());
   std::string out;
   std::vector<std::string> rows;
-  for (PredicateId p : preds) {
+  for (PredicateId p : SortedPredicates()) {
     const Relation& rel = *FindRelation(p);
     rows.clear();
     rows.reserve(rel.live_size());

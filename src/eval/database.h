@@ -1,5 +1,9 @@
 // The evaluation database: one Relation per predicate plus the active
-// Herbrand domains.
+// Herbrand domains. It is also the program's one fact store: a ground
+// fact (Definition 6's EDB) is a row whose base count is above 0
+// (Relation::base_count), so facts and the tuples derived from them
+// share one relation, and the multiset semantics of adding and
+// retracting facts lives in the counts.
 //
 // The paper's semantics ranges over the full (infinite) Herbrand
 // universe; the engine evaluates over the *active domain* - every
@@ -9,7 +13,8 @@
 // domains (see DESIGN.md, substitution table).
 //
 // Relations may be shared between databases (a snapshot and its
-// successor, a demand request and the snapshot it reads). Readers use
+// successor, a demand request and the snapshot it reads, and a demand
+// evaluation and the session database, only while it runs). Readers use
 // const paths only - FindRelation, Relation::Lookup, Contains - and the
 // only writes are inserts, erases and index builds, every one of which
 // copies a shared relation first. That copy-on-write is the single
@@ -40,9 +45,10 @@ class Database {
   /// another (CloneInto with a `prev`, AliasRelation); this accessor,
   /// like every other write path here (inserts, erases, EnsureIndex),
   /// copies-on-write when the relation is shared, so a mutation can
-  /// never be observed through the other database. Session-side
-  /// relations are never shared, so the hot evaluation paths never pay
-  /// the copy.
+  /// never be observed through the other database. A session relation
+  /// is shared only with published snapshots and, while a demand
+  /// evaluation runs, with its private database, so the hot evaluation
+  /// paths rarely pay the copy.
   Relation& relation(PredicateId pred);
   const Relation* FindRelation(PredicateId pred) const;
 
@@ -65,13 +71,89 @@ class Database {
   /// insert is also recorded there.
   Relation::InsertOutcome AddTupleEx(PredicateId pred, TupleRef t);
 
+  // ---- Facts ---------------------------------------------------------
+
+  /// Asserts the ground fact p(args) once more: inserts its row when
+  /// absent or tombstoned (as AddTuple does) and raises the row's base
+  /// count by one. Returns true if the tuple is new. The fact must pass
+  /// CheckFact (lang/validate.h).
+  bool AddFact(PredicateId pred, TupleRef args);
+  bool AddFact(PredicateId pred, std::initializer_list<TermId> args) {
+    return AddFact(pred, TupleRef(args.begin(), args.size()));
+  }
+
+  /// Base count of p(args): 0 when it is absent or only derived.
+  uint32_t FactCount(PredicateId pred, TupleRef args) const;
+
+  /// Sets p(args)'s base count; retracting a fact sets a lower one. A
+  /// count above 0 inserts the row first when it is absent. A count of
+  /// 0 leaves the row where it is: it may still be derived, and the
+  /// caller tombstones it when it is not.
+  void SetFactCount(PredicateId pred, TupleRef args, uint32_t count);
+
+  /// One base fact: `args`, asserted `count` times, under `pred`.
+  struct Fact {
+    PredicateId pred;
+    TupleRef args;
+    uint32_t count;
+  };
+
+  /// Calls fn(const Fact&) on every base fact in (PredicateId, row)
+  /// order, each row once. fn must not insert into this database.
+  template <typename Fn>
+  void ForEachFact(Fn&& fn) const {
+    for (PredicateId p : SortedPredicates()) {
+      const Relation& rel = *FindRelation(p);
+      if (rel.base_rows() == 0) continue;
+      for (RowId r = 0; r < rel.size(); ++r) {
+        if (rel.base_count(r) > 0) fn(Fact{p, rel.row(r), rel.base_count(r)});
+      }
+    }
+  }
+
+  /// Distinct base facts: rows with a base count above 0.
+  size_t fact_count() const;
+
+  /// What seeding an evaluation with this database's facts (SeedFacts)
+  /// takes, listed once per program and fact set: the predicates that
+  /// head no rule, whose relations hold only facts and are shared
+  /// whole, and the base rows of the rule-headed ones, which are copied
+  /// so their derived rows stay behind.
+  struct FactSeed {
+    std::vector<PredicateId> aliased;
+    std::vector<std::pair<PredicateId, RowId>> copied;
+  };
+  FactSeed ListFactSeed(const Program& program) const;
+
+  /// The one way a database is seeded with another's facts: aliases
+  /// `seed.aliased` from `src` (AliasRelation) and copies
+  /// `seed.copied`, in order and with their counts, into fresh
+  /// relations. `seed` must be listed from `src` since its last
+  /// change. Registers no term in the active domains: a demand
+  /// evaluation never reads them (magic.cc rejects every rewrite with
+  /// an enumeration step). With `index_home` - `src` itself, when the
+  /// caller may write it (a session's own database) - an index this
+  /// database needs on a relation it still shares with `src` is built
+  /// in src's relation and shared again (EnsureIndex), so it is built
+  /// once for every later evaluation instead of on a copy each time.
+  void SeedFacts(const Database& src, const FactSeed& seed,
+                 Database* index_home = nullptr);
+
+  /// A fresh database for evaluating `program` that holds this one's
+  /// facts and nothing derived: seeded by SeedFacts, with active
+  /// domains registered from its rows in (PredicateId, row) order, so
+  /// a term only a retracted fact carried is gone. `program` must
+  /// share this database's term store and extend its signature (a
+  /// transform's output does). Session::ResetDatabase is this.
+  std::unique_ptr<Database> FactsFor(const Program& program) const;
+
   /// Pre-grows pred's relation for `additional_rows` upcoming inserts
   /// (Relation::Reserve), creating the relation if absent. Returns the
   /// number of doubling rehashes the inserts will no longer perform.
   size_t Reserve(PredicateId pred, size_t additional_rows);
 
-  /// Amortized insert cursor for bulk loading (api/ingest.cc). Each
-  /// Insert() call is observably identical to AddTupleEx(), but the
+  /// Amortized fact cursor for bulk loading (api/ingest.cc). Each
+  /// Insert() call is observably identical to AddFact(), but the
   /// cursor caches the Relation pointer per predicate (skipping the
   /// relation-map probe and copy-on-write check) and remembers which
   /// TermIds it has already registered in the active domains, so a
@@ -82,9 +164,6 @@ class Database {
   class BulkInserter {
    public:
     explicit BulkInserter(Database* db) : db_(db) {}
-    Relation::InsertOutcome Insert(PredicateId pred, TupleRef t) {
-      return Insert(pred, t, Relation::HashTuple(t));
-    }
     /// Insert with the tuple's Relation::HashTuple already computed
     /// (the bulk loader hashes on its parser lanes).
     Relation::InsertOutcome Insert(PredicateId pred, TupleRef t,
@@ -231,7 +310,8 @@ class Database {
   /// is created). Builds nothing for mask 0 (Lookup lists rows without
   /// an index) or when the index already covers every row; a shared
   /// relation is copied only when it must build, so an indexed
-  /// snapshot relation stays shared.
+  /// snapshot relation stays shared - unless it is shared with the
+  /// seeding database's `index_home` (SeedFacts), which builds it.
   const Relation* EnsureIndex(PredicateId pred, uint32_t mask);
 
   /// Catches up every index of every relation
@@ -267,6 +347,10 @@ class Database {
   /// RegisterTerm body after the copy-on-write privatization check.
   void RegisterTermOwned(TermId t);
 
+  /// The predicates with a relation, ascending: the deterministic order
+  /// of every whole-database walk.
+  std::vector<PredicateId> SortedPredicates() const;
+
   TermStore* store_;
   const Signature* sig_;
   std::unordered_map<PredicateId, std::shared_ptr<Relation>> relations_;
@@ -274,6 +358,7 @@ class Database {
   uint64_t version_ = 0;
   bool revive_log_enabled_ = false;
   std::vector<ReviveEvent> revive_log_;
+  Database* index_home_ = nullptr;  // see SeedFacts
 };
 
 }  // namespace lps

@@ -130,10 +130,6 @@ struct IncrementalMaintainer::Retraction {
   // predicates only) / (rule, body literal) pairs scanning it.
   std::vector<std::vector<size_t>> by_head;
   std::vector<std::vector<std::pair<size_t, size_t>>> by_body;
-  // PredicateId -> its fact counts, for rule-headed predicates that
-  // also have facts.
-  std::vector<const std::unordered_map<Tuple, size_t, TupleHash>*>
-      facts_of;
   // Rule index -> its body plan with the head's variables bound.
   std::vector<std::vector<PlanStep>> head_steps;
 
@@ -160,9 +156,8 @@ IncrementalMaintainer::~IncrementalMaintainer() = default;
 
 Result<bool> IncrementalMaintainer::Maintain(
     const std::vector<FactOp>& inserts,
-    const std::vector<FactOp>& retracts, const FactCounts& edb_counts) {
+    const std::vector<FactOp>& retracts) {
   ineligible_reason_.clear();
-  edb_counts_ = &edb_counts;
   LPS_RETURN_IF_ERROR(eval_.CompileRules());
 
   // Eligibility: deletion is only invertible rule-by-rule in the Horn
@@ -247,7 +242,6 @@ Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
   }
   s.by_head.assign(npred, {});
   s.by_body.assign(npred, {});
-  s.facts_of.assign(npred, nullptr);
   s.head_steps.resize(eval_.rules_.size());
   for (size_t i = 0; i < eval_.rules_.size(); ++i) {
     const CompiledRule& rule = eval_.rules_[i];
@@ -269,12 +263,6 @@ Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
                                     rule.plan.free_literals, head_vars, {},
                                     true, stats)
                           .steps;
-    if (s.facts_of[head] == nullptr) {
-      auto it = edb_counts_->find(head);
-      if (it != edb_counts_->end() && !it->second.empty()) {
-        s.facts_of[head] = &it->second;
-      }
-    }
   }
 
   // The retracted rows are in doubt. One whose predicate heads no rule
@@ -399,12 +387,10 @@ Status IncrementalMaintainer::Visit(FactRef f) {
   }
   s.checked_now.push_back(f);
   ++s.pending;
-  {
-    TupleRef view = db_->FindRelation(f.pred)->row(f.row);
-    s.fact.assign(view.begin(), view.end());
-  }
-  const auto* facts = s.facts_of[f.pred];
-  if (facts != nullptr && facts->count(s.fact) > 0) return Prove(f);
+  const Relation& rel = *db_->FindRelation(f.pred);
+  if (rel.base_count(f.row) > 0) return Prove(f);  // still a fact
+  TupleRef view = rel.row(f.row);
+  s.fact.assign(view.begin(), view.end());
 
   // Backward step: every rule instance deriving f over the live
   // database. An instance with a disproved body fact is dropped, one

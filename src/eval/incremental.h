@@ -30,7 +30,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "eval/bottomup.h"
@@ -40,9 +39,10 @@ namespace lps {
 class IncrementalMaintainer {
  public:
   /// `program` and `db` must outlive the maintainer. Preconditions for
-  /// Maintain(): `program` already reflects the batch (retracted facts
-  /// removed, inserted facts appended), and `db` holds the converged
-  /// fixpoint of the pre-batch program.
+  /// Maintain(): `db` holds the converged fixpoint of the pre-batch
+  /// facts, with the base counts of the retracted facts already lowered
+  /// to 0 and those of the inserted ones not yet raised - the batch
+  /// sets them once Maintain() has propagated the new rows.
   IncrementalMaintainer(const Program* program, Database* db,
                         EvalOptions options = {});
   ~IncrementalMaintainer();
@@ -53,15 +53,6 @@ class IncrementalMaintainer {
     Tuple args;
   };
 
-  /// Multiset of the post-batch program's facts: (pred, args) ->
-  /// physical copy count. Session keeps one as a persistent index;
-  /// Maintain() borrows it to answer "is this in-doubt tuple still an
-  /// EDB fact" per checked tuple instead of scanning the whole fact
-  /// list.
-  using FactCounts =
-      std::unordered_map<PredicateId,
-                         std::unordered_map<Tuple, size_t, TupleHash>>;
-
   /// Applies the batch: retracts (Backward/Forward) first, then
   /// inserts (delta semi-naive). Returns true when the database was
   /// incrementally re-converged; false when the program is outside the
@@ -69,12 +60,10 @@ class IncrementalMaintainer {
   /// database is untouched and the caller must re-evaluate from
   /// scratch. Errors propagate from rule execution (safety violations,
   /// tuple limits) and leave the database partially maintained: the
-  /// caller must discard it. `edb_counts` must describe exactly the
-  /// post-batch program's fact multiset; the check then asks it only
-  /// about tuples of rule-headed predicates that also have facts.
+  /// caller must discard it. A checked tuple whose row still has a
+  /// base count is a fact, and proved at once.
   Result<bool> Maintain(const std::vector<FactOp>& inserts,
-                        const std::vector<FactOp>& retracts,
-                        const FactCounts& edb_counts);
+                        const std::vector<FactOp>& retracts);
 
   /// Why the last Maintain() returned false; empty when it ran.
   const std::string& ineligible_reason() const {
@@ -145,7 +134,6 @@ class IncrementalMaintainer {
   Database* db_;
   BottomUpEvaluator eval_;  // compiled rules + ExecSteps
   std::string ineligible_reason_;
-  const FactCounts* edb_counts_ = nullptr;  // borrowed for one Maintain()
   FlatScratch scratch_;  // kernel state, reused across the whole batch
   std::unique_ptr<Retraction> bf_;  // one Retract()'s state
 };

@@ -1,6 +1,7 @@
 #include "eval/model_check.h"
 
 #include "lang/clause.h"
+#include "term/printer.h"
 
 namespace lps {
 
@@ -22,20 +23,23 @@ Result<bool> GroundLiteralHolds(TermStore* store, const Signature& sig,
   return lit.positive ? holds : !holds;
 }
 
-Result<ModelCheckResult> CheckModel(const Program& program, Database* db,
+Result<ModelCheckResult> CheckModel(const Program& program,
+                                    const Database& facts, Database* db,
                                     const ModelCheckOptions& options) {
   TermStore* store = program.store();
   const Signature& sig = program.signature();
   ModelCheckResult result;
 
-  for (const Literal& f : program.facts()) {
+  facts.ForEachFact([&](const Database::Fact& f) {
+    if (result.counterexample.has_value()) return;
     ++result.instances_checked;
     if (!db->Contains(f.pred, f.args)) {
-      result.counterexample =
-          LiteralToString(*store, sig, f) + " (missing fact)";
-      return result;
+      result.counterexample = sig.Name(f.pred) + "(" +
+                              TermListToString(*store, f.args) +
+                              ") (missing fact)";
     }
-  }
+  });
+  if (result.counterexample.has_value()) return result;
 
   for (const Clause& clause : program.clauses()) {
     if (clause.grouping.has_value()) {

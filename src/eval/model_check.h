@@ -34,11 +34,14 @@ struct ModelCheckResult {
   std::optional<std::string> counterexample;
 };
 
-/// Checks whether `db` satisfies every clause of `program` when free
-/// variables range over db's active domain. Facts are checked for
-/// membership. Clauses with grouping heads are rejected
+/// Checks whether the candidate `db` satisfies every clause of
+/// `program` when free variables range over db's active domain, and
+/// holds every base fact of `facts` (the database the program's facts
+/// live in - apart from the candidate, so a candidate missing a fact
+/// is caught). Clauses with grouping heads are rejected
 /// (Unimplemented): grouping is not a first-order condition.
-Result<ModelCheckResult> CheckModel(const Program& program, Database* db,
+Result<ModelCheckResult> CheckModel(const Program& program,
+                                    const Database& facts, Database* db,
                                     const ModelCheckOptions& options = {});
 
 /// True if the ground literal holds in `db` (builtin or stored tuple).

@@ -74,14 +74,6 @@ PlannerStats PlannerStats::FromDatabase(const Database& db) {
   return s;
 }
 
-PlannerStats PlannerStats::FromFacts(const Program& program) {
-  PlannerStats s;
-  for (const Literal& f : program.facts()) {
-    ++s.rels_[f.pred].live_rows;
-  }
-  return s;
-}
-
 namespace {
 
 bool Contains(const std::vector<TermId>& v, TermId t) {

@@ -60,10 +60,6 @@ class PlannerStats {
 
   /// Snapshot of every materialized relation in `db`.
   static PlannerStats FromDatabase(const Database& db);
-  /// Fact-count approximation for sessions that never evaluated: the
-  /// magic rewrite (transform/magic.h) plans its SIP orders before any
-  /// database exists.
-  static PlannerStats FromFacts(const Program& program);
 
   static constexpr double kUnknownRows = 256.0;
   static constexpr double kDefaultColumnSelectivity = 0.1;

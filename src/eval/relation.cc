@@ -169,6 +169,18 @@ bool Relation::Revive(RowId r) {
   return true;
 }
 
+void Relation::SetBaseCount(RowId r, uint32_t count) {
+  if (base_count(r) == count) return;
+  if (base_.size() <= r) base_.resize(num_rows_, 0);
+  if (base_[r] == 0) {
+    ++base_rows_;
+  } else if (count == 0) {
+    --base_rows_;
+  }
+  base_[r] = count;
+  content_tick_ = NextContentTick();
+}
+
 void Relation::EnsureIndex(uint32_t mask) {
   for (Index& ix : indexes_) {
     if (ix.mask == mask) {

@@ -26,7 +26,7 @@ namespace lps {
 /// An owned tuple of interned TermIds. Boundary type only: stored rows
 /// live in the Relation's arena and are viewed through TupleRef;
 /// Tuples are materialized where ownership must outlive the store
-/// (AnswerCursor::ToVector, fact literals, scratch buffers).
+/// (AnswerCursor::ToVector, staged mutations, scratch buffers).
 using Tuple = std::vector<TermId>;
 
 /// Zero-copy view of one stored row (or of any TermId sequence). Views
@@ -42,8 +42,9 @@ struct TupleHash {
 };
 
 /// Process-wide monotonic counter for Relation content versioning.
-/// Every successful content mutation (new row, erase, revive) stamps
-/// the relation with a fresh tick; copies inherit the source's tick.
+/// Every successful content mutation (new row, erase, revive, base
+/// count change) stamps the relation with a fresh tick; copies inherit
+/// the source's tick.
 /// Ticks are never reused, so tick equality between two Relation
 /// objects witnesses that one was copied from the other (possibly
 /// transitively) with no content change since - the sharing test for
@@ -78,6 +79,12 @@ struct RelationStats {
 /// Append-only tuple set over a flat row arena. Row order is insertion
 /// order, which the semi-naive evaluator exploits: rows at RowId >=
 /// some watermark form the delta of an iteration.
+///
+/// A row may also be a base fact: its base count is how many times the
+/// tuple was asserted as a fact and not retracted (the program's facts
+/// are a multiset), and 0 marks a row that is only derived. The counts
+/// are allocated with the relation's first fact, so a relation that
+/// holds none pays nothing for them.
 ///
 /// Retraction is tombstoning, not compaction: EraseRow marks the row
 /// dead but leaves the arena, the dedup entry, and every per-mask
@@ -125,6 +132,16 @@ class Relation {
   bool IsLive(RowId r) const {
     return r >= dead_.size() || !dead_[r];
   }
+
+  /// Base (explicit-fact) count of row r; 0 for a derived row.
+  uint32_t base_count(RowId r) const {
+    return r < base_.size() ? base_[r] : 0;
+  }
+  /// Sets row r's base count. A change is a content change: it takes a
+  /// fresh content tick.
+  void SetBaseCount(RowId r, uint32_t count);
+  /// Rows whose base count is above 0.
+  size_t base_rows() const { return base_rows_; }
 
   /// Zero-copy view of row r; valid until the next Insert.
   TupleRef row(RowId r) const {
@@ -336,6 +353,8 @@ class Relation {
   uint64_t dedup_probes_ = 0;
   std::vector<bool> dead_;            // sized lazily on first erase
   size_t dead_count_ = 0;
+  std::vector<uint32_t> base_;        // sized lazily on first fact
+  size_t base_rows_ = 0;
   std::vector<Index> indexes_;
 };
 

@@ -22,11 +22,7 @@ bool IsFound(const Status& st) {
 
 TopDownSolver::TopDownSolver(const Program* program, const Database* db,
                              TopDownOptions options)
-    : program_(program), db_(db), options_(options) {
-  for (const Literal& f : program_->facts()) {
-    fact_index_[f.pred].push_back(&f);
-  }
-}
+    : program_(program), db_(db), options_(options) {}
 
 TopDownSolver::GoalKey TopDownSolver::Canonicalize(const Literal& goal) {
   TermStore* store = program_->store();
@@ -190,32 +186,18 @@ Status TopDownSolver::SolveUserGoal(PredicateId pred,
 
   Status st = Status::OK();
 
-  // Facts: program facts plus optional database tuples.
-  auto try_tuple = [&](std::span<const TermId> tuple) -> Status {
+  // Stored tuples: the facts and anything already derived.
+  if (const Relation* rel = db_->FindRelation(pred); rel != nullptr) {
+    // Zero-copy: solving never inserts into the database, so arena
+    // views stay valid across the scan. Tombstoned rows are skipped.
     Unifier unifier(store, options_.builtins.unify);
     std::vector<Substitution> unifiers;
-    LPS_RETURN_IF_ERROR(unifier.EnumerateTuples(args, tuple, &unifiers));
-    for (Substitution& u : unifiers) {
-      LPS_RETURN_IF_ERROR(record(&u));
-    }
-    return Status::OK();
-  };
-  auto fit = fact_index_.find(pred);
-  if (fit != fact_index_.end()) {
-    for (const Literal* f : fit->second) {
-      st = try_tuple(f->args);
-      if (!st.ok()) break;
-    }
-  }
-  if (st.ok() && db_ != nullptr) {
-    const Relation* rel = db_->FindRelation(pred);
-    if (rel != nullptr) {
-      // Zero-copy: solving never inserts into the database, so arena
-      // views stay valid across the scan. Tombstoned rows are skipped.
-      for (RowId r = 0; r < rel->size(); ++r) {
-        if (!rel->IsLive(r)) continue;
-        st = try_tuple(rel->row(r));
-        if (!st.ok()) break;
+    for (RowId r = 0; r < rel->size() && st.ok(); ++r) {
+      if (!rel->IsLive(r)) continue;
+      unifiers.clear();
+      st = unifier.EnumerateTuples(args, rel->row(r), &unifiers);
+      for (size_t i = 0; i < unifiers.size() && st.ok(); ++i) {
+        st = record(&unifiers[i]);
       }
     }
   }

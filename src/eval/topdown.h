@@ -38,9 +38,9 @@ struct TopDownStats {
 
 class TopDownSolver {
  public:
-  /// `db`, if non-null, supplies extensional tuples in addition to the
-  /// program's facts (useful after a bottom-up pass).
-  TopDownSolver(const Program* program, const Database* db = nullptr,
+  /// `db` supplies the stored tuples: the facts, plus whatever a
+  /// bottom-up pass derived into it already.
+  TopDownSolver(const Program* program, const Database* db,
                 TopDownOptions options = {});
 
   using AnswerCallback = std::function<Status(const Substitution&)>;
@@ -83,8 +83,6 @@ class TopDownSolver {
   TopDownOptions options_;
   TopDownStats stats_;
   std::map<GoalKey, TableEntry> table_;
-  // Program facts indexed by predicate.
-  std::map<PredicateId, std::vector<const Literal*>> fact_index_;
 };
 
 }  // namespace lps

@@ -41,12 +41,12 @@ void CollectFromLiteral(const TermStore& store, const Literal& lit,
 
 // Collects the constants (0-depth ground atoms without args, plus ints)
 // and function symbols used anywhere in the program.
-void CollectSignatureParts(const Program& program,
+void CollectSignatureParts(const Program& program, const Database& db,
                            std::vector<TermId>* constants,
                            std::vector<std::pair<Symbol, size_t>>* funcs) {
   const TermStore& store = *program.store();
   std::vector<TermId> atoms, sets;
-  CollectGroundTerms(program, &atoms, &sets);
+  CollectGroundTerms(program, db, &atoms, &sets);
   for (TermId a : atoms) {
     switch (store.kind(a)) {
       case TermKind::kConstant:
@@ -86,12 +86,13 @@ void CollectSignatureParts(const Program& program,
 
 }  // namespace
 
-void CollectGroundTerms(const Program& program, std::vector<TermId>* atoms,
+void CollectGroundTerms(const Program& program, const Database& db,
+                        std::vector<TermId>* atoms,
                         std::vector<TermId>* sets) {
   const TermStore& store = *program.store();
-  for (const Literal& f : program.facts()) {
-    CollectFromLiteral(store, f, atoms, sets);
-  }
+  db.ForEachFact([&](const Database::Fact& f) {
+    for (TermId t : f.args) CollectFromTerm(store, t, atoms, sets);
+  });
   for (const Clause& c : program.clauses()) {
     CollectFromLiteral(store, c.head, atoms, sets);
     for (const Quantifier& q : c.quantifiers) {
@@ -104,10 +105,11 @@ void CollectGroundTerms(const Program& program, std::vector<TermId>* atoms,
 }
 
 Result<HerbrandUniverse> HerbrandUniverse::Build(
-    const Program& program, const HerbrandOptions& options) {
+    const Program& program, const Database& db,
+    const HerbrandOptions& options) {
   std::vector<TermId> constants;
   std::vector<std::pair<Symbol, size_t>> funcs;
-  CollectSignatureParts(program, &constants, &funcs);
+  CollectSignatureParts(program, db, &constants, &funcs);
   return BuildFromAtoms(program.store(), std::move(constants),
                         std::move(funcs), options);
 }

@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "eval/database.h"
 #include "lang/program.h"
 
 namespace lps {
@@ -27,8 +28,10 @@ struct HerbrandOptions {
 class HerbrandUniverse {
  public:
   /// Builds the bounded universe from the constants and function symbols
-  /// occurring in `program`. Errors if the bounds overflow.
+  /// occurring in `program`'s clauses and `db`'s facts. Errors if the
+  /// bounds overflow.
   static Result<HerbrandUniverse> Build(const Program& program,
+                                        const Database& db,
                                         const HerbrandOptions& options);
 
   /// Builds from explicit seed constants (useful in tests).
@@ -45,9 +48,10 @@ class HerbrandUniverse {
   std::vector<TermId> sets_;
 };
 
-/// Collects every ground subterm occurring in the program's facts and
-/// clauses, split by sort. The result seeds active domains.
-void CollectGroundTerms(const Program& program, std::vector<TermId>* atoms,
+/// Collects every ground subterm occurring in `db`'s facts and the
+/// program's clauses, split by sort. The result seeds active domains.
+void CollectGroundTerms(const Program& program, const Database& db,
+                        std::vector<TermId>* atoms,
                         std::vector<TermId>* sets);
 
 }  // namespace lps

@@ -1,5 +1,6 @@
-// A program (Definition 6): a finite set of clauses plus ground facts
-// (the EDB), over a shared term store.
+// A program's rules: the clauses of Definition 6 over a shared term
+// store. Its ground facts (the EDB) are not kept here: they live in the
+// evaluation database (eval/database.h), the one fact store.
 #ifndef LPS_LANG_PROGRAM_H_
 #define LPS_LANG_PROGRAM_H_
 
@@ -8,7 +9,6 @@
 #include <vector>
 
 #include "lang/clause.h"
-#include "lang/fact_ledger.h"
 #include "lang/signature.h"
 
 namespace lps {
@@ -32,10 +32,6 @@ class Program {
     mutable_clauses()->push_back(std::move(clause));
   }
 
-  /// Adds a ground fact p(args). Errors if any arg is non-ground or the
-  /// predicate is special (facts must satisfy Definition 5 too).
-  Status AddFact(PredicateId pred, std::vector<TermId> args);
-
   const std::vector<Clause>& clauses() const { return *clauses_; }
   /// Copy-on-write: Program copies (transform pipelines, snapshot
   /// freezes) share the clause vector; the first mutation through
@@ -47,24 +43,8 @@ class Program {
     }
     return clauses_.get();
   }
-  const FactLedger& facts() const { return facts_; }
-  FactLedger* mutable_facts() { return &facts_; }
 
-  /// Removes the fact p(args) if present; returns true when removed.
-  bool RemoveFact(PredicateId pred, const std::vector<TermId>& args);
-
-  /// Bulk removal by position: erases the facts at `sorted_indices`
-  /// (ascending, no duplicates, all < facts().size()) in one
-  /// compaction pass. A mutation batch retracting k facts pays
-  /// O(facts) index compares once instead of RemoveFact's
-  /// O(k * facts) tuple compares.
-  void RemoveFactsAt(const std::vector<size_t>& sorted_indices);
-
-  /// All predicates appearing in some clause head or fact (the IDB plus
-  /// EDB predicates with facts).
-  std::vector<PredicateId> DefinedPredicates() const;
-
-  /// Renders the whole program, one clause per line.
+  /// Renders the rules, one clause per line.
   std::string ToString() const;
 
   /// A copy re-bound to `store`, which must resolve every TermId and
@@ -86,9 +66,6 @@ class Program {
   Signature signature_;
   // Shared between copies until one side mutates (mutable_clauses).
   std::shared_ptr<std::vector<Clause>> clauses_;
-  // Chunked with structural sharing so Program copies (snapshot
-  // freezes, transform pipelines) don't pay O(EDB) for the fact list.
-  FactLedger facts_;
 };
 
 }  // namespace lps

@@ -152,14 +152,21 @@ Status ValidateClause(const TermStore& store, const Signature& sig,
   return Status::OK();
 }
 
-Status ValidateProgram(const Program& program, LanguageMode mode) {
-  const TermStore& store = *program.store();
-  const Signature& sig = program.signature();
-  for (const Clause& c : program.clauses()) {
-    LPS_RETURN_IF_ERROR(ValidateClause(store, sig, c, mode));
+Status CheckFact(const TermStore& store, const Signature& sig,
+                 PredicateId pred, std::span<const TermId> args) {
+  if (sig.IsSpecial(pred)) {
+    return Status::InvalidArgument("facts may not use special predicate " +
+                                   sig.Name(pred));
   }
-  for (const Literal& f : program.facts()) {
-    LPS_RETURN_IF_ERROR(CheckLiteral(store, sig, f, mode));
+  if (args.size() != sig.info(pred).arity()) {
+    return Status::InvalidArgument("arity mismatch in fact for " +
+                                   sig.Name(pred));
+  }
+  for (TermId t : args) {
+    if (!store.is_ground(t)) {
+      return Status::InvalidArgument("facts must be ground: " +
+                                     sig.Name(pred));
+    }
   }
   return Status::OK();
 }

@@ -14,6 +14,8 @@
 #ifndef LPS_LANG_VALIDATE_H_
 #define LPS_LANG_VALIDATE_H_
 
+#include <span>
+
 #include "lang/program.h"
 
 namespace lps {
@@ -30,8 +32,11 @@ const char* LanguageModeToString(LanguageMode mode);
 Status ValidateClause(const TermStore& store, const Signature& sig,
                       const Clause& clause, LanguageMode mode);
 
-/// Validates every clause and fact of the program.
-Status ValidateProgram(const Program& program, LanguageMode mode);
+/// The checks every ground fact p(args) passes before it is stored or
+/// staged (Definition 5 holds for facts too): p is not special, args
+/// match p's arity, and every arg is ground.
+Status CheckFact(const TermStore& store, const Signature& sig,
+                 PredicateId pred, std::span<const TermId> args);
 
 /// Validates a single (possibly non-ground) query goal: arity and
 /// argument sorts must match the predicate's declaration and set

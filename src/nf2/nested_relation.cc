@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "api/mutation.h"
 #include "term/printer.h"
 
 namespace lps {
@@ -92,12 +93,10 @@ bool NestedRelation::SameRows(const NestedRelation& other) const {
   return a == b;
 }
 
-Status NestedRelation::ExportFacts(Program* program,
+Status NestedRelation::ExportFacts(MutationBatch* batch,
                                    const std::string& pred) const {
-  LPS_ASSIGN_OR_RETURN(PredicateId id,
-                       program->signature().Declare(pred, sorts_));
   for (const Tuple& row : rows_) {
-    LPS_RETURN_IF_ERROR(program->AddFact(id, row));
+    LPS_RETURN_IF_ERROR(batch->Add(pred, row));
   }
   return Status::OK();
 }

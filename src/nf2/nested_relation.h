@@ -2,7 +2,7 @@
 // paper's Examples 4 and 6 draw from. Columns are atom- or set-sorted;
 // `Unnest` is the operation of Example 4 and `Nest` its inverse
 // (grouping by the remaining columns). ExportFacts bridges a nested
-// relation into an LPS program's EDB.
+// relation into a session's EDB, through a mutation batch.
 #ifndef LPS_NF2_NESTED_RELATION_H_
 #define LPS_NF2_NESTED_RELATION_H_
 
@@ -13,6 +13,8 @@
 #include "lang/program.h"
 
 namespace lps {
+
+class MutationBatch;
 
 class NestedRelation {
  public:
@@ -40,8 +42,10 @@ class NestedRelation {
   /// Natural ordering-insensitive equality (same rows as a set).
   bool SameRows(const NestedRelation& other) const;
 
-  /// Adds every row as a fact for `pred` (declared if necessary).
-  Status ExportFacts(Program* program, const std::string& pred) const;
+  /// Stages every row as a fact for `pred` (declared at commit if
+  /// necessary) into `batch`; the facts take effect when the caller
+  /// commits it.
+  Status ExportFacts(MutationBatch* batch, const std::string& pred) const;
 
   /// Builds a nested relation from an evaluated Relation.
   static Result<NestedRelation> FromRelation(

@@ -94,21 +94,9 @@ void QueryServer::BindWorker(Worker* w, const PinnedSnapshot& pin) {
     w->sig_preds = snap.signature().size();
     ++w->delta.worker_rebinds;
   }
-  // What a demand request over this snapshot loads, listed once per
+  // What a demand request over this snapshot seeds, listed once per
   // epoch (facts change on a refresh too) instead of per request.
-  w->aliased.clear();
-  w->head_facts.clear();
-  if (!snap.converged()) return;
-  std::vector<bool> heads_rule(snap.signature().size());
-  for (const Clause& c : snap.program().clauses()) {
-    heads_rule[c.head.pred] = true;
-  }
-  for (const auto& [pred, rel] : snap.database().Relations()) {
-    if (!heads_rule[pred]) w->aliased.push_back(pred);
-  }
-  for (const Literal& f : snap.program().facts()) {
-    if (heads_rule[f.pred]) w->head_facts.push_back(&f);
-  }
+  w->seed = snap.database().ListFactSeed(snap.program());
 }
 
 QueryServer::QueryEntry& QueryServer::Materialize(Worker* w,
@@ -394,23 +382,13 @@ Status QueryServer::Answer(Worker* w, const Snapshot& snap,
   // the pinned snapshot, which is what keeps a rewrite cached before a
   // fact-only republish answering over the *new* facts. Sound against
   // the worker store because a refresh requires store_size equality -
-  // every fact term id sits inside the shared frozen prefix.
-  if (snap.converged()) {
-    // At fixpoint the relation of a predicate that heads no rule holds
-    // exactly the ledger's live facts, so share it rather than copy
-    // it. The evaluation never inserts into such a predicate, reads it
-    // through const paths, and builds an index it lacks on a copy
-    // (Database::EnsureIndex); and it never reads the active domains
-    // the skipped inserts would have filled, because magic.cc's
-    // post-check (a) rejects every rewrite with an enumeration step.
-    for (PredicateId p : w->aliased) db.AliasRelation(p, snap.database());
-    for (const Literal* f : w->head_facts) db.AddTuple(f->pred, f->args);
-  } else {
-    // Relations frozen before the fixpoint may lack facts.
-    for (const Literal& f : snap.program().facts()) {
-      db.AddTuple(f.pred, f.args);
-    }
-  }
+  // every fact term id sits inside the shared frozen prefix. Relations
+  // of predicates that head no rule are shared, not copied: the
+  // evaluation never inserts into them, reads them through const
+  // paths, and builds an index it lacks on a copy
+  // (Database::EnsureIndex). The same holds over a snapshot frozen
+  // before its fixpoint, whose relations hold the facts all the same.
+  db.SeedFacts(snap.database(), w->seed);
   EvalOptions eval_opts = snap.options().eval();
   eval_opts.threads = 1;  // lanes are the parallelism; no nested pools
   // Cooperative deadline inside the fixpoint (eval/bottomup.h): a
@@ -421,7 +399,7 @@ Status QueryServer::Answer(Worker* w, const Snapshot& snap,
   Status es = eval.Evaluate();
   // An aliased relation that is no longer the snapshot's was copied to
   // build an index the snapshot lacks (FreezeOptions::indexes adds it).
-  for (PredicateId p : w->aliased) {
+  for (PredicateId p : w->seed.aliased) {
     if (db.FindRelation(p) != snap.database().FindRelation(p)) {
       ++w->delta.index_misses;
       break;

@@ -18,13 +18,13 @@
 //    per-(query, binding-mask) magic-rewrite cache;
 //  * a private result Database per demand query, owned for exactly the
 //    duration of one request. It owns only the magic and adorned
-//    relations plus the facts of rule-headed predicates: when the
-//    pinned snapshot is converged, every EDB relation (a predicate
-//    heading no rule) is aliased from it copy-on-write
-//    (Database::AliasRelation) and read in place, so a request costs
-//    the slice it demands, not the size of the EDB. Only a probe that
-//    needs an index the snapshot lacks copies the relation it indexes
-//    (Database::EnsureIndex copies a shared relation before building).
+//    relations plus the base rows of rule-headed predicates: every
+//    relation of a predicate heading no rule is aliased from the
+//    pinned snapshot copy-on-write (Database::SeedFacts) and read in
+//    place, so a request costs the slice it demands, not the size of
+//    the EDB. Only a probe that needs an index the snapshot lacks
+//    copies the relation it indexes (Database::EnsureIndex copies a
+//    shared relation before building).
 //
 // Workers re-bind (fresh clone, caches dropped) only when the batch
 // pins a *newer* epoch than the one they were bound to, so steady-state
@@ -220,13 +220,10 @@ class QueryServer {
     std::unique_ptr<TermStore> store;
     std::unique_ptr<Program> program;
     std::vector<QueryEntry> entries;  // indexed by query id
-    // What a demand request loads from a converged snapshot (both empty
-    // for an unconverged one, whose fact ledger is loaded instead);
-    // listed by BindWorker on every rebind and refresh. `aliased`: the
-    // predicates heading no rule, whose snapshot relations the request
-    // shares; `head_facts`: the facts of the others, which it inserts.
-    std::vector<PredicateId> aliased;
-    std::vector<const Literal*> head_facts;
+    // What a demand request seeds its private database with from the
+    // snapshot (Database::SeedFacts), listed by BindWorker on every
+    // rebind and refresh.
+    Database::FactSeed seed;
     ServeStats delta;                 // counters gathered this batch
     std::vector<double> latencies;    // per-request micros this batch
   };
@@ -237,7 +234,7 @@ class QueryServer {
   /// and magic rewrites are pure functions of the rules, and demand
   /// facts are read from the pinned snapshot at execution time.
   /// Anything else: re-clones store/program and drops all entries.
-  /// Either way re-lists the worker's `aliased` and `head_facts`.
+  /// Either way re-lists the worker's fact `seed`.
   void BindWorker(Worker* w, const PinnedSnapshot& pin);
   /// Parses/validates/plans queries_[query] into w->entries[query].
   QueryEntry& Materialize(Worker* w, const Snapshot& snap, size_t query);

@@ -86,9 +86,9 @@ Result<std::shared_ptr<const serve::Snapshot>> Session::FreezeIncremental(
   } else {
     snap->store_ = store_->Clone();
   }
-  // The program is always re-cloned: facts change on every commit and
-  // CloneInto is cheap (vector copies + a signature pointer rebind -
-  // no re-interning, so a shared store is never mutated here).
+  // The program is always re-cloned: it is rules only, and CloneInto
+  // shares the clause vector and copies the signature - no
+  // re-interning, so a shared store is never mutated here.
   snap->program_ = std::make_unique<Program>(
       program_->CloneInto(snap->store_.get()));
   // Catch the session's own indexes up before cloning: an index the
@@ -123,13 +123,12 @@ Result<std::shared_ptr<const serve::Snapshot>> Session::FreezeIncremental(
       prev_rels.insert(rel);
     }
     cow.store_shared = store_unchanged;
-    cow.fact_chunks_shared =
-        snap->program_->facts().SharedChunksWith(prev->program().facts());
   }
   for (const auto& [pred, rel] : snap->db_->Relations()) {
     if (prev_rels.count(rel)) {
       ++cow.relations_shared;
       cow.bytes_shared += rel->ArenaBytes();
+      if (rel->base_rows() > 0) ++cow.fact_chunks_shared;
     } else {
       ++cow.relations_cloned;
     }

@@ -3,18 +3,21 @@
 //
 // Session::Freeze() deep-clones the term store (TermStore::Clone - id
 // and symbol assignments are preserved exactly), re-binds a copy of
-// the program and database to the clone, and catches up every
-// relation index (Database::FreezeIndexes); FreezeIncremental does the
-// same but shares what is unchanged since the previous snapshot
-// (Database::CloneInto with a `prev`). After publication nothing ever
+// the program (its rules) and the database (its facts and derived
+// tuples) to the clone, and catches up every relation index
+// (Database::FreezeIndexes); FreezeIncremental does the same but
+// shares what is unchanged since the previous snapshot
+// (Database::CloneInto with a `prev`) - relations holding facts
+// included, since the facts live in them. After publication nothing ever
 // mutates a Snapshot: the read path is the const Relation::Lookup over
 // prebuilt indexes, const TermStore::TryLookup* probes of the intern
 // tables, and active-domain reads - all free of lazy mutation - so
 // readers need no locks at all (DESIGN.md section 15). A reader that
 // shares a snapshot relation (a demand request's AliasRelation) and
-// needs an index it lacks gets a copy from Database::EnsureIndex. Writers keep loading facts and re-evaluating on the *session*
-// copies and publish fresh snapshots through serve::SnapshotRegistry
-// while readers drain on the old epoch.
+// needs an index it lacks gets a copy from Database::EnsureIndex.
+// Writers keep loading facts and re-evaluating on the *session* copies
+// and publish fresh snapshots through serve::SnapshotRegistry while
+// readers drain on the old epoch.
 #ifndef LPS_SERVE_SNAPSHOT_H_
 #define LPS_SERVE_SNAPSHOT_H_
 
@@ -69,7 +72,10 @@ struct CowStats {
   // would put an O(index) pass on every republish just to report a
   // witness (the actual shared footprint is larger than this figure).
   size_t bytes_shared = 0;
-  size_t fact_chunks_shared = 0;  // sealed EDB fact chunks aliased from prev
+  // Shared relations that hold base facts (Relation::base_rows): the
+  // facts aliased from prev. The name predates facts living in the
+  // relations.
+  size_t fact_chunks_shared = 0;
   bool store_shared = false;    // TermStore aliased (no new terms/symbols)
 };
 

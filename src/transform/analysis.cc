@@ -80,24 +80,14 @@ Program PruneUnreachable(const Program& program,
   for (const Clause& c : program.clauses()) {
     if (kept(c.head.pred)) out.AddClause(c);
   }
-  // Facts live in the copied program; rebuild without the dead ones.
-  Program fresh(program.store());
-  fresh.signature() = program.signature();
-  for (const Clause& c : out.clauses()) fresh.AddClause(c);
-  for (const Literal& f : program.facts()) {
-    if (kept(f.pred)) {
-      Status st = fresh.AddFact(f.pred, f.args);
-      (void)st;  // facts were validated when first added
-    }
-  }
-  return fresh;
+  return out;
 }
 
-ProgramStats AnalyzeProgram(const Program& program) {
+ProgramStats AnalyzeProgram(const Program& program, const Database& db) {
   ProgramStats stats;
   const Signature& sig = program.signature();
   stats.clauses = program.clauses().size();
-  stats.facts = program.facts().size();
+  stats.facts = db.fact_count();
   for (const Clause& c : program.clauses()) {
     if (!c.quantifiers.empty()) ++stats.quantified_clauses;
     if (c.grouping.has_value()) ++stats.grouping_clauses;

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "eval/database.h"
 #include "lang/program.h"
 
 namespace lps {
@@ -41,14 +42,14 @@ class DependencyGraph {
   size_t num_preds_ = 0;
 };
 
-/// Removes every clause and fact whose head predicate is not reachable
-/// from `roots`. The signature keeps all declarations (ids are stable).
+/// Removes every clause whose head predicate is not reachable from
+/// `roots`. The signature keeps all declarations (ids are stable).
 Program PruneUnreachable(const Program& program,
                          const std::vector<PredicateId>& roots);
 
 struct ProgramStats {
   size_t clauses = 0;
-  size_t facts = 0;
+  size_t facts = 0;  // distinct base facts in the database
   size_t quantified_clauses = 0;
   size_t grouping_clauses = 0;
   size_t negated_literals = 0;
@@ -58,7 +59,8 @@ struct ProgramStats {
   size_t max_quantifier_depth = 0;
 };
 
-ProgramStats AnalyzeProgram(const Program& program);
+/// Summary statistics of `program`'s rules and of `db`'s facts.
+ProgramStats AnalyzeProgram(const Program& program, const Database& db);
 
 std::string ProgramStatsToString(const ProgramStats& stats);
 

@@ -79,12 +79,11 @@ Result<MagicRewriteResult> MagicRewrite(const Program& in,
     return Fallback("all-free goal: demand restricts nothing");
   }
 
-  // Rules per predicate. Facts are deliberately not consulted: the
-  // rewrite must be a pure function of the *rules* (callers cache it
-  // across fact-only mutations, keyed on Session::rule_epoch()), so
-  // fact-import rules below are emitted unconditionally and the
-  // current fact set is loaded into the private database at execution
-  // time (api/query.cc).
+  // Rules per predicate. The rewrite is a pure function of the rules
+  // (callers cache it across fact mutations, keyed on
+  // Session::rule_epoch()), so fact-import rules below are emitted
+  // unconditionally and the current facts are seeded into the private
+  // database at execution time (Database::SeedFacts).
   std::map<PredicateId, std::vector<size_t>> rules_of;
   for (size_t i = 0; i < in.clauses().size(); ++i) {
     rules_of[in.clauses()[i].head.pred].push_back(i);
@@ -107,6 +106,18 @@ Result<MagicRewriteResult> MagicRewrite(const Program& in,
   auto demandable_mask = [&](PredicateId p, uint32_t mask) -> uint32_t {
     auto it = grouped_positions.find(p);
     return it == grouped_positions.end() ? mask : mask & ~it->second;
+  };
+  // The columns of body literal `l` that `bound` binds, less the grouped
+  // ones: the adornment a positive IDB literal gets.
+  auto child_mask_of = [&](const Literal& l, const std::set<TermId>& bound) {
+    uint32_t mask = 0;
+    for (size_t i = 0; i < l.args.size(); ++i) {
+      TermId a = l.args[i];
+      if (store.is_ground(a) || (store.IsVariable(a) && bound.count(a))) {
+        mask |= ColumnBit(i);
+      }
+    }
+    return demandable_mask(l.pred, mask);
   };
 
   uint32_t goal_demand = demandable_mask(goal.pred, goal_mask);
@@ -180,10 +191,6 @@ Result<MagicRewriteResult> MagicRewrite(const Program& in,
   MagicProgram mp{in, Literal{}, kInvalidPredicate, {}, {}, {}};
   Program& out = mp.program;
   out.mutable_clauses()->clear();
-  // The rewrite carries no facts: the caller loads the session's
-  // current fact set into the evaluation database instead, so a cached
-  // rewrite stays correct across fact churn.
-  out.mutable_facts()->clear();
   Signature& osig = out.signature();
 
   std::map<AdornKey, PredicateId> adorned, magic_of;
@@ -236,14 +243,40 @@ Result<MagicRewriteResult> MagicRewrite(const Program& in,
         }
       }
 
-      // Sideways-information-passing order: with statistics, bindings
-      // propagate through the body in the cost-based join order
-      // (eval/plan.h) instead of source order, so a selective literal
-      // narrows demand before a huge one. The adorned rule body is
-      // emitted in the same order, so its guards cover exactly the
-      // prefix that has run when each magic subgoal is demanded. Any
-      // permutation is a valid SIP order (the guard always carries the
-      // accumulated bound set); source order is the legacy default.
+      // Positive IDB literals an order leaves without demand: each is
+      // evaluated in full.
+      auto undemanded = [&](const std::vector<size_t>& order) {
+        std::set<TermId> bound = bound_vars;
+        size_t n = 0;
+        for (size_t li : order) {
+          const Literal& l = c.body[li];
+          if (!l.positive) continue;
+          if (!sig.IsBuiltin(l.pred) && rules_of.count(l.pred) != 0 &&
+              child_mask_of(l, bound) == 0) {
+            ++n;
+          }
+          for (TermId a : l.args) {
+            std::vector<TermId> vars;
+            store.CollectVariables(a, &vars);
+            bound.insert(vars.begin(), vars.end());
+          }
+        }
+        return n;
+      };
+
+      // Sideways-information-passing order: source order, unless the
+      // cost-based join order (eval/plan.h) leaves fewer IDB literals
+      // without demand, to be evaluated in full. A literal source
+      // order already demands keeps its place: moving a scan ahead of
+      // it only binds more of its columns, which can multiply its
+      // magic set (on left-linear transitive closure a bound-bound
+      // goal then demands path(X, Y) for every predecessor Y of the
+      // target instead of path(X, _) once), and the estimates of a
+      // derived literal are guesses until it is evaluated. The adorned
+      // rule body is emitted in SIP order, so its guards cover exactly
+      // the prefix that has run when each magic subgoal is demanded.
+      // Any permutation is a valid SIP order (the guard always carries
+      // the accumulated bound set).
       std::vector<size_t> sip(c.body.size());
       for (size_t i = 0; i < sip.size(); ++i) sip[i] = i;
       if (stats != nullptr && sip.size() > 1) {
@@ -259,7 +292,10 @@ Result<MagicRewriteResult> MagicRewrite(const Program& in,
         }
         // A plan that dropped a literal (blocked builtin mode) cannot
         // order the body; keep source order for this rule.
-        if (order.size() == sip.size()) sip = std::move(order);
+        if (order.size() == sip.size() &&
+            undemanded(order) < undemanded(sip)) {
+          sip = std::move(order);
+        }
       }
 
       // Guard-rule bodies: the magic literal plus the positive prefix
@@ -275,15 +311,7 @@ Result<MagicRewriteResult> MagicRewrite(const Program& in,
         if (!sig.IsBuiltin(l.pred)) {
           bool idb = rules_of.find(l.pred) != rules_of.end();
           if (l.positive && idb) {
-            uint32_t child_mask = 0;
-            for (size_t i = 0; i < l.args.size(); ++i) {
-              TermId a = l.args[i];
-              if (store.is_ground(a) ||
-                  (store.IsVariable(a) && bound_vars.count(a))) {
-                child_mask |= ColumnBit(i);
-              }
-            }
-            child_mask = demandable_mask(l.pred, child_mask);
+            const uint32_t child_mask = child_mask_of(l, bound_vars);
             if (child_mask != 0) {
               AdornKey child = ensure_adorned(l.pred, child_mask);
               nl.pred = adorned[child];

@@ -84,17 +84,18 @@ struct MagicRewriteResult {
 /// (`bound.size()` must equal the goal arity). Free-standing and pure:
 /// the returned program shares `in`'s TermStore but owns a signature
 /// copy, so repeated rewrites never pollute the session signature.
-/// The rewrite depends only on `in`'s *rules*: it carries no facts
-/// (fact-import guard rules are emitted unconditionally for every
-/// adorned predicate), so callers may cache it across fact-only
-/// program mutations - the caller loads the current fact set into the
-/// evaluation database before running the rewritten program
-/// (api/query.cc does; Session::rule_epoch() is the cache key).
-/// `stats` (optional) picks the sideways-information-passing order per
-/// rule by estimated selectivity (eval/plan.h, DESIGN.md section 17):
-/// bindings propagate through body literals in cost order instead of
-/// source order, so a selective literal narrows demand before a huge
-/// one. nullptr keeps source order, byte-exact to the legacy rewrite.
+/// The rewrite depends only on `in`'s *rules* (a Program holds no
+/// facts; fact-import guard rules are emitted unconditionally for every
+/// adorned predicate), so callers may cache it across fact mutations -
+/// the caller seeds the evaluation database with the current facts
+/// before running the rewritten program (Database::SeedFacts;
+/// Session::rule_epoch() is the cache key).
+/// `stats` (optional) lets a rule's sideways-information-passing order
+/// follow the cost-based join order (eval/plan.h, DESIGN.md section
+/// 17) when that order leaves fewer IDB body literals without demand
+/// (evaluated in full) than source order does, so a selective literal
+/// binds them first; otherwise the rule keeps source order. nullptr keeps source order everywhere,
+/// byte-exact to the legacy rewrite.
 /// Any valid SIP order yields the same answer set; only the size of
 /// the intermediate magic/adorned relations changes.
 Result<MagicRewriteResult> MagicRewrite(

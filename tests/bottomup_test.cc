@@ -227,7 +227,9 @@ TEST(BottomUpTest, StatsArePopulated) {
   EXPECT_GE(stats.strata, 1u);
   EXPECT_GT(stats.iterations, 0u);
   EXPECT_GT(stats.rule_runs, 0u);
-  EXPECT_GE(stats.tuples_derived, 5u);
+  // path(a, b), path(b, c), path(a, c): the two edge facts were stored
+  // when the program loaded and are not counted.
+  EXPECT_EQ(stats.tuples_derived, 3u);
 }
 
 TEST(BottomUpTest, EvaluateIsIdempotent) {

@@ -18,11 +18,10 @@ namespace {
     ASSERT_TRUE(_st.ok()) << _st.ToString();   \
   } while (0)
 
-// Evaluates `program` into a fresh database.
-std::unique_ptr<Database> Eval(const Program& program,
+// Evaluates `program` over the facts of `engine` in a fresh database.
+std::unique_ptr<Database> Eval(Engine& engine, const Program& program,
                                EvalOptions options = {}) {
-  auto db = std::make_unique<Database>(program.store(),
-                                       &program.signature());
+  std::unique_ptr<Database> db = engine.database()->FactsFor(program);
   auto stats = EvaluateProgram(program, db.get(), options);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   return db;
@@ -56,7 +55,7 @@ TEST_P(QuantElimTest, SubsetProgramSurvivesRewrite) {
     allq(X) :- s(X), forall E in X : q(E).
   )"));
   Program original = *engine.program();
-  auto original_db = Eval(original);
+  auto original_db = Eval(engine, original);
 
   auto rewritten = EliminateQuantifiers(original, GetParam());
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
@@ -66,7 +65,7 @@ TEST_P(QuantElimTest, SubsetProgramSurvivesRewrite) {
   }
   EvalOptions opts;
   opts.max_tuples = 200000;
-  auto rewritten_db = Eval(*rewritten, opts);
+  auto rewritten_db = Eval(engine, *rewritten, opts);
 
   PredicateId allq = engine.signature()->Lookup("allq", 1);
   ASSERT_NE(allq, kInvalidPredicate);
@@ -80,13 +79,13 @@ TEST_P(QuantElimTest, NestedQuantifiersPeelRecursively) {
     lessall(X, Y) :- s(X), s(Y), forall A in X, forall B in Y : A < B.
   )"));
   Program original = *engine.program();
-  auto original_db = Eval(original);
+  auto original_db = Eval(engine, original);
 
   auto rewritten = EliminateQuantifiers(original, GetParam());
   ASSERT_TRUE(rewritten.ok());
   EvalOptions opts;
   opts.max_tuples = 500000;
-  auto rewritten_db = Eval(*rewritten, opts);
+  auto rewritten_db = Eval(engine, *rewritten, opts);
 
   PredicateId lessall = engine.signature()->Lookup("lessall", 2);
   ExpectSameRelation(*original_db, *rewritten_db, lessall, "lessall");
@@ -105,7 +104,7 @@ TEST(BuiltinElimTest, UnionLiteralReplacedByDefinedPredicate) {
     u(Z) :- a(X), b(Y), c(Z), union(X, Y, Z).
   )"));
   Program original = *engine.program();
-  auto original_db = Eval(original);
+  auto original_db = Eval(engine, original);
 
   auto rewritten = EliminateUnionBuiltin(original);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
@@ -115,7 +114,7 @@ TEST(BuiltinElimTest, UnionLiteralReplacedByDefinedPredicate) {
       EXPECT_NE(l.pred, kPredUnion);
     }
   }
-  auto rewritten_db = Eval(*rewritten);
+  auto rewritten_db = Eval(engine, *rewritten);
   PredicateId u = engine.signature()->Lookup("u", 1);
   ExpectSameRelation(*original_db, *rewritten_db, u, "u");
   EXPECT_TRUE(rewritten_db->Contains(
@@ -129,7 +128,7 @@ TEST(BuiltinElimTest, SconsLiteralReplacedByDefinedPredicate) {
     u(Z) :- a(Y), c(Z), scons(1, Y, Z).
   )"));
   Program original = *engine.program();
-  auto original_db = Eval(original);
+  auto original_db = Eval(engine, original);
 
   auto rewritten = EliminateSconsBuiltin(original);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
@@ -138,7 +137,7 @@ TEST(BuiltinElimTest, SconsLiteralReplacedByDefinedPredicate) {
       EXPECT_NE(l.pred, kPredScons);
     }
   }
-  auto rewritten_db = Eval(*rewritten);
+  auto rewritten_db = Eval(engine, *rewritten);
   PredicateId u = engine.signature()->Lookup("u", 1);
   ExpectSameRelation(*original_db, *rewritten_db, u, "u");
   EXPECT_TRUE(rewritten_db->Contains(
@@ -171,7 +170,7 @@ TEST(RoundTripTest, ElpsToHornAndBack) {
     allq(X) :- s(X), forall E in X : q(E).
   )"));
   Program original = *engine.program();
-  auto original_db = Eval(original);
+  auto original_db = Eval(engine, original);
 
   auto horn = EliminateQuantifiers(original, SetPrimitive::kScons);
   ASSERT_TRUE(horn.ok());
@@ -186,7 +185,7 @@ TEST(RoundTripTest, ElpsToHornAndBack) {
   }
   EvalOptions opts;
   opts.max_tuples = 500000;
-  auto back_db = Eval(*back, opts);
+  auto back_db = Eval(engine, *back, opts);
   PredicateId allq = engine.signature()->Lookup("allq", 1);
   ExpectSameRelation(*original_db, *back_db, allq, "allq roundtrip");
 }

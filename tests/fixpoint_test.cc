@@ -136,16 +136,9 @@ TEST(FixpointTest, LpsModelEqualsGroundedHornModel) {
 
   // Build the grounded program over the evaluated active domain (the
   // program creates no new sets, so the domain is the EDB's).
+  // Loading stores the facts, which seeds the domains.
   Engine ground_engine(LanguageMode::kLPS);
   ASSERT_TRUE(ground_engine.LoadString(kSource).ok());
-  {
-    // Seed domains: evaluate facts only by running an empty evaluation
-    // on a copy whose rules are removed.
-    Program facts_only = *ground_engine.program();
-    facts_only.mutable_clauses()->clear();
-    auto st = EvaluateProgram(facts_only, ground_engine.database());
-    ASSERT_TRUE(st.ok());
-  }
   auto grounded = GroundProgramOverDomain(
       *ground_engine.program(), ground_engine.database()->atom_domain(),
       ground_engine.database()->set_domain());
@@ -154,9 +147,9 @@ TEST(FixpointTest, LpsModelEqualsGroundedHornModel) {
   for (const Clause& c : grounded->clauses()) {
     EXPECT_TRUE(c.quantifiers.empty());
   }
-  Database ground_db(ground_engine.store(),
-                     &grounded->signature());
-  ASSERT_TRUE(EvaluateProgram(*grounded, &ground_db).ok());
+  std::unique_ptr<Database> ground_db =
+      ground_engine.database()->FactsFor(*grounded);
+  ASSERT_TRUE(EvaluateProgram(*grounded, ground_db.get()).ok());
 
   // Compare the two models on the user predicates.
   for (const char* pred : {"allq", "sub"}) {
@@ -164,7 +157,7 @@ TEST(FixpointTest, LpsModelEqualsGroundedHornModel) {
         pred, pred == std::string("sub") ? 2 : 1);
     ASSERT_NE(p1, kInvalidPredicate);
     const Relation* r1 = lps_engine.database()->FindRelation(p1);
-    const Relation* r2 = ground_db.FindRelation(p1);
+    const Relation* r2 = ground_db->FindRelation(p1);
     ASSERT_NE(r1, nullptr);
     ASSERT_NE(r2, nullptr);
     EXPECT_EQ(r1->size(), r2->size()) << pred;

@@ -14,14 +14,15 @@ namespace {
 TEST(HerbrandTest, ConstantsOnlyUniverse) {
   TermStore store;
   Program program(&store);
+  Database db(&store, &program.signature());
   PredicateId p = *program.signature().Declare("p", {Sort::kAtom});
-  ASSERT_TRUE(program.AddFact(p, {store.MakeConstant("a")}).ok());
-  ASSERT_TRUE(program.AddFact(p, {store.MakeConstant("b")}).ok());
+  ASSERT_TRUE(db.AddFact(p, {store.MakeConstant("a")}));
+  ASSERT_TRUE(db.AddFact(p, {store.MakeConstant("b")}));
 
   HerbrandOptions opts;
   opts.max_function_depth = 0;
   opts.max_set_cardinality = 2;
-  auto u = HerbrandUniverse::Build(program, opts);
+  auto u = HerbrandUniverse::Build(program, db, opts);
   ASSERT_TRUE(u.ok()) << u.status().ToString();
   EXPECT_EQ(u->atoms().size(), 2u);
   // Subsets of {a, b} with |S| <= 2: {}, {a}, {b}, {a,b}.
@@ -31,15 +32,15 @@ TEST(HerbrandTest, ConstantsOnlyUniverse) {
 TEST(HerbrandTest, FunctionSymbolsGrowUniverse) {
   TermStore store;
   Program program(&store);
+  Database db(&store, &program.signature());
   PredicateId p = *program.signature().Declare("p", {Sort::kAtom});
   TermId a = store.MakeConstant("a");
-  ASSERT_TRUE(
-      program.AddFact(p, {store.MakeFunction("f", {a})}).ok());
+  ASSERT_TRUE(db.AddFact(p, {store.MakeFunction("f", {a})}));
 
   HerbrandOptions opts;
   opts.max_function_depth = 1;
   opts.max_set_cardinality = 1;
-  auto u = HerbrandUniverse::Build(program, opts);
+  auto u = HerbrandUniverse::Build(program, db, opts);
   ASSERT_TRUE(u.ok());
   // a, f(a) at least; f(f(a)) excluded by depth 1... depth counts
   // applications beyond the seeds, so f(f(a)) appears exactly when the
@@ -56,13 +57,14 @@ TEST(HerbrandTest, FunctionSymbolsGrowUniverse) {
 TEST(HerbrandTest, NestedSetUniverse) {
   TermStore store;
   Program program(&store);
+  Database db(&store, &program.signature());
   PredicateId p = *program.signature().Declare("p", {Sort::kAtom});
-  ASSERT_TRUE(program.AddFact(p, {store.MakeConstant("a")}).ok());
+  ASSERT_TRUE(db.AddFact(p, {store.MakeConstant("a")}));
 
   HerbrandOptions opts;
   opts.max_set_cardinality = 1;
   opts.max_set_depth = 2;  // ELPS: sets of sets
-  auto u = HerbrandUniverse::Build(program, opts);
+  auto u = HerbrandUniverse::Build(program, db, opts);
   ASSERT_TRUE(u.ok());
   TermId sa = store.MakeSet({store.MakeConstant("a")});
   TermId ssa = store.MakeSet({sa});
@@ -75,31 +77,30 @@ TEST(HerbrandTest, NestedSetUniverse) {
 TEST(HerbrandTest, LimitsEnforced) {
   TermStore store;
   Program program(&store);
+  Database db(&store, &program.signature());
   PredicateId p = *program.signature().Declare("p", {Sort::kAtom});
   for (int i = 0; i < 25; ++i) {
     ASSERT_TRUE(
-        program
-            .AddFact(p, {store.MakeConstant("c" + std::to_string(i))})
-            .ok());
+        db.AddFact(p, {store.MakeConstant("c" + std::to_string(i))}));
   }
   HerbrandOptions opts;
   opts.max_set_cardinality = 25;
   opts.max_sets = 1000;
-  auto u = HerbrandUniverse::Build(program, opts);
+  auto u = HerbrandUniverse::Build(program, db, opts);
   EXPECT_EQ(u.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(HerbrandTest, CollectGroundTermsFindsNestedOnes) {
   TermStore store;
   Program program(&store);
+  Database db(&store, &program.signature());
   PredicateId p =
       *program.signature().Declare("p", {Sort::kSet, Sort::kAtom});
   TermId a = store.MakeConstant("a");
   TermId b = store.MakeConstant("b");
-  ASSERT_TRUE(
-      program.AddFact(p, {store.MakeSet({a, b}), a}).ok());
+  ASSERT_TRUE(db.AddFact(p, {store.MakeSet({a, b}), a}));
   std::vector<TermId> atoms, sets;
-  CollectGroundTerms(program, &atoms, &sets);
+  CollectGroundTerms(program, db, &atoms, &sets);
   EXPECT_EQ(atoms.size(), 2u);
   EXPECT_EQ(sets.size(), 1u);
 }

@@ -191,7 +191,7 @@ TEST(IncrementalTest, MaintainerReportsIneligibleReason) {
   )"));
   ASSERT_OK(session.Evaluate());
   IncrementalMaintainer maintainer(session.program(), session.database());
-  auto ran = maintainer.Maintain({}, {}, IncrementalMaintainer::FactCounts{});
+  auto ran = maintainer.Maintain({}, {});
   ASSERT_OK(ran.status());
   EXPECT_FALSE(*ran);
   EXPECT_FALSE(maintainer.ineligible_reason().empty());
@@ -239,11 +239,52 @@ TEST(MutationBatchTest, AbortLeavesNoTrace) {
                 session.program()->signature()),
             before);
   EXPECT_FALSE(*session.Holds("edge(d, e)"));
+  {
+    // A predicate only a staged Add() names is declared at Commit():
+    // aborting leaves the signature and its symbols as they were.
+    const TermId z = session.store()->MakeConstant("z");
+    const size_t preds = session.signature()->size();
+    const size_t symbols = session.store()->symbols().size();
+    MutationBatch batch = session.Mutate();
+    ASSERT_OK(batch.Add("fresh2", {z}));
+    batch.Abort();
+    EXPECT_EQ(session.signature()->size(), preds);
+    EXPECT_EQ(session.signature()->Lookup("fresh2", 1), kInvalidPredicate);
+    EXPECT_EQ(session.store()->symbols().size(), symbols);
+  }
+}
+
+TEST(MutationBatchTest, FreshPredicateIsDeclaredAtCommit) {
+  Session session(LanguageMode::kLPS, Incremental());
+  ASSERT_OK(session.Load(kGraph));
+  ASSERT_OK(session.Evaluate());
+  const TermId z = session.store()->MakeConstant("z");
+  const TermId w = session.store()->MakeConstant("w");
+  MutationBatch batch = session.Mutate();
+  ASSERT_OK(batch.Add("fresh2", {z}));
+  ASSERT_OK(batch.Add("fresh2", {z}));  // the same fresh predicate
+  // Later ops win over earlier ones on the same tuple, also when an
+  // Add() of this batch is what introduces the predicate.
+  ASSERT_OK(batch.Add("fresh2", {w}));
+  ASSERT_OK(batch.Retract("fresh2", {w}));
+  ASSERT_OK(batch.Retract("never_added", {w}));  // nothing to retract
+  EXPECT_EQ(batch.pending(), 4u);
+  EXPECT_EQ(session.signature()->Lookup("fresh2", 1), kInvalidPredicate);
+  ASSERT_OK(batch.Commit());
+  const PredicateId fresh = session.signature()->Lookup("fresh2", 1);
+  ASSERT_NE(fresh, kInvalidPredicate);
+  EXPECT_EQ(session.database()->FactCount(fresh, Tuple{z}), 2u);
+  EXPECT_TRUE(*session.Holds("fresh2(z)"));
+  EXPECT_EQ(session.database()->FactCount(fresh, Tuple{w}), 0u);
+  EXPECT_FALSE(*session.Holds("fresh2(w)"));
+  EXPECT_EQ(session.signature()->Lookup("never_added", 1),
+            kInvalidPredicate);
 }
 
 TEST(MutationBatchTest, DeferredCommitTakesEffectAtEvaluate) {
-  // Committing before the first Evaluate() only updates the program;
-  // the facts take effect at the next Evaluate().
+  // Committing before the first Evaluate() only updates the facts,
+  // which are visible at once; their consequences follow at the next
+  // Evaluate().
   Session session(LanguageMode::kLPS, Incremental());
   ASSERT_OK(session.Load(kGraph));
   ASSERT_OK(session.Compile());  // AddText parses against the signature
@@ -251,9 +292,48 @@ TEST(MutationBatchTest, DeferredCommitTakesEffectAtEvaluate) {
   ASSERT_OK(batch.AddText("edge(d, e)"));
   ASSERT_OK(batch.Commit());
   EXPECT_FALSE(session.converged());
-  EXPECT_EQ(session.database()->TupleCount(), 0u);
+  EXPECT_EQ(session.database()->TupleCount(), 4u);  // the edges alone
+  EXPECT_TRUE(*session.Holds("edge(d, e)"));
+  EXPECT_FALSE(*session.Holds("path(a, e)"));
   ASSERT_OK(session.Evaluate());
   EXPECT_TRUE(*session.Holds("path(a, e)"));
+}
+
+TEST(MutationBatchTest, RetractRebuildsTheActiveDomain) {
+  // notp(X) ranges X over the active domain. A retract committed
+  // without maintenance resets the database to its facts: a term only
+  // the retracted fact carried must leave the domain, or notp(c)
+  // would survive. The result equals a fresh session's.
+  const char* rules = "notp(X) :- not p(X).\n";
+  Session session(LanguageMode::kLPS);  // incremental off: reset path
+  ASSERT_OK(session.Load(std::string("p(a). q(b). q(c).\n") + rules));
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("notp(c)"));
+  MutationBatch batch = session.Mutate();
+  ASSERT_OK(batch.RetractText("q(c)"));
+  ASSERT_OK(batch.Commit());
+  EXPECT_FALSE(*session.Holds("notp(c)"));
+
+  Session fresh(LanguageMode::kLPS);
+  ASSERT_OK(fresh.Load(std::string("p(a). q(b).\n") + rules));
+  ASSERT_OK(fresh.Evaluate());
+  EXPECT_EQ(session.database()->ToCanonicalString(*session.signature()),
+            fresh.database()->ToCanonicalString(*fresh.signature()));
+  EXPECT_EQ(session.database()->atom_domain().size(),
+            fresh.database()->atom_domain().size());
+
+  // The same retract on a session that never evaluated: the next
+  // Evaluate() starts from the facts alone.
+  Session deferred(LanguageMode::kLPS);
+  ASSERT_OK(deferred.Load(std::string("p(a). q(b). q(c).\n") + rules));
+  ASSERT_OK(deferred.Compile());
+  MutationBatch retract = deferred.Mutate();
+  ASSERT_OK(retract.RetractText("q(c)"));
+  ASSERT_OK(retract.Commit());
+  EXPECT_FALSE(*deferred.Holds("q(c)"));
+  ASSERT_OK(deferred.Evaluate());
+  EXPECT_EQ(deferred.database()->ToCanonicalString(*deferred.signature()),
+            fresh.database()->ToCanonicalString(*fresh.signature()));
 }
 
 TEST(MutationBatchTest, StagingValidatesWithoutMutating) {

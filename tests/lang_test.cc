@@ -60,13 +60,14 @@ TEST_F(LangTest, NameArityDistinguishesPredicates) {
 TEST_F(LangTest, FactsMustBeGroundAndNonSpecial) {
   Signature& sig = program_.signature();
   PredicateId p = *sig.Declare("p", {Sort::kAtom});
-  EXPECT_TRUE(
-      program_.AddFact(p, {store_.MakeConstant("a")}).ok());
+  const TermId a = store_.MakeConstant("a");
+  using Args = std::vector<TermId>;
+  EXPECT_TRUE(CheckFact(store_, sig, p, Args{a}).ok());
   EXPECT_FALSE(
-      program_.AddFact(p, {store_.MakeVariable("X", Sort::kAtom)}).ok());
-  EXPECT_FALSE(program_.AddFact(kPredEq, {store_.MakeConstant("a"),
-                                          store_.MakeConstant("a")})
-                   .ok());
+      CheckFact(store_, sig, p, Args{store_.MakeVariable("X", Sort::kAtom)})
+          .ok());
+  EXPECT_FALSE(CheckFact(store_, sig, kPredEq, Args{a, a}).ok());
+  EXPECT_FALSE(CheckFact(store_, sig, p, Args{a, a}).ok());  // arity
 }
 
 TEST_F(LangTest, HeadMustBeNonSpecial) {
@@ -236,109 +237,6 @@ TEST_F(LangTest, ProgramUsageFlags) {
   program_.AddClause(c);
   EXPECT_TRUE(ProgramUsesNegation(program_));
   EXPECT_FALSE(ProgramUsesGrouping(program_));
-}
-
-// ---- FactLedger: chunked COW storage behind Program::facts() ---------
-
-namespace {
-Literal Fact(PredicateId pred, TermId arg) {
-  return Literal{pred, {arg}, true};
-}
-}  // namespace
-
-TEST(FactLedgerTest, PushIndexIterateAgree) {
-  FactLedger ledger;
-  EXPECT_TRUE(ledger.empty());
-  const size_t n = FactLedger::kChunkSize * 2 + 37;  // 2 sealed + tail
-  for (size_t i = 0; i < n; ++i) {
-    ledger.push_back(Fact(1, static_cast<TermId>(i)));
-  }
-  ASSERT_EQ(ledger.size(), n);
-  EXPECT_EQ(ledger.sealed_chunks(), 2u);
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(ledger[i].args[0], static_cast<TermId>(i));
-  }
-  size_t i = 0;
-  for (const Literal& f : ledger) {
-    EXPECT_EQ(f.args[0], static_cast<TermId>(i));
-    ++i;
-  }
-  EXPECT_EQ(i, n);
-}
-
-TEST(FactLedgerTest, CopySharesSealedChunksUntilMutation) {
-  FactLedger ledger;
-  const size_t n = FactLedger::kChunkSize * 3 + 5;
-  for (size_t i = 0; i < n; ++i) {
-    ledger.push_back(Fact(1, static_cast<TermId>(i)));
-  }
-  FactLedger copy = ledger;
-  EXPECT_EQ(copy.SharedChunksWith(ledger), 3u);
-
-  // Tail growth on the copy never disturbs sharing.
-  copy.push_back(Fact(1, 9999));
-  EXPECT_EQ(copy.SharedChunksWith(ledger), 3u);
-  EXPECT_EQ(ledger.size(), n);  // original untouched
-
-  // Removing from the middle chunk rebuilds only that chunk.
-  copy.RemoveAt({FactLedger::kChunkSize + 1});
-  EXPECT_EQ(copy.SharedChunksWith(ledger), 2u);
-  EXPECT_EQ(copy.size(), n);  // n + 1 push - 1 removal
-  // The original still reads its own value at the removed position.
-  EXPECT_EQ(ledger[FactLedger::kChunkSize + 1].args[0],
-            static_cast<TermId>(FactLedger::kChunkSize + 1));
-  // The copy skipped past it.
-  EXPECT_EQ(copy[FactLedger::kChunkSize + 1].args[0],
-            static_cast<TermId>(FactLedger::kChunkSize + 2));
-}
-
-TEST(FactLedgerTest, RemoveAtSpanningChunksAndTail) {
-  FactLedger ledger;
-  const size_t n = FactLedger::kChunkSize + 10;
-  for (size_t i = 0; i < n; ++i) {
-    ledger.push_back(Fact(1, static_cast<TermId>(i)));
-  }
-  // First of chunk 0, last of chunk 0, and two tail entries.
-  ledger.RemoveAt({0, FactLedger::kChunkSize - 1, FactLedger::kChunkSize,
-                   n - 1});
-  ASSERT_EQ(ledger.size(), n - 4);
-  std::vector<TermId> got;
-  for (const Literal& f : ledger) got.push_back(f.args[0]);
-  ASSERT_EQ(got.size(), n - 4);
-  EXPECT_EQ(got.front(), 1u);
-  // 1..254 survive from the first chunk, then the tail resumes at 257.
-  EXPECT_EQ(got[FactLedger::kChunkSize - 3],
-            static_cast<TermId>(FactLedger::kChunkSize - 2));
-  EXPECT_EQ(got[FactLedger::kChunkSize - 2],
-            static_cast<TermId>(FactLedger::kChunkSize + 1));
-  EXPECT_EQ(got.back(), static_cast<TermId>(n - 2));
-
-  // Emptying a whole chunk drops it instead of leaving a hole.
-  FactLedger two;
-  for (size_t i = 0; i < FactLedger::kChunkSize * 2; ++i) {
-    two.push_back(Fact(2, static_cast<TermId>(i)));
-  }
-  std::vector<size_t> all_first;
-  for (size_t i = 0; i < FactLedger::kChunkSize; ++i) all_first.push_back(i);
-  two.RemoveAt(all_first);
-  EXPECT_EQ(two.sealed_chunks(), 1u);
-  EXPECT_EQ(two.size(), FactLedger::kChunkSize);
-  EXPECT_EQ(two[0].args[0], static_cast<TermId>(FactLedger::kChunkSize));
-}
-
-TEST(FactLedgerTest, RemoveFirstMatchesPredAndArgs) {
-  FactLedger ledger;
-  ledger.push_back(Fact(1, 10));
-  ledger.push_back(Fact(2, 10));
-  ledger.push_back(Fact(1, 10));  // duplicate: only the first goes
-  EXPECT_TRUE(ledger.RemoveFirst(1, {10}));
-  EXPECT_EQ(ledger.size(), 2u);
-  EXPECT_EQ(ledger[0].pred, 2u);
-  EXPECT_EQ(ledger[1].pred, 1u);
-  EXPECT_FALSE(ledger.RemoveFirst(3, {10}));
-  ledger.clear();
-  EXPECT_TRUE(ledger.empty());
-  EXPECT_EQ(ledger.begin(), ledger.end());
 }
 
 }  // namespace

@@ -19,10 +19,10 @@ namespace {
     ASSERT_TRUE(_st.ok()) << _st.ToString();   \
   } while (0)
 
-std::unique_ptr<Database> Eval(const Program& program,
+// Evaluates `program` over the facts of `engine` in a fresh database.
+std::unique_ptr<Database> Eval(Engine& engine, const Program& program,
                                EvalOptions options = {}) {
-  auto db = std::make_unique<Database>(program.store(),
-                                       &program.signature());
+  std::unique_ptr<Database> db = engine.database()->FactsFor(program);
   auto stats = EvaluateProgram(program, db.get(), options);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   return db;
@@ -40,7 +40,7 @@ TEST(GroupingElimTest, TranslationMatchesNativeGrouping) {
     team(D, <E>) :- emp(D, E).
   )"));
   Program original = *engine.program();
-  auto native_db = Eval(original);
+  auto native_db = Eval(engine, original);
 
   auto translated = EliminateGrouping(original);
   ASSERT_TRUE(translated.ok()) << translated.status().ToString();
@@ -49,7 +49,7 @@ TEST(GroupingElimTest, TranslationMatchesNativeGrouping) {
   // The translation is stratified (Theorem 12).
   EXPECT_TRUE(Stratify(*translated).ok());
 
-  auto translated_db = Eval(*translated);
+  auto translated_db = Eval(engine, *translated);
   PredicateId team = engine.signature()->Lookup("team", 2);
   ASSERT_NE(team, kInvalidPredicate);
 
@@ -93,7 +93,7 @@ TEST(UnionToGroupingTest, GroupedUnionMatchesBuiltin) {
     u(Z) :- a(X), b(Y), union(X, Y, Z).
   )"));
   Program original = *engine.program();
-  auto original_db = Eval(original);
+  auto original_db = Eval(engine, original);
 
   auto translated = UnionToGrouping(original);
   ASSERT_TRUE(translated.ok()) << translated.status().ToString();
@@ -103,7 +103,7 @@ TEST(UnionToGroupingTest, GroupedUnionMatchesBuiltin) {
     }
   }
   EXPECT_TRUE(ProgramUsesGrouping(*translated));
-  auto translated_db = Eval(*translated);
+  auto translated_db = Eval(engine, *translated);
 
   PredicateId u = engine.signature()->Lookup("u", 1);
   const Relation* r1 = original_db->FindRelation(u);
@@ -129,7 +129,7 @@ TEST(UnionToGroupingTest, StratificationPreserved) {
   auto translated = UnionToGrouping(*engine.program());
   ASSERT_TRUE(translated.ok());
   EXPECT_TRUE(Stratify(*translated).ok());
-  auto db = Eval(*translated);
+  auto db = Eval(engine, *translated);
   PredicateId ok = engine.signature()->Lookup("ok", 1);
   EXPECT_TRUE(db->Contains(ok, {engine.ParseTerm("{1,2}").value()}));
 }

@@ -41,6 +41,23 @@ Result<MagicRewriteResult> Rewrite(Session* session,
   return MagicRewrite(*session->program(), q->goal(), bound);
 }
 
+// Rewrite() with SIP statistics taken from the session database, as
+// PreparedQuery::ExecuteDemand takes them.
+Result<MagicRewriteResult> RewriteWithStats(Session* session,
+                                            const std::string& goal) {
+  auto q = session->Prepare(goal);
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  std::vector<bool> bound;
+  for (TermId a : q->goal().args) {
+    bound.push_back(session->store()->is_ground(a));
+  }
+  PlannerStats stats = PlannerStats::FromDatabase(*session->database());
+  for (const Clause& c : session->program()->clauses()) {
+    stats.MarkDerived(c.head.pred);
+  }
+  return MagicRewrite(*session->program(), q->goal(), bound, &stats);
+}
+
 std::vector<std::string> ClauseStrings(const Program& p) {
   std::vector<std::string> out;
   for (const Clause& c : p.clauses()) {
@@ -254,17 +271,7 @@ TEST(MagicRewriteTest, StatsPickSipOrder) {
   ASSERT_TRUE(legacy->applied) << legacy->fallback_reason;
   EXPECT_EQ(legacy->rewrite->adorned_preds.size(), 1u);  // p_bf only
 
-  auto q = session->Prepare("p(a, W)");
-  ASSERT_OK(q.status());
-  std::vector<bool> bound;
-  for (TermId a : q->goal().args) {
-    bound.push_back(session->store()->is_ground(a));
-  }
-  PlannerStats stats = PlannerStats::FromFacts(*session->program());
-  for (const Clause& c : session->program()->clauses()) {
-    stats.MarkDerived(c.head.pred);
-  }
-  auto rw = MagicRewrite(*session->program(), q->goal(), bound, &stats);
+  auto rw = RewriteWithStats(session.get(), "p(a, W)");
   ASSERT_OK(rw.status());
   ASSERT_TRUE(rw->applied) << rw->fallback_reason;
   const MagicProgram& mp = *rw->rewrite;
@@ -278,6 +285,38 @@ TEST(MagicRewriteTest, StatsPickSipOrder) {
     }
   }
   EXPECT_TRUE(sip_body);
+}
+
+TEST(MagicRewriteTest, StatsKeepSourceOrderThatAlreadyDemands) {
+  // path(X, Z) :- path(X, Y), edge(Y, Z) under a bound-bound goal.
+  // Source order already demands path bound-free. The cost order scans
+  // the small edge(Y, Z) first, which would adorn path bound-bound and
+  // demand it once per predecessor of the target (4 magic tuples here,
+  // one per node on the chain). Statistics keep source order: path_bb
+  // for the goal, path_bf in its body, 2 magic tuples.
+  const char* src = R"(
+    edge(a, b). edge(b, c). edge(c, d).
+    path(X, Y) :- edge(X, Y).
+    path(X, Z) :- path(X, Y), edge(Y, Z).
+  )";
+  auto session = Load(src);
+  auto rw = RewriteWithStats(session.get(), "path(a, d)");
+  ASSERT_OK(rw.status());
+  ASSERT_TRUE(rw->applied) << rw->fallback_reason;
+  EXPECT_EQ(rw->rewrite->adorned_preds.size(), 2u);  // path_bb, path_bf
+  bool source_body = false;
+  for (const std::string& cs : ClauseStrings(rw->rewrite->program)) {
+    if (cs.find("path_bf(X, Y), edge(Y, Z)") != std::string::npos) {
+      source_body = true;
+    }
+  }
+  EXPECT_TRUE(source_body);
+
+  // The session's demand path takes the same statistics.
+  auto q = session->Prepare("path(a, d)");
+  ASSERT_OK(q.status());
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 1u);
+  EXPECT_EQ(session->eval_stats().magic_tuples, 2u);
 }
 
 // ---- Fallback taxonomy ------------------------------------------------
@@ -351,6 +390,42 @@ std::vector<std::string> SortedAnswers(Session* session,
   return out;
 }
 
+TEST(DemandExecutionTest, SessionDemandSharesFactsOnlyWhileItRuns) {
+  // path is rule-headed and has a fact of its own. The demand answers
+  // equal the full fixpoint's; the evaluation shared the session's
+  // edge relation while it ran, and neither the cached result nor the
+  // live cursor keeps it shared, so a later commit to edge writes the
+  // session relation in place instead of copying it.
+  const char* src = R"(
+    edge(a, b). edge(b, c). path(c, e).
+    path(X, Y) :- edge(X, Y).
+    path(X, Z) :- edge(X, Y), path(Y, Z).
+  )";
+  auto session = Load(src);
+  auto full = Load(src);
+  ASSERT_OK(full->Evaluate());
+  EXPECT_EQ(SortedAnswers(session.get(), "path(a, X)", true),
+            SortedAnswers(full.get(), "path(a, X)", false));
+  EXPECT_EQ(session->eval_stats().magic_predicates, 1u);
+
+  const PredicateId edge = session->signature()->Lookup("edge", 2);
+  const Relation* before = session->database()->FindRelation(edge);
+  auto q = session->Prepare("path(b, X)");
+  ASSERT_OK(q.status());
+  auto cursor = q->ExecuteDemand();  // stays live across the commit
+  ASSERT_OK(cursor.status());
+  MutationBatch batch = session->Mutate();
+  ASSERT_OK(batch.AddText("edge(c, f)"));
+  ASSERT_OK(batch.Commit());
+  EXPECT_EQ(session->database()->FindRelation(edge), before);
+  auto rows = cursor->ToVector();
+  ASSERT_OK(rows.status());
+  EXPECT_EQ(rows->size(), 2u);  // c, e: evaluated before the commit
+  EXPECT_EQ(SortedAnswers(session.get(), "path(a, X)", true),
+            (std::vector<std::string>{"(a, b)", "(a, c)", "(a, e)",
+                                      "(a, f)"}));
+}
+
 TEST(DemandExecutionTest, PointQueryWithoutEvaluate) {
   auto session = Load(R"(
     edge(a, b). edge(b, c). edge(c, d). edge(x, y).
@@ -372,9 +447,10 @@ TEST(DemandExecutionTest, PointQueryWithoutEvaluate) {
   auto rows = cursor->ToVector();
   ASSERT_OK(rows.status());
   EXPECT_EQ(rows->size(), 3u);  // b, c, d
-  // The session database was never touched: demand evaluation ran in a
-  // private database owned by the cursor.
-  EXPECT_EQ(session->database()->TupleCount(), 0u);
+  // The session database holds its facts alone: demand evaluation ran
+  // in a private database, whose answers the cursor owns.
+  EXPECT_EQ(session->database()->TupleCount(),
+            session->database()->fact_count());
   // Stats surface the demand evaluation.
   EXPECT_EQ(session->eval_stats().magic_predicates, 1u);
   EXPECT_GT(session->eval_stats().magic_tuples, 0u);
@@ -497,8 +573,10 @@ TEST(DemandExecutionTest, EligibilityRefreshesWhenRulesAppearLater) {
   ASSERT_OK(session->Load(
       "path(X, Y) :- edge(X, Y). path(X, Z) :- path(X, Y), edge(Y, Z)."));
   EXPECT_EQ(*q->Execute()->Count(), 2u);  // z (fact) + b (derived)
-  // The demand path ran: session database untouched, magic stats set.
-  EXPECT_EQ(session->database()->TupleCount(), 0u);
+  // The demand path ran: the session database holds its facts alone,
+  // magic stats set.
+  EXPECT_EQ(session->database()->TupleCount(), 2u);
+  EXPECT_EQ(session->database()->fact_count(), 2u);
   EXPECT_EQ(session->eval_stats().magic_predicates, 1u);
 }
 
@@ -551,12 +629,14 @@ TEST(DemandExecutionTest, GroupingGoalWithBoundKeyRunsDemandDriven) {
   EXPECT_GT(fresh->eval_stats().magic_predicates, 0u);
   EXPECT_EQ(fresh->eval_stats().groups_emitted, 1u)
       << "demand must group only the demanded key";
-  // Both counts include the 48 loaded EDB facts; the derived remainder
-  // is 6 demand tuples vs 60 for the full fixpoint.
+  // Neither count includes the 48 EDB facts: 6 demand tuples vs 60
+  // for the full fixpoint.
   EXPECT_LT(fresh->eval_stats().tuples_derived, full_tuples)
       << "demand evaluation should derive fewer tuples";
-  // The session database stays untouched (private demand database).
-  EXPECT_EQ(fresh->database()->TupleCount(), 0u);
+  // The session database holds its facts alone (private demand
+  // database).
+  EXPECT_EQ(fresh->database()->TupleCount(),
+            fresh->database()->fact_count());
 }
 
 TEST(DemandExecutionTest, BoundSetConstantGoalIsDemandDriven) {

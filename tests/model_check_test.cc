@@ -24,7 +24,8 @@ TEST(ModelCheckTest, EvaluatedDatabaseIsAModel) {
     sub(X, Y) :- s(X), s(Y), forall E in X : E in Y.
   )"));
   ASSERT_OK(engine.Evaluate());
-  auto check = CheckModel(*engine.program(), engine.database());
+  auto check = CheckModel(*engine.program(), *engine.database(),
+                          engine.database());
   ASSERT_TRUE(check.ok()) << check.status().ToString();
   EXPECT_TRUE(check->is_model) << *check->counterexample;
   EXPECT_GT(check->instances_checked, 10u);
@@ -36,8 +37,9 @@ TEST(ModelCheckTest, MissingDerivedTupleIsCaught) {
     edge(a, b). edge(b, c).
     path(X, Y) :- edge(X, Y).
   )"));
-  // Do NOT evaluate: the empty database misses the facts themselves.
-  auto check = CheckModel(*engine.program(), engine.database());
+  // An empty candidate misses the facts themselves.
+  Database empty(engine.store(), engine.signature());
+  auto check = CheckModel(*engine.program(), *engine.database(), &empty);
   ASSERT_TRUE(check.ok());
   EXPECT_FALSE(check->is_model);
   ASSERT_TRUE(check->counterexample.has_value());
@@ -55,7 +57,7 @@ TEST(ModelCheckTest, ViolatedRuleRendersCounterexample) {
   Database db(engine.store(), engine.signature());
   db.AddTuple(edge, {engine.store()->MakeConstant("a"),
                      engine.store()->MakeConstant("b")});
-  auto check = CheckModel(*engine.program(), &db);
+  auto check = CheckModel(*engine.program(), *engine.database(), &db);
   ASSERT_TRUE(check.ok());
   EXPECT_FALSE(check->is_model);
   EXPECT_NE(check->counterexample->find("path"), std::string::npos);
@@ -73,7 +75,8 @@ TEST(ModelCheckTest, NonMinimalModelsStillPass) {
   ASSERT_OK(engine.Evaluate());
   PredicateId p = engine.signature()->Lookup("p", 1);
   engine.database()->AddTuple(p, {engine.store()->MakeConstant("zzz")});
-  auto check = CheckModel(*engine.program(), engine.database());
+  auto check = CheckModel(*engine.program(), *engine.database(),
+                          engine.database());
   ASSERT_TRUE(check.ok());
   EXPECT_TRUE(check->is_model);
 }
@@ -85,7 +88,8 @@ TEST(ModelCheckTest, GroupingRejected) {
     team(D, <E>) :- emp(D, E).
   )"));
   ASSERT_OK(engine.Evaluate());
-  auto check = CheckModel(*engine.program(), engine.database());
+  auto check = CheckModel(*engine.program(), *engine.database(),
+                          engine.database());
   EXPECT_EQ(check.status().code(), StatusCode::kUnimplemented);
 }
 

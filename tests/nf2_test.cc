@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/engine.h"
+#include "serve/snapshot.h"
 
 namespace lps {
 namespace {
@@ -94,16 +95,70 @@ TEST_F(Nf2Test, NestGroupsByRemainingColumns) {
   EXPECT_TRUE(found);
 }
 
-TEST_F(Nf2Test, ExportFactsIntoProgram) {
+TEST(Nf2ExportTest, ExportFactsIntoSession) {
+  Session session(LanguageMode::kLPS);
+  TermStore* store = session.store();
   NestedRelation rel({"obj", "parts"}, {Sort::kAtom, Sort::kSet});
-  ASSERT_OK(rel.AddRow(store_, {C("p1"), S({C("a"), C("b")})}));
+  ASSERT_OK(rel.AddRow(*store, {store->MakeConstant("p1"),
+                                store->MakeSet({store->MakeConstant("a"),
+                                                store->MakeConstant("b")})}));
 
-  Program program(&store_);
-  ASSERT_OK(rel.ExportFacts(&program, "parts"));
-  EXPECT_EQ(program.facts().size(), 1u);
-  PredicateId parts = program.signature().Lookup("parts", 2);
+  MutationBatch batch = session.Mutate();
+  ASSERT_OK(rel.ExportFacts(&batch, "parts"));
+  ASSERT_OK(batch.Commit());
+  EXPECT_EQ(session.database()->fact_count(), 1u);
+  PredicateId parts = session.signature()->Lookup("parts", 2);
   ASSERT_NE(parts, kInvalidPredicate);
-  EXPECT_EQ(program.signature().info(parts).arg_sorts[1], Sort::kSet);
+  EXPECT_EQ(session.signature()->info(parts).arg_sorts[1], Sort::kSet);
+}
+
+TEST(Nf2ExportTest, ExportedFactsCommitThroughTheSession) {
+  // Exported rows go through a mutation batch, so a converged
+  // incremental session maintains their consequences, publishes them,
+  // and can retract them again.
+  Options options;
+  options.incremental = true;
+  Session session(LanguageMode::kLPS, options);
+  ASSERT_OK(session.Load(R"(
+    edge(a, b).
+    path(X, Y) :- edge(X, Y).
+    path(X, Z) :- path(X, Y), edge(Y, Z).
+  )"));
+  ASSERT_OK(session.Evaluate());
+  {
+    MutationBatch batch = session.Mutate();
+    ASSERT_OK(batch.AddText("edge(b, c)"));
+    ASSERT_OK(batch.Commit());
+  }
+  TermStore* store = session.store();
+  NestedRelation edges({"from", "to"}, {Sort::kAtom, Sort::kAtom});
+  ASSERT_OK(edges.AddRow(*store, {store->MakeConstant("c"),
+                                  store->MakeConstant("d")}));
+  {
+    MutationBatch batch = session.Mutate();
+    ASSERT_OK(edges.ExportFacts(&batch, "edge"));
+    ASSERT_OK(batch.Commit());
+  }
+  EXPECT_TRUE(session.converged());
+  auto snap = session.Freeze();
+  ASSERT_OK(snap.status());
+  const PredicateId edge = session.signature()->Lookup("edge", 2);
+  const PredicateId path = session.signature()->Lookup("path", 2);
+  const TermId a = store->MakeConstant("a");
+  const TermId c = store->MakeConstant("c");
+  const TermId d = store->MakeConstant("d");
+  EXPECT_TRUE((*snap)->database().Contains(edge, {c, d}));
+  EXPECT_TRUE((*snap)->database().Contains(path, {a, d}));
+
+  {
+    MutationBatch batch = session.Mutate();
+    ASSERT_OK(batch.RetractText("edge(c, d)"));
+    ASSERT_OK(batch.Commit());
+  }
+  ASSERT_OK(session.Evaluate());
+  EXPECT_FALSE(*session.Holds("edge(c, d)"));
+  EXPECT_FALSE(*session.Holds("path(a, d)"));
+  EXPECT_TRUE(*session.Holds("path(a, c)"));
 }
 
 TEST_F(Nf2Test, RoundTripThroughEngine) {
@@ -115,7 +170,9 @@ TEST_F(Nf2Test, RoundTripThroughEngine) {
                        {store->MakeConstant("p1"),
                         store->MakeSet({store->MakeConstant("a"),
                                         store->MakeConstant("b")})}));
-  ASSERT_OK(rel.ExportFacts(engine.program(), "parts"));
+  MutationBatch batch = engine.session().Mutate();
+  ASSERT_OK(rel.ExportFacts(&batch, "parts"));
+  ASSERT_OK(batch.Commit());
   ASSERT_OK(engine.LoadString(
       "flat(X, E) :- parts(X, Y), E in Y."));
   ASSERT_OK(engine.Evaluate());

@@ -256,6 +256,102 @@ ServeOptions TwoThreads() {
   return o;
 }
 
+// Sorted rendered answers of `goal_text` with `params`, served by a
+// fresh two-lane server over `snap`.
+std::vector<std::string> Served(
+    std::shared_ptr<const Snapshot> snap, const std::string& goal_text,
+    std::vector<std::pair<std::string, std::string>> params) {
+  SnapshotRegistry registry;
+  registry.Publish(std::move(snap));
+  QueryServer server(&registry, TwoThreads());
+  auto q = server.Prepare(goal_text);
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  ServeRequest req;
+  req.query = *q;
+  req.params = std::move(params);
+  auto ans = server.Execute(req);
+  EXPECT_TRUE(ans.ok() && ans->status.ok());
+  std::vector<std::string> rows(ans->rows.begin(), ans->rows.end());
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(QueryServerTest, FactMultiplicityHoldsAcrossCommitResetFreezeAndServe) {
+  // path is rule-headed and also has a fact, asserted twice and
+  // retracted once: it stays a fact through a commit, a reset, a
+  // freeze and a served demand request, and goes with its last
+  // assertion.
+  Options options;
+  options.incremental = true;
+  Session session(LanguageMode::kLPS, options);
+  ASSERT_OK(session.Load(kGraph));
+  ASSERT_OK(session.Evaluate());
+  {
+    MutationBatch batch = session.Mutate();
+    ASSERT_OK(batch.AddText("path(x, y)"));
+    ASSERT_OK(batch.AddText("path(x, y)"));
+    ASSERT_OK(batch.Commit());
+  }
+  {
+    MutationBatch batch = session.Mutate();
+    ASSERT_OK(batch.RetractText("path(x, y)"));
+    ASSERT_OK(batch.Commit());
+  }
+  const PredicateId path = session.signature()->Lookup("path", 2);
+  const Tuple xy{session.store()->MakeConstant("x"),
+                 session.store()->MakeConstant("y")};
+  EXPECT_EQ(session.database()->FactCount(path, xy), 1u);
+  EXPECT_TRUE(*session.Holds("path(x, y)"));
+
+  session.ResetDatabase();
+  EXPECT_EQ(session.database()->FactCount(path, xy), 1u);
+  EXPECT_EQ(session.database()->TupleCount(), 5u);  // 4 edges + path(x, y)
+  auto snap = session.Freeze();  // evaluates again
+  ASSERT_OK(snap.status());
+  EXPECT_EQ((*snap)->database().FactCount(path, xy), 1u);
+  EXPECT_EQ(Served(*snap, "path(X, Y)", {{"X", "x"}}),
+            (std::vector<std::string>{"(x, y)"}));
+  EXPECT_EQ(Served(*snap, "path(X, Y)", {{"X", "c"}}),
+            (std::vector<std::string>{"(c, d)", "(c, e)"}));
+
+  {
+    MutationBatch batch = session.Mutate();
+    ASSERT_OK(batch.RetractText("path(x, y)"));
+    ASSERT_OK(batch.Commit());
+  }
+  EXPECT_EQ(session.database()->FactCount(path, xy), 0u);
+  EXPECT_FALSE(*session.Holds("path(x, y)"));
+  auto gone = session.Freeze();
+  ASSERT_OK(gone.status());
+  EXPECT_TRUE(Served(*gone, "path(X, Y)", {{"X", "x"}}).empty());
+}
+
+TEST(QueryServerTest, DemandOverUnconvergedSnapshotMatchesSession) {
+  // Frozen without its fixpoint and with stale derived rows: a demand
+  // request seeds from the snapshot's facts alone and answers exactly
+  // what the session answers once it has evaluated.
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(kGraph));
+  ASSERT_OK(session.Evaluate());
+  ASSERT_OK(session.Load("edge(e, f). path(q, r)."));
+  serve::FreezeOptions fopts;
+  fopts.evaluate = false;
+  auto snap = session.Freeze(fopts);
+  ASSERT_OK(snap.status());
+  EXPECT_FALSE((*snap)->converged());
+  ASSERT_OK(session.Evaluate());
+  for (const char* from : {"a", "d", "q"}) {
+    auto q = session.Prepare(std::string("path(") + from + ", Y)");
+    ASSERT_OK(q.status());
+    auto rows = q->Execute()->ToVector();
+    ASSERT_OK(rows.status());
+    std::vector<std::string> want;
+    for (const Tuple& t : *rows) want.push_back(session.TupleToString(t));
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(Served(*snap, "path(X, Y)", {{"X", from}}), want) << from;
+  }
+}
+
 TEST(QueryServerTest, ScanDemandAndEmptyFastPaths) {
   Session session(LanguageMode::kLPS);
   ASSERT_OK(session.Load(kGraph));

@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "eval/engine.h"
+#include "term/printer.h"
 
 namespace lps {
 namespace {
@@ -30,11 +31,11 @@ TEST(SessionTest, StagedLifecycle) {
   ASSERT_OK(session.Load(kGraph));
   // Load only parses; nothing is committed to the program yet.
   EXPECT_TRUE(session.program()->clauses().empty());
-  EXPECT_TRUE(session.program()->facts().empty());
+  EXPECT_EQ(session.database()->fact_count(), 0u);
 
   ASSERT_OK(session.Compile());
   EXPECT_EQ(session.program()->clauses().size(), 2u);
-  EXPECT_EQ(session.program()->facts().size(), 3u);
+  EXPECT_EQ(session.database()->fact_count(), 3u);
 
   ASSERT_OK(session.Evaluate());
   EXPECT_GT(session.eval_stats().tuples_derived, 3u);
@@ -381,7 +382,7 @@ TEST(SessionErrorTest, FailedCompileIsTransactional) {
   ASSERT_OK(session.Load("q(a, b). team(D, <E>) :- q(D, E)."));
   EXPECT_FALSE(session.Compile().ok());
   EXPECT_TRUE(session.program()->clauses().empty());
-  EXPECT_EQ(session.program()->facts().size(), 1u);  // just p(a)
+  EXPECT_EQ(session.database()->fact_count(), 1u);  // just p(a)
 
   // The session keeps working after the rejection.
   ASSERT_OK(session.Load("r(c)."));
@@ -590,7 +591,7 @@ TEST(DemandModeTest, OffByDefaultAndHarmlessWhenOn) {
   EXPECT_EQ(*q_off->Execute()->Count(), 3u);
 
   // demand=true answers the same point query without any Evaluate()
-  // and without touching the session database.
+  // and without deriving into the session database.
   Options demand;
   demand.demand = true;
   Session on(LanguageMode::kLPS, demand);
@@ -598,8 +599,32 @@ TEST(DemandModeTest, OffByDefaultAndHarmlessWhenOn) {
   auto q_on = on.Prepare("path(a, X)");
   ASSERT_OK(q_on.status());
   EXPECT_EQ(*q_on->Execute()->Count(), 3u);
-  EXPECT_EQ(on.database()->TupleCount(), 0u);
+  EXPECT_EQ(on.database()->TupleCount(), 3u);  // the three edge facts
+  EXPECT_EQ(on.database()->fact_count(), 3u);
   EXPECT_EQ(on.program_epoch(), 1u);
+}
+
+TEST(DemandModeTest, FallbackOnConvergedSessionKeepsEvaluationCounters) {
+  // An all-free goal cannot be narrowed, so ExecuteDemand() falls back
+  // to the full fixpoint - which a converged session already holds. It
+  // must not re-run it: the counters stay those of the run that
+  // converged the session.
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(kGraph));
+  ASSERT_OK(session.Evaluate());
+  const EvalStats converged = session.eval_stats();
+  ASSERT_GT(converged.rule_runs, 0u);
+  auto q = session.Prepare("path(X, Y)");
+  ASSERT_OK(q.status());
+  auto cursor = q->ExecuteDemand();
+  ASSERT_OK(cursor.status());
+  EXPECT_EQ(*cursor->Count(), 6u);
+  const EvalStats& after = session.eval_stats();
+  EXPECT_NE(after.demand_fallback_reason.find("all-free"), std::string::npos);
+  EXPECT_EQ(after.rule_runs, converged.rule_runs);
+  EXPECT_EQ(after.iterations, converged.iterations);
+  EXPECT_EQ(after.tuples_derived, converged.tuples_derived);
+  EXPECT_TRUE(session.converged());
 }
 
 TEST(SessionTest, PreparedQuerySurvivesFactOnlyMutation) {
@@ -623,6 +648,31 @@ TEST(SessionTest, PreparedQuerySurvivesFactOnlyMutation) {
   EXPECT_EQ(session.parse_count(), parses + 1);
   EXPECT_EQ(session.rule_epoch(), rules);
   EXPECT_GT(session.fact_epoch(), 0u);
+}
+
+TEST(SessionTest, UnconvergedRetractDropsTuplesDerivedFromIt) {
+  // Loading more facts leaves an evaluated session unconverged, with
+  // its derived tuples still stored. A retract committed then must drop
+  // what the retracted fact derived before any Evaluate(): top-down
+  // solving and scans read the stored tuples without evaluating.
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(kGraph));
+  ASSERT_OK(session.Evaluate());
+  ASSERT_OK(session.Load("edge(x, y)."));
+  ASSERT_OK(session.Compile());
+  EXPECT_FALSE(session.converged());
+  MutationBatch batch = session.Mutate();
+  ASSERT_OK(batch.RetractText("edge(b, c)"));
+  ASSERT_OK(batch.Commit());
+  EXPECT_FALSE(*session.Holds("path(a, c)"));
+  auto top_down = session.SolveTopDown("path(a, X)");
+  ASSERT_OK(top_down.status());
+  ASSERT_EQ(top_down->size(), 1u);
+  EXPECT_EQ(session.TupleToString((*top_down)[0]), "(a, b)");
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("path(a, b)"));
+  EXPECT_FALSE(*session.Holds("path(a, c)"));
+  EXPECT_TRUE(*session.Holds("path(x, y)"));
 }
 
 TEST(SubsumptionTest, WiderBindingServedFromCachedMaterialization) {
@@ -730,6 +780,17 @@ constexpr const char* kBulkRules = R"(
 // shared across chunks, integers, set terms, duplicate lines, and a
 // predicate used at both atom and set sort (the cross-chunk sort
 // lattice must still join to kAny exactly like the sequential pass).
+// Every base fact with its count, in (predicate, row) order.
+std::string FactDump(Session& session) {
+  std::string out;
+  session.database()->ForEachFact([&](const Database::Fact& f) {
+    out += session.signature()->Name(f.pred) + "(" +
+           TermListToString(*session.store(), f.args) + ") x" +
+           std::to_string(f.count) + "\n";
+  });
+  return out;
+}
+
 std::string BulkFactsSource(int nodes) {
   std::string out;
   auto n = [](int i) { return "n" + std::to_string(i % 97); };
@@ -787,7 +848,33 @@ TEST(BulkLoadTest, ParallelLoadByteIdenticalAcrossLaneCounts) {
         << "lane count " << lanes;
     EXPECT_EQ(par.database()->ToCanonicalString(*par.signature()),
               seq.database()->ToCanonicalString(*seq.signature()));
+    // The facts agree count for count: a duplicated line is one row
+    // asserted once per occurrence.
+    EXPECT_EQ(FactDump(par), FactDump(seq)) << "lane count " << lanes;
   }
+  const PredicateId edge = seq.signature()->Lookup("edge", 2);
+  const Tuple n0n1{seq.store()->MakeConstant("n0"),
+                   seq.store()->MakeConstant("n1")};
+  EXPECT_GE(seq.database()->FactCount(edge, n0n1), 3u);
+}
+
+TEST(BulkLoadTest, TuplesDerivedCountsDerivationsOnBothLoadPaths) {
+  // The facts are stored when they load, on either path, so an
+  // evaluation counts what its rules derive and nothing else.
+  const std::string rules =
+      "path(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), edge(Y, Z).\n";
+  const std::string facts = "edge(a, b).\nedge(b, c).\nedge(c, d).\n";
+  Session seq(LanguageMode::kLPS);
+  ASSERT_OK(seq.Load(rules + facts));
+  ASSERT_OK(seq.Evaluate());
+  Session bulk(LanguageMode::kLPS);
+  ASSERT_OK(bulk.Load(rules));
+  ASSERT_OK(bulk.LoadFactsParallel(facts, 2));
+  ASSERT_OK(bulk.Evaluate());
+  EXPECT_EQ(bulk.database()->ToString(*bulk.signature()),
+            seq.database()->ToString(*seq.signature()));
+  EXPECT_EQ(seq.eval_stats().tuples_derived, 6u);
+  EXPECT_EQ(bulk.eval_stats().tuples_derived, 6u);
 }
 
 TEST(BulkLoadTest, MidLoadParseErrorLeavesSessionUntouched) {
@@ -803,7 +890,7 @@ TEST(BulkLoadTest, MidLoadParseErrorLeavesSessionUntouched) {
   const std::string before = session.database()->ToString(*session.signature());
   const size_t sig_before = session.signature()->size();
   const size_t store_before = session.store()->size();
-  const size_t facts_before = session.program()->facts().size();
+  const size_t facts_before = session.database()->fact_count();
   const uint64_t fact_epoch_before = session.fact_epoch();
   const uint64_t program_epoch_before = session.program_epoch();
 
@@ -815,7 +902,7 @@ TEST(BulkLoadTest, MidLoadParseErrorLeavesSessionUntouched) {
   // Transactional: no new predicates, terms, facts, rows or epochs.
   EXPECT_EQ(session.signature()->size(), sig_before);
   EXPECT_EQ(session.store()->size(), store_before);
-  EXPECT_EQ(session.program()->facts().size(), facts_before);
+  EXPECT_EQ(session.database()->fact_count(), facts_before);
   EXPECT_EQ(session.fact_epoch(), fact_epoch_before);
   EXPECT_EQ(session.program_epoch(), program_epoch_before);
   EXPECT_TRUE(session.converged());

@@ -193,7 +193,7 @@ TEST(TopDownTest, StatsTrackTableHits) {
     f(N, K) :- 2 <= N, sub(N, 1, N1), sub(N, 2, N2),
                f(N1, K1), f(N2, K2), add(K1, K2, K).
   )"));
-  TopDownSolver solver(engine.program(), nullptr);
+  TopDownSolver solver(engine.program(), engine.database());
   PredicateId f = engine.signature()->Lookup("f", 2);
   ASSERT_NE(f, kInvalidPredicate);
   Literal goal{f,
