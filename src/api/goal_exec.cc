@@ -2,24 +2,42 @@
 
 namespace lps {
 
-uint32_t GroundMask(const TermStore& store,
-                    std::span<const TermId> patterns) {
-  uint32_t mask = 0;
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    if (store.is_ground(patterns[i])) mask |= ColumnBit(i);
+Result<PreparedGoal> PrepareGoal(const TermStore& store,
+                                 const Program& program, LanguageMode mode,
+                                 Literal goal) {
+  const Signature& sig = program.signature();
+  LPS_RETURN_IF_ERROR(ValidateGoal(store, sig, goal, mode));
+  PreparedGoal out;
+  out.plan = BuildGoalPlan(store, sig, program, goal);
+  CollectLiteralVariables(store, goal, &out.vars);
+  out.goal = std::move(goal);
+  return out;
+}
+
+AppliedGoal ApplyGoal(TermStore* store, const Literal& goal,
+                      const Substitution& bindings) {
+  AppliedGoal out;
+  out.args.resize(goal.args.size());
+  for (size_t i = 0; i < goal.args.size(); ++i) {
+    out.args[i] = bindings.Apply(store, goal.args[i]);
+    if (!store->is_ground(out.args[i])) continue;
+    out.mask |= ColumnBit(i);
+    out.any_bound = true;
   }
-  return mask;
+  return out;
 }
 
 RelationScanSource::RelationScanSource(TermStore* store,
                                        UnifyOptions unify,
                                        const Relation* rel,
-                                       std::vector<TermId> patterns)
-    : store_(store),
+                                       AppliedGoal pattern,
+                                       std::shared_ptr<const void> owner)
+    : owner_(std::move(owner)),
+      store_(store),
       unify_(unify),
       rel_(rel),
-      patterns_(std::move(patterns)),
-      mask_(GroundMask(*store_, patterns_)) {
+      patterns_(std::move(pattern.args)),
+      mask_(pattern.mask) {
   // The probe reads its key only at the mask's (ground) columns.
   if (rel != nullptr) index_hit_ = rel->Lookup(mask_, patterns_, &indices_);
 }
@@ -125,6 +143,56 @@ Status GoalPlanExecutor::Exec(const std::vector<PlanStep>& steps,
       break;
   }
   return Status::Internal("unexpected step in a builtin goal plan");
+}
+
+Result<const DemandRewriteCache::Entry*> DemandRewriteCache::Get(
+    const Program& program, const Literal& goal, const AppliedGoal& applied,
+    const Database& db, bool reorder, bool* built) {
+  *built = false;
+  if (applied.mask_exact()) {
+    auto it = entries_.find(applied.mask);
+    if (it != entries_.end()) return &it->second;
+  }
+  std::vector<bool> bound(applied.args.size());
+  for (size_t i = 0; i < bound.size(); ++i) {
+    bound[i] = program.store()->is_ground(applied.args[i]);
+  }
+  PlannerStats sip;
+  if (reorder) sip = PlannerStats::FromDatabase(db, program);
+  LPS_ASSIGN_OR_RETURN(
+      MagicRewriteResult rw,
+      MagicRewrite(program, goal, bound, reorder ? &sip : nullptr));
+  *built = true;
+  Entry* entry = applied.mask_exact() ? &entries_[applied.mask] : &uncached_;
+  entry->rewrite = std::move(rw.rewrite);
+  entry->fallback_reason = std::move(rw.fallback_reason);
+  return entry;
+}
+
+Status EvaluateDemand(const MagicProgram& rw, const AppliedGoal& applied,
+                      const Database& src, const Database::FactSeed& seed,
+                      Database* index_home, const EvalOptions& options,
+                      Database* db, EvalStats* stats) {
+  Tuple magic_seed;
+  magic_seed.reserve(rw.seed_positions.size());
+  for (size_t pos : rw.seed_positions) {
+    magic_seed.push_back(applied.args[pos]);
+  }
+  db->AddTuple(rw.seed_pred, magic_seed);
+  // The rewrite carries no facts (transform/magic.h): they come from
+  // `src` at execution time, so a rewrite cached before a fact change
+  // answers over the changed facts.
+  db->SeedFacts(src, seed, index_home);
+  BottomUpEvaluator eval(&rw.program, db, options);
+  LPS_RETURN_IF_ERROR(eval.Evaluate());
+  if (stats != nullptr) {
+    *stats = eval.stats();
+    stats->magic_predicates = rw.magic_preds.size();
+    for (PredicateId m : rw.magic_preds) {
+      stats->magic_tuples += db->RelationSize(m);
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace lps

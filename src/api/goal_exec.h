@@ -1,30 +1,71 @@
-// Shared goal-execution machinery behind PreparedQuery (api/query.cc)
-// and the concurrent query server (serve/server.cc): streaming a
-// relation's rows that match a partially ground goal pattern, and
-// running a builtin goal plan.
+// Goal execution shared by PreparedQuery (api/query.cc) and the
+// concurrent query server (serve/server.cc): preparing a goal, applying
+// a binding to it, streaming a relation's rows that match it, running a
+// builtin goal plan, and the one demand path - a per-goal cache of
+// magic rewrites and the routine that evaluates one for a binding
+// (DESIGN.md section 13). Each caller keeps only its own policy around
+// them: the session its fallback to Evaluate() and its subsumption
+// memo, the server its admission control, deadline and answer cap.
 //
 // RelationScanSource only reads: it probes the relation with the const
 // Relation::Lookup, which never mutates it, so any number of threads
 // may stream over one frozen relation concurrently. A caller that owns
 // the database builds the pattern's index first
-// (Database::EnsureIndex with GroundMask(patterns)); over a snapshot,
+// (Database::EnsureIndex with AppliedGoal::mask); over a snapshot,
 // whose indexes were frozen at publication, a mask never indexed
 // before the freeze falls back to a scan (index_hit() is then false).
 #ifndef LPS_API_GOAL_EXEC_H_
 #define LPS_API_GOAL_EXEC_H_
 
-#include <span>
+#include <map>
+#include <memory>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "api/answer_cursor.h"
+#include "eval/bottomup.h"
 #include "eval/builtins.h"
 #include "eval/database.h"
 #include "eval/plan.h"
+#include "lang/validate.h"
 #include "term/substitution.h"
+#include "transform/magic.h"
 #include "unify/unify.h"
 
 namespace lps {
+
+/// A goal validated against a language mode and planned once, with its
+/// distinct variables (the bindable parameters) in first-occurrence
+/// order.
+struct PreparedGoal {
+  Literal goal;
+  GoalPlan plan;
+  std::vector<TermId> vars;
+};
+
+Result<PreparedGoal> PrepareGoal(const TermStore& store,
+                                 const Program& program, LanguageMode mode,
+                                 Literal goal);
+
+/// A goal's arguments under a binding: each with the binding applied,
+/// the bound-column mask of the ground ones (ColumnBit, so none past
+/// column 31), and whether any of them is ground, past column 31
+/// included.
+struct AppliedGoal {
+  std::vector<TermId> args;
+  uint32_t mask = 0;
+  bool any_bound = false;
+
+  /// True when the mask names the whole binding pattern: no column
+  /// lies past the mask's 32 bits.
+  bool mask_exact() const {
+    return args.size() <= Relation::kMaxIndexedColumns;
+  }
+};
+
+AppliedGoal ApplyGoal(TermStore* store, const Literal& goal,
+                      const Substitution& bindings);
 
 // Lazily streams the rows of one relation that match the (partially
 // ground) goal argument patterns, using the relation's hash index on
@@ -34,18 +75,23 @@ namespace lps {
 // - Evaluate()/ResetDatabase() invalidate cursors), so callers that
 // stop pulling stop paying and matched rows are never copied.
 //
-// The row-matching algorithm mirrors the kScan step of
-// BottomUpEvaluator::ExecSteps (eval/bottomup.cc) but needs only
-// match-or-not per row, where the evaluator must continue into every
-// unifier extension under delta gating - keep the two in sync.
+// Row matching is the kScan step of BottomUpEvaluator::ExecSteps
+// (eval/bottomup.cc) cut down to match-or-not per row, where the
+// evaluator must continue into every unifier extension under delta
+// gating - keep the two in sync.
 class RelationScanSource final : public AnswerSource {
  public:
   /// `rel` may be null (predicate never stored - the stream is empty).
   /// `store` is the *caller's* store (a worker's private clone when
   /// serving): it must share the relation's TermId prefix, i.e. be the
   /// relation's store itself or a TermStore::Clone() descendant of it.
+  /// `owner`, if set, is what `rel` lives in (a snapshot, a demand
+  /// result): the source keeps it alive, so a cursor streams however
+  /// long its caller pulls, across registry retirement and cache
+  /// invalidation.
   RelationScanSource(TermStore* store, UnifyOptions unify,
-                     const Relation* rel, std::vector<TermId> patterns);
+                     const Relation* rel, AppliedGoal pattern,
+                     std::shared_ptr<const void> owner = nullptr);
 
   Result<bool> Next(TupleRef* out) override;
   void Rewind() override { pos_ = 0; }
@@ -61,6 +107,7 @@ class RelationScanSource final : public AnswerSource {
   // function terms containing variables) go through set unification.
   Result<bool> Matches(TupleRef row);
 
+  std::shared_ptr<const void> owner_;
   TermStore* store_;
   UnifyOptions unify_;
   const Relation* rel_;
@@ -70,10 +117,6 @@ class RelationScanSource final : public AnswerSource {
   std::vector<RowId> indices_;
   size_t pos_ = 0;
 };
-
-/// Bound-column mask of a goal pattern: the bit of every ground
-/// position (ColumnBit, so none past column 31).
-uint32_t GroundMask(const TermStore& store, std::span<const TermId> patterns);
 
 // Runs a builtin goal plan (active-domain enumeration steps followed by
 // the builtin itself) eagerly, emitting one tuple of substituted goal
@@ -102,6 +145,49 @@ class GoalPlanExecutor {
   std::vector<Tuple>* out_ = nullptr;
   std::unordered_set<Tuple, TupleHash> seen_;
 };
+
+/// One goal's magic rewrites (transform/magic.h), cached per binding
+/// mask until the rules change (the owner calls Clear()). A rewrite
+/// that fell back is cached with its reason. A goal whose mask is not
+/// exact (AppliedGoal::mask_exact) is rewritten on every call: two
+/// patterns differing only past column 31 would share a mask.
+class DemandRewriteCache {
+ public:
+  struct Entry {
+    std::shared_ptr<const MagicProgram> rewrite;  // null: fell back
+    std::string fallback_reason;
+  };
+
+  /// The rewrite of `goal` over `program` for `applied`'s binding
+  /// pattern. A miss builds it (and sets *built), with SIP statistics
+  /// (PlannerStats::FromDatabase) from `db` - the database the
+  /// evaluation reads its facts from - when `reorder` is on; off keeps
+  /// the source-order rewrite. A SIP order picked under statistics that
+  /// later go stale stays correct (any order is); only the sizes of
+  /// its intermediate relations drift. The entry stays valid until the
+  /// next Get() or Clear().
+  Result<const Entry*> Get(const Program& program, const Literal& goal,
+                           const AppliedGoal& applied, const Database& db,
+                           bool reorder, bool* built);
+  void Clear() { entries_.clear(); }
+
+ private:
+  std::map<uint32_t, Entry> entries_;
+  Entry uncached_;
+};
+
+/// Evaluates the rewrite `rw` for one binding into `db`, which must be
+/// empty and over rw.program's signature: seeds rw.seed_pred with
+/// `applied`'s values at rw.seed_positions and the facts of `src` by
+/// Database::SeedFacts (`seed` listed from `src` since its last
+/// change; `index_home` as there), then runs the rewritten program to
+/// fixpoint under `options`. The answers are rw.goal.pred's relation in
+/// `db`. `stats`, if given, gets the run's statistics with the magic
+/// counters filled in.
+Status EvaluateDemand(const MagicProgram& rw, const AppliedGoal& applied,
+                      const Database& src, const Database::FactSeed& seed,
+                      Database* index_home, const EvalOptions& options,
+                      Database* db, EvalStats* stats);
 
 }  // namespace lps
 

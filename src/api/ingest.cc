@@ -451,7 +451,6 @@ Status Session::LoadFactsParallel(const std::string& source,
 
   if (ingest.facts_parsed > 0) {
     // Same epoch discipline as Compile() committing staged facts.
-    ++program_epoch_;
     ++fact_epoch_;
     converged_ = false;
   }

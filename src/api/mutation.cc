@@ -165,7 +165,6 @@ Status MutationBatch::Commit() {
   }
   if (!facts_changed) return Status::OK();
   ++s->fact_epoch_;
-  ++s->program_epoch_;  // demand answers change; rule_epoch_ does not
 
   auto count_inserts = [&] {
     for (size_t i = 0; i < inserts.size(); ++i) {
@@ -210,12 +209,9 @@ Status MutationBatch::Commit() {
       count_inserts();
       // The maintainer skips the O(index-buckets) IndexBytes walk;
       // keep the last fully computed figure.
-      size_t index_bytes = s->eval_stats_.index_bytes;
-      // The ingest block (last LoadFactsParallel) survives overwrites.
-      const EvalStats::IngestStats ingest = s->eval_stats_.ingest;
-      s->eval_stats_ = maintainer.stats();
-      s->eval_stats_.index_bytes = index_bytes;
-      s->eval_stats_.ingest = ingest;
+      EvalStats stats = maintainer.stats();
+      stats.index_bytes = s->eval_stats_.index_bytes;
+      s->set_eval_stats(std::move(stats));
       return Status::OK();  // still converged
     }
     // Outside the maintainable fragment: fall through to the exact

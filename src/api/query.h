@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "api/answer_cursor.h"
+#include "api/goal_exec.h"
 #include "api/options.h"
 #include "eval/plan.h"
 #include "lang/clause.h"
@@ -34,7 +35,6 @@
 
 namespace lps {
 
-class Database;
 class Session;
 
 namespace serve {
@@ -82,13 +82,15 @@ class PreparedQuery {
   /// duration, not copied (Database::SeedFacts) - so no prior
   /// Session::Evaluate() is needed. The session's tuples are left
   /// untouched; it may gain an index the evaluation probed. The
-  /// returned cursor owns the answer relation alone. The rewrite is
-  /// cached per binding pattern and invalidated when Session::Compile()
-  /// commits new clauses. Goals outside the magic fragment (all-free
-  /// pattern, builtin or rule-less predicates, quantifiers/grouping/
-  /// set-terms in the reachable slice) fall back to the full fixpoint
-  /// on the session database - running Evaluate() first unless the
-  /// session is converged - with the reason recorded in
+  /// returned cursor owns the answer relation alone. The rewrite cache
+  /// and the evaluation routine are the query server's too
+  /// (api/goal_exec.h); the rewrite is cached per binding pattern and
+  /// invalidated when Session::Compile() commits new clauses. Goals
+  /// outside the magic fragment (all-free pattern, builtin or
+  /// rule-less predicates, quantifiers/grouping/set-terms in the
+  /// reachable slice) fall back to the full fixpoint on the session
+  /// database - running Evaluate() first unless the session is
+  /// converged - with the reason recorded in
   /// Session::eval_stats().demand_fallback_reason. Either way the
   /// answer set is identical to the full-fixpoint answers.
   Result<AnswerCursor> ExecuteDemand();
@@ -119,14 +121,29 @@ class PreparedQuery {
 
  private:
   friend class Session;
-  PreparedQuery(Session* session, Literal goal, GoalPlan plan);
+  PreparedQuery(Session* session, PreparedGoal goal);
+
+  // One demand run's answers: the rewrite's answer relation alone, in
+  // a database over the rewrite's signature, which rides along.
+  struct DemandAnswers {
+    std::shared_ptr<const MagicProgram> rewrite;
+    Database db;
+  };
 
   /// The scan/builtin path against the session database.
-  Result<AnswerCursor> ExecuteScan();
-  /// True if any goal argument is ground under the current bindings.
-  bool AnyArgBound() const;
-  /// On a program-epoch change: drops cached rewrites and re-decides
-  /// demand eligibility (rules may have appeared since Prepare()).
+  Result<AnswerCursor> ExecuteScan(AppliedGoal applied);
+  /// ExecuteDemand() once the goal's binding is applied.
+  Result<AnswerCursor> ExecuteDemand(AppliedGoal applied);
+  /// Streams the answers of a demand run that match `applied`.
+  AnswerCursor StreamAnswers(std::shared_ptr<DemandAnswers> answers,
+                             AppliedGoal applied);
+  /// Records in the session's EvalStats why demand did not narrow this
+  /// execution; the magic counters describe the same attempt, so they
+  /// must not linger from an earlier goal-directed run.
+  void RecordFallback(std::string reason);
+  /// On a rule_epoch() change: drops the cached rewrites and results
+  /// and re-decides demand eligibility (rules may have appeared since
+  /// Prepare()).
   void RefreshDemandState();
 
   Session* session_ = nullptr;
@@ -135,30 +152,26 @@ class PreparedQuery {
   GoalPlan plan_;
   Substitution bindings_;
 
-  // Magic rewrites cached per binding mask; shared_ptr so a streaming
-  // cursor keeps its program (and the signature its private database
-  // points at) alive across cache invalidation and query copies.
-  // `rewrite` is null for patterns where the rewrite fell back.
-  //
-  // An entry also memoizes its last *materialized result*: the private
-  // database the rewritten program converged into, the seed values it
-  // answered, and the fact epoch it ran under. A later execution whose
-  // bound positions are a superset of the entry's mask with the same
-  // values on the entry's positions is subsumed: the cached fixpoint
-  // ran with a weaker restriction, so its database already holds every
-  // answer - the scan just filters the extra bound positions
-  // (DESIGN.md section 17). Stale epochs miss; rule changes clear the
-  // whole cache (RefreshDemandState).
-  struct DemandEntry {
-    std::shared_ptr<const MagicProgram> rewrite;
-    std::string fallback_reason;
-    std::shared_ptr<Database> result_db;  // null until first execution
-    Tuple result_seed;                    // values at seed_positions
-    uint64_t result_fact_epoch = 0;
-    EvalStats result_stats;               // stats of the cached run
+  DemandRewriteCache rewrites_;
+  // Each mask's last *materialized result*: the run's answers (shared,
+  // so a streaming cursor keeps them alive across cache invalidation
+  // and query copies), the applied arguments and the fact epoch it ran
+  // under, and its statistics. A later execution whose bound positions
+  // are a superset of the mask with the same values on the rewrite's
+  // seed positions is subsumed: the cached fixpoint ran with a weaker
+  // restriction, so its answer relation already holds every answer -
+  // the scan just filters the extra bound positions (DESIGN.md section
+  // 17).
+  // Stale epochs miss; rule changes clear every entry
+  // (RefreshDemandState).
+  struct DemandResult {
+    std::shared_ptr<DemandAnswers> answers;
+    std::vector<TermId> args;
+    uint64_t fact_epoch = 0;
+    EvalStats stats;
   };
-  std::map<uint32_t, DemandEntry> demand_cache_;
-  uint64_t demand_epoch_ = 0;  // Session::program_epoch() at cache fill
+  std::map<uint32_t, DemandResult> results_;
+  uint64_t demand_epoch_ = 0;  // Session::rule_epoch() at cache fill
 };
 
 }  // namespace lps

@@ -80,7 +80,6 @@ Status Session::Compile() {
   *program_ = candidate;
   for (const Literal& f : new_facts) db_->AddFact(f.pred, f.args);
   for (Literal& q : new_queries) queries_.push_back(std::move(q));
-  ++program_epoch_;
   if (clauses_grew) ++rule_epoch_;  // invalidates cached demand rewrites
   if (!new_facts.empty()) ++fact_epoch_;
   if (clauses_grew || !new_facts.empty()) converged_ = false;
@@ -93,13 +92,14 @@ Status Session::Evaluate(const Options& options) {
   LPS_RETURN_IF_ERROR(Compile());
   BottomUpEvaluator eval(program_.get(), db_.get(), options.eval());
   LPS_RETURN_IF_ERROR(eval.Evaluate());
-  // The ingest block describes the most recent LoadFactsParallel() and
-  // survives evaluation overwrites (the evaluator never fills it).
-  const EvalStats::IngestStats ingest = eval_stats_.ingest;
-  eval_stats_ = eval.stats();
-  eval_stats_.ingest = ingest;
+  set_eval_stats(eval.stats());
   converged_ = true;
   return Status::OK();
+}
+
+void Session::set_eval_stats(EvalStats stats) {
+  stats.ingest = eval_stats_.ingest;
+  eval_stats_ = std::move(stats);
 }
 
 MutationBatch Session::Mutate() { return MutationBatch(this); }
@@ -115,11 +115,9 @@ Result<PreparedQuery> Session::Prepare(const std::string& goal) {
 
 Result<PreparedQuery> Session::Prepare(Literal goal) {
   LPS_RETURN_IF_ERROR(Compile());
-  LPS_RETURN_IF_ERROR(
-      ValidateGoal(*store_, program_->signature(), goal, mode_));
-  GoalPlan plan =
-      BuildGoalPlan(*store_, program_->signature(), *program_, goal);
-  return PreparedQuery(this, std::move(goal), std::move(plan));
+  LPS_ASSIGN_OR_RETURN(PreparedGoal prepared,
+                       PrepareGoal(*store_, *program_, mode_, std::move(goal)));
+  return PreparedQuery(this, std::move(prepared));
 }
 
 Result<std::vector<Tuple>> Session::Query(const std::string& goal) {
@@ -173,10 +171,7 @@ Result<std::string> Session::ExplainPlans() {
   // report shows the join orders the next Evaluate() picks (after an
   // Evaluate() the relations are populated, so re-running shows the
   // orders a re-evaluation or an incremental pass would use).
-  PlannerStats stats = PlannerStats::FromDatabase(*db_);
-  for (const Clause& c : program_->clauses()) {
-    stats.MarkDerived(c.head.pred);
-  }
+  PlannerStats stats = PlannerStats::FromDatabase(*db_, *program_);
   const PlannerStats* sp = options_.reorder ? &stats : nullptr;
   std::string out;
   char buf[64];

@@ -201,12 +201,6 @@ class Session {
   /// that is the point of preparing.
   size_t parse_count() const { return parse_count_; }
 
-  /// Bumped every time the program changes in any way: Compile()
-  /// committing staged units, or a MutationBatch commit. The coarse
-  /// all-or-nothing epoch; prefer
-  /// the split epochs below for cache keying.
-  uint64_t program_epoch() const { return program_epoch_; }
-
   /// Bumped only when Compile() commits new *clauses*. Fact-only
   /// mutations leave it unchanged, which is the point of the split:
   /// prepared queries key their cached demand (magic-set) rewrites and
@@ -217,7 +211,8 @@ class Session {
 
   /// Bumped whenever the fact set changes: a MutationBatch commit that
   /// changed a fact's count, Compile() or LoadFactsParallel()
-  /// committing new facts.
+  /// committing new facts. Memoized demand results key on it
+  /// (DESIGN.md section 17).
   uint64_t fact_epoch() const { return fact_epoch_; }
 
   /// True while the database holds the fixpoint of the current
@@ -249,6 +244,11 @@ class Session {
   friend class PreparedQuery;
   friend class MutationBatch;
 
+  /// Replaces the statistics with a newer run's, keeping the ingest
+  /// block: it describes the last LoadFactsParallel(), which no
+  /// evaluation fills.
+  void set_eval_stats(EvalStats stats);
+
   LanguageMode mode_;
   Options options_;
   std::unique_ptr<TermStore> store_;
@@ -260,7 +260,6 @@ class Session {
   size_t parse_count_ = 0;
   size_t demand_rewrite_count_ = 0;
   size_t demand_subsumption_count_ = 0;
-  uint64_t program_epoch_ = 0;
   uint64_t rule_epoch_ = 0;
   uint64_t fact_epoch_ = 0;
   uint64_t session_id_ = 0;  // assigned in the constructor, never 0

@@ -196,10 +196,7 @@ Status BottomUpEvaluator::CompileRules() {
   PlannerStats planner_stats;
   const PlannerStats* stats = nullptr;
   if (options_.reorder) {
-    planner_stats = PlannerStats::FromDatabase(*db_);
-    for (const Clause& c : program_->clauses()) {
-      planner_stats.MarkDerived(c.head.pred);
-    }
+    planner_stats = PlannerStats::FromDatabase(*db_, *program_);
     stats = &planner_stats;
   }
   stats_.plan_reorders = 0;

@@ -74,6 +74,13 @@ PlannerStats PlannerStats::FromDatabase(const Database& db) {
   return s;
 }
 
+PlannerStats PlannerStats::FromDatabase(const Database& db,
+                                        const Program& program) {
+  PlannerStats s = FromDatabase(db);
+  for (const Clause& c : program.clauses()) s.MarkDerived(c.head.pred);
+  return s;
+}
+
 namespace {
 
 bool Contains(const std::vector<TermId>& v, TermId t) {

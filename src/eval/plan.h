@@ -60,6 +60,11 @@ class PlannerStats {
 
   /// Snapshot of every materialized relation in `db`.
   static PlannerStats FromDatabase(const Database& db);
+  /// The same, with every predicate that heads a rule of `program`
+  /// marked derived: what rule plans and the magic rewrite's SIP order
+  /// are built from.
+  static PlannerStats FromDatabase(const Database& db,
+                                   const Program& program);
 
   static constexpr double kUnknownRows = 256.0;
   static constexpr double kDefaultColumnSelectivity = 0.1;

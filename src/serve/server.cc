@@ -6,8 +6,6 @@
 
 #include "api/goal_exec.h"
 #include "base/hash.h"
-#include "eval/bottomup.h"
-#include "lang/validate.h"
 #include "parse/parser.h"
 #include "serve/resolve.h"
 #include "term/printer.h"
@@ -111,16 +109,15 @@ QueryServer::QueryEntry& QueryServer::Materialize(Worker* w,
   Result<Literal> goal = ParseGoalText(queries_[query], snap.mode(),
                                        w->store.get(),
                                        &w->program->signature());
-  if (!goal.ok()) {
-    e.error = goal.status();
-    return e;
+  Result<PreparedGoal> prepared =
+      goal.ok() ? PrepareGoal(*w->store, *w->program, snap.mode(),
+                              *std::move(goal))
+                : goal.status();
+  if (prepared.ok()) {
+    e.prepared = *std::move(prepared);
+  } else {
+    e.error = prepared.status();
   }
-  e.goal = std::move(goal).value();
-  const Signature& sig = w->program->signature();
-  e.error = ValidateGoal(*w->store, sig, e.goal, snap.mode());
-  if (!e.error.ok()) return e;
-  e.plan = BuildGoalPlan(*w->store, sig, *w->program, e.goal);
-  CollectLiteralVariables(*w->store, e.goal, &e.vars);
   return e;
 }
 
@@ -207,9 +204,9 @@ Status QueryServer::Answer(Worker* w, const Snapshot& snap,
   }
   QueryEntry& e = Materialize(w, snap, req.query);
   if (!e.error.ok()) return e.error;
+  const Literal& goal = e.prepared.goal;
 
   TermStore* store = w->store.get();
-  const Signature& sig = w->program->signature();
   const BuiltinOptions& builtins = snap.options().builtins;
 
   // ---- Resolve parameters read-only against the worker store --------
@@ -224,7 +221,7 @@ Status QueryServer::Answer(Worker* w, const Snapshot& snap,
   MissKind worst = MissKind::kNone;
   for (const auto& [name, text] : req.params) {
     TermId var = kInvalidTerm;
-    for (TermId v : e.vars) {
+    for (TermId v : e.prepared.vars) {
       if (store->symbols().Name(store->symbol(v)) == name) {
         var = v;
         break;
@@ -255,8 +252,8 @@ Status QueryServer::Answer(Worker* w, const Snapshot& snap,
     params.push_back({var, res.id, res.missing, &text});
   }
 
-  const bool is_builtin = sig.IsBuiltin(e.goal.pred);
-  const bool demand_route = !is_builtin && e.plan.demand_candidate;
+  const bool is_builtin = w->program->signature().IsBuiltin(goal.pred);
+  const bool demand_route = !is_builtin && e.prepared.plan.demand_candidate;
 
   // The empty fast path (serve/resolve.h): a missing plain constant is
   // underivable - empty on every route; a missing int/set/function
@@ -291,8 +288,8 @@ Status QueryServer::Answer(Worker* w, const Snapshot& snap,
     // domains; computed terms (sums, unions) intern into the scratch.
     ++w->delta.builtin_queries;
     std::vector<Tuple> rows;
-    GoalPlanExecutor exec(store, &snap.database(), builtins, e.goal);
-    Status s = exec.Run(e.plan.body.steps, bindings, &rows);
+    GoalPlanExecutor exec(store, &snap.database(), builtins, goal);
+    Status s = exec.Run(e.prepared.plan.body.steps, bindings, &rows);
     if (!s.ok()) return s;
     for (const Tuple& t : rows) {
       if (capped()) break;
@@ -301,102 +298,67 @@ Status QueryServer::Answer(Worker* w, const Snapshot& snap,
     return Status::OK();
   }
 
-  std::vector<TermId> patterns(e.goal.args.size());
-  std::vector<bool> bound(e.goal.args.size());
-  uint32_t mask = 0;
-  bool any_bound = false;
-  for (size_t i = 0; i < e.goal.args.size(); ++i) {
-    patterns[i] = bindings.Apply(store, e.goal.args[i]);
-    bound[i] = store->is_ground(patterns[i]);
-    any_bound = any_bound || bound[i];
-    if (bound[i]) mask |= ColumnBit(i);
-  }
-
-  // Read-only stream over the frozen snapshot relation (prebuilt
-  // indexes or a bounded scan; never a lazy build).
-  auto scan = [&]() -> Status {
-    ++w->delta.scan_queries;
-    const Relation* rel = snap.database().FindRelation(e.goal.pred);
-    RelationScanSource src(store, builtins.unify, rel, patterns);
-    if (!src.index_hit()) ++w->delta.index_misses;
+  AppliedGoal applied = ApplyGoal(store, goal, bindings);
+  // Renders `src`'s rows into *out until the cap or the deadline.
+  auto stream = [&](RelationScanSource* src) -> Status {
     TupleRef t;
     for (;;) {
-      if (capped()) break;
+      if (capped()) return Status::OK();
       if (deadline_hit()) {
         out->partial = true;
-        return Status::DeadlineExceeded(
-            "deadline exceeded during snapshot scan");
+        return Status::DeadlineExceeded("deadline exceeded streaming answers");
       }
-      Result<bool> more = src.Next(&t);
+      Result<bool> more = src->Next(&t);
       if (!more.ok()) return more.status();
-      if (!*more) break;
+      if (!*more) return Status::OK();
       EmitRow(*store, t, options_.record_answers, out);
     }
-    return Status::OK();
   };
-
-  if (!demand_route || !any_bound) return scan();
+  // Read-only stream over the frozen snapshot relation (prebuilt
+  // indexes or a bounded scan; never a lazy build). It answers every
+  // goal demand does not: the snapshot already holds the fixpoint
+  // (Snapshot::converged), so the scan answers are complete.
+  auto scan = [&]() -> Status {
+    ++w->delta.scan_queries;
+    RelationScanSource src(store, builtins.unify,
+                           snap.database().FindRelation(goal.pred),
+                           std::move(applied));
+    if (!src.index_hit()) ++w->delta.index_misses;
+    return stream(&src);
+  };
+  if (!demand_route || !applied.any_bound) return scan();
 
   // ---- Demand (magic-set) evaluation in a private database -----------
-  // Mirrors PreparedQuery::ExecuteDemand (api/query.cc), with the cache
-  // per (query, mask) in this worker and the fallback a snapshot scan
-  // instead of a session Evaluate(): the snapshot already holds the
-  // fixpoint (Snapshot::converged), so the scan answers are complete.
-  const bool cacheable = e.goal.args.size() <= 32;
-  CachedRewrite uncached;
-  CachedRewrite* entry = nullptr;
-  if (cacheable) {
-    auto it = e.rewrites.find(mask);
-    if (it != e.rewrites.end()) {
-      entry = &it->second;
-      ++w->delta.rewrite_cache_hits;
-    }
-  }
-  if (entry == nullptr) {
-    Result<MagicRewriteResult> rw = MagicRewrite(*w->program, e.goal, bound);
-    if (!rw.ok()) return rw.status();
+  bool built = false;
+  LPS_ASSIGN_OR_RETURN(const DemandRewriteCache::Entry* entry,
+                       e.rewrites.Get(*w->program, goal, applied,
+                                      snap.database(), snap.options().reorder,
+                                      &built));
+  if (built) {
     ++w->delta.rewrites_built;
-    CachedRewrite fresh;
-    fresh.fallback_reason = std::move(rw->fallback_reason);
-    if (rw->applied) fresh.rewrite = std::move(rw->rewrite);
-    if (cacheable) {
-      entry = &e.rewrites.emplace(mask, std::move(fresh)).first->second;
-    } else {
-      uncached = std::move(fresh);
-      entry = &uncached;
-    }
+  } else {
+    ++w->delta.rewrite_cache_hits;
   }
   if (entry->rewrite == nullptr) {
     out->note = "demand fallback: " + entry->fallback_reason;
     return scan();
   }
   ++w->delta.demand_queries;
-  const std::shared_ptr<const MagicProgram>& rw = entry->rewrite;
-
-  Database db(store, &rw->program.signature());
-  Tuple seed;
-  seed.reserve(rw->seed_positions.size());
-  for (size_t pos : rw->seed_positions) seed.push_back(patterns[pos]);
-  db.AddTuple(rw->seed_pred, seed);
-  // The rewrite carries no facts (transform/magic.h): they come from
-  // the pinned snapshot, which is what keeps a rewrite cached before a
-  // fact-only republish answering over the *new* facts. Sound against
-  // the worker store because a refresh requires store_size equality -
-  // every fact term id sits inside the shared frozen prefix. Relations
-  // of predicates that head no rule are shared, not copied: the
-  // evaluation never inserts into them, reads them through const
-  // paths, and builds an index it lacks on a copy
-  // (Database::EnsureIndex). The same holds over a snapshot frozen
-  // before its fixpoint, whose relations hold the facts all the same.
-  db.SeedFacts(snap.database(), w->seed);
+  const MagicProgram& rw = *entry->rewrite;
   EvalOptions eval_opts = snap.options().eval();
   eval_opts.threads = 1;  // lanes are the parallelism; no nested pools
   // Cooperative deadline inside the fixpoint (eval/bottomup.h): a
   // pathological goal returns a typed kDeadlineExceeded instead of
   // starving this lane for the rest of the batch.
   eval_opts.deadline = deadline;
-  BottomUpEvaluator eval(&rw->program, &db, eval_opts);
-  Status es = eval.Evaluate();
+  // The facts come from the pinned snapshot. Sound against the worker
+  // store because a refresh requires store_size equality - every fact
+  // term id sits inside the shared frozen prefix. The snapshot is
+  // const, so it is no index home: an index the snapshot lacks is
+  // built on a copy (Database::EnsureIndex).
+  Database db(store, &rw.program.signature());
+  Status es = EvaluateDemand(rw, applied, snap.database(), w->seed, nullptr,
+                             eval_opts, &db, nullptr);
   // An aliased relation that is no longer the snapshot's was copied to
   // build an index the snapshot lacks (FreezeOptions::indexes adds it).
   for (PredicateId p : w->seed.aliased) {
@@ -409,23 +371,10 @@ Status QueryServer::Answer(Worker* w, const Snapshot& snap,
     if (es.code() == StatusCode::kDeadlineExceeded) out->partial = true;
     return es;
   }
-
-  const Relation* rel = db.EnsureIndex(rw->goal.pred, mask);
-  RelationScanSource src(store, builtins.unify, rel, std::move(patterns));
-  TupleRef t;
-  for (;;) {
-    if (capped()) break;
-    if (deadline_hit()) {
-      out->partial = true;
-      return Status::DeadlineExceeded(
-          "deadline exceeded streaming demand answers");
-    }
-    Result<bool> more = src.Next(&t);
-    if (!more.ok()) return more.status();
-    if (!*more) break;
-    EmitRow(*store, t, options_.record_answers, out);
-  }
-  return Status::OK();
+  RelationScanSource src(store, builtins.unify,
+                         db.EnsureIndex(rw.goal.pred, applied.mask),
+                         std::move(applied));
+  return stream(&src);
 }
 
 Result<size_t> QueryServer::Prepare(const std::string& goal_text) {

@@ -40,18 +40,15 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "api/goal_exec.h"
 #include "base/worker_pool.h"
-#include "eval/plan.h"
-#include "lang/clause.h"
 #include "serve/registry.h"
-#include "transform/magic.h"
 
 namespace lps::serve {
 
@@ -189,20 +186,13 @@ class QueryServer {
   size_t threads() const { return pool_.size(); }
 
  private:
-  struct CachedRewrite {
-    std::shared_ptr<const MagicProgram> rewrite;  // null = fell back
-    std::string fallback_reason;
-  };
-
   /// One prepared query as materialized in one worker's private
   /// store/program (parsed from the shared goal text).
   struct QueryEntry {
     bool materialized = false;
     Status error = Status::OK();  // sticky parse/validate failure
-    Literal goal;
-    GoalPlan plan;
-    std::vector<TermId> vars;
-    std::map<uint32_t, CachedRewrite> rewrites;
+    PreparedGoal prepared;
+    DemandRewriteCache rewrites;
   };
 
   /// Everything a lane owns privately. Only its own thread touches a

@@ -12,26 +12,6 @@
 
 namespace lps {
 
-namespace {
-
-// Keeps the snapshot alive while a cursor streams over its relation
-// arena; the zero-copy TupleRef views point into snapshot-owned rows.
-class SnapshotScanSource final : public AnswerSource {
- public:
-  SnapshotScanSource(std::shared_ptr<const serve::Snapshot> snap,
-                     std::unique_ptr<RelationScanSource> inner)
-      : snap_(std::move(snap)), inner_(std::move(inner)) {}
-
-  Result<bool> Next(TupleRef* out) override { return inner_->Next(out); }
-  void Rewind() override { inner_->Rewind(); }
-
- private:
-  std::shared_ptr<const serve::Snapshot> snap_;
-  std::unique_ptr<RelationScanSource> inner_;
-};
-
-}  // namespace
-
 Result<std::shared_ptr<const serve::Snapshot>> Session::Freeze() {
   return FreezeIncremental(nullptr, serve::FreezeOptions{});
 }
@@ -154,15 +134,11 @@ Result<AnswerCursor> PreparedQuery::ExecuteSnapshot(
   const BuiltinOptions& builtins = snapshot->options().builtins;
 
   if (!sig.IsBuiltin(goal_.pred)) {
-    std::vector<TermId> patterns(goal_.args.size());
-    for (size_t i = 0; i < goal_.args.size(); ++i) {
-      patterns[i] = bindings_.Apply(store, goal_.args[i]);
-    }
+    // The zero-copy views point into snapshot-owned rows.
     const Relation* rel = snapshot->database().FindRelation(goal_.pred);
-    auto inner = std::make_unique<RelationScanSource>(
-        store, builtins.unify, rel, std::move(patterns));
-    return AnswerCursor(std::make_unique<SnapshotScanSource>(
-        std::move(snapshot), std::move(inner)));
+    return AnswerCursor(std::make_unique<RelationScanSource>(
+        store, builtins.unify, rel, ApplyGoal(store, goal_, bindings_),
+        std::move(snapshot)));
   }
 
   std::vector<Tuple> rows;

@@ -218,7 +218,8 @@ TEST(MutationBatchTest, AbortLeavesNoTrace) {
   Session session(LanguageMode::kLPS);
   ASSERT_OK(session.Load(kGraph));
   ASSERT_OK(session.Evaluate());
-  const uint64_t epoch = session.program_epoch();
+  const uint64_t rule_epoch = session.rule_epoch();
+  const uint64_t fact_epoch = session.fact_epoch();
   const std::string before = session.database()->ToCanonicalString(
       session.program()->signature());
   {
@@ -234,7 +235,8 @@ TEST(MutationBatchTest, AbortLeavesNoTrace) {
     ASSERT_OK(dropped.AddText("edge(x, y)"));
     // Destruction without Commit() == Abort().
   }
-  EXPECT_EQ(session.program_epoch(), epoch);
+  EXPECT_EQ(session.rule_epoch(), rule_epoch);
+  EXPECT_EQ(session.fact_epoch(), fact_epoch);
   EXPECT_EQ(session.database()->ToCanonicalString(
                 session.program()->signature()),
             before);

@@ -352,6 +352,54 @@ TEST(QueryServerTest, DemandOverUnconvergedSnapshotMatchesSession) {
   }
 }
 
+TEST(QueryServerTest, DemandOrdersSipByStatisticsLikeSession) {
+  // In source order p's rule demands r with nothing bound, so the
+  // rewrite derives every one of r's 202 rows; the statistics put the
+  // 2-row e first, which binds Y and demands r(b, _) alone. The server
+  // must pick the order the session picks, or the snapshot's tuple
+  // limit (50) fails the request the session answers.
+  std::string src = R"(
+    e(a, b). e(b, c). s(b, x1). s(c, x2).
+    r(X, Y) :- s(X, Y).
+    p(X, Z) :- r(Y, Z), e(X, Y).
+  )";
+  for (int i = 0; i < 200; ++i) {
+    src += "s(k" + std::to_string(i) + ", x" + std::to_string(i) + ").\n";
+  }
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(src));
+  ASSERT_OK(session.Evaluate());
+  Options limited = session.options();
+  limited.max_tuples = 50;
+  session.set_options(limited);
+  auto snap = session.Freeze();
+  ASSERT_OK(snap.status());
+
+  auto q = session.Prepare("p(a, W)");
+  ASSERT_OK(q.status());
+  auto rows = q->ExecuteDemand()->ToVector();
+  ASSERT_OK(rows.status());
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ(session.TupleToString((*rows)[0]), "(a, x1)");
+  EXPECT_EQ(session.eval_stats().magic_tuples, 2u);
+  EXPECT_EQ(session.eval_stats().tuples_derived, 3u);
+
+  SnapshotRegistry registry;
+  registry.Publish(*snap);
+  ServeOptions one_lane;
+  one_lane.threads = 1;
+  QueryServer server(&registry, one_lane);
+  auto id = server.Prepare("p(a, W)");
+  ASSERT_OK(id.status());
+  ServeRequest req;
+  req.query = *id;
+  auto ans = server.Execute(req);
+  ASSERT_OK(ans.status());
+  ASSERT_OK(ans->status);
+  EXPECT_EQ(ans->rows, (std::vector<std::string>{"(a, x1)"}));
+  EXPECT_EQ(server.stats().demand_queries, 1u);
+}
+
 TEST(QueryServerTest, ScanDemandAndEmptyFastPaths) {
   Session session(LanguageMode::kLPS);
   ASSERT_OK(session.Load(kGraph));

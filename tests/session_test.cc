@@ -601,7 +601,8 @@ TEST(DemandModeTest, OffByDefaultAndHarmlessWhenOn) {
   EXPECT_EQ(*q_on->Execute()->Count(), 3u);
   EXPECT_EQ(on.database()->TupleCount(), 3u);  // the three edge facts
   EXPECT_EQ(on.database()->fact_count(), 3u);
-  EXPECT_EQ(on.program_epoch(), 1u);
+  EXPECT_EQ(on.rule_epoch(), 1u);
+  EXPECT_EQ(on.fact_epoch(), 1u);
 }
 
 TEST(DemandModeTest, FallbackOnConvergedSessionKeepsEvaluationCounters) {
@@ -892,7 +893,7 @@ TEST(BulkLoadTest, MidLoadParseErrorLeavesSessionUntouched) {
   const size_t store_before = session.store()->size();
   const size_t facts_before = session.database()->fact_count();
   const uint64_t fact_epoch_before = session.fact_epoch();
-  const uint64_t program_epoch_before = session.program_epoch();
+  const uint64_t rule_epoch_before = session.rule_epoch();
 
   Status st = session.LoadFactsParallel(bad, 2);
   ASSERT_FALSE(st.ok());
@@ -904,7 +905,7 @@ TEST(BulkLoadTest, MidLoadParseErrorLeavesSessionUntouched) {
   EXPECT_EQ(session.store()->size(), store_before);
   EXPECT_EQ(session.database()->fact_count(), facts_before);
   EXPECT_EQ(session.fact_epoch(), fact_epoch_before);
-  EXPECT_EQ(session.program_epoch(), program_epoch_before);
+  EXPECT_EQ(session.rule_epoch(), rule_epoch_before);
   EXPECT_TRUE(session.converged());
   EXPECT_EQ(session.database()->ToString(*session.signature()), before);
 }
@@ -913,7 +914,8 @@ TEST(BulkLoadTest, RejectsRulesDeclarationsAndQueries) {
   Session session(LanguageMode::kLDL);
   ASSERT_OK(session.Load(kBulkRules));
   ASSERT_OK(session.Evaluate());
-  const uint64_t epoch = session.program_epoch();
+  const uint64_t rule_epoch = session.rule_epoch();
+  const uint64_t fact_epoch = session.fact_epoch();
 
   Status rule = session.LoadFactsParallel("p(X) :- edge(X, Y).\n", 1);
   ASSERT_FALSE(rule.ok());
@@ -923,7 +925,8 @@ TEST(BulkLoadTest, RejectsRulesDeclarationsAndQueries) {
   Status query = session.LoadFactsParallel("?- edge(X, Y).\n", 1);
   ASSERT_FALSE(query.ok());
 
-  EXPECT_EQ(session.program_epoch(), epoch);
+  EXPECT_EQ(session.rule_epoch(), rule_epoch);
+  EXPECT_EQ(session.fact_epoch(), fact_epoch);
   EXPECT_TRUE(session.converged());
 }
 }  // namespace
