@@ -101,6 +101,8 @@ void PrintStats(const lps::EvalStats& s, size_t subsumptions) {
   std::printf("  lanes                    %zu\n", s.ingest.lanes);
   std::printf("  chunks                   %zu\n", s.ingest.chunks);
   std::printf("  facts_parsed             %zu\n", s.ingest.facts_parsed);
+  std::printf("  general_path_facts       %zu\n",
+              s.ingest.general_path_facts);
   std::printf("  facts_inserted           %zu\n", s.ingest.facts_inserted);
   std::printf("  scratch_terms            %zu\n", s.ingest.scratch_terms);
   std::printf("  remap_hits               %zu\n", s.ingest.remap_hits);
@@ -391,12 +393,12 @@ int main(int argc, char** argv) {
       }
       const lps::EvalStats::IngestStats& ig = session.eval_stats().ingest;
       std::printf(
-          "%% loaded %zu facts (%zu new) in %.1f ms: %zu lanes, "
-          "%zu chunks, parse %.1f ms, merge %.1f ms, %zu scratch terms, "
-          "%zu remap hits, %zu rehashes avoided\n",
-          ig.facts_parsed, ig.facts_inserted, wall_ms, ig.lanes, ig.chunks,
-          ig.parse_ms, ig.merge_ms, ig.scratch_terms, ig.remap_hits,
-          ig.presize_rehashes_avoided);
+          "%% loaded %zu facts (%zu new, %zu via the clause pipeline) in "
+          "%.1f ms: %zu lanes, %zu chunks, parse %.1f ms, merge %.1f ms, "
+          "%zu scratch terms, %zu remap hits, %zu rehashes avoided\n",
+          ig.facts_parsed, ig.facts_inserted, ig.general_path_facts, wall_ms,
+          ig.lanes, ig.chunks, ig.parse_ms, ig.merge_ms, ig.scratch_terms,
+          ig.remap_hits, ig.presize_rehashes_avoided);
       // Re-converge so follow-up goals see derivations over the new
       // facts (demand mode keeps evaluating per goal instead).
       if (!demand) {

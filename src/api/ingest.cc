@@ -1,6 +1,6 @@
 // Pipelined parallel bulk loader (Session::LoadFactsParallel).
 //
-// Pipeline:  split -> parse (N lanes) -> merge (sequential).
+// Pipeline:  split -> parse (N lanes) -> merge.
 //
 //   split   The source is cut into fact-aligned chunks: a boundary is
 //           only ever placed after a newline whose line ends a fact
@@ -11,38 +11,53 @@
 //           the session signature rebound to the scratch's symbol
 //           table - the same prefix-stable scratch-intern discipline
 //           serve::QueryServer uses. Lanes take chunks round-robin and
-//           run the full sequential front end per chunk (ParseSource,
-//           LowerParsedUnit, CheckFact and ValidateGoal per fact)
-//           against their scratch, so every error the sequential
-//           loader would raise is raised here, before the session is
-//           touched.
-//   merge   Three passes over the chunks. Pass A (sequential) interns
-//           the lanes' first-occurrence term lists into the session
-//           store in chunk order, filling per-lane id translation
-//           caches. Pass B (parallel, same lanes) rewrites every
-//           fact in place - scratch PredicateIds and TermIds become
-//           session ids through the now-complete caches (ids below
-//           the clone point are identical by prefix-stability, a
-//           "remap hit") - and precomputes each row's dedup hash.
-//           Pass C (sequential) drains chunks in input order into
-//           relations presized via Database::Reserve from the chunk
-//           fact counts (one growth rehash instead of log-many),
-//           prefetching dedup slots a few facts ahead and raising
-//           each row's base count. Only A and C are order-sensitive,
-//           and both touch far less memory per fact than the full
-//           remap, so the sequential fraction of the pipeline stays
-//           small (see DESIGN.md section 19).
+//           parse each one in place (a view of the source) with the
+//           one parser, handing it a GroundFacts: a ground atom of
+//           constants and integers - every fact of a typical bulk file
+//           - is interned into the scratch as it is read and becomes a
+//           flat row [predicate slot, args...] of the chunk's one
+//           TermId array. It builds no PClause, skips LowerParsedUnit,
+//           and its sort checks ran once per predicate and argument
+//           position. Anything else in the chunk - a fact with a set
+//           or function term, or a rule, declaration or query, which
+//           are errors here - takes the clause pipeline
+//           (LowerParsedUnit against a per-chunk copy of the
+//           signature, CheckFact and ValidateGoal per fact), and its
+//           facts are spliced into the rows in source order. Every
+//           error the sequential loader would raise is raised here,
+//           before the session is touched.
+//   merge   Pass A (sequential) interns each chunk's new terms into
+//           the session store in chunk order, filling per-lane id
+//           translation caches. Pass B (parallel, same lanes)
+//           rewrites every row in place - predicate slot to session
+//           PredicateId, scratch TermIds to session ids through the
+//           now-complete caches (ids below the clone point are
+//           identical by prefix-stability, a "remap hit") - and
+//           precomputes each row's dedup hash. Pass C (sequential)
+//           inserts the rows in input order into relations presized
+//           via Database::Reserve from the per-chunk row counts,
+//           prefetching dedup slots a few rows ahead and raising each
+//           row's base count. With two or more lanes and every fact on
+//           the flat path, A runs beside B and C: lane 0 interns chunk
+//           by chunk while lane 1 translates and inserts each chunk
+//           lane 0 has passed. The lanes then free their own scratches
+//           and rows. Only A and C are order-sensitive; they are what
+//           bounds the lane scaling (see DESIGN.md section 19).
 //
 // Determinism: the merge visits facts in exactly the order the
-// sequential loader would (chunks partition the source in order), so
-// database row order, base counts and active-domain order are all
-// byte-identical to Load + Compile + Evaluate - ToString parity,
-// strictly stronger than the ToCanonicalString contract. Inferred
-// declarations match because per-chunk MergeDecl lattice joins are
-// associative and ground fact arguments never contribute the
-// "unknown" bottom element; the cross-chunk join therefore equals the
-// sequential single-pass join, and fresh predicates are declared in
-// the same sorted (name, arity) order LowerParsedUnit uses.
+// sequential loader would (chunks partition the source in order), and
+// pass A interns each chunk's new terms in the order lowering would
+// first meet them, so session TermIds, database row order, base counts
+// and active-domain order are all byte-identical to Load + Compile +
+// Evaluate - ToString parity, strictly stronger than the
+// ToCanonicalString contract. Inferred declarations match because each
+// chunk infers its fresh predicates from its own facts alone (a
+// per-chunk signature copy, never one grown by the lane's earlier
+// chunks), MergeDecl lattice joins are associative and commutative,
+// and ground fact arguments never contribute the "unknown" bottom
+// element; the cross-chunk join therefore equals the sequential
+// single-pass join, and fresh predicates are declared in the same
+// sorted (name, arity) order LowerParsedUnit uses.
 //
 // Transactionality: every fallible check (parse, facts-only shape,
 // sort inference, validation, the fact checks) runs against lane
@@ -50,10 +65,13 @@
 // returned and the session store, signature, program and database are
 // untouched. The commit that follows a clean dry run cannot fail.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -79,10 +97,10 @@ constexpr TermId kUnmapped = static_cast<TermId>(-1);
 // fact (last non-blank character is the terminating '.'); size() when
 // no such boundary remains. Lines ending mid-fact or in a comment
 // never become boundaries.
-size_t AlignChunkEnd(const std::string& s, size_t pos) {
+size_t AlignChunkEnd(std::string_view s, size_t pos) {
   for (;;) {
     size_t nl = s.find('\n', pos);
-    if (nl == std::string::npos) return s.size();
+    if (nl == std::string_view::npos) return s.size();
     size_t j = nl;
     while (j > 0 &&
            (s[j - 1] == ' ' || s[j - 1] == '\t' || s[j - 1] == '\r')) {
@@ -93,20 +111,41 @@ size_t AlignChunkEnd(const std::string& s, size_t pos) {
   }
 }
 
-// One parsed chunk. Facts carry scratch TermIds / PredicateIds until
-// merge pass B rewrites them to session ids in place.
+// A predicate that heads rows of one chunk (a row's slot indexes the
+// chunk's list of these).
+struct ChunkPred {
+  Symbol name;     // in the lane scratch's symbol table
+  uint32_t arity;
+  PredicateId id;  // in the session signature, or kInvalidPredicate
+  // A fresh predicate's sorts as this chunk alone declares it.
+  std::vector<Sort> sorts;
+  size_t rows = 0;
+  PredicateId session = kInvalidPredicate;  // filled by the merge
+};
+
+// One parsed chunk.
 struct ChunkResult {
   Status status = Status::OK();
-  std::vector<Literal> facts;
   size_t newlines = 0;
-  // Scratch ids minted by this chunk's lane that first appear (as a
-  // fact argument) in this chunk - the lane's intern worklist slice.
-  // Merge pass A re-interns exactly these, in chunk order, which
-  // reproduces the sequential loader's first-occurrence intern order
-  // without walking every argument of every fact sequentially.
-  std::vector<TermId> new_ids;
-  // Relation::HashTuple of each fact's (session-id) argument row,
-  // aligned with `facts`; filled by merge pass B.
+  // The chunk's facts in source order, one row per fact:
+  // [slot into preds, arg1, ..., argn]. Scratch ids until merge pass B
+  // rewrites them to session ids in place.
+  std::vector<TermId> cells;
+  std::vector<ChunkPred> preds;
+  size_t rows = 0;
+  size_t general_rows = 0;  // facts that took the clause pipeline
+  // The scratch ids this chunk minted, [new_begin, new_end): the terms
+  // its lane met first here - the lane's intern worklist slice. Merge
+  // pass A re-interns exactly these, in chunk order and in the order
+  // sequential lowering first meets them: ascending when every fact
+  // took the flat path (it interns as it reads), else `new_order`.
+  // That reproduces the sequential loader's intern order without
+  // walking every argument of every fact sequentially.
+  TermId new_begin = 0;
+  TermId new_end = 0;
+  std::vector<TermId> new_order;
+  // Relation::HashTuple of each row's (session-id) arguments; filled by
+  // merge pass B.
   std::vector<size_t> hashes;
 };
 
@@ -116,10 +155,179 @@ struct ChunkResult {
 // need remapping at merge time.
 struct LaneScratch {
   std::unique_ptr<TermStore> store;
-  std::unique_ptr<Signature> sig;
-  TermId term_base = 0;  // session store size at clone
-  size_t sig_base = 0;   // session signature size at copy
+  std::unique_ptr<Signature> sig;  // the session signature, never grown
+  TermId term_base = 0;            // session store size at clone
 };
+
+// CheckFact, then ValidateGoal: the checks every loaded fact passes.
+Status CheckRow(const TermStore& store, const Signature& sig,
+                PredicateId pred, std::span<const TermId> args,
+                LanguageMode mode) {
+  LPS_RETURN_IF_ERROR(CheckFact(store, sig, pred, args));
+  Literal fact;
+  fact.pred = pred;
+  fact.args.assign(args.begin(), args.end());
+  return ValidateGoal(store, sig, fact, mode);
+}
+
+// The scratch id of the ground term `t`, lowered already, handing
+// `list` the id of every subterm in the order lowering interned them:
+// children left to right, then the term itself. Every lookup is a
+// hash-cons hit.
+template <typename List>
+TermId ListLowered(const PTerm& t, TermStore* store, const List& list) {
+  TermId id = kInvalidTerm;
+  switch (t.kind) {
+    case PTerm::Kind::kConst:
+      id = store->MakeConstant(t.name);
+      break;
+    case PTerm::Kind::kInt:
+      id = store->MakeInt(t.value);
+      break;
+    case PTerm::Kind::kFunc:
+    case PTerm::Kind::kSet: {
+      std::vector<TermId> args;
+      args.reserve(t.args.size());
+      for (const PTerm& a : t.args) args.push_back(ListLowered(a, store, list));
+      id = t.kind == PTerm::Kind::kSet
+               ? store->MakeSet(std::move(args))
+               : store->MakeFunction(t.name, std::move(args));
+      break;
+    }
+    case PTerm::Kind::kVar:
+      return kInvalidTerm;  // unreachable: facts are ground
+  }
+  list(id);
+  return id;
+}
+
+// Parses one chunk into `res` against the lane's scratch. With
+// `ground_atom_path` false every fact takes the clause pipeline (the
+// oracle tests compare the flat path with).
+void ParseChunk(std::string_view text, const LaneScratch& ls,
+                LanguageMode mode, bool ground_atom_path,
+                ChunkResult* res) {
+  res->newlines =
+      static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
+  TermStore* store = ls.store.get();
+  res->new_begin = static_cast<TermId>(store->size());
+  GroundFacts ground(store, ls.sig.get());
+  Result<ParsedUnit> parsed =
+      ParseSource(text, ground_atom_path ? &ground : nullptr);
+  if (!parsed.ok()) {
+    res->status = parsed.status();
+    return;
+  }
+  if (!parsed->decls.empty() || !parsed->queries.empty()) {
+    res->status = Status::InvalidArgument(
+        "bulk load accepts ground facts only (found a predicate "
+        "declaration or query)");
+    return;
+  }
+  for (const GroundFacts::Pred& p : ground.preds()) {
+    res->preds.push_back({p.name, p.arity, p.id,
+                          p.id == kInvalidPredicate
+                              ? std::vector<Sort>(p.arity, Sort::kAtom)
+                              : std::vector<Sort>{},
+                          p.rows});
+  }
+  const std::vector<TermId>& flat = ground.cells();
+  // Facts of a predicate whose checks fail report the first of them,
+  // exactly as the per-fact checks would; rows of every other
+  // predicate were checked when their predicate was first seen.
+  auto check_flat = [&](size_t pos, const Signature& sig) -> Status {
+    const GroundFacts::Pred& p = ground.preds()[flat[pos]];
+    if (p.checks_pass) return Status::OK();
+    return CheckRow(*store, sig, p.id,
+                    std::span<const TermId>(flat.data() + pos + 1, p.arity),
+                    mode);
+  };
+
+  if (parsed->clauses.empty()) {
+    const bool all_pass = std::all_of(
+        ground.preds().begin(), ground.preds().end(),
+        [](const GroundFacts::Pred& p) { return p.checks_pass; });
+    for (size_t pos = 0; !all_pass && pos < flat.size();
+         pos += 1 + ground.preds()[flat[pos]].arity) {
+      res->status = check_flat(pos, *ls.sig);
+      if (!res->status.ok()) return;
+    }
+    res->rows = ground.rows();
+    res->cells = std::move(ground.cells());
+    res->new_end = static_cast<TermId>(store->size());
+    return;
+  }
+
+  // The clause pipeline, for the clauses the flat path did not take.
+  Signature chunk_sig = *ls.sig;
+  Result<LoweredUnit> lowered =
+      LowerParsedUnit(*parsed, mode, store, &chunk_sig, &ground);
+  if (!lowered.ok()) {
+    res->status = lowered.status();
+    return;
+  }
+  if (!lowered->clauses.empty()) {
+    res->status = Status::InvalidArgument(
+        "bulk load accepts ground facts only (found a rule, grouping "
+        "head, or non-ground clause)");
+    return;
+  }
+  // Every clause lowered to a fact, so lowered->facts[k] is clause k.
+  // Splice them among the flat rows in source order, checking each
+  // fact and listing new ids in the order lowering first meets them.
+  res->new_end = static_cast<TermId>(store->size());
+  std::vector<bool> listed(res->new_end - res->new_begin, false);
+  auto list = [&](TermId t) {
+    if (t < res->new_begin || listed[t - res->new_begin]) return;
+    listed[t - res->new_begin] = true;
+    res->new_order.push_back(t);
+  };
+  size_t pos = 0, row = 0;
+  auto take_flat = [&](size_t until_row) -> Status {
+    for (; row < until_row; ++row) {
+      LPS_RETURN_IF_ERROR(check_flat(pos, chunk_sig));
+      const size_t width = 1 + ground.preds()[flat[pos]].arity;
+      res->cells.insert(res->cells.end(), flat.begin() + pos,
+                        flat.begin() + pos + width);
+      for (size_t i = 1; i < width; ++i) list(flat[pos + i]);
+      pos += width;
+    }
+    return Status::OK();
+  };
+  for (size_t k = 0; k < lowered->facts.size(); ++k) {
+    // Without the flat path there are no rows to interleave.
+    res->status = take_flat(ground_atom_path ? ground.clause_rows()[k] : 0);
+    if (!res->status.ok()) return;
+    const Literal& f = lowered->facts[k];
+    res->status = CheckRow(*store, chunk_sig, f.pred, f.args, mode);
+    if (!res->status.ok()) return;
+    const Symbol name = chunk_sig.info(f.pred).name;
+    const uint32_t arity = static_cast<uint32_t>(f.args.size());
+    uint32_t slot = 0;
+    while (slot < res->preds.size() &&
+           (res->preds[slot].name != name || res->preds[slot].arity != arity)) {
+      ++slot;
+    }
+    if (slot == res->preds.size()) {
+      res->preds.push_back({name, arity, ls.sig->Lookup(name, arity), {}, 0});
+    }
+    ++res->preds[slot].rows;
+    res->cells.push_back(slot);
+    res->cells.insert(res->cells.end(), f.args.begin(), f.args.end());
+    for (const PHeadArg& a : parsed->clauses[k].args) {
+      ListLowered(a.term, store, list);
+    }
+    ++res->general_rows;
+  }
+  res->status = take_flat(ground.rows());
+  if (!res->status.ok()) return;
+  res->rows = ground.rows() + res->general_rows;
+  for (ChunkPred& p : res->preds) {
+    if (p.id == kInvalidPredicate) {
+      p.sorts = chunk_sig.info(chunk_sig.Lookup(p.name, p.arity)).arg_sorts;
+    }
+  }
+}
 
 // Re-interns a scratch term into `dst`, bottom-up through `cache`
 // (indexed by id - term_base). Ids below the clone point are already
@@ -148,9 +356,8 @@ TermId RemapTerm(const TermStore& scratch, TermId id, TermStore* dst,
                               std::move(args));
       break;
     case TermKind::kSet:
-      // MakeSet re-canonicalizes under session ids; remapping preserves
-      // the relative order of same-chunk terms, so the canonical form
-      // matches what sequential lowering would intern.
+      // MakeSet re-canonicalizes under session ids; pass A reaches a
+      // set only after its elements, so only the set node is minted.
       out = dst->MakeSet(std::move(args));
       break;
     case TermKind::kVariable:
@@ -172,6 +379,11 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
 
 Status Session::LoadFactsParallel(const std::string& source,
                                   size_t lanes) {
+  return LoadFacts(source, lanes, /*ground_atom_path=*/true);
+}
+
+Status Session::LoadFacts(std::string_view source, size_t lanes,
+                          bool ground_atom_path) {
   LPS_RETURN_IF_ERROR(Compile());
   EvalStats::IngestStats ingest;
 
@@ -200,86 +412,25 @@ Status Session::LoadFactsParallel(const std::string& source,
       std::max<size_t>(1, want_lanes), std::max<size_t>(1, chunks.size()));
   ingest.lanes = lane_count;
   ingest.chunks = chunks.size();
+  WorkerPool pool(lane_count);
 
   // ---- Parse (parallel dry run) --------------------------------------
   const auto parse_t0 = std::chrono::steady_clock::now();
   std::vector<LaneScratch> lane_state(lane_count);
   for (LaneScratch& ls : lane_state) {
     ls.term_base = static_cast<TermId>(store_->size());
-    ls.sig_base = program_->signature().size();
     ls.store = store_->Clone();
     ls.sig = std::make_unique<Signature>(program_->signature());
     ls.sig->RebindSymbols(&ls.store->symbols());
   }
   std::vector<ChunkResult> results(chunks.size());
-  {
-    WorkerPool pool(lane_count);
-    pool.Run([&](size_t lane) {
-      LaneScratch& ls = lane_state[lane];
-      // Scratch ids already claimed by an earlier chunk of THIS lane
-      // (indexed by id - term_base). A lane's chunks are drained in
-      // ascending order at merge time, so listing each id at the
-      // lane's first sight of it puts it in the earliest chunk that
-      // can intern it.
-      std::vector<bool> listed;
-      for (size_t ci = lane; ci < chunks.size(); ci += lane_count) {
-        ChunkResult& res = results[ci];
-        const std::string text =
-            source.substr(chunks[ci].first,
-                          chunks[ci].second - chunks[ci].first);
-        res.newlines =
-            static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
-        Result<ParsedUnit> parsed = ParseSource(text);
-        if (!parsed.ok()) {
-          res.status = parsed.status();
-          continue;
-        }
-        if (!parsed->decls.empty() || !parsed->queries.empty()) {
-          res.status = Status::InvalidArgument(
-              "bulk load accepts ground facts only (found a predicate "
-              "declaration or query)");
-          continue;
-        }
-        Result<LoweredUnit> lowered =
-            LowerParsedUnit(*parsed, mode_, ls.store.get(), ls.sig.get());
-        if (!lowered.ok()) {
-          res.status = lowered.status();
-          continue;
-        }
-        if (!lowered->clauses.empty()) {
-          res.status = Status::InvalidArgument(
-              "bulk load accepts ground facts only (found a rule, "
-              "grouping head, or non-ground clause)");
-          continue;
-        }
-        for (const Literal& f : lowered->facts) {
-          res.status = CheckFact(*ls.store, *ls.sig, f.pred, f.args);
-          if (res.status.ok()) {
-            res.status = ValidateGoal(*ls.store, *ls.sig, f, mode_);
-          }
-          if (!res.status.ok()) break;
-        }
-        if (!res.status.ok()) continue;
-        res.facts = std::move(lowered->facts);
-        // First-occurrence worklist for merge pass A. Top-level
-        // argument ids suffice: RemapTerm re-interns subterms
-        // bottom-up, in the same order sequential lowering would.
-        for (const Literal& f : res.facts) {
-          for (TermId t : f.args) {
-            if (t < ls.term_base) continue;
-            const size_t idx = t - ls.term_base;
-            if (idx >= listed.size()) {
-              listed.resize(ls.store->size() - ls.term_base, false);
-            }
-            if (!listed[idx]) {
-              listed[idx] = true;
-              res.new_ids.push_back(t);
-            }
-          }
-        }
-      }
-    });
-  }
+  pool.Run([&](size_t lane) {
+    for (size_t ci = lane; ci < chunks.size(); ci += lane_count) {
+      ParseChunk(source.substr(chunks[ci].first,
+                               chunks[ci].second - chunks[ci].first),
+                 lane_state[lane], mode_, ground_atom_path, &results[ci]);
+    }
+  });
   parse_count_ += chunks.size();
 
   // First error in chunk order wins, tagged with the chunk's starting
@@ -303,56 +454,53 @@ Status Session::LoadFactsParallel(const std::string& source,
     ingest.scratch_terms += ls.store->size() - ls.term_base;
   }
 
-  // ---- Merge (sequential, infallible from here) ----------------------
+  // ---- Merge (infallible from here) ----------------------------------
   const auto merge_t0 = std::chrono::steady_clock::now();
 
-  // Fresh predicates: lattice-join each lane's inferred declarations
+  // Fresh predicates: lattice-join every chunk's inferred declarations
   // (equal sorts keep, conflicting sorts widen to kAny - the same join
   // MergeDecl applies within one unit) and declare in sorted (name,
   // arity) order, exactly as the sequential front end would.
   Signature& sig = program_->signature();
   std::map<std::pair<std::string, size_t>, std::vector<Sort>> fresh;
-  for (const LaneScratch& ls : lane_state) {
-    for (PredicateId p = static_cast<PredicateId>(ls.sig_base);
-         p < ls.sig->size(); ++p) {
-      const PredicateInfo& info = ls.sig->info(p);
-      auto [it, inserted] = fresh.try_emplace(
-          std::make_pair(ls.sig->Name(p), info.arity()), info.arg_sorts);
-      if (!inserted) {
-        for (size_t i = 0; i < it->second.size(); ++i) {
-          if (it->second[i] != info.arg_sorts[i]) {
-            it->second[i] = Sort::kAny;
-          }
-        }
+  for (size_t ci = 0; ci < chunks.size(); ++ci) {
+    const SymbolTable& names = lane_state[ci % lane_count].store->symbols();
+    for (const ChunkPred& p : results[ci].preds) {
+      if (p.id != kInvalidPredicate) continue;
+      auto [it, inserted] =
+          fresh.try_emplace(std::make_pair(names.Name(p.name), p.arity),
+                            p.sorts);
+      if (inserted) continue;
+      for (size_t i = 0; i < it->second.size(); ++i) {
+        if (it->second[i] != p.sorts[i]) it->second[i] = Sort::kAny;
       }
     }
   }
   for (const auto& [key, sorts] : fresh) {
-    // Cannot fail: the lane signatures started as copies of the session
-    // signature, so a predicate fresh in a lane is unknown here.
+    // Cannot fail: the lane signatures are copies of the session
+    // signature, so a predicate fresh in a chunk is unknown here.
     LPS_RETURN_IF_ERROR(sig.Declare(key.first, sorts).status());
   }
-
-  // Scratch PredicateId -> session PredicateId, per lane.
-  std::vector<std::vector<PredicateId>> pred_map(lane_count);
-  for (size_t lane = 0; lane < lane_count; ++lane) {
-    const LaneScratch& ls = lane_state[lane];
-    pred_map[lane].resize(ls.sig->size());
-    for (PredicateId p = 0; p < ls.sig->size(); ++p) {
-      pred_map[lane][p] =
-          p < ls.sig_base
-              ? p
-              : sig.Lookup(ls.sig->Name(p), ls.sig->info(p).arity());
+  // Chunk predicate slots -> session PredicateIds, and the per-pred row
+  // counts the relations are presized from.
+  std::unordered_map<PredicateId, size_t> pred_rows;
+  for (size_t ci = 0; ci < chunks.size(); ++ci) {
+    const SymbolTable& names = lane_state[ci % lane_count].store->symbols();
+    for (ChunkPred& p : results[ci].preds) {
+      p.session = p.id != kInvalidPredicate
+                      ? p.id
+                      : sig.Lookup(names.Name(p.name), p.arity);
+      pred_rows[p.session] += p.rows;
     }
   }
 
-  // Pass A - intern (sequential). Re-intern each chunk's
-  // first-occurrence worklist in chunk order, filling the per-lane
-  // translation caches. This is the only place session TermIds are
-  // minted, and it visits each distinct new term once per lane that
-  // saw it (a hash-cons hit after the first), so the session store
-  // ends up with exactly the ids, in exactly the order, the
-  // sequential loader's parse would have interned.
+  // Pass A - intern (sequential). Re-intern each chunk's new terms in
+  // chunk order, filling the per-lane translation caches. This is the
+  // only place session TermIds are minted, and it visits each distinct
+  // new term once per lane that saw it (a hash-cons hit after the
+  // first), so the session store ends up with exactly the ids, in
+  // exactly the order, the sequential loader's lowering would have
+  // interned.
   std::vector<std::vector<TermId>> caches(lane_count);
   for (size_t lane = 0; lane < lane_count; ++lane) {
     caches[lane].assign(
@@ -360,62 +508,59 @@ Status Session::LoadFactsParallel(const std::string& source,
         kUnmapped);
   }
   // Capacity only (no ids minted), so the interns below pay one
-  // up-front rehash per table. scratch_terms over-counts distinct new
-  // terms (lanes double-intern shared constants); reserve is fine
-  // with an upper bound.
+  // up-front rehash per table and the node arena never moves.
+  // scratch_terms over-counts distinct new terms (lanes double-intern
+  // shared constants); reserve is fine with an upper bound.
   store_->Reserve(ingest.scratch_terms);
-  for (size_t ci = 0; ci < chunks.size(); ++ci) {
+  auto intern = [&](size_t ci) {
     const size_t lane = ci % lane_count;
     const LaneScratch& ls = lane_state[lane];
-    for (TermId id : results[ci].new_ids) {
+    const ChunkResult& res = results[ci];
+    auto remap = [&](TermId id) {
       RemapTerm(*ls.store, id, store_.get(), ls.term_base, &caches[lane]);
+    };
+    if (res.new_order.empty()) {
+      for (TermId id = res.new_begin; id < res.new_end; ++id) remap(id);
+    } else {
+      for (TermId id : res.new_order) remap(id);
     }
-  }
+  };
 
-  // Pass B - translate + hash (parallel). With the caches complete,
-  // rewriting a fact is a pure per-lane read of shared state: each
-  // lane rewrites its own chunks' facts in place (scratch pred ->
-  // session pred, scratch args -> cached session ids) and precomputes
-  // the dedup hash pass C will insert under.
-  {
-    std::vector<size_t> lane_hits(lane_count, 0);
-    WorkerPool pool(lane_count);
-    pool.Run([&](size_t lane) {
-      const LaneScratch& ls = lane_state[lane];
-      const std::vector<TermId>& cache = caches[lane];
-      const std::vector<PredicateId>& pmap = pred_map[lane];
-      size_t hits = 0;
-      for (size_t ci = lane; ci < chunks.size(); ci += lane_count) {
-        ChunkResult& res = results[ci];
-        res.hashes.reserve(res.facts.size());
-        for (Literal& f : res.facts) {
-          f.pred = pmap[f.pred];
-          for (TermId& t : f.args) {
-            if (t < ls.term_base) {
-              ++hits;  // prefix-stable: already a session id
-            } else {
-              t = cache[t - ls.term_base];
-            }
-          }
-          res.hashes.push_back(Relation::HashTuple(f.args));
+  // Pass B - translate + hash. Once pass A has passed a chunk, the
+  // caches hold every id its rows use, so rewriting them is a pure
+  // read of shared state: slot -> session pred, scratch args -> cached
+  // session ids, in place, plus the dedup hash pass C inserts under.
+  // Returns the remap hits.
+  auto translate = [&](size_t ci) {
+    const size_t lane = ci % lane_count;
+    const TermId term_base = lane_state[lane].term_base;
+    const std::vector<TermId>& cache = caches[lane];
+    ChunkResult& res = results[ci];
+    size_t hits = 0;
+    res.hashes.resize(res.rows);
+    TermId* cell = res.cells.data();
+    for (size_t r = 0; r < res.rows; ++r) {
+      const ChunkPred& p = res.preds[*cell];
+      *cell++ = p.session;
+      for (uint32_t i = 0; i < p.arity; ++i, ++cell) {
+        if (*cell < term_base) {
+          ++hits;  // prefix-stable: already a session id
+        } else {
+          *cell = cache[*cell - term_base];
         }
       }
-      lane_hits[lane] = hits;
-    });
-    for (size_t h : lane_hits) ingest.remap_hits += h;
-  }
-
-  // Presize relations from the chunk fact counts: one Reserve per
-  // predicate replaces the doubling rehashes the row-by-row inserts
-  // would pay. Duplicate facts make the counts an upper bound, which
-  // only ever rounds the table up to the next power of two.
-  {
-    std::unordered_map<PredicateId, size_t> pred_counts;
-    for (const ChunkResult& res : results) {
-      for (const Literal& f : res.facts) ++pred_counts[f.pred];
+      res.hashes[r] = Relation::HashTuple(TupleRef(cell - p.arity, p.arity));
     }
-    std::vector<std::pair<PredicateId, size_t>> ordered(
-        pred_counts.begin(), pred_counts.end());
+    return hits;
+  };
+
+  // Presize relations from the row counts: one Reserve per predicate
+  // replaces the doubling rehashes the row-by-row inserts would pay.
+  // Duplicate facts make the counts an upper bound, which only ever
+  // rounds the table up to the next power of two.
+  {
+    std::vector<std::pair<PredicateId, size_t>> ordered(pred_rows.begin(),
+                                                        pred_rows.end());
     std::sort(ordered.begin(), ordered.end());
     for (const auto& [pred, count] : ordered) {
       ingest.presize_rehashes_avoided += db_->Reserve(pred, count);
@@ -426,28 +571,92 @@ Status Session::LoadFactsParallel(const std::string& source,
   // the database - the same row and active-domain order the
   // sequential loader produces, which is what makes the result
   // byte-identical at every lane count. BulkInserter amortizes the
-  // per-fact relation-map probe and the per-arg domain-registration
-  // probe; the dedup slot of a fact a few positions ahead is
-  // prefetched so the probe's dependent load is usually in cache by
-  // the time it runs. Every check (declared pred, arity, groundness,
-  // no special predicates) already ran against the scratches.
+  // per-fact relation-map probe; the dedup slot of a row a few
+  // positions ahead is prefetched so the probe's dependent load is
+  // usually in cache by the time it runs. Every check (declared pred,
+  // arity, groundness, no special predicates, sorts) already ran
+  // against the scratches.
   constexpr size_t kPrefetchAhead = 16;
+  std::vector<uint32_t> width(sig.size());  // row width: 1 + arity
+  for (PredicateId p = 0; p < sig.size(); ++p) {
+    width[p] = static_cast<uint32_t>(1 + sig.info(p).arity());
+  }
   Database::BulkInserter inserter(db_.get());
-  for (ChunkResult& res : results) {
-    ingest.facts_parsed += res.facts.size();
-    const size_t n = res.facts.size();
-    for (size_t i = 0; i < n; ++i) {
-      if (i + kPrefetchAhead < n) {
-        inserter.Prefetch(res.facts[i + kPrefetchAhead].pred,
-                          res.hashes[i + kPrefetchAhead]);
+  auto insert = [&](size_t ci) {
+    const ChunkResult& res = results[ci];
+    const TermId* cells = res.cells.data();
+    const size_t end = res.cells.size();
+    size_t ahead = 0;
+    for (size_t r = 0; r < kPrefetchAhead && ahead < end; ++r) {
+      ahead += width[cells[ahead]];
+    }
+    size_t pos = 0;
+    for (size_t r = 0; r < res.rows; ++r) {
+      if (ahead < end) {
+        inserter.Prefetch(cells[ahead], res.hashes[r + kPrefetchAhead]);
+        ahead += width[cells[ahead]];
       }
-      const Literal& f = res.facts[i];
-      if (inserter.Insert(f.pred, f.args, res.hashes[i]).added) {
+      const PredicateId pred = cells[pos];
+      const TupleRef args(cells + pos + 1, width[pred] - 1);
+      if (inserter.Insert(pred, args, res.hashes[r]).added) {
         ++ingest.facts_inserted;
       }
+      pos += width[pred];
     }
+  };
+
+  for (const ChunkResult& res : results) {
+    ingest.facts_parsed += res.rows;
+    ingest.general_path_facts += res.general_rows;
+  }
+  if (lane_count > 1 && ingest.general_path_facts == 0) {
+    // Two lanes run the merge as a pipeline: lane 0 interns chunk by
+    // chunk while lane 1 translates and inserts every chunk lane 0 has
+    // passed, in the same order as the sequential passes. They write
+    // disjoint state - pass A the session store, pass C the database -
+    // and pass C reads the store only for nodes pass A published
+    // (`interned`, release/acquire) in a node arena reserved above, so
+    // it never moves. Flat rows hold constants and integers alone, so
+    // pass A appends nothing to the element arena registration reads.
+    std::atomic<size_t> interned{0};
+    pool.Run([&](size_t lane) {
+      if (lane == 0) {
+        for (size_t ci = 0; ci < chunks.size(); ++ci) {
+          intern(ci);
+          interned.store(ci + 1, std::memory_order_release);
+        }
+      } else if (lane == 1) {
+        for (size_t ci = 0; ci < chunks.size(); ++ci) {
+          while (interned.load(std::memory_order_acquire) <= ci) {
+            std::this_thread::yield();
+          }
+          ingest.remap_hits += translate(ci);
+          insert(ci);
+        }
+      }
+    });
+  } else {
+    for (size_t ci = 0; ci < chunks.size(); ++ci) intern(ci);
+    std::vector<size_t> lane_hits(lane_count, 0);
+    pool.Run([&](size_t lane) {
+      for (size_t ci = lane; ci < chunks.size(); ci += lane_count) {
+        lane_hits[lane] += translate(ci);
+      }
+    });
+    for (size_t h : lane_hits) ingest.remap_hits += h;
+    for (size_t ci = 0; ci < chunks.size(); ++ci) insert(ci);
   }
   ingest.merge_ms = MsSince(merge_t0);
+
+  // The lanes free what they built - scratch stores and rows - so the
+  // caller's thread frees nothing fact by fact.
+  pool.Run([&](size_t lane) {
+    lane_state[lane] = LaneScratch{};
+    std::vector<TermId>().swap(caches[lane]);
+    for (size_t ci = lane; ci < chunks.size(); ci += lane_count) {
+      results[ci] = ChunkResult{};
+    }
+  });
 
   if (ingest.facts_parsed > 0) {
     // Same epoch discipline as Compile() committing staged facts.

@@ -25,6 +25,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/answer_cursor.h"
@@ -79,10 +80,11 @@ class Session {
   /// Bulk-loads a facts-only source through the pipelined parallel
   /// loader (api/ingest.cc): the input is split into newline-aligned
   /// chunks, `lanes` parser workers (0 = hardware concurrency) parse
-  /// chunks into per-worker TermStore::Clone scratches, and a merge
-  /// stage remaps scratch terms into the session store in chunk order
-  /// and bulk-inserts with dedup tables presized from the chunk fact
-  /// counts. The result is byte-identical - ToString, not just
+  /// chunks into per-worker TermStore::Clone scratches - a fact of
+  /// constants and integers as one flat row, with no clause tree - and
+  /// a merge stage remaps scratch terms into the session store in
+  /// chunk order and bulk-inserts with dedup tables presized from the
+  /// chunk fact counts. The result is byte-identical - ToString, not just
   /// ToCanonicalString - to Load+Compile of the same source at every
   /// lane count. `source` must contain ground facts only (no rules,
   /// declarations, or queries); any error (parse, sort, validation)
@@ -248,6 +250,14 @@ class Session {
   /// block: it describes the last LoadFactsParallel(), which no
   /// evaluation fills.
   void set_eval_stats(EvalStats stats);
+
+  /// LoadFactsParallel's body (api/ingest.cc). With `ground_atom_path`
+  /// false, ground atoms take the clause pipeline like every other
+  /// fact: the oracle the flat path is tested against, which only
+  /// tests reach (through IngestOracle, tests/ingest_test.cc).
+  Status LoadFacts(std::string_view source, size_t lanes,
+                   bool ground_atom_path);
+  friend class IngestOracle;
 
   LanguageMode mode_;
   Options options_;

@@ -120,6 +120,10 @@ struct EvalStats {
     size_t lanes = 0;           // parser lanes the load actually used
     size_t chunks = 0;          // newline-aligned chunks parsed
     size_t facts_parsed = 0;    // fact literals produced by the lanes
+    size_t general_path_facts = 0;  // of those, facts that took the
+                                    // clause pipeline (a set or function
+                                    // term argument) instead of the
+                                    // parser's flat ground-atom path
     size_t facts_inserted = 0;  // net-new rows after dedup in the merge
     size_t scratch_terms = 0;   // terms interned across lane scratches
     size_t remap_hits = 0;      // fact arguments already session-valid

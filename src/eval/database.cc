@@ -112,17 +112,11 @@ void Database::SeedFacts(const Database& src, const FactSeed& seed,
 std::unique_ptr<Database> Database::FactsFor(const Program& program) const {
   auto db = std::make_unique<Database>(store_, &program.signature());
   db->SeedFacts(*this, ListFactSeed(program));
-  // A term recurs across many rows: one registration probe each.
-  std::vector<bool> seen(store_->size(), false);
   for (PredicateId p : db->SortedPredicates()) {
     const Relation& rel = *db->FindRelation(p);
     for (RowId r = 0; r < rel.size(); ++r) {
       if (!rel.IsLive(r)) continue;
-      for (TermId t : rel.row(r)) {
-        if (seen[t]) continue;
-        seen[t] = true;
-        db->RegisterTerm(t);
-      }
+      for (TermId t : rel.row(r)) db->RegisterTerm(t);
     }
   }
   return db;
@@ -135,17 +129,7 @@ size_t Database::Reserve(PredicateId pred, size_t additional_rows) {
 Relation::InsertOutcome Database::BulkInserter::Insert(PredicateId pred,
                                                        TupleRef t,
                                                        size_t hash) {
-  for (TermId term : t) {
-    if (term >= seen_.size()) {
-      seen_.resize(std::max<size_t>(db_->store_->size(),
-                                    static_cast<size_t>(term) + 1),
-                   false);
-    }
-    if (!seen_[term]) {
-      db_->RegisterTerm(term);
-      seen_[term] = true;
-    }
-  }
+  for (TermId term : t) db_->RegisterTerm(term);
   if (pred >= rels_.size()) rels_.resize(pred + 1, nullptr);
   Relation*& rel = rels_[pred];
   if (rel == nullptr) rel = &db_->relation(pred);
@@ -185,8 +169,7 @@ bool Database::EraseRow(PredicateId pred, RowId r) {
 }
 
 void Database::RegisterTerm(TermId t) {
-  if (!store_->is_ground(t)) return;
-  if (domains_->registered.count(t)) return;
+  if (domains_->Has(t) || !store_->is_ground(t)) return;
   // Copy-on-write: domains shared with a published snapshot
   // (CloneInto aliases them) are privatized before the first mutation
   // escapes.
@@ -198,7 +181,7 @@ void Database::RegisterTerm(TermId t) {
 
 void Database::RegisterTermOwned(TermId t) {
   if (!store_->is_ground(t)) return;
-  if (!domains_->registered.insert(t).second) return;
+  if (!domains_->Add(t)) return;
   ++version_;
   if (store_->sort(t) == Sort::kSet) {
     domains_->sets.push_back(t);

@@ -25,7 +25,6 @@
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -155,12 +154,9 @@ class Database {
   /// Amortized fact cursor for bulk loading (api/ingest.cc). Each
   /// Insert() call is observably identical to AddFact(), but the
   /// cursor caches the Relation pointer per predicate (skipping the
-  /// relation-map probe and copy-on-write check) and remembers which
-  /// TermIds it has already registered in the active domains, so a
-  /// term recurring across millions of facts pays one registration
-  /// probe instead of one per occurrence. Use strictly within one bulk
-  /// loop: the cached pointers go stale if anything else touches the
-  /// relation map (snapshot publication, ResetDatabase).
+  /// relation-map probe and copy-on-write check). Use strictly within
+  /// one bulk loop: the cached pointers go stale if anything else
+  /// touches the relation map (snapshot publication, ResetDatabase).
   class BulkInserter {
    public:
     explicit BulkInserter(Database* db) : db_(db) {}
@@ -181,7 +177,6 @@ class Database {
    private:
     Database* db_;
     std::vector<Relation*> rels_;  // PredicateId -> cached relation
-    std::vector<bool> seen_;       // TermId -> registered this run
   };
 
   /// One revive observed by AddTupleEx while the revive log was on.
@@ -341,7 +336,25 @@ class Database {
   struct TermDomains {
     std::vector<TermId> atoms;
     std::vector<TermId> sets;
-    std::unordered_set<TermId> registered;
+    /// Bit t is set once term t is registered. Grown to the highest
+    /// registered id only - never presized to the store - so a
+    /// database that registers few terms (a demand request's) pays
+    /// for those alone.
+    std::vector<uint64_t> registered;
+
+    bool Has(TermId t) const {
+      const size_t word = t >> 6;
+      return word < registered.size() && ((registered[word] >> (t & 63)) & 1);
+    }
+    /// Sets bit t; false if it was set already.
+    bool Add(TermId t) {
+      const size_t word = t >> 6;
+      if (word >= registered.size()) registered.resize(word + 1, 0);
+      const uint64_t bit = uint64_t{1} << (t & 63);
+      if (registered[word] & bit) return false;
+      registered[word] |= bit;
+      return true;
+    }
   };
 
   /// RegisterTerm body after the copy-on-write privatization check.

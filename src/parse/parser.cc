@@ -6,13 +6,17 @@
 
 namespace lps {
 
-namespace {
-
+// Recursive descent over a Lexer, one token of lookahead (two in
+// ParseQuantifier). Tokens are lexed on demand, yet errors read as if
+// the whole source had been tokenized first: a lexing error anywhere
+// in the source outranks any parse error.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(std::string_view source, GroundFacts* ground)
+      : lexer_(source), ground_(ground) {}
 
   Result<ParsedUnit> Parse() {
+    Advance();
     ParsedUnit unit;
     while (!At(TokenKind::kEof)) {
       if (At(TokenKind::kKwPred)) {
@@ -23,23 +27,104 @@ class Parser {
         LPS_ASSIGN_OR_RETURN(PLiteral q, ParseAtomOrComparison());
         LPS_RETURN_IF_ERROR(Expect(TokenKind::kPeriod));
         unit.queries.push_back(std::move(q));
-      } else {
+      } else if (ground_ == nullptr || !TakeGroundAtom()) {
         LPS_ASSIGN_OR_RETURN(PClause c, ParseClause());
+        if (ground_ != nullptr) ground_->NoteClause();
         unit.clauses.push_back(std::move(c));
       }
     }
+    if (!lex_status_.ok()) return lex_status_;
     return unit;
   }
 
  private:
-  const Token& Cur() const { return tokens_[pos_]; }
-  bool At(TokenKind k) const { return Cur().kind == k; }
-  void Advance() { ++pos_; }
+  const Token& Cur() const { return cur_; }
+  bool At(TokenKind k) const { return cur_.kind == k; }
 
-  Status Error(const std::string& msg) const {
+  // A lexing error ends the token stream: it is kept in lex_status_
+  // and the parser sees end of input, so every path out of Parse()
+  // reports it.
+  void Lex(Token* out) {
+    Status st = lexer_.Next(out);
+    if (!st.ok()) {
+      lex_status_ = std::move(st);
+      *out = Token{};
+    }
+  }
+  void Advance() {
+    if (has_peek_) {
+      cur_ = peek_;
+      has_peek_ = false;
+    } else if (lex_status_.ok()) {
+      Lex(&cur_);
+    }
+  }
+  const Token& Peek() {
+    if (!has_peek_) {
+      if (lex_status_.ok()) {
+        Lex(&peek_);
+      } else {
+        peek_ = Token{};
+      }
+      has_peek_ = true;
+    }
+    return peek_;
+  }
+
+  Status Error(const std::string& msg) {
+    if (lex_status_.ok()) {
+      // Lex the rest: a lexing error past this point still wins.
+      Token t;
+      do {
+        Lex(&t);
+      } while (lex_status_.ok() && t.kind != TokenKind::kEof);
+    }
+    if (!lex_status_.ok()) return lex_status_;
     return Status::ParseError(msg + " at line " +
                               std::to_string(Cur().line) + " (got " +
                               TokenKindToString(Cur().kind) + ")");
+  }
+
+  // The ground-atom branch: at a clause start, reads "p." or
+  // "p(a1, ..., an)." with every ai a constant or an integer and hands
+  // it to ground_. On any other shape it rewinds to the clause start
+  // and returns false, so the clause - or its error - comes out of
+  // ParseClause exactly as it would without the branch.
+  bool TakeGroundAtom() {
+    if (!At(TokenKind::kIdent)) return false;
+    const Token head = cur_;
+    const Lexer::Mark mark = lexer_.mark();
+    args_.clear();
+    Advance();
+    bool ok = true;
+    if (At(TokenKind::kLParen)) {
+      Advance();
+      for (;;) {
+        if (!At(TokenKind::kIdent) && !At(TokenKind::kInteger)) {
+          ok = false;
+          break;
+        }
+        args_.push_back(cur_);
+        Advance();
+        if (At(TokenKind::kComma)) {
+          Advance();
+          continue;
+        }
+        ok = At(TokenKind::kRParen);
+        if (ok) Advance();
+        break;
+      }
+    }
+    if (ok && At(TokenKind::kPeriod)) {
+      ground_->Add(head.text, args_);
+      Advance();
+      return true;
+    }
+    cur_ = head;
+    has_peek_ = false;
+    lexer_.Reset(mark);
+    lex_status_ = Status::OK();
+    return false;
   }
 
   Status Expect(TokenKind k) {
@@ -95,8 +180,8 @@ class Parser {
             return Error("expected variable in grouping head <Var>");
           }
           arg.grouped = true;
-          arg.term = PTerm{PTerm::Kind::kVar, Cur().text, 0, {},
-                           Cur().line};
+          arg.term = PTerm{PTerm::Kind::kVar, std::string(Cur().text), 0,
+                           {}, Cur().line};
           Advance();
           LPS_RETURN_IF_ERROR(Expect(TokenKind::kRAngle));
         } else {
@@ -193,14 +278,14 @@ class Parser {
       if (!At(TokenKind::kVariable)) {
         return Error("expected quantified variable");
       }
-      std::string var = Cur().text;
+      std::string var(Cur().text);
       Advance();
       LPS_RETURN_IF_ERROR(Expect(TokenKind::kKwIn));
       LPS_ASSIGN_OR_RETURN(PTerm range, ParseTerm());
       prefix.push_back(Q{kind, std::move(var), std::move(range), line});
       if (At(TokenKind::kComma) &&
-          (tokens_[pos_ + 1].kind == TokenKind::kKwForall ||
-           tokens_[pos_ + 1].kind == TokenKind::kKwExists)) {
+          (Peek().kind == TokenKind::kKwForall ||
+           Peek().kind == TokenKind::kKwExists)) {
         Advance();  // comma
         continue;
       }
@@ -309,16 +394,52 @@ class Parser {
     return Error("expected a term");
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  Lexer lexer_;
+  Status lex_status_ = Status::OK();
+  Token cur_;
+  Token peek_;
+  bool has_peek_ = false;
+  GroundFacts* ground_;
+  std::vector<Token> args_;  // the ground-atom branch's arguments
 };
 
-}  // namespace
+uint32_t GroundFacts::Slot(std::string_view pred, uint32_t arity) {
+  const SymbolTable& symbols = store_->symbols();
+  if (last_slot_ < preds_.size() && preds_[last_slot_].arity == arity &&
+      symbols.Name(preds_[last_slot_].name) == pred) {
+    return last_slot_;
+  }
+  const Symbol name = store_->symbols().Intern(pred);
+  for (uint32_t s = 0; s < preds_.size(); ++s) {
+    if (preds_[s].name == name && preds_[s].arity == arity) {
+      return last_slot_ = s;
+    }
+  }
+  Pred p{name, arity, sig_->Lookup(name, arity), true, 0};
+  if (p.id != kInvalidPredicate) {
+    const PredicateInfo& info = sig_->info(p.id);
+    p.checks_pass = !sig_->IsSpecial(p.id);
+    for (Sort s : info.arg_sorts) p.checks_pass &= s != Sort::kSet;
+  }
+  preds_.push_back(p);
+  return last_slot_ = static_cast<uint32_t>(preds_.size() - 1);
+}
 
-Result<ParsedUnit> ParseSource(const std::string& source) {
-  LPS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
-  Parser parser(std::move(tokens));
-  return parser.Parse();
+void GroundFacts::Add(std::string_view pred, std::span<const Token> args) {
+  const uint32_t slot = Slot(pred, static_cast<uint32_t>(args.size()));
+  cells_.push_back(slot);
+  for (const Token& a : args) {
+    cells_.push_back(a.kind == TokenKind::kInteger
+                         ? store_->MakeInt(a.int_value)
+                         : store_->MakeConstant(a.text));
+  }
+  ++preds_[slot].rows;
+  ++rows_;
+}
+
+Result<ParsedUnit> ParseSource(std::string_view source,
+                               GroundFacts* ground) {
+  return Parser(source, ground).Parse();
 }
 
 Result<Literal> ParseGoalText(const std::string& text, LanguageMode mode,

@@ -21,11 +21,14 @@
 //
 // The parser produces a name-based AST; LowerParsedUnit (with sort
 // inference from sort_infer.h) turns it into interned GeneralClauses.
+// Ground atoms can skip the AST: see GroundFacts.
 #ifndef LPS_PARSE_PARSER_H_
 #define LPS_PARSE_PARSER_H_
 
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lang/formula.h"
@@ -83,8 +86,71 @@ struct ParsedUnit {
   std::vector<PLiteral> queries;
 };
 
-/// Parses source text into the name-based AST.
-Result<ParsedUnit> ParseSource(const std::string& source);
+/// The flat form of ground facts, filled by the parser's ground-atom
+/// branch. When ParseSource is handed a GroundFacts, a fact
+/// "p(c1, ..., cn)." whose arguments are all constants or integers
+/// builds no PClause: its arguments are interned into store() as they
+/// are read and the fact becomes one row of cells(),
+/// [predicate slot, c1, ..., cn], the slot indexing preds(). Anything
+/// else - variables, sets, function terms, rules, declarations,
+/// queries - becomes a PClause as before, and clause_rows() records
+/// where each of those clauses fell among the rows, so the two kinds
+/// can be walked together in source order.
+class GroundFacts {
+ public:
+  /// Interns into `store` and resolves predicates against `sig`, which
+  /// must be bound to store->symbols() and stay unchanged while the
+  /// parser adds rows.
+  GroundFacts(TermStore* store, const Signature* sig)
+      : store_(store), sig_(sig) {}
+
+  /// One predicate (name and arity) that heads a row.
+  struct Pred {
+    Symbol name;     // in store->symbols()
+    uint32_t arity;
+    PredicateId id;  // in sig, or kInvalidPredicate for a fresh one
+    /// False when the facts of this predicate fail CheckFact or
+    /// ValidateGoal against sig as declared: a special predicate, or
+    /// an argument position declared set-sorted (constants and
+    /// integers are atoms). Decided once per predicate and argument
+    /// position, when the predicate is first seen; a fresh predicate
+    /// is declared from its uses and always passes.
+    bool checks_pass;
+    size_t rows;
+  };
+
+  TermStore* store() const { return store_; }
+  const std::vector<Pred>& preds() const { return preds_; }
+  /// The rows back to back; a row's width is 1 + its slot's arity.
+  std::vector<TermId>& cells() { return cells_; }
+  const std::vector<TermId>& cells() const { return cells_; }
+  size_t rows() const { return rows_; }
+  /// clause_rows()[k]: rows parsed before the unit's k-th PClause.
+  const std::vector<uint32_t>& clause_rows() const { return clause_rows_; }
+
+ private:
+  friend class Parser;
+
+  void Add(std::string_view pred, std::span<const Token> args);
+  uint32_t Slot(std::string_view pred, uint32_t arity);
+  void NoteClause() {
+    clause_rows_.push_back(static_cast<uint32_t>(rows_));
+  }
+
+  TermStore* store_;
+  const Signature* sig_;
+  std::vector<Pred> preds_;
+  std::vector<TermId> cells_;
+  size_t rows_ = 0;
+  std::vector<uint32_t> clause_rows_;
+  uint32_t last_slot_ = 0;  // consecutive facts mostly share a predicate
+};
+
+/// Parses source text into the name-based AST. With `ground`, ground
+/// atoms take the flat path into it instead (see GroundFacts); without,
+/// every clause becomes a PClause.
+Result<ParsedUnit> ParseSource(std::string_view source,
+                               GroundFacts* ground = nullptr);
 
 /// Lowered result: interned clauses ready for the Theorem 6 compiler.
 struct LoweredUnit {
@@ -95,10 +161,15 @@ struct LoweredUnit {
 
 /// Lowers a parsed unit: declares predicates in `sig` (explicitly or by
 /// inference), infers variable sorts per clause (see sort_infer.h), and
-/// interns all terms in `store`.
+/// interns all terms in `store`. `ground`, when the unit was parsed
+/// with one, holds the unit's flat facts: they are interned already,
+/// and each fresh predicate among them counts as one all-atom use when
+/// predicate declarations are inferred, as the same facts parsed into
+/// clauses would.
 Result<LoweredUnit> LowerParsedUnit(const ParsedUnit& unit,
                                     LanguageMode mode, TermStore* store,
-                                    Signature* sig);
+                                    Signature* sig,
+                                    const GroundFacts* ground = nullptr);
 
 /// Parses and lowers a single goal - an atom or comparison such as
 /// "path(a, X)" - against an existing store/signature; the "?-" prefix

@@ -451,7 +451,8 @@ void FillDefaults(const std::vector<std::string>& names, LanguageMode mode,
 
 Result<LoweredUnit> LowerParsedUnit(const ParsedUnit& unit,
                                     LanguageMode mode, TermStore* store,
-                                    Signature* sig) {
+                                    Signature* sig,
+                                    const GroundFacts* ground) {
   // Phase A: explicit declarations.
   for (const PDecl& d : unit.decls) {
     Result<PredicateId> r = sig->Declare(d.name, d.sorts);
@@ -462,21 +463,26 @@ Result<LoweredUnit> LowerParsedUnit(const ParsedUnit& unit,
   // collect tentative declarations for unknown predicates.
   std::vector<VarSorts> clause_sorts(unit.clauses.size());
   std::map<std::pair<std::string, size_t>, std::vector<int>> tentative;
+  auto note_use = [&](const std::string& pred, const std::vector<int>& use) {
+    if (sig->Lookup(pred, use.size()) != kInvalidPredicate) return;
+    auto key = std::make_pair(pred, use.size());
+    auto it = tentative.find(key);
+    if (it == tentative.end()) {
+      tentative[key] = use;
+    } else {
+      MergeDecl(&it->second, use);
+    }
+  };
+  if (ground != nullptr) {
+    for (const GroundFacts::Pred& p : ground->preds()) {
+      if (p.id != kInvalidPredicate || p.rows == 0) continue;
+      note_use(ground->store()->symbols().Name(p.name),
+               std::vector<int>(p.arity, static_cast<int>(Sort::kAtom)));
+    }
+  }
   for (size_t i = 0; i < unit.clauses.size(); ++i) {
     const PClause& c = unit.clauses[i];
     LPS_ASSIGN_OR_RETURN(clause_sorts[i], InferClauseSorts(c, mode, *sig));
-
-    auto note_use = [&](const std::string& pred,
-                        const std::vector<int>& use) {
-      if (sig->Lookup(pred, use.size()) != kInvalidPredicate) return;
-      auto key = std::make_pair(pred, use.size());
-      auto it = tentative.find(key);
-      if (it == tentative.end()) {
-        tentative[key] = use;
-      } else {
-        MergeDecl(&it->second, use);
-      }
-    };
 
     std::vector<int> head_use;
     for (const PHeadArg& a : c.args) {

@@ -29,7 +29,7 @@ class Parser {
     LPS_ASSIGN_OR_RETURN(Node n, Term());
     if (Peek().kind != TokenKind::kEof) {
       return Status::ParseError("trailing input after term: '" +
-                                Peek().text + "'");
+                                std::string(Peek().text) + "'");
     }
     return n;
   }
@@ -76,11 +76,11 @@ class Parser {
       }
       case TokenKind::kVariable:
         return Status::InvalidArgument(
-            "query parameter must be ground, got variable '" + t.text +
-            "'");
+            "query parameter must be ground, got variable '" +
+            std::string(t.text) + "'");
       default:
         return Status::ParseError("expected a ground term, got '" +
-                                  t.text + "'");
+                                  std::string(t.text) + "'");
     }
   }
 
@@ -97,7 +97,7 @@ class Parser {
         return Status::OK();
       }
       return Status::ParseError("expected ',' or closing bracket, got '" +
-                                Peek().text + "'");
+                                std::string(Peek().text) + "'");
     }
   }
 

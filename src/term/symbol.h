@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace lps {
@@ -48,31 +47,22 @@ class SymbolTable {
 
   /// Pre-grows the index for `additional` upcoming interns, so a bulk
   /// load pays one rehash up front instead of log-many doublings.
-  void Reserve(size_t additional) {
-    names_.reserve(names_.size() + additional);
-    index_.reserve(index_.size() + additional);
-  }
+  void Reserve(size_t additional);
 
  private:
-  // Transparent hash/eq: Intern and Lookup probe with the caller's
-  // string_view directly instead of materializing a std::string per
-  // call - on the bulk-load path that temporary was one heap
-  // allocation per constant occurrence.
-  struct NameHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  struct NameEq {
-    using is_transparent = void;
-    bool operator()(std::string_view a, std::string_view b) const {
-      return a == b;
-    }
-  };
+  static size_t Hash(std::string_view s) {
+    return std::hash<std::string_view>{}(s);
+  }
+  /// The slot holding `name`, or the empty slot where it would go.
+  size_t FindSlot(std::string_view name, size_t hash) const;
+  void Rehash(size_t slot_count);
 
   std::vector<std::string> names_;
-  std::unordered_map<std::string, Symbol, NameHash, NameEq> index_;
+  // Open-addressed index over names_: Symbol + 1 per slot, 0 = empty,
+  // a power of two in size and at most half full. Probes compare
+  // against names_ directly, so interning a new name costs its one
+  // string and no hash node.
+  std::vector<uint32_t> slots_;
   uint64_t fresh_counter_ = 0;
 };
 
