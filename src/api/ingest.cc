@@ -18,38 +18,43 @@
 //           flat row [predicate slot, args...] of the chunk's one
 //           TermId array. It builds no PClause, skips LowerParsedUnit,
 //           and its sort checks ran once per predicate and argument
-//           position. Anything else in the chunk - a fact with a set
-//           or function term, or a rule, declaration or query, which
-//           are errors here - takes the clause pipeline
-//           (LowerParsedUnit against a per-chunk copy of the
-//           signature, CheckFact and ValidateGoal per fact), and its
-//           facts are spliced into the rows in source order. Every
-//           error the sequential loader would raise is raised here,
-//           before the session is touched.
-//   merge   Pass A (sequential) interns each chunk's new terms into
-//           the session store in chunk order, filling per-lane id
-//           translation caches. Pass B (parallel, same lanes)
-//           rewrites every row in place - predicate slot to session
-//           PredicateId, scratch TermIds to session ids through the
-//           now-complete caches (ids below the clone point are
-//           identical by prefix-stability, a "remap hit") - and
-//           precomputes each row's dedup hash. Pass C (sequential)
-//           inserts the rows in input order into relations presized
-//           via Database::Reserve from the per-chunk row counts,
-//           prefetching dedup slots a few rows ahead and raising each
-//           row's base count. With two or more lanes and every fact on
-//           the flat path, A runs beside B and C: lane 0 interns chunk
-//           by chunk while lane 1 translates and inserts each chunk
-//           lane 0 has passed. The lanes then free their own scratches
-//           and rows. Only A and C are order-sensitive; they are what
-//           bounds the lane scaling (see DESIGN.md section 19).
+//           position. The first clause that is anything else - a fact
+//           with a set or function term, or a rule, which is an error
+//           here - and every clause after it in the chunk take the
+//           clause pipeline (LowerParsedUnit against a per-chunk copy
+//           of the signature, CheckFact and ValidateGoal per fact);
+//           their facts follow the flat rows, which keeps the chunk in
+//           source order. Every error the sequential loader would
+//           raise is raised here, before the session is touched.
+//   merge   A pipeline over the chunks, in chunk order. Pass A (lane
+//           0) interns each chunk's new terms into the session store,
+//           filling per-lane id translation caches. Pass B (the
+//           translator, lane 1) turns the rows of each chunk lane 0 has
+//           passed into session ids through the caches (ids below the
+//           clone point are identical by prefix-stability, a "remap
+//           hit") and writes each straight into its place in its
+//           relation's staged load (Relation::BulkLoad), one per
+//           predicate, presized from the per-chunk row counts. Pass C
+//           (the translator and every later lane) probes the dedup
+//           tables: each table's slots are cut into one part per
+//           probing lane and every lane probes its part's rows of each
+//           chunk the translator has passed, so equal rows meet in one
+//           part and no two lanes share a slot. Then lane 0 registers
+//           every row's terms in the active domains in input order
+//           while the other lanes end the loads: first occurrences move
+//           down over repeats in input order and base counts are set.
+//           With one lane the same steps run in turn. Only pass A and
+//           registration are sequential by nature; they are what
+//           bounds the lane scaling (see DESIGN.md section 19). The
+//           lanes then free their own scratches and rows.
 //
-// Determinism: the merge visits facts in exactly the order the
-// sequential loader would (chunks partition the source in order), and
-// pass A interns each chunk's new terms in the order lowering would
-// first meet them, so session TermIds, database row order, base counts
-// and active-domain order are all byte-identical to Load + Compile +
-// Evaluate - ToString parity, strictly stronger than the
+// Determinism: chunks partition the source in order, pass A interns
+// each chunk's new terms in the order lowering would first meet them,
+// a staged load keeps first occurrences in input order, and
+// registration walks the rows in input order, so session TermIds,
+// database row order, base counts and active-domain order are all
+// byte-identical to Load + Compile + Evaluate at every lane count -
+// ToString parity, strictly stronger than the
 // ToCanonicalString contract. Inferred declarations match because each
 // chunk infers its fresh predicates from its own facts alone (a
 // per-chunk signature copy, never one grown by the lane's earlier
@@ -69,10 +74,9 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -120,7 +124,11 @@ struct ChunkPred {
   // A fresh predicate's sorts as this chunk alone declares it.
   std::vector<Sort> sorts;
   size_t rows = 0;
-  PredicateId session = kInvalidPredicate;  // filled by the merge
+  // Filled by the merge: the session predicate, and the input index
+  // (Relation::BulkLoad) of this chunk's first row of it - a chunk's
+  // rows of one predicate are consecutive in the relation's input.
+  PredicateId session = kInvalidPredicate;
+  size_t first = 0;
 };
 
 // One parsed chunk.
@@ -128,25 +136,20 @@ struct ChunkResult {
   Status status = Status::OK();
   size_t newlines = 0;
   // The chunk's facts in source order, one row per fact:
-  // [slot into preds, arg1, ..., argn]. Scratch ids until merge pass B
-  // rewrites them to session ids in place.
+  // [slot into preds, arg1, ..., argn], in scratch ids.
   std::vector<TermId> cells;
   std::vector<ChunkPred> preds;
   size_t rows = 0;
   size_t general_rows = 0;  // facts that took the clause pipeline
   // The scratch ids this chunk minted, [new_begin, new_end): the terms
-  // its lane met first here - the lane's intern worklist slice. Merge
-  // pass A re-interns exactly these, in chunk order and in the order
-  // sequential lowering first meets them: ascending when every fact
-  // took the flat path (it interns as it reads), else `new_order`.
-  // That reproduces the sequential loader's intern order without
-  // walking every argument of every fact sequentially.
+  // its lane met first here - the lane's intern worklist slice. The
+  // flat rows intern as they are read and lowering mints after them,
+  // clause by clause, so ascending ids are the order sequential
+  // lowering first meets these terms; merge pass A re-interns them in
+  // chunk order and in that order, without walking every argument of
+  // every fact sequentially.
   TermId new_begin = 0;
   TermId new_end = 0;
-  std::vector<TermId> new_order;
-  // Relation::HashTuple of each row's (session-id) arguments; filled by
-  // merge pass B.
-  std::vector<size_t> hashes;
 };
 
 // One lane's scratch world. Prefix-stable (TermStore::Clone): every
@@ -168,37 +171,6 @@ Status CheckRow(const TermStore& store, const Signature& sig,
   fact.pred = pred;
   fact.args.assign(args.begin(), args.end());
   return ValidateGoal(store, sig, fact, mode);
-}
-
-// The scratch id of the ground term `t`, lowered already, handing
-// `list` the id of every subterm in the order lowering interned them:
-// children left to right, then the term itself. Every lookup is a
-// hash-cons hit.
-template <typename List>
-TermId ListLowered(const PTerm& t, TermStore* store, const List& list) {
-  TermId id = kInvalidTerm;
-  switch (t.kind) {
-    case PTerm::Kind::kConst:
-      id = store->MakeConstant(t.name);
-      break;
-    case PTerm::Kind::kInt:
-      id = store->MakeInt(t.value);
-      break;
-    case PTerm::Kind::kFunc:
-    case PTerm::Kind::kSet: {
-      std::vector<TermId> args;
-      args.reserve(t.args.size());
-      for (const PTerm& a : t.args) args.push_back(ListLowered(a, store, list));
-      id = t.kind == PTerm::Kind::kSet
-               ? store->MakeSet(std::move(args))
-               : store->MakeFunction(t.name, std::move(args));
-      break;
-    }
-    case PTerm::Kind::kVar:
-      return kInvalidTerm;  // unreachable: facts are ground
-  }
-  list(id);
-  return id;
 }
 
 // Parses one chunk into `res` against the lane's scratch. With
@@ -231,77 +203,52 @@ void ParseChunk(std::string_view text, const LaneScratch& ls,
                               : std::vector<Sort>{},
                           p.rows});
   }
+  // The clause pipeline, for the clauses after the flat prefix (every
+  // clause, for the oracle). It mints its terms after the prefix's, in
+  // source order, so the chunk's new ids stay ascending in the order
+  // lowering first meets them. Its errors outrank the fact checks', as
+  // in the sequential loader.
+  std::optional<Signature> chunk_sig;
+  std::vector<Literal> facts;
+  if (!parsed->clauses.empty()) {
+    chunk_sig.emplace(*ls.sig);
+    Result<LoweredUnit> lowered =
+        LowerParsedUnit(*parsed, mode, store, &*chunk_sig, &ground);
+    if (!lowered.ok()) {
+      res->status = lowered.status();
+      return;
+    }
+    if (!lowered->clauses.empty()) {
+      res->status = Status::InvalidArgument(
+          "bulk load accepts ground facts only (found a rule, grouping "
+          "head, or non-ground clause)");
+      return;
+    }
+    facts = std::move(lowered->facts);
+  }
+
+  // The flat rows come first in source order. Facts of a predicate
+  // whose checks fail report the first of them, exactly as the
+  // per-fact checks would; rows of every other predicate were checked
+  // when their predicate was first seen.
   const std::vector<TermId>& flat = ground.cells();
-  // Facts of a predicate whose checks fail report the first of them,
-  // exactly as the per-fact checks would; rows of every other
-  // predicate were checked when their predicate was first seen.
-  auto check_flat = [&](size_t pos, const Signature& sig) -> Status {
+  const bool all_pass = std::all_of(
+      ground.preds().begin(), ground.preds().end(),
+      [](const GroundFacts::Pred& p) { return p.checks_pass; });
+  for (size_t pos = 0; !all_pass && pos < flat.size();
+       pos += 1 + ground.preds()[flat[pos]].arity) {
     const GroundFacts::Pred& p = ground.preds()[flat[pos]];
-    if (p.checks_pass) return Status::OK();
-    return CheckRow(*store, sig, p.id,
-                    std::span<const TermId>(flat.data() + pos + 1, p.arity),
-                    mode);
-  };
-
-  if (parsed->clauses.empty()) {
-    const bool all_pass = std::all_of(
-        ground.preds().begin(), ground.preds().end(),
-        [](const GroundFacts::Pred& p) { return p.checks_pass; });
-    for (size_t pos = 0; !all_pass && pos < flat.size();
-         pos += 1 + ground.preds()[flat[pos]].arity) {
-      res->status = check_flat(pos, *ls.sig);
-      if (!res->status.ok()) return;
-    }
-    res->rows = ground.rows();
-    res->cells = std::move(ground.cells());
-    res->new_end = static_cast<TermId>(store->size());
-    return;
-  }
-
-  // The clause pipeline, for the clauses the flat path did not take.
-  Signature chunk_sig = *ls.sig;
-  Result<LoweredUnit> lowered =
-      LowerParsedUnit(*parsed, mode, store, &chunk_sig, &ground);
-  if (!lowered.ok()) {
-    res->status = lowered.status();
-    return;
-  }
-  if (!lowered->clauses.empty()) {
-    res->status = Status::InvalidArgument(
-        "bulk load accepts ground facts only (found a rule, grouping "
-        "head, or non-ground clause)");
-    return;
-  }
-  // Every clause lowered to a fact, so lowered->facts[k] is clause k.
-  // Splice them among the flat rows in source order, checking each
-  // fact and listing new ids in the order lowering first meets them.
-  res->new_end = static_cast<TermId>(store->size());
-  std::vector<bool> listed(res->new_end - res->new_begin, false);
-  auto list = [&](TermId t) {
-    if (t < res->new_begin || listed[t - res->new_begin]) return;
-    listed[t - res->new_begin] = true;
-    res->new_order.push_back(t);
-  };
-  size_t pos = 0, row = 0;
-  auto take_flat = [&](size_t until_row) -> Status {
-    for (; row < until_row; ++row) {
-      LPS_RETURN_IF_ERROR(check_flat(pos, chunk_sig));
-      const size_t width = 1 + ground.preds()[flat[pos]].arity;
-      res->cells.insert(res->cells.end(), flat.begin() + pos,
-                        flat.begin() + pos + width);
-      for (size_t i = 1; i < width; ++i) list(flat[pos + i]);
-      pos += width;
-    }
-    return Status::OK();
-  };
-  for (size_t k = 0; k < lowered->facts.size(); ++k) {
-    // Without the flat path there are no rows to interleave.
-    res->status = take_flat(ground_atom_path ? ground.clause_rows()[k] : 0);
+    if (p.checks_pass) continue;
+    res->status = CheckRow(
+        *store, *ls.sig, p.id,
+        std::span<const TermId>(flat.data() + pos + 1, p.arity), mode);
     if (!res->status.ok()) return;
-    const Literal& f = lowered->facts[k];
-    res->status = CheckRow(*store, chunk_sig, f.pred, f.args, mode);
+  }
+  res->cells = std::move(ground.cells());
+  for (const Literal& f : facts) {
+    res->status = CheckRow(*store, *chunk_sig, f.pred, f.args, mode);
     if (!res->status.ok()) return;
-    const Symbol name = chunk_sig.info(f.pred).name;
+    const Symbol name = chunk_sig->info(f.pred).name;
     const uint32_t arity = static_cast<uint32_t>(f.args.size());
     uint32_t slot = 0;
     while (slot < res->preds.size() &&
@@ -314,17 +261,16 @@ void ParseChunk(std::string_view text, const LaneScratch& ls,
     ++res->preds[slot].rows;
     res->cells.push_back(slot);
     res->cells.insert(res->cells.end(), f.args.begin(), f.args.end());
-    for (const PHeadArg& a : parsed->clauses[k].args) {
-      ListLowered(a.term, store, list);
-    }
-    ++res->general_rows;
   }
-  res->status = take_flat(ground.rows());
-  if (!res->status.ok()) return;
-  res->rows = ground.rows() + res->general_rows;
-  for (ChunkPred& p : res->preds) {
-    if (p.id == kInvalidPredicate) {
-      p.sorts = chunk_sig.info(chunk_sig.Lookup(p.name, p.arity)).arg_sorts;
+  res->general_rows = facts.size();
+  res->rows = ground.rows() + facts.size();
+  res->new_end = static_cast<TermId>(store->size());
+  if (chunk_sig.has_value()) {
+    for (ChunkPred& p : res->preds) {
+      if (p.id == kInvalidPredicate) {
+        p.sorts =
+            chunk_sig->info(chunk_sig->Lookup(p.name, p.arity)).arg_sorts;
+      }
     }
   }
 }
@@ -481,26 +427,28 @@ Status Session::LoadFacts(std::string_view source, size_t lanes,
     // signature, so a predicate fresh in a chunk is unknown here.
     LPS_RETURN_IF_ERROR(sig.Declare(key.first, sorts).status());
   }
-  // Chunk predicate slots -> session PredicateIds, and the per-pred row
-  // counts the relations are presized from.
-  std::unordered_map<PredicateId, size_t> pred_rows;
+  // Chunk predicate slots -> session PredicateIds; each chunk's rows of
+  // a predicate take the next input indexes of its relation's load.
+  std::vector<size_t> pred_rows(sig.size(), 0);
   for (size_t ci = 0; ci < chunks.size(); ++ci) {
     const SymbolTable& names = lane_state[ci % lane_count].store->symbols();
     for (ChunkPred& p : results[ci].preds) {
       p.session = p.id != kInvalidPredicate
                       ? p.id
                       : sig.Lookup(names.Name(p.name), p.arity);
+      p.first = pred_rows[p.session];
       pred_rows[p.session] += p.rows;
     }
+    ingest.facts_parsed += results[ci].rows;
+    ingest.general_path_facts += results[ci].general_rows;
   }
 
-  // Pass A - intern (sequential). Re-intern each chunk's new terms in
-  // chunk order, filling the per-lane translation caches. This is the
-  // only place session TermIds are minted, and it visits each distinct
-  // new term once per lane that saw it (a hash-cons hit after the
-  // first), so the session store ends up with exactly the ids, in
-  // exactly the order, the sequential loader's lowering would have
-  // interned.
+  // Pass A - intern (lane 0). Re-intern each chunk's new terms in chunk
+  // order, filling the per-lane translation caches. This is the only
+  // place session TermIds are minted, and it visits each distinct new
+  // term once per lane that saw it (a hash-cons hit after the first),
+  // so the session store ends up with exactly the ids, in exactly the
+  // order, the sequential loader's lowering would have interned.
   std::vector<std::vector<TermId>> caches(lane_count);
   for (size_t lane = 0; lane < lane_count; ++lane) {
     caches[lane].assign(
@@ -508,143 +456,157 @@ Status Session::LoadFacts(std::string_view source, size_t lanes,
         kUnmapped);
   }
   // Capacity only (no ids minted), so the interns below pay one
-  // up-front rehash per table and the node arena never moves.
-  // scratch_terms over-counts distinct new terms (lanes double-intern
-  // shared constants); reserve is fine with an upper bound.
+  // up-front rehash per table. scratch_terms over-counts distinct new
+  // terms (lanes double-intern shared constants); reserve is fine with
+  // an upper bound.
   store_->Reserve(ingest.scratch_terms);
+  // A constant's name is prefetched into the session symbol index a
+  // few terms ahead of its intern, so the probe's first miss overlaps
+  // the interns before it.
+  constexpr TermId kInternAhead = 8;
   auto intern = [&](size_t ci) {
     const size_t lane = ci % lane_count;
     const LaneScratch& ls = lane_state[lane];
-    const ChunkResult& res = results[ci];
-    auto remap = [&](TermId id) {
+    const TermId end = results[ci].new_end;
+    for (TermId id = results[ci].new_begin; id < end; ++id) {
+      if (id + kInternAhead < end) {
+        const TermNode& ahead = ls.store->node(id + kInternAhead);
+        if (ahead.kind == TermKind::kConstant) {
+          store_->symbols().Prefetch(ls.store->symbols().Name(ahead.symbol));
+        }
+      }
       RemapTerm(*ls.store, id, store_.get(), ls.term_base, &caches[lane]);
-    };
-    if (res.new_order.empty()) {
-      for (TermId id = res.new_begin; id < res.new_end; ++id) remap(id);
-    } else {
-      for (TermId id : res.new_order) remap(id);
     }
   };
 
-  // Pass B - translate + hash. Once pass A has passed a chunk, the
-  // caches hold every id its rows use, so rewriting them is a pure
-  // read of shared state: slot -> session pred, scratch args -> cached
-  // session ids, in place, plus the dedup hash pass C inserts under.
-  // Returns the remap hits.
-  auto translate = [&](size_t ci) {
-    const size_t lane = ci % lane_count;
-    const TermId term_base = lane_state[lane].term_base;
-    const std::vector<TermId>& cache = caches[lane];
-    ChunkResult& res = results[ci];
+  // Pass B - translate (the translator lane). One staged load per
+  // predicate with facts (Relation::BulkLoad), its dedup table presized
+  // for all of them. Once pass A has passed a chunk, the caches hold
+  // every id its rows use: each row's scratch ids become session ids
+  // (ids below the clone point already are, a "remap hit"), written
+  // straight into the row's place in its relation's load.
+  const size_t translator = lane_count > 1 ? 1 : 0;
+  const size_t parts = lane_count - translator;
+  std::vector<std::optional<Relation::BulkLoad>> loads(sig.size());
+  auto begin_loads = [&] {
+    for (PredicateId pred = 0; pred < sig.size(); ++pred) {
+      if (pred_rows[pred] == 0) continue;
+      loads[pred].emplace(db_->BeginBulkLoad(pred, pred_rows[pred], parts));
+      ingest.presize_rehashes_avoided += loads[pred]->rehashes_avoided();
+    }
+  };
+  // Each row of chunk ci, in order, to f(pred, input index, args) with
+  // its arguments in session ids; returns the remap hits.
+  auto for_rows = [&](size_t ci, auto&& f) {
+    const ChunkResult& res = results[ci];
+    const TermId term_base = lane_state[ci % lane_count].term_base;
+    const std::vector<TermId>& cache = caches[ci % lane_count];
+    std::vector<size_t> next(res.preds.size());
+    for (size_t s = 0; s < res.preds.size(); ++s) next[s] = res.preds[s].first;
+    std::vector<TermId> args;
     size_t hits = 0;
-    res.hashes.resize(res.rows);
-    TermId* cell = res.cells.data();
+    const TermId* cell = res.cells.data();
     for (size_t r = 0; r < res.rows; ++r) {
       const ChunkPred& p = res.preds[*cell];
-      *cell++ = p.session;
-      for (uint32_t i = 0; i < p.arity; ++i, ++cell) {
-        if (*cell < term_base) {
-          ++hits;  // prefix-stable: already a session id
-        } else {
-          *cell = cache[*cell - term_base];
-        }
+      const size_t i = next[*cell++]++;
+      args.resize(p.arity);
+      for (TermId& a : args) {
+        const TermId id = *cell++;
+        hits += id < term_base;
+        a = id < term_base ? id : cache[id - term_base];
       }
-      res.hashes[r] = Relation::HashTuple(TupleRef(cell - p.arity, p.arity));
+      f(p, i, TupleRef(args));
     }
     return hits;
   };
+  auto translate = [&](size_t ci) {
+    ingest.remap_hits +=
+        for_rows(ci, [&](const ChunkPred& p, size_t i, TupleRef args) {
+          Relation::BulkLoad& load = *loads[p.session];
+          std::copy(args.begin(), args.end(), load.Row(i));
+          load.Staged(i);
+        });
+  };
 
-  // Presize relations from the row counts: one Reserve per predicate
-  // replaces the doubling rehashes the row-by-row inserts would pay.
-  // Duplicate facts make the counts an upper bound, which only ever
-  // rounds the table up to the next power of two.
-  {
-    std::vector<std::pair<PredicateId, size_t>> ordered(pred_rows.begin(),
-                                                        pred_rows.end());
-    std::sort(ordered.begin(), ordered.end());
-    for (const auto& [pred, count] : ordered) {
-      ingest.presize_rehashes_avoided += db_->Reserve(pred, count);
-    }
-  }
-
-  // Pass C - insert (sequential). Drain chunks in input order into
-  // the database - the same row and active-domain order the
-  // sequential loader produces, which is what makes the result
-  // byte-identical at every lane count. BulkInserter amortizes the
-  // per-fact relation-map probe; the dedup slot of a row a few
-  // positions ahead is prefetched so the probe's dependent load is
-  // usually in cache by the time it runs. Every check (declared pred,
-  // arity, groundness, no special predicates, sorts) already ran
-  // against the scratches.
-  constexpr size_t kPrefetchAhead = 16;
-  std::vector<uint32_t> width(sig.size());  // row width: 1 + arity
-  for (PredicateId p = 0; p < sig.size(); ++p) {
-    width[p] = static_cast<uint32_t>(1 + sig.info(p).arity());
-  }
-  Database::BulkInserter inserter(db_.get());
-  auto insert = [&](size_t ci) {
-    const ChunkResult& res = results[ci];
-    const TermId* cells = res.cells.data();
-    const size_t end = res.cells.size();
-    size_t ahead = 0;
-    for (size_t r = 0; r < kPrefetchAhead && ahead < end; ++r) {
-      ahead += width[cells[ahead]];
-    }
-    size_t pos = 0;
-    for (size_t r = 0; r < res.rows; ++r) {
-      if (ahead < end) {
-        inserter.Prefetch(cells[ahead], res.hashes[r + kPrefetchAhead]);
-        ahead += width[cells[ahead]];
+  // Pass C - probe (the translator lane and every lane after it, one
+  // part of every table each). A part's facts of the chunk, in input
+  // order, prefetching the home slot of one a few positions ahead.
+  // Every check (declared pred, arity, groundness, no special
+  // predicates, sorts) already ran against the scratches.
+  auto probe = [&](size_t ci, size_t part) {
+    const size_t ahead = 16 * parts;
+    for (const ChunkPred& p : results[ci].preds) {
+      Relation::BulkLoad& load = *loads[p.session];
+      const size_t end = p.first + p.rows;
+      for (size_t i = p.first; i < end; ++i) {
+        if (i + ahead < end && load.part(i + ahead) == part) {
+          load.Prefetch(i + ahead);
+        }
+        if (load.part(i) == part) load.Probe(part, i);
       }
-      const PredicateId pred = cells[pos];
-      const TupleRef args(cells + pos + 1, width[pred] - 1);
-      if (inserter.Insert(pred, args, res.hashes[r]).added) {
-        ++ingest.facts_inserted;
-      }
-      pos += width[pred];
     }
   };
 
-  for (const ChunkResult& res : results) {
-    ingest.facts_parsed += res.rows;
-    ingest.general_path_facts += res.general_rows;
-  }
-  if (lane_count > 1 && ingest.general_path_facts == 0) {
-    // Two lanes run the merge as a pipeline: lane 0 interns chunk by
-    // chunk while lane 1 translates and inserts every chunk lane 0 has
-    // passed, in the same order as the sequential passes. They write
-    // disjoint state - pass A the session store, pass C the database -
-    // and pass C reads the store only for nodes pass A published
-    // (`interned`, release/acquire) in a node arena reserved above, so
-    // it never moves. Flat rows hold constants and integers alone, so
-    // pass A appends nothing to the element arena registration reads.
-    std::atomic<size_t> interned{0};
-    pool.Run([&](size_t lane) {
+  // The passes run as a pipeline over the chunks, each stage publishing
+  // how far it got (release/acquire): lane 0 interns, the translator
+  // translates what lane 0 has passed, and the probing lanes probe what
+  // the translator has passed. Pass A writes the session store and the
+  // caches, pass B the staged rows and pass C the dedup tables. With
+  // one lane the same steps run in turn.
+  std::atomic<size_t> interned{0};
+  std::atomic<size_t> translated{0};
+  auto publish = [](std::atomic<size_t>* done, size_t n) {
+    done->store(n, std::memory_order_release);
+    done->notify_all();
+  };
+  auto await = [](const std::atomic<size_t>& done, size_t ci) {
+    for (size_t seen; (seen = done.load(std::memory_order_acquire)) <= ci;) {
+      done.wait(seen, std::memory_order_acquire);
+    }
+  };
+  pool.Run([&](size_t lane) {
+    if (lane == translator) begin_loads();
+    for (size_t ci = 0; ci < chunks.size(); ++ci) {
       if (lane == 0) {
-        for (size_t ci = 0; ci < chunks.size(); ++ci) {
-          intern(ci);
-          interned.store(ci + 1, std::memory_order_release);
-        }
-      } else if (lane == 1) {
-        for (size_t ci = 0; ci < chunks.size(); ++ci) {
-          while (interned.load(std::memory_order_acquire) <= ci) {
-            std::this_thread::yield();
-          }
-          ingest.remap_hits += translate(ci);
-          insert(ci);
-        }
+        intern(ci);
+        publish(&interned, ci + 1);
       }
-    });
-  } else {
-    for (size_t ci = 0; ci < chunks.size(); ++ci) intern(ci);
-    std::vector<size_t> lane_hits(lane_count, 0);
-    pool.Run([&](size_t lane) {
-      for (size_t ci = lane; ci < chunks.size(); ci += lane_count) {
-        lane_hits[lane] += translate(ci);
+      if (lane == translator) {
+        await(interned, ci);
+        translate(ci);
+        publish(&translated, ci + 1);
       }
-    });
-    for (size_t h : lane_hits) ingest.remap_hits += h;
-    for (size_t ci = 0; ci < chunks.size(); ++ci) insert(ci);
+      if (lane >= translator) {
+        await(translated, ci);
+        probe(ci, lane - translator);
+      }
+    }
+  });
+
+  // Registration and the loads' ends, side by side: lane 0 registers
+  // every row's terms in the active domains in input order - the order
+  // the sequential loader registers them - translating them again
+  // (the staged rows move as the loads end), while the probing lanes
+  // end the loads, one predicate each in turn.
+  std::vector<Relation::BulkLoad::Outcome> outcomes(sig.size());
+  pool.Run([&](size_t lane) {
+    if (lane == 0) {
+      for (size_t ci = 0; ci < chunks.size(); ++ci) {
+        for_rows(ci, [&](const ChunkPred&, size_t, TupleRef args) {
+          for (TermId t : args) db_->RegisterTerm(t);
+        });
+      }
+    }
+    if (lane >= translator) {
+      for (size_t pred = lane - translator; pred < sig.size(); pred += parts) {
+        if (loads[pred].has_value()) outcomes[pred] = loads[pred]->End();
+      }
+    }
+  });
+  for (PredicateId pred = 0; pred < sig.size(); ++pred) {
+    if (loads[pred].has_value()) {
+      ingest.facts_inserted += db_->EndBulkLoad(pred, outcomes[pred]);
+    }
   }
   ingest.merge_ms = MsSince(merge_t0);
 

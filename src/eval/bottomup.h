@@ -121,9 +121,11 @@ struct EvalStats {
     size_t chunks = 0;          // newline-aligned chunks parsed
     size_t facts_parsed = 0;    // fact literals produced by the lanes
     size_t general_path_facts = 0;  // of those, facts that took the
-                                    // clause pipeline (a set or function
-                                    // term argument) instead of the
-                                    // parser's flat ground-atom path
+                                    // clause pipeline instead of the
+                                    // parser's flat ground-atom path:
+                                    // one with a set or function term
+                                    // argument, and every fact after it
+                                    // in its chunk
     size_t facts_inserted = 0;  // net-new rows after dedup in the merge
     size_t scratch_terms = 0;   // terms interned across lane scratches
     size_t remap_hits = 0;      // fact arguments already session-valid

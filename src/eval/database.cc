@@ -122,24 +122,13 @@ std::unique_ptr<Database> Database::FactsFor(const Program& program) const {
   return db;
 }
 
-size_t Database::Reserve(PredicateId pred, size_t additional_rows) {
-  return relation(pred).Reserve(additional_rows);
-}
-
-Relation::InsertOutcome Database::BulkInserter::Insert(PredicateId pred,
-                                                       TupleRef t,
-                                                       size_t hash) {
-  for (TermId term : t) db_->RegisterTerm(term);
-  if (pred >= rels_.size()) rels_.resize(pred + 1, nullptr);
-  Relation*& rel = rels_[pred];
-  if (rel == nullptr) rel = &db_->relation(pred);
-  Relation::InsertOutcome out = rel->InsertRow(t, hash);
-  rel->SetBaseCount(out.row, rel->base_count(out.row) + 1);
-  if (out.added) ++db_->version_;
-  if (out.revived && db_->revive_log_enabled_) {
-    db_->revive_log_.push_back({pred, out.row});
+size_t Database::EndBulkLoad(PredicateId pred,
+                             const Relation::BulkLoad::Outcome& out) {
+  version_ += out.added;
+  if (revive_log_enabled_) {
+    for (RowId r : out.revived) revive_log_.push_back({pred, r});
   }
-  return out;
+  return out.added;
 }
 
 bool Database::Contains(PredicateId pred, TupleRef t) const {

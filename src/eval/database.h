@@ -146,38 +146,22 @@ class Database {
   /// transform's output does). Session::ResetDatabase is this.
   std::unique_ptr<Database> FactsFor(const Program& program) const;
 
-  /// Pre-grows pred's relation for `additional_rows` upcoming inserts
-  /// (Relation::Reserve), creating the relation if absent. Returns the
-  /// number of doubling rehashes the inserts will no longer perform.
-  size_t Reserve(PredicateId pred, size_t additional_rows);
-
-  /// Amortized fact cursor for bulk loading (api/ingest.cc). Each
-  /// Insert() call is observably identical to AddFact(), but the
-  /// cursor caches the Relation pointer per predicate (skipping the
-  /// relation-map probe and copy-on-write check). Use strictly within
-  /// one bulk loop: the cached pointers go stale if anything else
-  /// touches the relation map (snapshot publication, ResetDatabase).
-  class BulkInserter {
-   public:
-    explicit BulkInserter(Database* db) : db_(db) {}
-    /// Insert with the tuple's Relation::HashTuple already computed
-    /// (the bulk loader hashes on its parser lanes).
-    Relation::InsertOutcome Insert(PredicateId pred, TupleRef t,
-                                   size_t hash);
-    /// Cache hint for an upcoming Insert(pred, t, hash): prefetches
-    /// pred's dedup home slot. A no-op until the first Insert on pred
-    /// has cached its relation (deliberate - a prefetch must never
-    /// materialize a relation).
-    void Prefetch(PredicateId pred, size_t hash) const {
-      if (pred < rels_.size() && rels_[pred] != nullptr) {
-        rels_[pred]->PrefetchInsert(hash);
-      }
-    }
-
-   private:
-    Database* db_;
-    std::vector<Relation*> rels_;  // PredicateId -> cached relation
-  };
+  /// Starts loading n facts into pred's relation with the dedup probes
+  /// split across `parts` threads (Relation::BulkLoad), creating the
+  /// relation if absent. Nothing else may touch the relation until the
+  /// load's End, which touches nothing else - loads of different
+  /// predicates may end at once, and beside RegisterTerm.
+  Relation::BulkLoad BeginBulkLoad(PredicateId pred, size_t n,
+                                   size_t parts) {
+    return Relation::BulkLoad(&relation(pred), n, parts);
+  }
+  /// Takes an ended load of pred's facts into the version and the
+  /// revive log. After it, the database is as AddFact of each fact in
+  /// input order would have left it, provided the caller registered
+  /// the facts' terms (RegisterTerm) in that order; the revive log
+  /// lists the load's revivals after any earlier ones. Returns the facts
+  /// that became live.
+  size_t EndBulkLoad(PredicateId pred, const Relation::BulkLoad::Outcome& out);
 
   /// One revive observed by AddTupleEx while the revive log was on.
   struct ReviveEvent {
@@ -336,23 +320,37 @@ class Database {
   struct TermDomains {
     std::vector<TermId> atoms;
     std::vector<TermId> sets;
-    /// Bit t is set once term t is registered. Grown to the highest
-    /// registered id only - never presized to the store - so a
-    /// database that registers few terms (a demand request's) pays
-    /// for those alone.
-    std::vector<uint64_t> registered;
+    /// Bit t is set once term t is registered. The bits live in pages
+    /// of 4096 ids, a page allocated when a term of its range is first
+    /// registered: a database that registers few terms (a demand
+    /// request's) pays a page per range it touches plus a 4-byte page
+    /// entry per 4096 ids below the highest one - never a bit per term
+    /// of the store.
+    static constexpr int kPageBits = 12;
+    static constexpr size_t kPageWords = size_t{1} << (kPageBits - 6);
+    std::vector<uint32_t> page_of;  // t >> kPageBits -> page + 1, 0 = none
+    std::vector<uint64_t> pages;    // kPageWords words per page
 
     bool Has(TermId t) const {
-      const size_t word = t >> 6;
-      return word < registered.size() && ((registered[word] >> (t & 63)) & 1);
+      const size_t p = t >> kPageBits;
+      if (p >= page_of.size() || page_of[p] == 0) return false;
+      const uint64_t w =
+          pages[(page_of[p] - 1) * kPageWords + ((t >> 6) & (kPageWords - 1))];
+      return (w >> (t & 63)) & 1;
     }
     /// Sets bit t; false if it was set already.
     bool Add(TermId t) {
-      const size_t word = t >> 6;
-      if (word >= registered.size()) registered.resize(word + 1, 0);
+      const size_t p = t >> kPageBits;
+      if (p >= page_of.size()) page_of.resize(p + 1, 0);
+      if (page_of[p] == 0) {
+        pages.resize(pages.size() + kPageWords, 0);
+        page_of[p] = static_cast<uint32_t>(pages.size() / kPageWords);
+      }
+      uint64_t& w =
+          pages[(page_of[p] - 1) * kPageWords + ((t >> 6) & (kPageWords - 1))];
       const uint64_t bit = uint64_t{1} << (t & 63);
-      if (registered[word] & bit) return false;
-      registered[word] |= bit;
+      if (w & bit) return false;
+      w |= bit;
       return true;
     }
   };

@@ -49,18 +49,13 @@ bool Relation::MaskedEquals(TupleRef a, TupleRef b, uint32_t mask) {
   return true;
 }
 
-void Relation::PrefetchInsert(size_t hash) const {
-  if (dedup_slots_.empty()) return;
-  __builtin_prefetch(&dedup_slots_[Slot(hash, dedup_slots_.size() - 1)]);
-}
-
-Relation::InsertOutcome Relation::InsertRow(TupleRef t, size_t hash) {
+Relation::InsertOutcome Relation::InsertRow(TupleRef t) {
   if (dedup_slots_.empty()) dedup_slots_.assign(kInitialSlots, 0);
   // The table holds exactly one entry per arena row (dead rows keep
   // theirs), so num_rows_ is the exact entry count for the load test.
   if ((num_rows_ + 1) * 4 > dedup_slots_.size() * 3) GrowDedup();
   const size_t cap_mask = dedup_slots_.size() - 1;
-  size_t slot = Slot(hash, cap_mask);
+  size_t slot = Slot(HashRange(t), cap_mask);
   for (;;) {
     ++dedup_probes_;
     uint32_t entry = dedup_slots_[slot];
@@ -126,6 +121,121 @@ size_t Relation::Reserve(size_t additional_rows) {
   }
   dedup_slots_.swap(fresh);
   return doublings;
+}
+
+Relation::BulkLoad::BulkLoad(Relation* rel, size_t n, size_t parts)
+    : rel_(rel),
+      stored_(rel->num_rows_),
+      n_(n),
+      parts_(std::max<size_t>(1, parts)),
+      home_(std::make_unique_for_overwrite<uint32_t[]>(n)),
+      dest_(std::make_unique_for_overwrite<uint32_t[]>(n)),
+      parts_state_(parts_) {
+  if (rel->dedup_slots_.empty()) rel->dedup_slots_.assign(kInitialSlots, 0);
+  // Every fact fits under the load factor, so the table never grows
+  // (and its parts never move) while the load runs.
+  rehashes_avoided_ = rel->Reserve(n);
+  rel->arena_.resize((stored_ + n) * rel->arity_);
+  const size_t cap = rel->dedup_slots_.size();
+  shift_ = std::countr_zero(cap);
+  for (size_t part = 0; part < parts_; ++part) {
+    parts_state_[part].end = ((part + 1) * cap + parts_ - 1) / parts_;
+  }
+}
+
+size_t Relation::BulkLoad::Staged(size_t i) {
+  const size_t slot = Slot(HashRange(TupleRef(Row(i), rel_->arity_)),
+                           rel_->dedup_slots_.size() - 1);
+  home_[i] = static_cast<uint32_t>(slot);
+  return PartOf(slot);
+}
+
+bool Relation::BulkLoad::ProbeFrom(size_t slot, size_t end, size_t i,
+                                   uint64_t* probes) {
+  std::vector<uint32_t>& slots = rel_->dedup_slots_;
+  const TupleRef t(Row(i), rel_->arity_);
+  for (; slot < end; ++slot) {
+    ++*probes;
+    const uint32_t entry = slots[slot];
+    if (entry == 0) {
+      slots[slot] = static_cast<uint32_t>(stored_ + i + 1);
+      dest_[i] = kFirst;
+      return true;
+    }
+    if (RowsEqual(rel_->row(entry - 1), t)) {
+      dest_[i] = entry - 1;
+      return true;
+    }
+  }
+  return false;
+}
+
+void Relation::BulkLoad::Probe(size_t part, size_t i) {
+  PartState& ps = parts_state_[part];
+  if (!ProbeFrom(home_[i], ps.end, i, &ps.probes)) {
+    ps.deferred.push_back(static_cast<uint32_t>(i));
+  }
+}
+
+Relation::BulkLoad::Outcome Relation::BulkLoad::End() {
+  Relation& rel = *rel_;
+  Outcome out;
+  // Probes that reached their part's end, in input order, probing on
+  // through the other parts now that no thread owns them. A repeat of
+  // such a fact was deferred too: every slot between their home and
+  // the part's end was taken when the first one ran.
+  std::vector<uint32_t> deferred;
+  for (PartState& ps : parts_state_) {
+    rel.dedup_probes_ += ps.probes;
+    deferred.insert(deferred.end(), ps.deferred.begin(), ps.deferred.end());
+  }
+  std::sort(deferred.begin(), deferred.end());
+  const size_t cap = rel.dedup_slots_.size();
+  for (uint32_t i : deferred) {
+    // Wraps around once at most: the table always has an empty slot.
+    if (!ProbeFrom(home_[i], cap, i, &rel.dedup_probes_)) {
+      ProbeFrom(0, cap, i, &rel.dedup_probes_);
+    }
+  }
+
+  // First occurrences move down over the repeats, in input order; each
+  // fact raises the base count of the row it landed on.
+  const size_t arity = rel.arity_;
+  RowId next = static_cast<RowId>(stored_);
+  rel.base_.resize(stored_ + n_, 0);
+  for (size_t i = 0; i < n_; ++i) {
+    RowId r;
+    if (dest_[i] == kFirst) {
+      r = next++;
+      if (r != stored_ + i) {
+        std::copy_n(Row(i), arity, rel.arena_.begin() + r * arity);
+      }
+      dest_[i] = r;
+      ++out.added;
+    } else if (dest_[i] >= stored_) {
+      r = dest_[dest_[i] - stored_];
+    } else {
+      r = dest_[i];
+      if (!rel.IsLive(r)) {
+        rel.dead_[r] = false;
+        --rel.dead_count_;
+        out.revived.push_back(r);
+        ++out.added;
+      }
+    }
+    if (rel.base_[r]++ == 0) ++rel.base_rows_;
+  }
+  if (next != stored_ + n_) {
+    // Repeats shifted the first occurrences: renumber their entries.
+    for (uint32_t& entry : rel.dedup_slots_) {
+      if (entry > stored_) entry = dest_[entry - 1 - stored_] + 1;
+    }
+  }
+  rel.num_rows_ = next;
+  rel.arena_.resize(next * arity);
+  rel.base_.resize(next);
+  if (n_ > 0) rel.content_tick_ = NextContentTick();
+  return out;
 }
 
 bool Relation::Contains(TupleRef t) const {

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -214,22 +215,9 @@ class Relation {
   /// and index postings all serve again) instead of appending a
   /// duplicate arena row. The row's TermIds are copied into the arena;
   /// `t` need not outlive the call.
-  InsertOutcome InsertRow(TupleRef t) { return InsertRow(t, HashTuple(t)); }
+  InsertOutcome InsertRow(TupleRef t);
 
-  /// InsertRow with the tuple's HashTuple(t) already in hand. The bulk
-  /// loader computes hashes on its parser lanes and hands them to the
-  /// sequential insert pass, which then starts each probe without
-  /// touching the tuple bytes first (and can PrefetchInsert ahead).
-  /// Passing a hash != HashTuple(t) corrupts the dedup table.
-  InsertOutcome InsertRow(TupleRef t, size_t hash);
-
-  /// The hash InsertRow's dedup probe derives its home slot from.
-  static size_t HashTuple(TupleRef t) { return HashRange(t); }
-
-  /// Prefetches the dedup home slot for an upcoming
-  /// InsertRow(t, hash). Purely a cache hint: no relation state
-  /// changes, and a wrong (or never-followed-up) hash is harmless.
-  void PrefetchInsert(size_t hash) const;
+  class BulkLoad;
 
   /// Inserts; returns true if the tuple became newly live (fresh
   /// append or tombstone revive).
@@ -356,6 +344,91 @@ class Relation {
   std::vector<uint32_t> base_;        // sized lazily on first fact
   size_t base_rows_ = 0;
   std::vector<Index> indexes_;
+};
+
+/// Loads n facts with the dedup probes split across threads. The
+/// result is exactly that of inserting the facts in input order with
+/// InsertRow and raising each one's base count: the same rows in the
+/// same order, the same base counts, the same tombstone revivals.
+///
+/// The constructor sizes the dedup table for every fact (Reserve) and
+/// grows the arena by n rows, one per input index. A fact is staged by
+/// writing its row at Row(i) and calling Staged(i), which records its
+/// dedup home slot. The table's slots are cut into `parts` contiguous
+/// ranges and a fact belongs to the part its home slot falls in, so
+/// equal facts share a part: each part is probed by one thread, which
+/// calls Probe(part, i) for that part's staged facts in ascending i
+/// and reads and writes only its own slots and the rows they name.
+/// Probe places a first occurrence in the table under its staged row
+/// or notes the row it repeats; a probe that would run past the part's
+/// last slot waits for End. End (one thread, after every Probe)
+/// finishes those, moves the first occurrences down over the repeats
+/// in input order, sets base counts, revives repeated tombstoned rows
+/// and renumbers the table's entries to the final RowIds.
+///
+///   Relation::BulkLoad load(&rel, n, parts);
+///   // stage:   copy fact i to load.Row(i); load.Staged(i);
+///   // thread k, ascending i:  if (load.part(i) == k) load.Probe(k, i);
+///   Relation::BulkLoad::Outcome out = load.End();
+///
+/// Stage and Probe may overlap: a fact can be probed as soon as it is
+/// staged (and that is published to the probing thread). The relation
+/// must not be used otherwise between construction and End, and
+/// size() + n must stay below 2^32 - 1.
+class Relation::BulkLoad {
+ public:
+  BulkLoad(Relation* rel, size_t n, size_t parts);
+
+  TermId* Row(size_t i) {
+    return rel_->arena_.data() + (stored_ + i) * rel_->arity_;
+  }
+  /// Records the home slot of fact i, whose row is written; returns
+  /// its part.
+  size_t Staged(size_t i);
+  size_t part(size_t i) const { return PartOf(home_[i]); }
+  void Probe(size_t part, size_t i);
+  /// Cache hint for an upcoming Probe of staged fact i.
+  void Prefetch(size_t i) const {
+    __builtin_prefetch(rel_->dedup_slots_.data() + home_[i]);
+  }
+
+  struct Outcome {
+    size_t added = 0;             // facts that became live
+    std::vector<RowId> revived;   // tombstoned rows revived, in order
+  };
+  Outcome End();
+
+  /// Doubling rehashes the presizing spared (Relation::Reserve).
+  size_t rehashes_avoided() const { return rehashes_avoided_; }
+
+ private:
+  static constexpr uint32_t kFirst = static_cast<uint32_t>(-1);
+  struct alignas(64) PartState {
+    size_t end = 0;                  // one past the part's last slot
+    std::vector<uint32_t> deferred;  // input indexes, ascending
+    uint64_t probes = 0;
+  };
+
+  // Slot s is in part floor(s * parts / capacity); the capacity is a
+  // power of two.
+  size_t PartOf(size_t slot) const { return (slot * parts_) >> shift_; }
+  // Places fact i at the first empty slot in [slot, end), or notes the
+  // row it repeats; false when the probe reaches `end` first.
+  bool ProbeFrom(size_t slot, size_t end, size_t i, uint64_t* probes);
+
+  Relation* rel_;
+  size_t stored_;  // rows stored before the load
+  size_t n_;
+  size_t parts_;
+  int shift_ = 0;  // log2 of the dedup table's capacity
+  size_t rehashes_avoided_ = 0;
+  // Per fact, written before it is read (so never zero-filled): its
+  // dedup home slot, and kFirst for a first occurrence, else the arena
+  // row of the occurrence it repeats (a stored row, or stored_ + j for
+  // fact j). End rewrites dest_ of a first occurrence to its RowId.
+  std::unique_ptr<uint32_t[]> home_;
+  std::unique_ptr<uint32_t[]> dest_;
+  std::vector<PartState> parts_state_;
 };
 
 /// Bit for column i in a bound-column mask. Columns past

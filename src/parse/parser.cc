@@ -28,8 +28,10 @@ class Parser {
         LPS_RETURN_IF_ERROR(Expect(TokenKind::kPeriod));
         unit.queries.push_back(std::move(q));
       } else if (ground_ == nullptr || !TakeGroundAtom()) {
+        // The rest of the source takes the clause pipeline too, so the
+        // flat rows stay a prefix (see GroundFacts).
+        ground_ = nullptr;
         LPS_ASSIGN_OR_RETURN(PClause c, ParseClause());
-        if (ground_ != nullptr) ground_->NoteClause();
         unit.clauses.push_back(std::move(c));
       }
     }

@@ -92,10 +92,10 @@ struct ParsedUnit {
 /// builds no PClause: its arguments are interned into store() as they
 /// are read and the fact becomes one row of cells(),
 /// [predicate slot, c1, ..., cn], the slot indexing preds(). Anything
-/// else - variables, sets, function terms, rules, declarations,
-/// queries - becomes a PClause as before, and clause_rows() records
-/// where each of those clauses fell among the rows, so the two kinds
-/// can be walked together in source order.
+/// else - variables, sets, function terms, rules - becomes a PClause
+/// as before, and so does every clause after it: the rows are a prefix
+/// of the source's clauses, so their terms are interned before any
+/// term a lowered clause mints, in source order.
 class GroundFacts {
  public:
   /// Interns into `store` and resolves predicates against `sig`, which
@@ -125,24 +125,18 @@ class GroundFacts {
   std::vector<TermId>& cells() { return cells_; }
   const std::vector<TermId>& cells() const { return cells_; }
   size_t rows() const { return rows_; }
-  /// clause_rows()[k]: rows parsed before the unit's k-th PClause.
-  const std::vector<uint32_t>& clause_rows() const { return clause_rows_; }
 
  private:
   friend class Parser;
 
   void Add(std::string_view pred, std::span<const Token> args);
   uint32_t Slot(std::string_view pred, uint32_t arity);
-  void NoteClause() {
-    clause_rows_.push_back(static_cast<uint32_t>(rows_));
-  }
 
   TermStore* store_;
   const Signature* sig_;
   std::vector<Pred> preds_;
   std::vector<TermId> cells_;
   size_t rows_ = 0;
-  std::vector<uint32_t> clause_rows_;
   uint32_t last_slot_ = 0;  // consecutive facts mostly share a predicate
 };
 

@@ -28,6 +28,14 @@ class SymbolTable {
   /// Returns the id for `name` or kInvalidSymbol if never interned.
   Symbol Lookup(std::string_view name) const;
 
+  /// Cache hint for an upcoming Intern(name) or Lookup(name): prefetches
+  /// the index slot its probe starts at.
+  void Prefetch(std::string_view name) const {
+    if (!slots_.empty()) {
+      __builtin_prefetch(slots_.data() + (Hash(name) & (slots_.size() - 1)));
+    }
+  }
+
   /// The string for an interned id. `id` must be valid.
   const std::string& Name(Symbol id) const { return names_[id]; }
 

@@ -443,6 +443,91 @@ TEST(RelationTest, BulkInsertWithPresizeMatchesOneAtATimeOracle) {
   }
 }
 
+// Differential: a staged parallel load (Relation::BulkLoad) must leave
+// what inserting the same facts in order with InsertRow and raising
+// each one's base count leaves - rows, order, base counts, liveness and
+// revival - at every part count, over a relation that already holds
+// rows, some tombstoned. Facts repeat a lot and the tables are small,
+// so probes cross part boundaries and go to End.
+TEST(RelationTest, BulkLoadMatchesInsertInOrder) {
+  uint64_t rng = 0x243f6a8885a308d3ULL;
+  auto next = [&rng]() {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return rng >> 33;
+  };
+  for (size_t arity : {0u, 1u, 2u, 3u}) {
+    for (size_t parts : {1u, 2u, 3u, 7u}) {
+      for (size_t stored : {0u, 5u, 40u}) {
+        Relation bulk(arity);
+        Relation oracle(arity);
+        auto random_tuple = [&] {
+          Tuple t(arity);
+          for (TermId& x : t) x = static_cast<TermId>(next() % 9);
+          return t;
+        };
+        for (size_t k = 0; k < stored; ++k) {
+          const Tuple t = random_tuple();
+          for (Relation* rel : {&bulk, &oracle}) {
+            const RowId r = rel->InsertRow(t).row;
+            rel->SetBaseCount(r, rel->base_count(r) + (k % 3 == 0 ? 0 : 1));
+          }
+        }
+        for (RowId r = 0; r < bulk.size(); r += 3) {
+          bulk.EraseRow(r);
+          oracle.EraseRow(r);
+        }
+        const size_t n = 30 + next() % 60;
+        std::vector<Tuple> facts;
+        for (size_t i = 0; i < n; ++i) facts.push_back(random_tuple());
+
+        Relation::BulkLoad load(&bulk, n, parts);
+        for (size_t i = 0; i < n; ++i) {
+          std::copy(facts[i].begin(), facts[i].end(), load.Row(i));
+          const size_t part = load.Staged(i);
+          ASSERT_EQ(part, load.part(i));
+          ASSERT_LT(part, parts);
+        }
+        // Parts one after another; each part's facts in input order.
+        for (size_t part = 0; part < parts; ++part) {
+          for (size_t i = 0; i < n; ++i) {
+            if (load.part(i) == part) load.Probe(part, i);
+          }
+        }
+        const Relation::BulkLoad::Outcome out = load.End();
+
+        size_t added = 0;
+        std::vector<RowId> revived;
+        for (const Tuple& t : facts) {
+          const Relation::InsertOutcome o = oracle.InsertRow(t);
+          oracle.SetBaseCount(o.row, oracle.base_count(o.row) + 1);
+          added += o.added;
+          if (o.revived) revived.push_back(o.row);
+        }
+        SCOPED_TRACE(testing::Message() << "arity " << arity << " parts "
+                                        << parts << " stored " << stored);
+        EXPECT_EQ(out.added, added);
+        EXPECT_EQ(out.revived, revived);
+        ASSERT_EQ(bulk.size(), oracle.size());
+        EXPECT_EQ(bulk.live_size(), oracle.live_size());
+        EXPECT_EQ(bulk.base_rows(), oracle.base_rows());
+        for (RowId r = 0; r < oracle.size(); ++r) {
+          ASSERT_EQ(bulk.MaterializeRow(r), oracle.MaterializeRow(r));
+          EXPECT_EQ(bulk.IsLive(r), oracle.IsLive(r));
+          EXPECT_EQ(bulk.base_count(r), oracle.base_count(r));
+          // The dedup table finds every row at its final RowId.
+          EXPECT_EQ(bulk.Find(bulk.row(r)),
+                    oracle.IsLive(r) ? r : Relation::kNoRow);
+        }
+        // And keeps deduplicating afterwards.
+        for (const Tuple& t : facts) {
+          ASSERT_FALSE(bulk.Insert(t));
+        }
+        EXPECT_EQ(bulk.size(), oracle.size());
+      }
+    }
+  }
+}
+
 class DatabaseTest : public ::testing::Test {
  protected:
   DatabaseTest() : sig_(&store_.symbols()), db_(&store_, &sig_) {}
