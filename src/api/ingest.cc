@@ -491,7 +491,7 @@ Status Session::LoadFacts(std::string_view source, size_t lanes,
   auto begin_loads = [&] {
     for (PredicateId pred = 0; pred < sig.size(); ++pred) {
       if (pred_rows[pred] == 0) continue;
-      loads[pred].emplace(db_->BeginBulkLoad(pred, pred_rows[pred], parts));
+      loads[pred].emplace(&db_->relation(pred), pred_rows[pred], parts);
       ingest.presize_rehashes_avoided += loads[pred]->rehashes_avoided();
     }
   };

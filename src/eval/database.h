@@ -146,21 +146,12 @@ class Database {
   /// transform's output does). Session::ResetDatabase is this.
   std::unique_ptr<Database> FactsFor(const Program& program) const;
 
-  /// Starts loading n facts into pred's relation with the dedup probes
-  /// split across `parts` threads (Relation::BulkLoad), creating the
-  /// relation if absent. Nothing else may touch the relation until the
-  /// load's End, which touches nothing else - loads of different
-  /// predicates may end at once, and beside RegisterTerm.
-  Relation::BulkLoad BeginBulkLoad(PredicateId pred, size_t n,
-                                   size_t parts) {
-    return Relation::BulkLoad(&relation(pred), n, parts);
-  }
-  /// Takes an ended load of pred's facts into the version and the
-  /// revive log. After it, the database is as AddFact of each fact in
-  /// input order would have left it, provided the caller registered
-  /// the facts' terms (RegisterTerm) in that order; the revive log
-  /// lists the load's revivals after any earlier ones. Returns the facts
-  /// that became live.
+  /// Takes an ended Relation::BulkLoad of pred's facts (run on
+  /// relation(pred)) into the version and the revive log. After it, the
+  /// database is as AddFact of each fact in input order would have left
+  /// it, provided the caller registered the facts' terms (RegisterTerm)
+  /// in that order; the revive log lists the load's revivals after any
+  /// earlier ones. Returns the facts that became live.
   size_t EndBulkLoad(PredicateId pred, const Relation::BulkLoad::Outcome& out);
 
   /// One revive observed by AddTupleEx while the revive log was on.

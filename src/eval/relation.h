@@ -374,7 +374,8 @@ class Relation {
 /// Stage and Probe may overlap: a fact can be probed as soon as it is
 /// staged (and that is published to the probing thread). The relation
 /// must not be used otherwise between construction and End, and
-/// size() + n must stay below 2^32 - 1.
+/// size() + n must stay below 2^32 - 1. A load touches its relation
+/// alone, so loads of different relations may run and end at once.
 class Relation::BulkLoad {
  public:
   BulkLoad(Relation* rel, size_t n, size_t parts);
