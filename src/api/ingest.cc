@@ -605,7 +605,7 @@ Status Session::LoadFacts(std::string_view source, size_t lanes,
   });
   for (PredicateId pred = 0; pred < sig.size(); ++pred) {
     if (loads[pred].has_value()) {
-      ingest.facts_inserted += db_->EndBulkLoad(pred, outcomes[pred]);
+      ingest.facts_inserted += db_->EndBulkLoad(outcomes[pred]);
     }
   }
   ingest.merge_ms = MsSince(merge_t0);

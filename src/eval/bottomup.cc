@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 #include "lang/validate.h"
 #include "term/printer.h"
@@ -230,7 +231,7 @@ Status BottomUpEvaluator::CompileRules() {
 
 Status BottomUpEvaluator::EvaluateStratum(
     const std::vector<size_t>& clause_indices, const Stratification& strat,
-    size_t stratum) {
+    size_t stratum, Marks* marks) {
   const Signature& sig = program_->signature();
 
   // Identify in-stratum positive body literals for delta joins.
@@ -254,62 +255,51 @@ Status BottomUpEvaluator::EvaluateStratum(
     }
   }
 
-  // Delta watermarks per predicate, with the tombstone count observed
-  // when the watermark was taken: an insert that lands on a tombstoned
-  // tuple (retracted earlier, re-derived now) revives its original row
-  // *below* the watermark. No erase runs during a fixpoint, so a
-  // dead-count drop is a sound and complete revive witness; the next
-  // delta for that predicate widens to a full (naive) range to pick
-  // the revived rows up.
-  std::unordered_map<PredicateId, size_t> mark;
-  std::unordered_map<PredicateId, size_t> dead_mark;
-  auto dead_count = [this](PredicateId p) -> size_t {
-    const Relation* rel = db_->FindRelation(p);
-    return rel == nullptr ? 0 : rel->dead_count();
-  };
-
-  size_t iteration = 0;
-  for (;;) {
-    if (++stats_.iterations > options_.max_iterations) {
+  // Delta watermarks per predicate. Without caller marks, round 0 is
+  // the first pass and only takes them, so a relation complete before
+  // it (an EDB one) brings no delta to later rounds.
+  const bool first_pass = marks == nullptr;
+  Marks own_marks;
+  Marks& mark = first_pass ? own_marks : *marks;
+  size_t& rounds = first_pass ? stats_.iterations : stats_.delta_rounds;
+  for (size_t round = 0;; ++round) {
+    if (++rounds > options_.max_iterations) {
       return Status::ResourceExhausted("iteration limit exceeded");
     }
-    // Unconditional clock read per iteration: iterations are coarse
-    // enough that the step-granular countdown (CheckDeadline) could
-    // wrap many rows before firing on pathologically wide deltas.
+    // Unconditional clock read per round: rounds are coarse enough that
+    // the step-granular countdown (CheckDeadline) could wrap many rows
+    // before firing on pathologically wide deltas.
     if (options_.deadline != std::chrono::steady_clock::time_point{} &&
         std::chrono::steady_clock::now() >= options_.deadline) {
       return Status::DeadlineExceeded("evaluation deadline exceeded");
     }
     uint64_t version_before = db_->version();
+    const bool delta_round = options_.semi_naive && (round > 0 || !first_pass);
 
-    // Delta ranges for this iteration: everything since the previous
-    // iteration's start. Iteration 0 is the full pass and only takes
-    // the marks, so a relation complete before it (an EDB one) brings
-    // no delta to later rounds.
-    DeltaRanges delta;
+    // This round's deltas: what the previous round appended and
+    // revived. No erase runs during a fixpoint, so every revived row
+    // predates the marks and no range covers it.
+    Deltas delta;
     if (options_.semi_naive) {
       for (size_t ci : clause_indices) {
         for (size_t li : rules_[ci].in_stratum_literals) {
           PredicateId p = rules_[ci].clause->body[li].pred;
-          if (delta.count(p)) continue;
-          size_t begin = mark.count(p) ? mark[p] : 0;
-          auto dm = dead_mark.find(p);
-          if (dm != dead_mark.end() && dead_count(p) < dm->second) {
-            begin = 0;  // rows revived below the watermark
-          }
-          delta[p] = {begin, db_->RelationSize(p)};
+          auto [it, fresh] = delta.try_emplace(p);
+          if (!fresh) continue;
+          Delta& d = it->second;
+          d.end = db_->RelationSize(p);
+          d.begin = std::exchange(mark[p], d.end);
+          auto rv = revived_.find(p);
+          if (rv != revived_.end()) d.revived = std::move(rv->second);
         }
       }
     }
-    for (auto& [p, range] : delta) {
-      mark[p] = range.second;
-      dead_mark[p] = dead_count(p);
-    }
+    revived_.clear();
 
     // The flat rules' delta round runs first, against the database as
     // frozen at the round's start; the other rules then run on
     // ExecSteps and see its merged derivations.
-    if (options_.semi_naive && iteration > 0) {
+    if (delta_round) {
       LPS_RETURN_IF_ERROR(RunFlatRound(clause_indices, delta));
     }
 
@@ -318,18 +308,18 @@ Status BottomUpEvaluator::EvaluateStratum(
       if (r.clause->grouping.has_value()) continue;  // ran above
 
       if (options_.semi_naive && r.horn_simple) {
-        if (iteration == 0) {
+        if (!delta_round) {
           ++stats_.rule_runs;
           LPS_RETURN_IF_ERROR(r.parallel_safe ? RunFlatFirstPass(r)
                                               : RunRule(&r, nullptr));
         } else if (!r.parallel_safe) {
           for (size_t li : r.in_stratum_literals) {
-            PredicateId p = r.clause->body[li].pred;
-            auto range = delta[p];
-            if (range.first >= range.second) continue;  // empty delta
-            DeltaSpec spec{li, range.first, range.second};
-            ++stats_.rule_runs;
-            LPS_RETURN_IF_ERROR(RunRule(&r, &spec));
+            for (const DeltaSpec& spec :
+                 delta.at(r.clause->body[li].pred).Specs(li)) {
+              if (spec.begin >= spec.end) continue;  // empty delta
+              ++stats_.rule_runs;
+              LPS_RETURN_IF_ERROR(RunRule(&r, &spec));
+            }
           }
         }
       } else {
@@ -347,15 +337,22 @@ Status BottomUpEvaluator::EvaluateStratum(
     }
 
     if (db_->version() == version_before) break;
-    ++iteration;
   }
   return Status::OK();
+}
+
+Status BottomUpEvaluator::Reconverge(Marks marks) {
+  LPS_ASSIGN_OR_RETURN(Stratification strat, Stratify(*program_));
+  return EvaluateStratum(strat.strata_clauses[0], strat, 0, &marks);
 }
 
 Status BottomUpEvaluator::RunRule(CompiledRule* rule,
                                   const DeltaSpec* delta) {
   Substitution theta;
-  return ExecSteps(*rule, rule->plan.free_plan.steps, 0, &theta, delta,
+  const std::vector<PlanStep>& steps =
+      delta == nullptr ? rule->plan.free_plan.steps
+                       : rule->DeltaSteps(delta->literal_index);
+  return ExecSteps(*rule, steps, 0, &theta, delta,
                    [this, rule](Substitution* t) {
                      return HandleQuantifiers(*rule, t,
                                               [this, rule](Substitution* t2) {
@@ -387,20 +384,20 @@ Status BottomUpEvaluator::RunFlatFirstPass(const CompiledRule& rule) {
 }
 
 Status BottomUpEvaluator::RunFlatRound(
-    const std::vector<size_t>& clause_indices, const DeltaRanges& delta) {
+    const std::vector<size_t>& clause_indices, const Deltas& delta) {
   std::vector<FlatJob> tasks;
   for (size_t ci : clause_indices) {
     const CompiledRule& r = rules_[ci];
     if (!r.parallel_safe) continue;
     for (size_t li : r.in_stratum_literals) {
-      auto it = delta.find(r.clause->body[li].pred);
-      if (it == delta.end()) continue;
-      auto [begin, end] = it->second;
-      if (begin >= end) continue;  // empty delta
-      ++stats_.rule_runs;
-      FlatJob job{r.clause, &r.DeltaSteps(li), DeltaSpec{li, begin, end}};
-      PrepareIndexes(job);
-      AppendTasks(job, &tasks);
+      for (const DeltaSpec& spec :
+           delta.at(r.clause->body[li].pred).Specs(li)) {
+        if (spec.begin >= spec.end) continue;  // empty delta
+        ++stats_.rule_runs;
+        FlatJob job{r.clause, &r.DeltaSteps(li), spec};
+        PrepareIndexes(job);
+        AppendTasks(job, &tasks);
+      }
     }
   }
   std::vector<FlatOutput> outputs = RunFlatTasks(tasks);
@@ -692,18 +689,18 @@ Status BottomUpEvaluator::ExecSteps(
       bool is_delta =
           delta != nullptr && delta->literal_index == step.literal_index;
       bool rows_mode = is_delta && delta->rows != nullptr;
-      // An explicit-rows delta (incremental maintenance) sits at
-      // scattered arena positions: mask 0 builds no index and routes
-      // every column through the binding loop below, which re-checks
-      // bound columns per row.
+      // An explicit-rows delta (revived rows, or the rows a retract
+      // propagates) sits at scattered arena positions: mask 0 builds no
+      // index and routes every column through the binding loop below,
+      // which re-checks bound columns per row.
       if (rows_mode) mask = 0;
       const Relation* rel = db_->EnsureIndex(lit.pred, mask);
       if (rel == nullptr) return Status::OK();
       Lease<std::vector<RowId>> indices_lease(&rowid_pool_);
       std::vector<RowId>& indices = *indices_lease;
       if (rows_mode) {
-        // The maintainer picked the rows deliberately; they are
-        // iterated as given, tombstoned or not.
+        // The rows were picked deliberately; they are iterated as
+        // given, tombstoned or not.
         indices.assign(delta->rows->begin() + delta->begin,
                        delta->rows->begin() + delta->end);
       } else if (is_delta && mask == 0) {
@@ -958,11 +955,16 @@ Status BottomUpEvaluator::EmitHead(const CompiledRule& rule,
 }
 
 Status BottomUpEvaluator::AddDerived(PredicateId pred, TupleRef t) {
-  if (db_->AddTuple(pred, t) &&
-      ++stats_.tuples_derived > options_.max_tuples) {
+  if (AddRow(pred, t) && ++stats_.tuples_derived > options_.max_tuples) {
     return Status::ResourceExhausted("tuple limit exceeded");
   }
   return Status::OK();
+}
+
+bool BottomUpEvaluator::AddRow(PredicateId pred, TupleRef t) {
+  Relation::InsertOutcome out = db_->AddTupleEx(pred, t);
+  if (out.revived) revived_[pred].push_back(out.row);
+  return out.added;
 }
 
 Result<EvalStats> EvaluateProgram(const Program& program, Database* db,

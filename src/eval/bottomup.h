@@ -10,12 +10,20 @@
 //                   when something they can observe changed.
 // Both reach the same fixpoint; bench_fixpoint measures the gap.
 //
+// One loop of rounds serves both a full evaluation, whose round 0 is a
+// first pass over everything, and incremental maintenance's inserts,
+// whose rounds start from the caller's pre-batch watermarks
+// (Reconverge). A round's delta is what the previous round appended -
+// a range past the watermark - plus the tombstoned rows its inserts
+// revived, which sit below every watermark and join as explicit rows.
+//
 // Restricted universal quantifiers are evaluated as relational division
 // with first-element seeding, with a separate vacuous-truth branch for
 // empty quantifier ranges (Definition 4; see DESIGN.md section 6).
 #ifndef LPS_EVAL_BOTTOMUP_H_
 #define LPS_EVAL_BOTTOMUP_H_
 
+#include <array>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -152,9 +160,10 @@ class BottomUpEvaluator {
   const EvalStats& stats() const { return stats_; }
 
  private:
-  // The incremental maintainer (eval/incremental.h) reuses the compiled
-  // rules, AddDerived and ExecSteps to re-converge after a mutation
-  // batch without a from-scratch fixpoint.
+  // The incremental maintainer (eval/incremental.h) re-converges after
+  // a mutation batch without a from-scratch fixpoint: its retracts join
+  // through the compiled rules and ExecSteps, its inserts go through
+  // AddRow and Reconverge.
   friend class IncrementalMaintainer;
 
   struct CompiledRule {
@@ -186,8 +195,27 @@ class BottomUpEvaluator {
     const std::vector<PlanStep>& DeltaSteps(size_t li) const;
   };
 
-  using DeltaRanges =
-      std::unordered_map<PredicateId, std::pair<size_t, size_t>>;
+  /// Per predicate, the relation size its next round's delta starts at.
+  using Marks = std::unordered_map<PredicateId, size_t>;
+
+  // One round's delta of one predicate: the rows appended since the
+  // previous round began, [begin, end), and the tombstoned rows that
+  // round's inserts revived - which sit below begin, so no range
+  // reaches them.
+  struct Delta {
+    size_t begin = 0;
+    size_t end = 0;
+    std::vector<RowId> revived;
+
+    /// The two joins of this delta on body literal `li`: the appended
+    /// range, then the revived rows as an explicit-rows delta. Either
+    /// may be empty (begin >= end).
+    std::array<DeltaSpec, 2> Specs(size_t li) const {
+      return {DeltaSpec{li, begin, end},
+              DeltaSpec{li, 0, revived.size(), &revived}};
+    }
+  };
+  using Deltas = std::unordered_map<PredicateId, Delta>;
 
   // What one flat task leaves for the merge: derived head tuples (new
   // to the frozen database, deduplicated, in derivation order) or, for
@@ -206,9 +234,22 @@ class BottomUpEvaluator {
   /// analysis. Shared by Evaluate() and the incremental maintainer.
   Status CompileRules();
 
+  /// Runs one stratum's rounds to fixpoint. Without `marks`, round 0 is
+  /// the first pass: every rule over the whole database, counted in
+  /// `iterations`. With them the database was at fixpoint below the
+  /// marks, so every round is a delta round, counted in `delta_rounds`.
   Status EvaluateStratum(const std::vector<size_t>& clause_indices,
-                         const Stratification& strat, size_t stratum);
-  /// Runs a rule on ExecSteps: naive mode and the non-flat rules.
+                         const Stratification& strat, size_t stratum,
+                         Marks* marks = nullptr);
+  /// Re-converges a database that was at fixpoint before rows were
+  /// added past `marks` (through AddRow, so revived rows reach the
+  /// first round too): EvaluateStratum with no first pass over the one
+  /// stratum of a Horn program without negation or grouping, on the
+  /// calling thread. A predicate without a mark is new: all its rows
+  /// are delta. The rules must be compiled (CompileRules).
+  Status Reconverge(Marks marks);
+  /// Runs a rule on ExecSteps - its free plan, or with a delta its
+  /// delta-first plan: naive mode and the non-flat rules.
   Status RunRule(CompiledRule* rule, const DeltaSpec* delta);
   /// A flat rule's first pass: the kernel over the live database,
   /// inserting as it derives, so later probes see earlier derivations.
@@ -218,7 +259,7 @@ class BottomUpEvaluator {
   /// as frozen at the round's start, and the derivations merge in task
   /// order - so the lane count never changes what is inserted, or when.
   Status RunFlatRound(const std::vector<size_t>& clause_indices,
-                      const DeltaRanges& delta);
+                      const Deltas& delta);
   Status RunGroupingRule(CompiledRule* rule);
   /// A flat grouping rule's body on the kernel, its first scan sharded
   /// like a delta; the (key, element) pairs merge into group_acc_ in
@@ -256,6 +297,9 @@ class BottomUpEvaluator {
 
   /// Inserts a derived tuple; a new one counts against max_tuples.
   Status AddDerived(PredicateId pred, TupleRef t);
+  /// Inserts a tuple and returns whether it is new. A row it revives
+  /// joins the next round as a delta (revived_).
+  bool AddRow(PredicateId pred, TupleRef t);
 
   const Program* program_;
   Database* db_;
@@ -276,6 +320,8 @@ class BottomUpEvaluator {
   std::unique_ptr<WorkerPool> pool_;
 
   std::vector<CompiledRule> rules_;
+  // Rows AddRow revived since the current round began, per predicate.
+  std::unordered_map<PredicateId, std::vector<RowId>> revived_;
   // Arena-backed accumulator for the grouping rule being run, plus the
   // reusable set builder that canonicalizes each group's element
   // stream at emission; both reach allocation-free steady state across

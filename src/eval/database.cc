@@ -49,9 +49,6 @@ Relation::InsertOutcome Database::AddTupleEx(PredicateId pred,
   for (TermId term : t) RegisterTerm(term);
   Relation::InsertOutcome out = relation(pred).InsertRow(t);
   if (out.added) ++version_;
-  if (out.revived && revive_log_enabled_) {
-    revive_log_.push_back({pred, out.row});
-  }
   return out;
 }
 
@@ -122,12 +119,8 @@ std::unique_ptr<Database> Database::FactsFor(const Program& program) const {
   return db;
 }
 
-size_t Database::EndBulkLoad(PredicateId pred,
-                             const Relation::BulkLoad::Outcome& out) {
+size_t Database::EndBulkLoad(const Relation::BulkLoad::Outcome& out) {
   version_ += out.added;
-  if (revive_log_enabled_) {
-    for (RowId r : out.revived) revive_log_.push_back({pred, r});
-  }
   return out.added;
 }
 

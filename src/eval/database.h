@@ -62,12 +62,10 @@ class Database {
     return AddTuple(pred, TupleRef(t.begin(), t.size()));
   }
 
-  /// AddTuple with the full Relation::InsertOutcome: callers that need
-  /// to know whether the insert revived a tombstoned row (incremental
-  /// maintenance must widen its delta windows to cover revived RowIds
-  /// below its watermark) read `.revived`; bulk loaders read `.row`.
-  /// When the revive log is enabled (EnableReviveLog), every reviving
-  /// insert is also recorded there.
+  /// AddTuple with the full Relation::InsertOutcome: the evaluator
+  /// reads `.revived`, since a revived row sits below its delta
+  /// watermarks and must reach the next round another way
+  /// (BottomUpEvaluator::AddRow); fact writers read `.row`.
   Relation::InsertOutcome AddTupleEx(PredicateId pred, TupleRef t);
 
   // ---- Facts ---------------------------------------------------------
@@ -146,34 +144,12 @@ class Database {
   /// transform's output does). Session::ResetDatabase is this.
   std::unique_ptr<Database> FactsFor(const Program& program) const;
 
-  /// Takes an ended Relation::BulkLoad of pred's facts (run on
-  /// relation(pred)) into the version and the revive log. After it, the
-  /// database is as AddFact of each fact in input order would have left
-  /// it, provided the caller registered the facts' terms (RegisterTerm)
-  /// in that order; the revive log lists the load's revivals after any
-  /// earlier ones. Returns the facts that became live.
-  size_t EndBulkLoad(PredicateId pred, const Relation::BulkLoad::Outcome& out);
-
-  /// One revive observed by AddTupleEx while the revive log was on.
-  struct ReviveEvent {
-    PredicateId pred;
-    RowId row;
-  };
-
-  /// Turns on recording of insert-side revives. Incremental
-  /// maintenance wraps its insert phase in this: revived rows sit
-  /// below the RowId watermark, so the range-mode delta windows would
-  /// silently miss them without an explicit row list.
-  void EnableReviveLog() { revive_log_enabled_ = true; }
-  void DisableReviveLog() {
-    revive_log_enabled_ = false;
-    revive_log_.clear();
-  }
-
-  /// Drains the revive log (events in insertion order).
-  std::vector<ReviveEvent> TakeReviveLog() {
-    return std::exchange(revive_log_, {});
-  }
+  /// Takes an ended Relation::BulkLoad (run on relation(pred) for some
+  /// pred) into the version. After it, the database is as AddFact of
+  /// each fact in input order would have left it, provided the caller
+  /// registered the facts' terms (RegisterTerm) in that order. Returns
+  /// the facts that became live.
+  size_t EndBulkLoad(const Relation::BulkLoad::Outcome& out);
 
   bool Contains(PredicateId pred, TupleRef t) const;
   bool Contains(PredicateId pred, std::initializer_list<TermId> t) const {
@@ -358,8 +334,6 @@ class Database {
   std::unordered_map<PredicateId, std::shared_ptr<Relation>> relations_;
   std::shared_ptr<TermDomains> domains_;
   uint64_t version_ = 0;
-  bool revive_log_enabled_ = false;
-  std::vector<ReviveEvent> revive_log_;
   Database* index_home_ = nullptr;  // see SeedFacts
 };
 

@@ -11,10 +11,12 @@
 //    kernel a const Relation* and probe it with the one const
 //    Relation::Lookup. LiveRows builds the index a probe needs first
 //    (Database::EnsureIndex), because sinks insert while it runs (the
-//    evaluator's first pass, every incremental-maintenance loop);
-//    FrozenRows never builds, because nobody writes its database until
-//    the join ends (semi-naive delta rounds and grouping bodies, on any
-//    number of lanes, over indexes built before the round).
+//    evaluator's first pass) or nobody planned its probes beforehand
+//    (a retract's checks and propagation); FrozenRows never builds,
+//    because nobody writes its database until the join ends
+//    (semi-naive delta rounds, maintenance inserts included, and
+//    grouping bodies, on any number of lanes, over indexes built
+//    before the round).
 //  * Sink - what a solution becomes: an inserted tuple, a buffered one,
 //    a (key, element) group pair, a rule instance a retract checks.
 #ifndef LPS_EVAL_FLAT_JOIN_H_
@@ -69,8 +71,8 @@ struct FlatBindings {
 /// restricts the scan to arena rows [begin, end) - a contiguous
 /// semi-naive watermark window - and skips tombstones. Rows mode
 /// restricts it to the explicit RowIds rows[begin..end), which sit at
-/// arbitrary arena positions (the rows incremental maintenance deletes
-/// or revives) and are taken as given, tombstoned or not. Either way
+/// arbitrary arena positions (the rows a round's inserts revived, the
+/// rows a retract deletes) and are taken as given, tombstoned or not. Either way
 /// the scan walks the delta itself and re-checks every bound column.
 struct DeltaSpec {
   static constexpr size_t kNone = static_cast<size_t>(-1);

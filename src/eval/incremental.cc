@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "unify/unify.h"
@@ -297,17 +296,21 @@ Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
     frontier.clear();
     for (PredicateId p : doomed_preds) {
       for (const auto& [ri, li] : s.by_body[p]) {
+        // The delta-first plan keeps the join's cost proportional to the
+        // rows propagated, not to the largest body relation.
         const CompiledRule& rule = eval_.rules_[ri];
-        const PredicateId hp = rule.clause->head.pred;
-        LPS_RETURN_IF_ERROR(RunDelta(
-            rule, DeltaSpec{li, 0, doomed[p].size(), &doomed[p]},
-            [&](const Tuple& head) -> Status {
-              RowId h = db_->FindRow(hp, head);
+        const Literal& head = rule.clause->head;
+        LPS_RETURN_IF_ERROR(ForEachInstance(
+            rule, rule.DeltaSteps(li),
+            DeltaSpec{li, 0, doomed[p].size(), &doomed[p]}, nullptr, nullptr,
+            [&](auto apply) -> Status {
+              LPS_RETURN_IF_ERROR(BuildHead(*program_, head, apply, &s.head));
+              RowId h = db_->FindRow(head.pred, s.head);
               if (h == Relation::kNoRow) return Status::OK();
-              uint8_t& m = s.memo.At(FactKey(hp, h));
+              uint8_t& m = s.memo.At(FactKey(head.pred, h));
               if (m & (kQueued | kProved)) return Status::OK();
               m |= kQueued;
-              frontier.push_back({hp, h});
+              frontier.push_back({head.pred, h});
               return Status::OK();
             }));
       }
@@ -558,102 +561,18 @@ Status IncrementalMaintainer::ForEachInstance(
   return Status::OK();
 }
 
-template <typename Fn>
-Status IncrementalMaintainer::RunDelta(const CompiledRule& rule,
-                                       const DeltaSpec& spec, Fn fn) {
-  Tuple out;
-  return ForEachInstance(
-      rule, rule.DeltaSteps(spec.literal_index), spec, nullptr, nullptr,
-      [&](auto apply) -> Status {
-        LPS_RETURN_IF_ERROR(
-            BuildHead(*program_, rule.clause->head, apply, &out));
-        return fn(out);
-      });
-}
-
 Status IncrementalMaintainer::Insert(const std::vector<FactOp>& inserts) {
-  const Signature& sig = program_->signature();
-
-  // Watermark every scanned predicate at its pre-batch size, then
-  // append the net-new EDB rows: the first delta round joins exactly
-  // the batch, later rounds exactly the previous round's derivations
-  // (appends are contiguous, so range-mode deltas suffice here).
-  std::unordered_map<PredicateId, size_t> mark;
-  auto ensure_mark = [&](PredicateId pred) {
-    if (!mark.count(pred)) mark[pred] = db_->RelationSize(pred);
-  };
-  for (const auto& rule : eval_.rules_) {
-    for (size_t li : rule.plan.free_literals) {
-      const Literal& lit = rule.clause->body[li];
-      if (lit.positive && !sig.IsBuiltin(lit.pred)) ensure_mark(lit.pred);
-    }
-  }
-  for (const FactOp& op : inserts) ensure_mark(op.pred);
-
-  // An insert that lands on a tuple a retract tombstoned earlier
-  // *revives* its original row, which sits below the watermark - range
-  // deltas would silently miss it. Log every reviving insert (seed
-  // facts and in-round derivations alike) and feed the rows back as
-  // explicit rows-mode deltas each round.
-  db_->EnableReviveLog();
-  struct ReviveLogGuard {
-    Database* db;
-    ~ReviveLogGuard() { db->DisableReviveLog(); }
-  } revive_guard{db_};
-
-  size_t added = 0;
+  // Below the pre-batch watermarks the database is at fixpoint, so the
+  // evaluator's delta rounds re-converge it from the net-new rows: the
+  // first round joins exactly the batch, appended or revived.
+  BottomUpEvaluator::Marks marks;
+  for (const auto& [pred, rel] : db_->Relations()) marks[pred] = rel->size();
+  bool added = false;
   for (const FactOp& op : inserts) {
-    if (db_->AddTuple(op.pred, op.args)) {
-      ++eval_.stats_.tuples_derived;
-      ++added;
-    }
+    added = eval_.AddRow(op.pred, op.args) || added;
   }
-  if (added == 0) return Status::OK();
-
-  for (;;) {
-    if (++eval_.stats_.delta_rounds > eval_.options_.max_iterations) {
-      return Status::ResourceExhausted("iteration limit exceeded");
-    }
-    uint64_t version_before = db_->version();
-    std::unordered_map<PredicateId, std::pair<size_t, size_t>> delta;
-    for (auto& [pred, m] : mark) {
-      size_t end = db_->RelationSize(pred);
-      if (m < end) delta[pred] = {m, end};
-      m = end;
-    }
-    // Below-watermark revives since the previous round (revived rows
-    // never overlap the append ranges: no erase runs during Insert, so
-    // every revived RowId predates the initial marks). Revives on
-    // unscanned predicates are dropped, exactly like appends to them.
-    std::unordered_map<PredicateId, std::vector<RowId>> revived;
-    for (const Database::ReviveEvent& ev : db_->TakeReviveLog()) {
-      if (mark.count(ev.pred)) revived[ev.pred].push_back(ev.row);
-    }
-    if (delta.empty() && revived.empty()) break;
-    for (auto& rule : eval_.rules_) {
-      auto insert = [&](const Tuple& out) {
-        return eval_.AddDerived(rule.clause->head.pred, out);
-      };
-      for (size_t li : rule.plan.free_literals) {
-        const Literal& lit = rule.clause->body[li];
-        if (!lit.positive || sig.IsBuiltin(lit.pred)) continue;
-        auto it = delta.find(lit.pred);
-        if (it != delta.end()) {
-          LPS_RETURN_IF_ERROR(RunDelta(
-              rule, DeltaSpec{li, it->second.first, it->second.second},
-              insert));
-        }
-        auto rv = revived.find(lit.pred);
-        if (rv != revived.end()) {
-          LPS_RETURN_IF_ERROR(RunDelta(
-              rule, DeltaSpec{li, 0, rv->second.size(), &rv->second},
-              insert));
-        }
-      }
-    }
-    if (db_->version() == version_before) break;
-  }
-  return Status::OK();
+  if (!added) return Status::OK();
+  return eval_.Reconverge(std::move(marks));
 }
 
 }  // namespace lps

@@ -2,10 +2,11 @@
 // already-evaluated database after a batch of EDB fact mutations
 // without a from-scratch fixpoint.
 //
-//  * Inserts run a delta semi-naive pass seeded from only the new EDB
-//    rows, on the evaluator's join machinery over the live arena:
-//    per-predicate watermarks are taken at the pre-batch relation
-//    sizes, so the first round joins exactly the batch.
+//  * Inserts are the evaluator's own semi-naive delta rounds
+//    (BottomUpEvaluator::Reconverge) seeded at watermarks taken at the
+//    pre-batch relation sizes: the first round joins exactly the
+//    batch's new rows, appended or revived, and each later round the
+//    previous round's derivations.
 //  * Retracts run Backward/Forward (Motik, Nenov, Piro & Horrocks,
 //    AAAI 2015): a deletion candidate is tombstoned only after a check
 //    finds no derivation of it from proved facts. The check chains
@@ -70,10 +71,11 @@ class IncrementalMaintainer {
     return ineligible_reason_;
   }
 
-  /// Work counters: delta_rounds (insert pass) / overdeleted_tuples
-  /// (tuples a retract put in doubt) / rederived_tuples (in-doubt
-  /// tuples proved to keep a derivation), plus the usual rule-run and
-  /// storage numbers.
+  /// Work counters: delta_rounds (the insert pass's rounds) /
+  /// overdeleted_tuples (tuples a retract put in doubt) /
+  /// rederived_tuples (in-doubt tuples proved to keep a derivation),
+  /// plus the usual rule-run, tuples_derived (rule derivations, never
+  /// the inserted facts) and storage numbers.
   const EvalStats& stats() const { return eval_.stats(); }
 
  private:
@@ -122,17 +124,9 @@ class IncrementalMaintainer {
                          const DeltaSpec& spec, const Tuple* head,
                          const bool* stop, Fn fn);
 
-  /// Joins the delta `spec` through `rule`'s delta-first plan for the
-  /// literal it restricts (leading with the delta keeps a maintenance
-  /// round's cost proportional to the delta, not to the largest body
-  /// relation), handing each derived ground head tuple to `fn` (Status
-  /// fn(const Tuple&)).
-  template <typename Fn>
-  Status RunDelta(const CompiledRule& rule, const DeltaSpec& spec, Fn fn);
-
   const Program* program_;
   Database* db_;
-  BottomUpEvaluator eval_;  // compiled rules + ExecSteps
+  BottomUpEvaluator eval_;  // compiled rules, ExecSteps, insert rounds
   std::string ineligible_reason_;
   FlatScratch scratch_;  // kernel state, reused across the whole batch
   std::unique_ptr<Retraction> bf_;  // one Retract()'s state

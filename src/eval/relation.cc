@@ -219,7 +219,6 @@ Relation::BulkLoad::Outcome Relation::BulkLoad::End() {
       if (!rel.IsLive(r)) {
         rel.dead_[r] = false;
         --rel.dead_count_;
-        out.revived.push_back(r);
         ++out.added;
       }
     }

@@ -394,8 +394,7 @@ class Relation::BulkLoad {
   }
 
   struct Outcome {
-    size_t added = 0;             // facts that became live
-    std::vector<RowId> revived;   // tombstoned rows revived, in order
+    size_t added = 0;  // facts that became live
   };
   Outcome End();
 

@@ -15,6 +15,14 @@ class Parser {
   Parser(std::string_view source, GroundFacts* ground)
       : lexer_(source), ground_(ground) {}
 
+  Result<PTerm> ParseOneTerm() {
+    Advance();
+    LPS_ASSIGN_OR_RETURN(PTerm t, ParseTerm());
+    if (!At(TokenKind::kEof)) return Error("trailing input after term");
+    if (!lex_status_.ok()) return lex_status_;
+    return t;
+  }
+
   Result<ParsedUnit> Parse() {
     Advance();
     ParsedUnit unit;
@@ -442,6 +450,10 @@ void GroundFacts::Add(std::string_view pred, std::span<const Token> args) {
 Result<ParsedUnit> ParseSource(std::string_view source,
                                GroundFacts* ground) {
   return Parser(source, ground).Parse();
+}
+
+Result<PTerm> ParseTermText(std::string_view text) {
+  return Parser(text, nullptr).ParseOneTerm();
 }
 
 Result<Literal> ParseGoalText(const std::string& text, LanguageMode mode,

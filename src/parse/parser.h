@@ -146,6 +146,10 @@ class GroundFacts {
 Result<ParsedUnit> ParseSource(std::string_view source,
                                GroundFacts* ground = nullptr);
 
+/// Parses `text` as one `term` of the grammar above, with nothing after
+/// it. Malformed or trailing text is a ParseError.
+Result<PTerm> ParseTermText(std::string_view text);
+
 /// Lowered result: interned clauses ready for the Theorem 6 compiler.
 struct LoweredUnit {
   std::vector<GeneralClause> clauses;  // non-ground or rule clauses

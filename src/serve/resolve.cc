@@ -3,111 +3,30 @@
 #include <algorithm>
 #include <vector>
 
-#include "parse/lexer.h"
+#include "parse/parser.h"
 
 namespace lps::serve {
 
 namespace {
 
-// Tiny ground-term AST shared by the lookup and intern walkers; the
-// grammar is the ground-term subset of the surface syntax:
-//   term := ident | ident '(' term {',' term} ')' | integer
-//         | '{' '}' | '{' term {',' term} '}'
-struct Node {
-  enum class Kind : uint8_t { kConstant, kInt, kFunction, kSet };
-  Kind kind;
-  std::string name;       // constant / function name
-  int64_t value = 0;      // integer
-  std::vector<Node> children;
-};
-
-class Parser {
- public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
-
-  Result<Node> Parse() {
-    LPS_ASSIGN_OR_RETURN(Node n, Term());
-    if (Peek().kind != TokenKind::kEof) {
-      return Status::ParseError("trailing input after term: '" +
-                                std::string(Peek().text) + "'");
-    }
-    return n;
+// The first variable in `t`, or null.
+const PTerm* FindVariable(const PTerm& t) {
+  if (t.kind == PTerm::Kind::kVar) return &t;
+  for (const PTerm& a : t.args) {
+    if (const PTerm* v = FindVariable(a)) return v;
   }
+  return nullptr;
+}
 
- private:
-  const Token& Peek() const { return tokens_[pos_]; }
-  Token Take() { return tokens_[pos_++]; }
-
-  Result<Node> Term() {
-    const Token& t = Peek();
-    switch (t.kind) {
-      case TokenKind::kInteger: {
-        Node n;
-        n.kind = Node::Kind::kInt;
-        n.value = Take().int_value;
-        return n;
-      }
-      case TokenKind::kIdent: {
-        Node n;
-        n.name = Take().text;
-        if (Peek().kind != TokenKind::kLParen) {
-          n.kind = Node::Kind::kConstant;
-          return n;
-        }
-        Take();  // (
-        n.kind = Node::Kind::kFunction;
-        LPS_RETURN_IF_ERROR(List(&n.children, TokenKind::kRParen));
-        if (n.children.empty()) {
-          return Status::ParseError("function term " + n.name +
-                                    "() needs at least one argument");
-        }
-        return n;
-      }
-      case TokenKind::kLBrace: {
-        Take();  // {
-        Node n;
-        n.kind = Node::Kind::kSet;
-        if (Peek().kind == TokenKind::kRBrace) {
-          Take();
-          return n;
-        }
-        LPS_RETURN_IF_ERROR(List(&n.children, TokenKind::kRBrace));
-        return n;
-      }
-      case TokenKind::kVariable:
-        return Status::InvalidArgument(
-            "query parameter must be ground, got variable '" +
-            std::string(t.text) + "'");
-      default:
-        return Status::ParseError("expected a ground term, got '" +
-                                  std::string(t.text) + "'");
-    }
+// `text` as a term of the one grammar (parse/parser.h), which must be
+// ground.
+Result<PTerm> ParseGroundTerm(const std::string& text) {
+  LPS_ASSIGN_OR_RETURN(PTerm t, ParseTermText(text));
+  if (const PTerm* v = FindVariable(t)) {
+    return Status::InvalidArgument(
+        "query parameter must be ground, got variable '" + v->name + "'");
   }
-
-  Status List(std::vector<Node>* out, TokenKind closer) {
-    for (;;) {
-      LPS_ASSIGN_OR_RETURN(Node child, Term());
-      out->push_back(std::move(child));
-      if (Peek().kind == TokenKind::kComma) {
-        Take();
-        continue;
-      }
-      if (Peek().kind == closer) {
-        Take();
-        return Status::OK();
-      }
-      return Status::ParseError("expected ',' or closing bracket, got '" +
-                                std::string(Peek().text) + "'");
-    }
-  }
-
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
-};
-
-Result<Node> ParseGroundTerm(const std::string& text) {
-  LPS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  return Parser(std::move(tokens)).Parse();
+  return t;
 }
 
 // A missing constant dominates: it proves the answer empty on every
@@ -122,87 +41,71 @@ MissKind Worse(MissKind a, MissKind b) {
   return MissKind::kNone;
 }
 
-Resolution Lookup(const TermStore& store, const Node& n) {
-  switch (n.kind) {
-    case Node::Kind::kConstant: {
-      TermId id = store.TryLookupConstant(n.name);
+Resolution Lookup(const TermStore& store, const PTerm& t) {
+  switch (t.kind) {
+    case PTerm::Kind::kConst: {
+      TermId id = store.TryLookupConstant(t.name);
       if (id == kInvalidTerm) return {kInvalidTerm, MissKind::kConstant};
       return {id, MissKind::kNone};
     }
-    case Node::Kind::kInt: {
-      TermId id = store.TryLookupInt(n.value);
+    case PTerm::Kind::kInt: {
+      TermId id = store.TryLookupInt(t.value);
       if (id == kInvalidTerm) return {kInvalidTerm, MissKind::kOther};
       return {id, MissKind::kNone};
     }
-    case Node::Kind::kFunction: {
+    case PTerm::Kind::kFunc:
+    case PTerm::Kind::kSet: {
       MissKind miss = MissKind::kNone;
       std::vector<TermId> args;
-      args.reserve(n.children.size());
-      for (const Node& c : n.children) {
-        Resolution r = Lookup(store, c);
+      args.reserve(t.args.size());
+      for (const PTerm& a : t.args) {
+        Resolution r = Lookup(store, a);
         miss = Worse(miss, r.missing);
         args.push_back(r.id);
       }
       if (miss != MissKind::kNone) return {kInvalidTerm, miss};
-      Symbol sym = store.symbols().Lookup(n.name);
-      if (sym == kInvalidSymbol) return {kInvalidTerm, MissKind::kOther};
-      TermId id = store.TryLookupFunction(sym, std::move(args));
-      if (id == kInvalidTerm) return {kInvalidTerm, MissKind::kOther};
-      return {id, MissKind::kNone};
-    }
-    case Node::Kind::kSet: {
-      MissKind miss = MissKind::kNone;
-      std::vector<TermId> elems;
-      elems.reserve(n.children.size());
-      for (const Node& c : n.children) {
-        Resolution r = Lookup(store, c);
-        miss = Worse(miss, r.missing);
-        elems.push_back(r.id);
+      TermId id = kInvalidTerm;
+      if (t.kind == PTerm::Kind::kSet) {
+        std::sort(args.begin(), args.end());
+        args.erase(std::unique(args.begin(), args.end()), args.end());
+        id = store.TryLookupCanonicalSet(args);
+      } else {
+        Symbol sym = store.symbols().Lookup(t.name);
+        if (sym != kInvalidSymbol) {
+          id = store.TryLookupFunction(sym, std::move(args));
+        }
       }
-      if (miss != MissKind::kNone) return {kInvalidTerm, miss};
-      std::sort(elems.begin(), elems.end());
-      elems.erase(std::unique(elems.begin(), elems.end()), elems.end());
-      TermId id = store.TryLookupCanonicalSet(elems);
       if (id == kInvalidTerm) return {kInvalidTerm, MissKind::kOther};
       return {id, MissKind::kNone};
     }
+    case PTerm::Kind::kVar:
+      break;  // ParseGroundTerm rejected it
   }
-  return {kInvalidTerm, MissKind::kOther};  // unreachable
+  return {kInvalidTerm, MissKind::kOther};
 }
 
-TermId Intern(TermStore* store, const Node& n) {
-  switch (n.kind) {
-    case Node::Kind::kConstant:
-      return store->MakeConstant(n.name);
-    case Node::Kind::kInt:
-      return store->MakeInt(n.value);
-    case Node::Kind::kFunction: {
-      std::vector<TermId> args;
-      args.reserve(n.children.size());
-      for (const Node& c : n.children) args.push_back(Intern(store, c));
-      return store->MakeFunction(n.name, std::move(args));
-    }
-    case Node::Kind::kSet: {
-      std::vector<TermId> elems;
-      elems.reserve(n.children.size());
-      for (const Node& c : n.children) elems.push_back(Intern(store, c));
-      return store->MakeSet(std::move(elems));
-    }
-  }
-  return kInvalidTerm;  // unreachable
+TermId Intern(TermStore* store, const PTerm& t) {
+  if (t.kind == PTerm::Kind::kConst) return store->MakeConstant(t.name);
+  if (t.kind == PTerm::Kind::kInt) return store->MakeInt(t.value);
+  std::vector<TermId> args;
+  args.reserve(t.args.size());
+  for (const PTerm& a : t.args) args.push_back(Intern(store, a));
+  return t.kind == PTerm::Kind::kSet
+             ? store->MakeSet(std::move(args))
+             : store->MakeFunction(t.name, std::move(args));
 }
 
 }  // namespace
 
 Result<Resolution> TryResolveGroundTerm(const TermStore& store,
                                         const std::string& text) {
-  LPS_ASSIGN_OR_RETURN(Node n, ParseGroundTerm(text));
-  return Lookup(store, n);
+  LPS_ASSIGN_OR_RETURN(PTerm t, ParseGroundTerm(text));
+  return Lookup(store, t);
 }
 
 Result<TermId> InternGroundTerm(TermStore* store, const std::string& text) {
-  LPS_ASSIGN_OR_RETURN(Node n, ParseGroundTerm(text));
-  return Intern(store, n);
+  LPS_ASSIGN_OR_RETURN(PTerm t, ParseGroundTerm(text));
+  return Intern(store, t);
 }
 
 }  // namespace lps::serve

@@ -40,10 +40,11 @@ struct Resolution {
   MissKind missing = MissKind::kNone;
 };
 
-/// Resolves `text` (a ground term: constant, integer, function term or
-/// set literal) against `store` without mutating it. Status errors are
-/// reserved for malformed or non-ground text; an absent term is a
-/// Resolution with missing != kNone.
+/// Resolves `text` (a ground term of the parser's `term` production,
+/// parse/parser.h: constant, integer, function term or set literal)
+/// against `store` without mutating it. Status errors are reserved for
+/// malformed text (kParseError) and variables (kInvalidArgument); an
+/// absent term is a Resolution with missing != kNone.
 Result<Resolution> TryResolveGroundTerm(const TermStore& store,
                                         const std::string& text);
 

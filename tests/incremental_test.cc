@@ -375,8 +375,8 @@ TEST(MutationBatchTest, RetractEverythingEmptiesDerivations) {
 TEST(IncrementalTest, ToggleReAddRevivesRowAndRederivesDownstream) {
   // Retract-then-re-add toggles: the re-add lands on the tombstoned
   // arena row of the original fact (revive-on-insert) *below* the
-  // maintainer's watermark, so the incremental pass must pick it up
-  // via the revive log rather than a range delta - and re-derive every
+  // maintainer's watermark, so the insert rounds must join it as a
+  // revived row rather than a range delta - and re-derive every
   // downstream path tuple, which sits on tombstoned rows itself.
   auto mutate = [](Session& s) {
     {
@@ -404,6 +404,68 @@ TEST(IncrementalTest, ToggleReAddRevivesRowAndRederivesDownstream) {
   // original row, so the arena is exactly as large as before.
   ASSERT_OK(session.Evaluate());
   EXPECT_EQ(session.eval_stats().arena_bytes, arena_bytes_before);
+}
+
+TEST(IncrementalTest, InsertCountsRuleDerivationsOnly) {
+  // tuples_derived counts the rows rules add, never facts: committing
+  // edge(c, d) derives path(c, d), path(b, d) and path(a, d).
+  Session session(LanguageMode::kLPS, Incremental());
+  ASSERT_OK(session.Load(R"(
+    edge(a, b). edge(b, c).
+    path(X, Y) :- edge(X, Y).
+    path(X, Z) :- path(X, Y), edge(Y, Z).
+  )"));
+  ASSERT_OK(session.Evaluate());
+  MutationBatch batch = session.Mutate();
+  ASSERT_OK(batch.AddText("edge(c, d)"));
+  ASSERT_OK(batch.Commit());
+  EXPECT_GT(session.eval_stats().delta_rounds, 0u);
+  EXPECT_EQ(session.eval_stats().tuples_derived, 3u);
+}
+
+TEST(IncrementalTest, EvaluateJoinsRowsRevivedBelowTheWatermark) {
+  // The retract tombstones every path row edge(b, c) supported. A new
+  // rule leaves the session unconverged with those tombstones in
+  // place, so the re-add is deferred and the next Evaluate() re-derives
+  // the path rows by reviving them - below the marks its first pass
+  // took. Its later rounds must join them all the same. With the
+  // recursive rule first, the first pass revives path(b, c) only after
+  // the recursive rule ran, so path(b, d) needs that later round.
+  constexpr const char* kReach = "reach(X) :- path(a, X).\n";
+  constexpr const char* kRecursiveFirst = R"(
+    edge(a, b). edge(b, c). edge(c, d).
+    path(X, Z) :- path(X, Y), edge(Y, Z).
+    path(X, Y) :- edge(X, Y).
+  )";
+  for (const char* source : {kGraph, kRecursiveFirst}) {
+    SCOPED_TRACE(source);
+    Session session(LanguageMode::kLPS, Incremental());
+    ASSERT_OK(session.Load(source));
+    ASSERT_OK(session.Evaluate());
+    {
+      MutationBatch batch = session.Mutate();
+      ASSERT_OK(batch.RetractText("edge(b, c)"));
+      ASSERT_OK(batch.Commit());
+    }
+    ASSERT_TRUE(session.converged());
+    ASSERT_FALSE(*session.Holds("path(a, d)"));
+    ASSERT_OK(session.Load(kReach));
+    ASSERT_OK(session.Compile());
+    {
+      MutationBatch batch = session.Mutate();
+      ASSERT_OK(batch.AddText("edge(b, c)"));
+      ASSERT_OK(batch.Commit());
+    }
+    ASSERT_FALSE(session.converged());
+    ASSERT_OK(session.Evaluate());
+
+    Session fresh(LanguageMode::kLPS);
+    ASSERT_OK(fresh.Load(std::string(source) + kReach));
+    ASSERT_OK(fresh.Evaluate());
+    EXPECT_EQ(session.database()->ToCanonicalString(*session.signature()),
+              fresh.database()->ToCanonicalString(*fresh.signature()));
+    EXPECT_TRUE(*session.Holds("path(b, d)"));
+  }
 }
 
 // Commits `retract` (fact texts) against an evaluated incremental
