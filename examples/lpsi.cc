@@ -55,7 +55,8 @@
 
 namespace {
 
-void PrintStats(const lps::EvalStats& s, size_t subsumptions) {
+void PrintStats(const lps::EvalStats& s, size_t subsumptions,
+                size_t compiles) {
   std::printf("evaluation:\n");
   std::printf("  strata            %zu\n", s.strata);
   std::printf("  iterations        %zu\n", s.iterations);
@@ -86,6 +87,8 @@ void PrintStats(const lps::EvalStats& s, size_t subsumptions) {
               s.demand_fallback_reason.empty()
                   ? "(none)"
                   : s.demand_fallback_reason.c_str());
+  std::printf("  compiles_total   %zu  (demand runs that compiled)\n",
+              compiles);
   std::printf("incremental:\n");
   std::printf("  delta_rounds       %zu  (insert pass)\n", s.delta_rounds);
   std::printf("  rederived_tuples   %zu  (in doubt, proved, kept)\n",
@@ -127,6 +130,7 @@ void PrintServeStats(const lps::serve::ServeStats& s) {
   std::printf("  errors            %llu\n", u64(s.errors));
   std::printf("  rewrites_built    %llu\n", u64(s.rewrites_built));
   std::printf("  rewrite_cache_hits %llu\n", u64(s.rewrite_cache_hits));
+  std::printf("  demand_compiles   %llu\n", u64(s.demand_compiles));
   std::printf("  index_misses      %llu\n", u64(s.index_misses));
   std::printf("  worker_rebinds    %llu\n", u64(s.worker_rebinds));
   std::printf("  worker_refreshes  %llu\n", u64(s.worker_refreshes));
@@ -185,10 +189,11 @@ void Serve(lps::Session* session, lps::serve::SnapshotRegistry* registry,
   }
   lps::serve::ServeStats s = server.stats();
   std::printf("%% served %zu x %s on %zu threads: %llu answers, "
-              "%.0f qps, p50 %.1f us, p99 %.1f us\n",
+              "%.0f qps, p50 %.1f us, p99 %.1f us, %llu demand compiles\n",
               copies, goal.c_str(), server.threads(),
               static_cast<unsigned long long>(s.answers),
-              s.last_batch_qps, s.p50_us, s.p99_us);
+              s.last_batch_qps, s.p50_us, s.p99_us,
+              static_cast<unsigned long long>(s.demand_compiles));
   for (const lps::serve::ServeAnswer& a : *answers) {
     if (!a.status.ok()) {
       std::printf("error: %s\n", a.status.ToString().c_str());
@@ -206,6 +211,7 @@ void Serve(lps::Session* session, lps::serve::SnapshotRegistry* registry,
   total->errors += s.errors;
   total->rewrites_built += s.rewrites_built;
   total->rewrite_cache_hits += s.rewrite_cache_hits;
+  total->demand_compiles += s.demand_compiles;
   total->index_misses += s.index_misses;
   total->worker_rebinds += s.worker_rebinds;
   total->worker_refreshes += s.worker_refreshes;
@@ -337,7 +343,8 @@ int main(int argc, char** argv) {
   while (std::getline(std::cin, line)) {
     if (line.empty()) continue;
     if (line == ".stats" || line == ".stats.") {
-      PrintStats(session.eval_stats(), session.demand_subsumption_count());
+      PrintStats(session.eval_stats(), session.demand_subsumption_count(),
+                 session.demand_compile_count());
       PrintServeStats(serve_stats);
       continue;
     }

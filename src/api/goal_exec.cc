@@ -145,7 +145,7 @@ Status GoalPlanExecutor::Exec(const std::vector<PlanStep>& steps,
   return Status::Internal("unexpected step in a builtin goal plan");
 }
 
-Result<const DemandRewriteCache::Entry*> DemandRewriteCache::Get(
+Result<DemandRewriteCache::Entry*> DemandRewriteCache::Get(
     const Program& program, const Literal& goal, const AppliedGoal& applied,
     const Database& db, bool reorder, bool* built) {
   *built = false;
@@ -166,13 +166,16 @@ Result<const DemandRewriteCache::Entry*> DemandRewriteCache::Get(
   Entry* entry = applied.mask_exact() ? &entries_[applied.mask] : &uncached_;
   entry->rewrite = std::move(rw.rewrite);
   entry->fallback_reason = std::move(rw.fallback_reason);
+  entry->compiled.reset();  // compiled from the rewrite it replaces
   return entry;
 }
 
-Status EvaluateDemand(const MagicProgram& rw, const AppliedGoal& applied,
-                      const Database& src, const Database::FactSeed& seed,
-                      Database* index_home, const EvalOptions& options,
-                      Database* db, EvalStats* stats) {
+Status EvaluateDemand(DemandRewriteCache::Entry* entry,
+                      const AppliedGoal& applied, const Database& src,
+                      const Database::FactSeed& seed, Database* index_home,
+                      const EvalOptions& options, Database* db,
+                      EvalStats* stats, bool* compiled) {
+  const MagicProgram& rw = *entry->rewrite;
   Tuple magic_seed;
   magic_seed.reserve(rw.seed_positions.size());
   for (size_t pos : rw.seed_positions) {
@@ -184,7 +187,14 @@ Status EvaluateDemand(const MagicProgram& rw, const AppliedGoal& applied,
   // answers over the changed facts.
   db->SeedFacts(src, seed, index_home);
   BottomUpEvaluator eval(&rw.program, db, options);
-  LPS_RETURN_IF_ERROR(eval.Evaluate());
+  // Evaluate() is Compile(PlanningStats()) then Run: a compiled program
+  // planned from equal statistics is what that compile would build.
+  std::optional<PlannerStats> planning = eval.PlanningStats();
+  *compiled = !entry->compiled || entry->compiled->stats != planning;
+  if (*compiled) {
+    LPS_ASSIGN_OR_RETURN(entry->compiled, eval.Compile(std::move(planning)));
+  }
+  LPS_RETURN_IF_ERROR(eval.Run(*entry->compiled));
   if (stats != nullptr) {
     *stats = eval.stats();
     stats->magic_predicates = rw.magic_preds.size();

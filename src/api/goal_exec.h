@@ -7,6 +7,14 @@
 // them: the session its fallback to Evaluate() and its subsumption
 // memo, the server its admission control, deadline and answer cap.
 //
+// A demand request compiles once, not once per request: each cached
+// rewrite keeps its CompiledProgram (eval/bottomup.h), and
+// EvaluateDemand runs it again for every request whose seeded database
+// has the planner statistics it was compiled for. The key is those
+// statistics, not an epoch: equal statistics give equal plans, and an
+// index built into the session's database within one fact epoch
+// changes them.
+//
 // RelationScanSource only reads: it probes the relation with the const
 // Relation::Lookup, which never mutates it, so any number of threads
 // may stream over one frozen relation concurrently. A caller that owns
@@ -19,6 +27,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -150,12 +159,18 @@ class GoalPlanExecutor {
 /// mask until the rules change (the owner calls Clear()). A rewrite
 /// that fell back is cached with its reason. A goal whose mask is not
 /// exact (AppliedGoal::mask_exact) is rewritten on every call: two
-/// patterns differing only past column 31 would share a mask.
+/// patterns differing only past column 31 would share a mask. Not
+/// thread-safe: each caller owns its cache (a server worker, a
+/// prepared query).
 class DemandRewriteCache {
  public:
   struct Entry {
     std::shared_ptr<const MagicProgram> rewrite;  // null: fell back
     std::string fallback_reason;
+    /// The rewrite's program as last compiled by EvaluateDemand, for
+    /// the planner statistics of the database it ran over; empty until
+    /// the first run, and again whenever the rewrite is rebuilt.
+    std::optional<CompiledProgram> compiled;
   };
 
   /// The rewrite of `goal` over `program` for `applied`'s binding
@@ -166,9 +181,9 @@ class DemandRewriteCache {
   /// later go stale stays correct (any order is); only the sizes of
   /// its intermediate relations drift. The entry stays valid until the
   /// next Get() or Clear().
-  Result<const Entry*> Get(const Program& program, const Literal& goal,
-                           const AppliedGoal& applied, const Database& db,
-                           bool reorder, bool* built);
+  Result<Entry*> Get(const Program& program, const Literal& goal,
+                     const AppliedGoal& applied, const Database& db,
+                     bool reorder, bool* built);
   void Clear() { entries_.clear(); }
 
  private:
@@ -176,18 +191,24 @@ class DemandRewriteCache {
   Entry uncached_;
 };
 
-/// Evaluates the rewrite `rw` for one binding into `db`, which must be
-/// empty and over rw.program's signature: seeds rw.seed_pred with
-/// `applied`'s values at rw.seed_positions and the facts of `src` by
-/// Database::SeedFacts (`seed` listed from `src` since its last
-/// change; `index_home` as there), then runs the rewritten program to
-/// fixpoint under `options`. The answers are rw.goal.pred's relation in
-/// `db`. `stats`, if given, gets the run's statistics with the magic
-/// counters filled in.
-Status EvaluateDemand(const MagicProgram& rw, const AppliedGoal& applied,
-                      const Database& src, const Database::FactSeed& seed,
-                      Database* index_home, const EvalOptions& options,
-                      Database* db, EvalStats* stats);
+/// Evaluates `entry`'s rewrite rw (entry->rewrite, non-null) for one
+/// binding into `db`, which must be empty and over rw.program's
+/// signature: seeds rw.seed_pred with `applied`'s values at
+/// rw.seed_positions and the facts of `src` by Database::SeedFacts
+/// (`seed` listed from `src` since its last change; `index_home` as
+/// there), then runs the rewritten program to fixpoint under `options`.
+/// The run reuses entry->compiled when the seeded database's planner
+/// statistics (BottomUpEvaluator::PlanningStats) equal those it was
+/// compiled for; otherwise it compiles the rewrite into the entry and
+/// sets *compiled. Either way the answers, the plans and the run's
+/// statistics are those of a fresh Evaluate(). The answers are
+/// rw.goal.pred's relation in `db`. `stats`, if given, gets the run's
+/// statistics with the magic counters filled in.
+Status EvaluateDemand(DemandRewriteCache::Entry* entry,
+                      const AppliedGoal& applied, const Database& src,
+                      const Database::FactSeed& seed, Database* index_home,
+                      const EvalOptions& options, Database* db,
+                      EvalStats* stats, bool* compiled);
 
 }  // namespace lps
 

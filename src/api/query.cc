@@ -180,7 +180,7 @@ Result<AnswerCursor> PreparedQuery::ExecuteDemand(AppliedGoal applied) {
   const Program& program = *session_->program();
   bool built = false;
   LPS_ASSIGN_OR_RETURN(
-      const DemandRewriteCache::Entry* entry,
+      DemandRewriteCache::Entry* entry,
       rewrites_.Get(program, goal_, applied, *session_db,
                     session_->options().reorder, &built));
   if (built) ++session_->demand_rewrite_count_;
@@ -192,10 +192,13 @@ Result<AnswerCursor> PreparedQuery::ExecuteDemand(AppliedGoal applied) {
   // once, for every later execution (Database::SeedFacts).
   Database db(session_->store(), &rw->program.signature());
   EvalStats stats;
-  LPS_RETURN_IF_ERROR(EvaluateDemand(*rw, applied, *session_db,
-                                     session_db->ListFactSeed(program),
-                                     session_db, session_->options().eval(),
-                                     &db, &stats));
+  bool compiled = false;
+  Status es = EvaluateDemand(entry, applied, *session_db,
+                             session_db->ListFactSeed(program), session_db,
+                             session_->options().eval(), &db, &stats,
+                             &compiled);
+  if (compiled) ++session_->demand_compile_count_;
+  LPS_RETURN_IF_ERROR(es);
   // Keep the answer relation alone: a memoized result or a live cursor
   // must not hold session relations shared, or the next commit would
   // copy them on write.

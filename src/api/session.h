@@ -228,6 +228,13 @@ class Session {
   /// observable witness that rewrite caches key on rule_epoch().
   size_t demand_rewrite_count() const { return demand_rewrite_count_; }
 
+  /// Demand evaluations that compiled their rewrite's program; the
+  /// rest reused the one compiled before, for equal planner statistics
+  /// of the seeded database (api/goal_exec.h). Grows after a commit or
+  /// an index build that changes the statistics of a relation the
+  /// rewrite reads.
+  size_t demand_compile_count() const { return demand_compile_count_; }
+
   /// Demand executions answered by filtering a cached materialized
   /// result whose binding mask subsumes the request (DESIGN.md section
   /// 17) - no rewrite, no fixpoint. The observable witness that e.g. a
@@ -269,6 +276,7 @@ class Session {
   EvalStats eval_stats_;
   size_t parse_count_ = 0;
   size_t demand_rewrite_count_ = 0;
+  size_t demand_compile_count_ = 0;
   size_t demand_subsumption_count_ = 0;
   uint64_t rule_epoch_ = 0;
   uint64_t fact_epoch_ = 0;

@@ -12,16 +12,6 @@ namespace lps {
 
 namespace {
 
-// A positive user-predicate body literal on a same-stratum predicate:
-// the literals that carry semi-naive deltas. Shared by the pool gate in
-// Evaluate() and the per-stratum setup in EvaluateStratum() so the two
-// sites cannot drift.
-bool IsInStratumDeltaLiteral(const Literal& lit, const Signature& sig,
-                             const Stratification& strat, size_t stratum) {
-  return lit.positive && !sig.IsBuiltin(lit.pred) &&
-         strat.pred_stratum[lit.pred] == stratum;
-}
-
 // Smallest delta/scan chunk worth forking for: shared by the task
 // chunking and the pool gate so the two cannot drift.
 constexpr size_t kMinChunkTuples = 16;
@@ -112,15 +102,72 @@ BottomUpEvaluator::BottomUpEvaluator(const Program* program, Database* db,
     : program_(program), db_(db), options_(options) {}
 
 Status BottomUpEvaluator::Evaluate() {
+  LPS_ASSIGN_OR_RETURN(CompiledProgram compiled, Compile(PlanningStats()));
+  return Run(compiled);
+}
+
+std::optional<PlannerStats> BottomUpEvaluator::PlanningStats() const {
+  // The database holds the EDB facts already, so extensional
+  // cardinalities are real; IDB relations (possibly still empty on a
+  // first evaluation) are marked derived so they estimate as
+  // unknown-sized, not empty. A pure function of the database contents,
+  // so every lane count - and every re-run over the same facts -
+  // compiles the identical plans.
+  if (!options_.reorder) return std::nullopt;
+  return PlannerStats::FromDatabase(*db_, *program_);
+}
+
+Result<CompiledProgram> BottomUpEvaluator::Compile(
+    std::optional<PlannerStats> stats) const {
   const TermStore& store = *program_->store();
   const Signature& sig = program_->signature();
+  CompiledProgram out;
+  LPS_ASSIGN_OR_RETURN(out.strat, Stratify(*program_));
+  out.stats = std::move(stats);
+  const PlannerStats* planner = out.stats ? &*out.stats : nullptr;
+  out.rules.resize(program_->clauses().size());
+  for (size_t i = 0; i < program_->clauses().size(); ++i) {
+    CompiledRule& r = out.rules[i];
+    r.clause = &program_->clauses()[i];
+    LPS_ASSIGN_OR_RETURN(r.plan,
+                         BuildRulePlan(store, sig, *r.clause, planner));
+    if (r.plan.free_plan.reordered || r.plan.seed_plan.reordered) {
+      ++out.plan_reorders;
+    }
+    if (r.plan.free_plan.est_out >= 0) {
+      out.plan_estimated_tuples += r.plan.free_plan.est_out;
+    }
+    bool has_enum = false;
+    for (const PlanStep& s : r.plan.free_plan.steps) {
+      if (s.kind == StepKind::kEnumAtom || s.kind == StepKind::kEnumSet ||
+          s.kind == StepKind::kEnumAny) {
+        has_enum = true;
+      }
+    }
+    r.horn_simple = !r.plan.has_quantifiers &&
+                    !r.clause->grouping.has_value() && !has_enum;
+    AnalyzeRuleForParallel(&r);
+    const size_t stratum = out.strat.pred_stratum[r.clause->head.pred];
+    for (size_t li : r.plan.free_literals) {
+      const Literal& lit = r.clause->body[li];
+      if (lit.positive && !sig.IsBuiltin(lit.pred) &&
+          out.strat.pred_stratum[lit.pred] == stratum) {
+        r.in_stratum_literals.push_back(li);
+      }
+    }
+  }
+  return out;
+}
+
+Status BottomUpEvaluator::Run(const CompiledProgram& compiled) {
+  const TermStore& store = *program_->store();
   const size_t set_interns_before = store.set_interns();
   const size_t set_intern_hits_before = store.set_intern_hits();
-
-  LPS_ASSIGN_OR_RETURN(Stratification strat, Stratify(*program_));
-  stats_.strata = strat.num_strata;
-
-  LPS_RETURN_IF_ERROR(CompileRules());
+  compiled_ = &compiled;
+  last_version_.assign(compiled.rules.size(), UINT64_MAX);
+  stats_.strata = compiled.strat.num_strata;
+  stats_.plan_reorders = compiled.plan_reorders;
+  stats_.plan_estimated_tuples = compiled.plan_estimated_tuples;
 
   // Resolve the lane count; only semi-naive evaluation shards work
   // (naive mode never starts a pool - see EvalOptions::threads) and
@@ -145,21 +192,12 @@ Status BottomUpEvaluator::Evaluate() {
     return false;  // no scan step: always runs inline
   };
   bool any_sharded_rule = false;
-  for (const CompiledRule& r : rules_) {
-    if (r.group_parallel_safe && grouping_rule_can_shard(r)) {
+  for (const CompiledRule& r : compiled.rules) {
+    if ((r.group_parallel_safe && grouping_rule_can_shard(r)) ||
+        (r.parallel_safe && !r.in_stratum_literals.empty())) {
       any_sharded_rule = true;
       break;
     }
-    if (!r.parallel_safe) continue;
-    size_t head_stratum = strat.pred_stratum[r.clause->head.pred];
-    for (size_t li : r.plan.free_literals) {
-      if (IsInStratumDeltaLiteral(r.clause->body[li], sig, strat,
-                                  head_stratum)) {
-        any_sharded_rule = true;
-        break;
-      }
-    }
-    if (any_sharded_rule) break;
   }
   if (lanes > 1 && options_.semi_naive && any_sharded_rule) {
     if (pool_ == nullptr || pool_->size() != lanes) {
@@ -170,8 +208,8 @@ Status BottomUpEvaluator::Evaluate() {
     pool_.reset();
   }
 
-  for (size_t s = 0; s < strat.num_strata; ++s) {
-    LPS_RETURN_IF_ERROR(EvaluateStratum(strat.strata_clauses[s], strat, s));
+  for (const std::vector<size_t>& clauses : compiled.strat.strata_clauses) {
+    LPS_RETURN_IF_ERROR(EvaluateStratum(clauses));
   }
 
   Database::StorageStats storage = db_->storage_stats();
@@ -184,74 +222,16 @@ Status BottomUpEvaluator::Evaluate() {
   return Status::OK();
 }
 
-Status BottomUpEvaluator::CompileRules() {
-  const TermStore& store = *program_->store();
-  const Signature& sig = program_->signature();
-  // Statistics snapshot for cost-based literal ordering. The database
-  // holds the EDB facts already, so extensional cardinalities are
-  // real; IDB relations (possibly still empty on a first evaluation)
-  // are marked derived so they estimate as unknown-sized, not empty.
-  // The snapshot is a pure function of the database contents, so every
-  // lane count - and every re-run over the same facts - compiles the
-  // identical plans.
-  PlannerStats planner_stats;
-  const PlannerStats* stats = nullptr;
-  if (options_.reorder) {
-    planner_stats = PlannerStats::FromDatabase(*db_, *program_);
-    stats = &planner_stats;
-  }
-  stats_.plan_reorders = 0;
-  stats_.plan_estimated_tuples = 0;
-  rules_.clear();
-  rules_.resize(program_->clauses().size());
-  for (size_t i = 0; i < program_->clauses().size(); ++i) {
-    CompiledRule& r = rules_[i];
-    r.clause = &program_->clauses()[i];
-    LPS_ASSIGN_OR_RETURN(r.plan,
-                         BuildRulePlan(store, sig, *r.clause, stats));
-    if (r.plan.free_plan.reordered || r.plan.seed_plan.reordered) {
-      ++stats_.plan_reorders;
-    }
-    if (r.plan.free_plan.est_out >= 0) {
-      stats_.plan_estimated_tuples += r.plan.free_plan.est_out;
-    }
-    bool has_enum = false;
-    for (const PlanStep& s : r.plan.free_plan.steps) {
-      if (s.kind == StepKind::kEnumAtom || s.kind == StepKind::kEnumSet ||
-          s.kind == StepKind::kEnumAny) {
-        has_enum = true;
-      }
-    }
-    r.horn_simple = !r.plan.has_quantifiers &&
-                    !r.clause->grouping.has_value() && !has_enum;
-    AnalyzeRuleForParallel(&r);
-  }
-  return Status::OK();
-}
-
 Status BottomUpEvaluator::EvaluateStratum(
-    const std::vector<size_t>& clause_indices, const Stratification& strat,
-    size_t stratum, Marks* marks) {
-  const Signature& sig = program_->signature();
-
-  // Identify in-stratum positive body literals for delta joins.
-  for (size_t ci : clause_indices) {
-    CompiledRule& r = rules_[ci];
-    r.in_stratum_literals.clear();
-    r.last_version = UINT64_MAX;
-    for (size_t li : r.plan.free_literals) {
-      if (IsInStratumDeltaLiteral(r.clause->body[li], sig, strat,
-                                  stratum)) {
-        r.in_stratum_literals.push_back(li);
-      }
-    }
-  }
+    const std::vector<size_t>& clause_indices, Marks* marks) {
+  const std::vector<CompiledRule>& rules = compiled_->rules;
+  for (size_t ci : clause_indices) last_version_[ci] = UINT64_MAX;
 
   // Grouping rules first: their bodies live in strictly lower strata,
   // so one pass computes them completely.
   for (size_t ci : clause_indices) {
-    if (rules_[ci].clause->grouping.has_value()) {
-      LPS_RETURN_IF_ERROR(RunGroupingRule(&rules_[ci]));
+    if (rules[ci].clause->grouping.has_value()) {
+      LPS_RETURN_IF_ERROR(RunGroupingRule(rules[ci]));
     }
   }
 
@@ -262,6 +242,15 @@ Status BottomUpEvaluator::EvaluateStratum(
   Marks own_marks;
   Marks& mark = first_pass ? own_marks : *marks;
   size_t& rounds = first_pass ? stats_.iterations : stats_.delta_rounds;
+  // One entry per predicate a delta literal reads, refilled each round.
+  Deltas delta;
+  if (options_.semi_naive) {
+    for (size_t ci : clause_indices) {
+      for (size_t li : rules[ci].in_stratum_literals) {
+        delta.try_emplace(rules[ci].clause->body[li].pred);
+      }
+    }
+  }
   for (size_t round = 0;; ++round) {
     if (++rounds > options_.max_iterations) {
       return Status::ResourceExhausted("iteration limit exceeded");
@@ -279,20 +268,12 @@ Status BottomUpEvaluator::EvaluateStratum(
     // This round's deltas: what the previous round appended and
     // revived. No erase runs during a fixpoint, so every revived row
     // predates the marks and no range covers it.
-    Deltas delta;
-    if (options_.semi_naive) {
-      for (size_t ci : clause_indices) {
-        for (size_t li : rules_[ci].in_stratum_literals) {
-          PredicateId p = rules_[ci].clause->body[li].pred;
-          auto [it, fresh] = delta.try_emplace(p);
-          if (!fresh) continue;
-          Delta& d = it->second;
-          d.end = db_->RelationSize(p);
-          d.begin = std::exchange(mark[p], d.end);
-          auto rv = revived_.find(p);
-          if (rv != revived_.end()) d.revived = std::move(rv->second);
-        }
-      }
+    for (auto& [p, d] : delta) {
+      d.end = db_->RelationSize(p);
+      d.begin = std::exchange(mark[p], d.end);
+      d.revived.clear();
+      auto rv = revived_.find(p);
+      if (rv != revived_.end()) d.revived.swap(rv->second);
     }
     revived_.clear();
 
@@ -304,34 +285,34 @@ Status BottomUpEvaluator::EvaluateStratum(
     }
 
     for (size_t ci : clause_indices) {
-      CompiledRule& r = rules_[ci];
+      const CompiledRule& r = rules[ci];
       if (r.clause->grouping.has_value()) continue;  // ran above
 
       if (options_.semi_naive && r.horn_simple) {
         if (!delta_round) {
           ++stats_.rule_runs;
           LPS_RETURN_IF_ERROR(r.parallel_safe ? RunFlatFirstPass(r)
-                                              : RunRule(&r, nullptr));
+                                              : RunRule(r, nullptr));
         } else if (!r.parallel_safe) {
           for (size_t li : r.in_stratum_literals) {
             for (const DeltaSpec& spec :
                  delta.at(r.clause->body[li].pred).Specs(li)) {
               if (spec.begin >= spec.end) continue;  // empty delta
               ++stats_.rule_runs;
-              LPS_RETURN_IF_ERROR(RunRule(&r, &spec));
+              LPS_RETURN_IF_ERROR(RunRule(r, &spec));
             }
           }
         }
       } else {
         // Naive mode, or a complex rule: re-run whenever anything it
         // could observe changed.
-        if (!options_.semi_naive || r.last_version != db_->version()) {
-          r.last_version = db_->version();
+        if (!options_.semi_naive || last_version_[ci] != db_->version()) {
+          last_version_[ci] = db_->version();
           ++stats_.rule_runs;
           if (r.plan.has_quantifiers) {
-            LPS_RETURN_IF_ERROR(RunEmptyBranch(&r));
+            LPS_RETURN_IF_ERROR(RunEmptyBranch(r));
           }
-          LPS_RETURN_IF_ERROR(RunRule(&r, nullptr));
+          LPS_RETURN_IF_ERROR(RunRule(r, nullptr));
         }
       }
     }
@@ -341,28 +322,29 @@ Status BottomUpEvaluator::EvaluateStratum(
   return Status::OK();
 }
 
-Status BottomUpEvaluator::Reconverge(Marks marks) {
-  LPS_ASSIGN_OR_RETURN(Stratification strat, Stratify(*program_));
-  return EvaluateStratum(strat.strata_clauses[0], strat, 0, &marks);
+Status BottomUpEvaluator::Reconverge(const CompiledProgram& compiled,
+                                     Marks marks) {
+  compiled_ = &compiled;
+  last_version_.assign(compiled.rules.size(), UINT64_MAX);
+  return EvaluateStratum(compiled.strat.strata_clauses[0], &marks);
 }
 
-Status BottomUpEvaluator::RunRule(CompiledRule* rule,
+Status BottomUpEvaluator::RunRule(const CompiledRule& rule,
                                   const DeltaSpec* delta) {
   Substitution theta;
   const std::vector<PlanStep>& steps =
-      delta == nullptr ? rule->plan.free_plan.steps
-                       : rule->DeltaSteps(delta->literal_index);
-  return ExecSteps(*rule, steps, 0, &theta, delta,
-                   [this, rule](Substitution* t) {
-                     return HandleQuantifiers(*rule, t,
-                                              [this, rule](Substitution* t2) {
-                                                return EmitHead(*rule, t2);
+      delta == nullptr ? rule.plan.free_plan.steps
+                       : rule.DeltaSteps(delta->literal_index);
+  return ExecSteps(rule, steps, 0, &theta, delta,
+                   [this, &rule](Substitution* t) {
+                     return HandleQuantifiers(rule, t,
+                                              [this, &rule](Substitution* t2) {
+                                                return EmitHead(rule, t2);
                                               });
                    });
 }
 
-const std::vector<PlanStep>& BottomUpEvaluator::CompiledRule::DeltaSteps(
-    size_t li) const {
+const std::vector<PlanStep>& CompiledRule::DeltaSteps(size_t li) const {
   const std::vector<size_t>& lits = plan.free_literals;
   size_t pos = std::find(lits.begin(), lits.end(), li) - lits.begin();
   if (pos < plan.delta_plans.size() && !plan.delta_plans[pos].steps.empty()) {
@@ -387,7 +369,7 @@ Status BottomUpEvaluator::RunFlatRound(
     const std::vector<size_t>& clause_indices, const Deltas& delta) {
   std::vector<FlatJob> tasks;
   for (size_t ci : clause_indices) {
-    const CompiledRule& r = rules_[ci];
+    const CompiledRule& r = compiled_->rules[ci];
     if (!r.parallel_safe) continue;
     for (size_t li : r.in_stratum_literals) {
       for (const DeltaSpec& spec :
@@ -400,15 +382,12 @@ Status BottomUpEvaluator::RunFlatRound(
       }
     }
   }
-  std::vector<FlatOutput> outputs = RunFlatTasks(tasks);
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    FlatOutput& out = outputs[t];
-    LPS_RETURN_IF_ERROR(out.status);
+  return RunFlatTasks(tasks, [&](const FlatJob& task, FlatOutput& out) {
     for (TupleRef row : out.derived.rows()) {
-      LPS_RETURN_IF_ERROR(AddDerived(tasks[t].clause->head.pred, row));
+      LPS_RETURN_IF_ERROR(AddDerived(task.clause->head.pred, row));
     }
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 void BottomUpEvaluator::PrepareIndexes(const FlatJob& job) {
@@ -456,23 +435,32 @@ void BottomUpEvaluator::AppendTasks(const FlatJob& job,
   }
 }
 
-std::vector<BottomUpEvaluator::FlatOutput> BottomUpEvaluator::RunFlatTasks(
-    const std::vector<FlatJob>& tasks) {
-  std::vector<FlatOutput> outputs(tasks.size());
+template <typename Merge>
+Status BottomUpEvaluator::RunFlatTasks(const std::vector<FlatJob>& tasks,
+                                       Merge merge) {
+  // Without a pool every task runs on this thread, one after another,
+  // so the evaluation's tasks and rounds share the output slots and the
+  // kernel scratch, each slot emptied at the cost of what it last held.
+  // Pooled tasks get fresh outputs, freed once merged: slots kept per
+  // lane would only add to the peak footprint.
+  std::vector<FlatOutput> fresh;
+  std::vector<FlatOutput>& outputs = pool_ == nullptr ? outputs_ : fresh;
+  if (outputs.size() < tasks.size()) outputs.resize(tasks.size());
   // Runs task t into its own output slot. Reads only state nobody
   // writes until every task is done, so any lane may run any task.
   auto run = [&](size_t t) {
     const Clause& clause = *tasks[t].clause;
     FlatOutput& out = outputs[t];
+    out.Reset(clause.head.args.size());
     FrozenRows rows(db_);
-    FlatScratch scratch;
+    FlatScratch lane_scratch;
+    FlatScratch& scratch = pool_ == nullptr ? scratch_ : lane_scratch;
     scratch.deadline = options_.deadline;
     if (clause.grouping.has_value()) {
       GroupSink sink(*program_, clause, &out.group_keys, &out.group_elems);
       out.status = FlatJoin(*program_, &rows, &sink, &scratch).Run(tasks[t]);
     } else {
       const PredicateId pred = clause.head.pred;
-      out.derived = Relation(clause.head.args.size());
       // Deduplicating in the task keeps the buffer and the max_tuples
       // check counting distinct tuples, not join multiplicity.
       HeadSink sink(*program_, clause.head, [&](const Tuple& tuple) {
@@ -502,35 +490,39 @@ std::vector<BottomUpEvaluator::FlatOutput> BottomUpEvaluator::RunFlatTasks(
   } else {
     for (size_t t = 0; t < tasks.size(); ++t) run(t);
   }
-  for (const FlatOutput& out : outputs) {
-    stats_.snapshot_fallbacks += out.snapshot_fallbacks;
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    stats_.snapshot_fallbacks += outputs[t].snapshot_fallbacks;
     if (pooled) {
       ++stats_.parallel_tasks;
-      stats_.parallel_tuples += out.derived.size();
+      stats_.parallel_tuples += outputs[t].derived.size();
     }
   }
-  return outputs;
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    LPS_RETURN_IF_ERROR(outputs[t].status);
+    LPS_RETURN_IF_ERROR(merge(tasks[t], outputs[t]));
+  }
+  return Status::OK();
 }
 
-Status BottomUpEvaluator::RunGroupingRule(CompiledRule* rule) {
+Status BottomUpEvaluator::RunGroupingRule(const CompiledRule& rule) {
   ++stats_.rule_runs;
-  const Clause& clause = *rule->clause;
+  const Clause& clause = *rule.clause;
   const GroupSpec& g = *clause.grouping;
   TermStore* store = program_->store();
   group_acc_.Reset(clause.head.args.size() - 1);
 
   // Flat grouping rules run on the kernel; the (key, element) stream is
   // the same at every lane count, so the emitted database is too.
-  if (rule->group_parallel_safe) {
-    LPS_RETURN_IF_ERROR(RunFlatGrouping(*rule));
+  if (rule.group_parallel_safe) {
+    LPS_RETURN_IF_ERROR(RunFlatGrouping(rule));
   } else {
     Substitution theta;
     Lease<Tuple> key_lease(&tuple_pool_);
     Tuple& key = *key_lease;
     LPS_RETURN_IF_ERROR(ExecSteps(
-        *rule, rule->plan.free_plan.steps, 0, &theta, nullptr,
+        rule, rule.plan.free_plan.steps, 0, &theta, nullptr,
         [&](Substitution* t) {
-          return HandleQuantifiers(*rule, t, [&](Substitution* t2) {
+          return HandleQuantifiers(rule, t, [&](Substitution* t2) {
             key.clear();
             TermId elem = kInvalidTerm;
             LPS_RETURN_IF_ERROR(GroupPair(
@@ -588,17 +580,16 @@ Status BottomUpEvaluator::RunFlatGrouping(const CompiledRule& rule) {
   std::vector<FlatJob> tasks;
   AppendTasks(job, &tasks);
   const size_t kw = group_acc_.key_width();
-  for (FlatOutput& out : RunFlatTasks(tasks)) {
-    LPS_RETURN_IF_ERROR(out.status);
+  return RunFlatTasks(tasks, [&](const FlatJob&, FlatOutput& out) {
     const TermId* kp = out.group_keys.data();
     for (size_t i = 0; i < out.group_elems.size(); ++i, kp += kw) {
       group_acc_.AppendPair(TupleRef(kp, kw), out.group_elems[i]);
     }
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
-Status BottomUpEvaluator::RunEmptyBranch(CompiledRule* rule) {
+Status BottomUpEvaluator::RunEmptyBranch(const CompiledRule& rule) {
   // Definition 4: (forall x in {}) phi is true, so whenever some
   // quantifier range is empty the whole body holds and the head follows
   // for every active-domain value of the remaining head variables.
@@ -606,10 +597,10 @@ Status BottomUpEvaluator::RunEmptyBranch(CompiledRule* rule) {
   TermStore* store = program_->store();
   Substitution theta;
   return ExecSteps(
-      *rule, rule->plan.empty_branch_plan.steps, 0, &theta, nullptr,
+      rule, rule.plan.empty_branch_plan.steps, 0, &theta, nullptr,
       [&](Substitution* t) {
         bool some_empty = false;
-        for (const Quantifier& q : rule->clause->quantifiers) {
+        for (const Quantifier& q : rule.clause->quantifiers) {
           TermId range = t->Apply(store, q.range);
           if (!store->is_ground(range) ||
               store->kind(range) != TermKind::kSet) {
@@ -622,7 +613,7 @@ Status BottomUpEvaluator::RunEmptyBranch(CompiledRule* rule) {
           }
         }
         if (!some_empty) return Status::OK();
-        return EmitHead(*rule, t);
+        return EmitHead(rule, t);
       });
 }
 

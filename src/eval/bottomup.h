@@ -10,12 +10,22 @@
 //                   when something they can observe changed.
 // Both reach the same fixpoint; bench_fixpoint measures the gap.
 //
+// Compiling and running are separate steps. Compile() stratifies the
+// program and plans every clause for a database's planner statistics
+// into a CompiledProgram; Run() evaluates one. A compiled program is
+// read-only while it runs - per-run state sits in the evaluator - so
+// the demand path keeps one per cached magic rewrite and runs it for
+// every request whose seeded database has the same statistics
+// (api/goal_exec.h). Evaluate() is Compile() then Run().
+//
 // One loop of rounds serves both a full evaluation, whose round 0 is a
 // first pass over everything, and incremental maintenance's inserts,
 // whose rounds start from the caller's pre-batch watermarks
 // (Reconverge). A round's delta is what the previous round appended -
 // a range past the watermark - plus the tombstoned rows its inserts
 // revived, which sit below every watermark and join as explicit rows.
+// Without a worker pool every task of a round runs on the calling
+// thread, and the rounds of one evaluation reuse its output buffers.
 //
 // Restricted universal quantifiers are evaluated as relational division
 // with first-element seeding, with a separate vacuous-truth branch for
@@ -26,6 +36,7 @@
 #include <array>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -147,6 +158,55 @@ struct EvalStats {
   IngestStats ingest;
 };
 
+/// One clause compiled for the evaluator: its plans and what the
+/// executors decide from them.
+struct CompiledRule {
+  const Clause* clause = nullptr;
+  RulePlan plan;
+  bool horn_simple = false;   // eligible for delta joins
+  // Flat fragment (eval/flat_join.h): only kScan / kNegated-on-user-
+  // predicate steps, and every literal and head argument is ground or
+  // a plain variable (ground set and function terms included - they
+  // are interned once at parse time). Such rules run on the flat join
+  // kernel at every lane count; it never interns a term or writes the
+  // database mid-round, so their delta rounds can spread over worker
+  // lanes against a frozen database.
+  bool parallel_safe = false;
+  // Grouping rules in the same flat fragment (no quantifiers, flat
+  // key and body args): the grouping body runs on the kernel with its
+  // first scan sharded, per-task (key, element) buffers merged in
+  // task order into the group accumulator.
+  bool group_parallel_safe = false;
+  // The free literals that carry semi-naive deltas: positive user
+  // literals on predicates of the head's stratum.
+  std::vector<size_t> in_stratum_literals;
+
+  /// The plan for joining a delta on body literal `li`: the planner's
+  /// delta-first variant when built (for every positive user literal
+  /// of a quantifier-free rule), else the free plan. Leading with the
+  /// delta keeps a round's cost proportional to the delta, and lets a
+  /// delta split into chunks without changing the derivation order.
+  const std::vector<PlanStep>& DeltaSteps(size_t li) const;
+};
+
+/// A program compiled for one database's planner statistics: its
+/// stratification and every clause's CompiledRule, in clause order.
+/// The plans are a deterministic function of (clause, statistics)
+/// (eval/plan.h), so compiling again for equal `stats` builds exactly
+/// these rules, and one compiled program serves any number of runs,
+/// over any databases with equal statistics: nothing in it changes
+/// while a run goes. Its rules point into the program's clauses, so it
+/// must not outlive the program.
+struct CompiledProgram {
+  Stratification strat;
+  std::vector<CompiledRule> rules;
+  /// The statistics the plans were built from; none when they are the
+  /// heuristic order (EvalOptions::reorder off).
+  std::optional<PlannerStats> stats;
+  size_t plan_reorders = 0;          // what a run reports in EvalStats
+  double plan_estimated_tuples = 0;
+};
+
 class BottomUpEvaluator {
  public:
   /// `program` and `db` must outlive the evaluator. `db` holds the
@@ -154,8 +214,20 @@ class BottomUpEvaluator {
   BottomUpEvaluator(const Program* program, Database* db,
                     EvalOptions options = {});
 
-  /// Runs to fixpoint. Repeatable: already-present tuples are kept.
+  /// Runs to fixpoint: Run(Compile(PlanningStats())). Repeatable:
+  /// already-present tuples are kept.
   Status Evaluate();
+
+  /// The statistics a compile over the database plans from now
+  /// (PlannerStats::FromDatabase); none with EvalOptions::reorder off.
+  /// A compiled program whose `stats` equal them is what a compile now
+  /// would build.
+  std::optional<PlannerStats> PlanningStats() const;
+  /// Stratifies the program and plans every clause for `stats`.
+  Result<CompiledProgram> Compile(std::optional<PlannerStats> stats) const;
+  /// Runs `compiled`, a compile of this evaluator's program, to
+  /// fixpoint over the database. It is only read.
+  Status Run(const CompiledProgram& compiled);
 
   const EvalStats& stats() const { return stats_; }
 
@@ -165,35 +237,6 @@ class BottomUpEvaluator {
   // through the compiled rules and ExecSteps, its inserts go through
   // AddRow and Reconverge.
   friend class IncrementalMaintainer;
-
-  struct CompiledRule {
-    const Clause* clause = nullptr;
-    RulePlan plan;
-    bool horn_simple = false;   // eligible for delta joins
-    // Flat fragment (eval/flat_join.h): only kScan / kNegated-on-user-
-    // predicate steps, and every literal and head argument is ground or
-    // a plain variable (ground set and function terms included - they
-    // are interned once at parse time). Such rules run on the flat join
-    // kernel at every lane count; it never interns a term or writes the
-    // database mid-round, so their delta rounds can spread over worker
-    // lanes against a frozen database.
-    bool parallel_safe = false;
-    // Grouping rules in the same flat fragment (no quantifiers, flat
-    // key and body args): the grouping body runs on the kernel with its
-    // first scan sharded, per-task (key, element) buffers merged in
-    // task order into the group accumulator.
-    bool group_parallel_safe = false;
-    std::vector<size_t> in_stratum_literals;  // positive user literals on
-                                              // same-stratum predicates
-    uint64_t last_version = UINT64_MAX;       // for complex-rule gating
-
-    /// The plan for joining a delta on body literal `li`: the planner's
-    /// delta-first variant when built (for every positive user literal
-    /// of a quantifier-free rule), else the free plan. Leading with the
-    /// delta keeps a round's cost proportional to the delta, and lets a
-    /// delta split into chunks without changing the derivation order.
-    const std::vector<PlanStep>& DeltaSteps(size_t li) const;
-  };
 
   /// Per predicate, the relation size its next round's delta starts at.
   using Marks = std::unordered_map<PredicateId, size_t>;
@@ -228,29 +271,32 @@ class BottomUpEvaluator {
     std::vector<TermId> group_elems;
     Status status;
     size_t snapshot_fallbacks = 0;
+
+    /// Empties the output for a task whose head has `arity` columns.
+    void Reset(size_t arity) {
+      derived.Reset(arity);
+      group_keys.clear();
+      group_elems.clear();
+    }
   };
 
-  /// (Re)compiles every clause into rules_: plans and the horn/flat
-  /// analysis. Shared by Evaluate() and the incremental maintainer.
-  Status CompileRules();
-
-  /// Runs one stratum's rounds to fixpoint. Without `marks`, round 0 is
-  /// the first pass: every rule over the whole database, counted in
-  /// `iterations`. With them the database was at fixpoint below the
-  /// marks, so every round is a delta round, counted in `delta_rounds`.
+  /// Runs one stratum's rounds of compiled_ to fixpoint. Without
+  /// `marks`, round 0 is the first pass: every rule over the whole
+  /// database, counted in `iterations`. With them the database was at
+  /// fixpoint below the marks, so every round is a delta round, counted
+  /// in `delta_rounds`.
   Status EvaluateStratum(const std::vector<size_t>& clause_indices,
-                         const Stratification& strat, size_t stratum,
                          Marks* marks = nullptr);
   /// Re-converges a database that was at fixpoint before rows were
   /// added past `marks` (through AddRow, so revived rows reach the
   /// first round too): EvaluateStratum with no first pass over the one
-  /// stratum of a Horn program without negation or grouping, on the
-  /// calling thread. A predicate without a mark is new: all its rows
-  /// are delta. The rules must be compiled (CompileRules).
-  Status Reconverge(Marks marks);
+  /// stratum of `compiled`, a Horn program without negation or
+  /// grouping, on the calling thread. A predicate without a mark is
+  /// new: all its rows are delta.
+  Status Reconverge(const CompiledProgram& compiled, Marks marks);
   /// Runs a rule on ExecSteps - its free plan, or with a delta its
   /// delta-first plan: naive mode and the non-flat rules.
-  Status RunRule(CompiledRule* rule, const DeltaSpec* delta);
+  Status RunRule(const CompiledRule& rule, const DeltaSpec* delta);
   /// A flat rule's first pass: the kernel over the live database,
   /// inserting as it derives, so later probes see earlier derivations.
   Status RunFlatFirstPass(const CompiledRule& rule);
@@ -260,12 +306,12 @@ class BottomUpEvaluator {
   /// order - so the lane count never changes what is inserted, or when.
   Status RunFlatRound(const std::vector<size_t>& clause_indices,
                       const Deltas& delta);
-  Status RunGroupingRule(CompiledRule* rule);
+  Status RunGroupingRule(const CompiledRule& rule);
   /// A flat grouping rule's body on the kernel, its first scan sharded
   /// like a delta; the (key, element) pairs merge into group_acc_ in
   /// task order.
   Status RunFlatGrouping(const CompiledRule& rule);
-  Status RunEmptyBranch(CompiledRule* rule);
+  Status RunEmptyBranch(const CompiledRule& rule);
 
   /// Decides whether the rule is in the flat fragment.
   void AnalyzeRuleForParallel(CompiledRule* rule) const;
@@ -278,8 +324,10 @@ class BottomUpEvaluator {
   void AppendTasks(const FlatJob& job, std::vector<FlatJob>* tasks) const;
   /// Runs `tasks` on the kernel against the frozen database - on the
   /// pool when there is one and more than one task, inline otherwise -
-  /// and returns each task's output in task order.
-  std::vector<FlatOutput> RunFlatTasks(const std::vector<FlatJob>& tasks);
+  /// then hands each task's output to merge(task, output), in task
+  /// order (Status merge(const FlatJob&, FlatOutput&)).
+  template <typename Merge>
+  Status RunFlatTasks(const std::vector<FlatJob>& tasks, Merge merge);
 
   // Executes plan steps [idx..) extending theta; calls cont on success.
   Status ExecSteps(const CompiledRule& rule,
@@ -306,7 +354,8 @@ class BottomUpEvaluator {
   EvalOptions options_;
   EvalStats stats_;
   uint32_t deadline_tick_ = 0;  // CheckDeadline countdown for ExecSteps
-  FlatScratch scratch_;         // kernel state for first passes
+  FlatScratch scratch_;         // kernel state for first passes and,
+                                // without a pool, every flat task
 
   // Recycled scratch buffers for the sequential join loop: ExecSteps
   // frames lease a buffer on entry and return it on exit, so steady-
@@ -319,7 +368,13 @@ class BottomUpEvaluator {
   // strata.
   std::unique_ptr<WorkerPool> pool_;
 
-  std::vector<CompiledRule> rules_;
+  // The program Run or Reconverge is running, and each of its rules'
+  // database version when it last ran (complex-rule gating).
+  const CompiledProgram* compiled_ = nullptr;
+  std::vector<uint64_t> last_version_;
+  // Without a pool, the flat tasks' output slots, reused across the
+  // tasks and rounds of the evaluation (RunFlatTasks).
+  std::vector<FlatOutput> outputs_;
   // Rows AddRow revived since the current round began, per predicate.
   std::unordered_map<PredicateId, std::vector<RowId>> revived_;
   // Arena-backed accumulator for the grouping rule being run, plus the

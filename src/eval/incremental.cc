@@ -157,13 +157,15 @@ Result<bool> IncrementalMaintainer::Maintain(
     const std::vector<FactOp>& inserts,
     const std::vector<FactOp>& retracts) {
   ineligible_reason_.clear();
-  LPS_RETURN_IF_ERROR(eval_.CompileRules());
+  LPS_ASSIGN_OR_RETURN(compiled_, eval_.Compile(eval_.PlanningStats()));
+  eval_.stats_.plan_reorders = compiled_.plan_reorders;
+  eval_.stats_.plan_estimated_tuples = compiled_.plan_estimated_tuples;
 
   // Eligibility: deletion is only invertible rule-by-rule in the Horn
   // fragment. Negation and grouping are non-monotone (a deletion can
   // create tuples), and quantified / enumerating rules observe whole
   // domains rather than deltas; any of them forces a full re-fixpoint.
-  for (const auto& rule : eval_.rules_) {
+  for (const CompiledRule& rule : compiled_.rules) {
     if (!rule.horn_simple) {
       ineligible_reason_ =
           "rule outside the Horn fragment (quantifier, grouping, or "
@@ -215,7 +217,7 @@ Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
   for (FactRef f : frontier) s.pred_class[f.pred] = kBase;
   for (bool grew = true; grew;) {
     grew = false;
-    for (const CompiledRule& rule : eval_.rules_) {
+    for (const CompiledRule& rule : compiled_.rules) {
       uint8_t& head = s.pred_class[rule.clause->head.pred];
       if (head == kDerived) continue;
       bool reached = head == kBase;  // a retracted, rule-headed predicate
@@ -241,9 +243,9 @@ Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
   }
   s.by_head.assign(npred, {});
   s.by_body.assign(npred, {});
-  s.head_steps.resize(eval_.rules_.size());
-  for (size_t i = 0; i < eval_.rules_.size(); ++i) {
-    const CompiledRule& rule = eval_.rules_[i];
+  s.head_steps.resize(compiled_.rules.size());
+  for (size_t i = 0; i < compiled_.rules.size(); ++i) {
+    const CompiledRule& rule = compiled_.rules[i];
     const Clause& clause = *rule.clause;
     const PredicateId head = clause.head.pred;
     if (s.pred_class[head] != kDerived) continue;
@@ -298,7 +300,7 @@ Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
       for (const auto& [ri, li] : s.by_body[p]) {
         // The delta-first plan keeps the join's cost proportional to the
         // rows propagated, not to the largest body relation.
-        const CompiledRule& rule = eval_.rules_[ri];
+        const CompiledRule& rule = compiled_.rules[ri];
         const Literal& head = rule.clause->head;
         LPS_RETURN_IF_ERROR(ForEachInstance(
             rule, rule.DeltaSteps(li),
@@ -403,7 +405,7 @@ Status IncrementalMaintainer::Visit(FactRef f) {
   const size_t body_begin = s.body.size();
   bool proved = false;
   for (size_t ri : s.by_head[f.pred]) {
-    const CompiledRule& rule = eval_.rules_[ri];
+    const CompiledRule& rule = compiled_.rules[ri];
     LPS_RETURN_IF_ERROR(ForEachInstance(
         rule, s.head_steps[ri], DeltaSpec{}, &s.fact, &proved,
         [&](auto apply) -> Status {
@@ -457,7 +459,7 @@ Status IncrementalMaintainer::Prove(FactRef f) {
     s.saturate.pop_back();
     s.one_row.assign(1, g.row);
     for (const auto& [ri, li] : s.by_body[g.pred]) {
-      const CompiledRule& rule = eval_.rules_[ri];
+      const CompiledRule& rule = compiled_.rules[ri];
       const Literal& head = rule.clause->head;
       s.heads.clear();
       LPS_RETURN_IF_ERROR(ForEachInstance(
@@ -572,7 +574,7 @@ Status IncrementalMaintainer::Insert(const std::vector<FactOp>& inserts) {
     added = eval_.AddRow(op.pred, op.args) || added;
   }
   if (!added) return Status::OK();
-  return eval_.Reconverge(std::move(marks));
+  return eval_.Reconverge(compiled_, std::move(marks));
 }
 
 }  // namespace lps

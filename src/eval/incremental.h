@@ -79,8 +79,6 @@ class IncrementalMaintainer {
   const EvalStats& stats() const { return eval_.stats(); }
 
  private:
-  using CompiledRule = BottomUpEvaluator::CompiledRule;
-
   /// A stored row of one relation: the unit a retract checks.
   struct FactRef {
     PredicateId pred;
@@ -126,7 +124,8 @@ class IncrementalMaintainer {
 
   const Program* program_;
   Database* db_;
-  BottomUpEvaluator eval_;  // compiled rules, ExecSteps, insert rounds
+  BottomUpEvaluator eval_;  // ExecSteps and the insert rounds
+  CompiledProgram compiled_;  // the rules, compiled once per commit
   std::string ineligible_reason_;
   FlatScratch scratch_;  // kernel state, reused across the whole batch
   std::unique_ptr<Retraction> bf_;  // one Retract()'s state

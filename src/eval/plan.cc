@@ -76,8 +76,15 @@ PlannerStats PlannerStats::FromDatabase(const Database& db) {
 
 PlannerStats PlannerStats::FromDatabase(const Database& db,
                                         const Program& program) {
-  PlannerStats s = FromDatabase(db);
-  for (const Clause& c : program.clauses()) s.MarkDerived(c.head.pred);
+  PlannerStats s;
+  for (const Clause& c : program.clauses()) {
+    s.MarkDerived(c.head.pred);
+    for (const Literal& lit : c.body) {
+      if (s.rels_.count(lit.pred) != 0) continue;
+      const Relation* rel = db.FindRelation(lit.pred);
+      if (rel != nullptr) s.rels_[lit.pred] = rel->Stats();
+    }
+  }
   return s;
 }
 

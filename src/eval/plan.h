@@ -60,11 +60,15 @@ class PlannerStats {
 
   /// Snapshot of every materialized relation in `db`.
   static PlannerStats FromDatabase(const Database& db);
-  /// The same, with every predicate that heads a rule of `program`
-  /// marked derived: what rule plans and the magic rewrite's SIP order
-  /// are built from.
+  /// What rule plans and the magic rewrite's SIP order are built from:
+  /// the relations of the predicates `program`'s clause bodies read
+  /// (no plan estimates any other), with every predicate that heads a
+  /// rule marked derived.
   static PlannerStats FromDatabase(const Database& db,
                                    const Program& program);
+
+  /// Equal statistics plan equally: every estimate reads only these.
+  bool operator==(const PlannerStats&) const = default;
 
   static constexpr double kUnknownRows = 256.0;
   static constexpr double kDefaultColumnSelectivity = 0.1;

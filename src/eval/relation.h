@@ -12,6 +12,7 @@
 #ifndef LPS_EVAL_RELATION_H_
 #define LPS_EVAL_RELATION_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -72,9 +73,17 @@ struct RelationStats {
     uint32_t mask = 0;
     size_t distinct_keys = 0;  // bucket count of the per-mask index
     size_t rows_indexed = 0;   // indexed row prefix, dead rows included
+    bool operator==(const MaskStats&) const = default;
   };
   /// One entry per built index, in unspecified order (look up by mask).
   std::vector<MaskStats> masks;
+
+  /// Equal counts and the same index entries, in any order.
+  bool operator==(const RelationStats& o) const {
+    return live_rows == o.live_rows && arena_rows == o.arena_rows &&
+           std::is_permutation(masks.begin(), masks.end(), o.masks.begin(),
+                               o.masks.end());
+  }
 };
 
 /// Append-only tuple set over a flat row arena. Row order is insertion
@@ -257,6 +266,12 @@ class Relation {
   /// entry and postings serve it again. Returns false if r was not
   /// dead.
   bool Revive(RowId r);
+
+  /// Empties the relation and gives it `arity`, keeping the capacity of
+  /// its arena and dedup table for the rows to come. Costs the rows it
+  /// held, not that capacity: a reused buffer pays for what its last
+  /// user put in.
+  void Reset(size_t arity);
 
   /// Builds (or catches up) the index for `mask` over all rows
   /// currently stored, so that Lookup(mask, ...) hits it until the next

@@ -47,6 +47,7 @@ void MergeCounters(ServeStats* into, const ServeStats& d) {
   into->answers += d.answers;
   into->rewrites_built += d.rewrites_built;
   into->rewrite_cache_hits += d.rewrite_cache_hits;
+  into->demand_compiles += d.demand_compiles;
   into->index_misses += d.index_misses;
   into->worker_rebinds += d.worker_rebinds;
   into->worker_refreshes += d.worker_refreshes;
@@ -330,7 +331,7 @@ Status QueryServer::Answer(Worker* w, const Snapshot& snap,
 
   // ---- Demand (magic-set) evaluation in a private database -----------
   bool built = false;
-  LPS_ASSIGN_OR_RETURN(const DemandRewriteCache::Entry* entry,
+  LPS_ASSIGN_OR_RETURN(DemandRewriteCache::Entry* entry,
                        e.rewrites.Get(*w->program, goal, applied,
                                       snap.database(), snap.options().reorder,
                                       &built));
@@ -357,8 +358,10 @@ Status QueryServer::Answer(Worker* w, const Snapshot& snap,
   // const, so it is no index home: an index the snapshot lacks is
   // built on a copy (Database::EnsureIndex).
   Database db(store, &rw.program.signature());
-  Status es = EvaluateDemand(rw, applied, snap.database(), w->seed, nullptr,
-                             eval_opts, &db, nullptr);
+  bool compiled = false;
+  Status es = EvaluateDemand(entry, applied, snap.database(), w->seed,
+                             nullptr, eval_opts, &db, nullptr, &compiled);
+  if (compiled) ++w->delta.demand_compiles;
   // An aliased relation that is no longer the snapshot's was copied to
   // build an index the snapshot lacks (FreezeOptions::indexes adds it).
   for (PredicateId p : w->seed.aliased) {

@@ -15,7 +15,10 @@
 //    interned here cross-compare soundly with snapshot ids because
 //    clones preserve the id prefix - see TermStore::Clone);
 //  * a Program re-bound to that clone, plus per-query plans and a
-//    per-(query, binding-mask) magic-rewrite cache;
+//    per-(query, binding-mask) magic-rewrite cache, each rewrite with
+//    its compiled program: a worker compiles a rewrite once per
+//    rebind, and again only after a refresh that changes the planner
+//    statistics of the relations it reads;
 //  * a private result Database per demand query, owned for exactly the
 //    duration of one request. It owns only the magic and adorned
 //    relations plus the base rows of rule-headed predicates: every
@@ -121,6 +124,10 @@ struct ServeStats {
   uint64_t answers = 0;         // total answer tuples produced
   uint64_t rewrites_built = 0;  // magic rewrites constructed
   uint64_t rewrite_cache_hits = 0;
+  // Demand evaluations that compiled their rewrite's program; the rest
+  // of demand_queries reused the one their worker compiled before, for
+  // the same planner statistics (api/goal_exec.h).
+  uint64_t demand_compiles = 0;
   // Requests whose snapshot reads found no prebuilt index: a scan that
   // fell back to walking rows, or a demand evaluation that copied an
   // aliased relation to build the index its rewrite probes.
@@ -222,7 +229,9 @@ class QueryServer {
   /// epoch with unchanged rules, term store and signature (a fact-only
   /// republish): keeps the clone and every materialized entry - plans
   /// and magic rewrites are pure functions of the rules, and demand
-  /// facts are read from the pinned snapshot at execution time.
+  /// facts are read from the pinned snapshot at execution time (a
+  /// rewrite's compiled program is kept too, and recompiled by the
+  /// next request only if the statistics it was planned from moved).
   /// Anything else: re-clones store/program and drops all entries.
   /// Either way re-lists the worker's fact `seed`.
   void BindWorker(Worker* w, const PinnedSnapshot& pin);

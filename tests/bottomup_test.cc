@@ -1,11 +1,14 @@
 // Tests for the bottom-up evaluator: quantifier division, the
 // empty-range (vacuous truth) branch, grouping, semi-naive vs naive
-// agreement, and safety failures.
+// agreement, safety failures, and compiled programs reused across runs.
 #include "eval/bottomup.h"
 
 #include <gtest/gtest.h>
 
+#include "api/goal_exec.h"
+#include "api/session.h"
 #include "eval/engine.h"
+#include "parse/parser.h"
 
 namespace lps {
 namespace {
@@ -703,6 +706,198 @@ TEST(ParallelGroupingTest, NonFlatGroupingAloneSpinsNoPool) {
   EXPECT_EQ(e->eval_stats().threads_used, 0u);
   EXPECT_EQ(e->eval_stats().parallel_tasks, 0u);
   EXPECT_TRUE(*e->HoldsText("team(d, {e1})"));
+}
+
+// ---- Compiled programs ------------------------------------------------
+
+// Recursion, negation, grouping, a cost-ordered join and a quantifier
+// with both a division seed and an empty-range branch: every plan kind
+// a compiled program holds.
+constexpr const char* kCompileProgram = R"(
+  edge(a, b). edge(b, c). edge(c, a). edge(c, d). edge(d, e).
+  weight(a, 1). weight(a, 2). weight(b, 3). weight(c, 4). weight(c, 5).
+  weight(d, 6). weight(e, 7). weight(e, 8). weight(e, 9).
+  s({}). s({b, c}). s({a, e}).
+  path(X, Y) :- edge(X, Y).
+  path(X, Z) :- path(X, Y), edge(Y, Z).
+  hub(Y) :- path(Y, Y).
+  leaf(X, Y) :- path(X, Y), not hub(Y).
+  circle(U, <V>) :- path(U, V).
+  heavy(X, N) :- weight(X, N), hub(X).
+  covers(X, S) :- s(S), forall E in S : path(X, E).
+)";
+
+void ExpectSameSteps(const std::vector<PlanStep>& a,
+                     const std::vector<PlanStep>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].kind, b[i].kind) << "step " << i;
+    EXPECT_EQ(a[i].literal_index, b[i].literal_index) << "step " << i;
+    EXPECT_EQ(a[i].var, b[i].var) << "step " << i;
+    EXPECT_EQ(a[i].est_rows, b[i].est_rows) << "step " << i;
+  }
+}
+
+// Every rule's free, delta, seed and empty-branch steps, and what the
+// evaluator decided from them.
+void ExpectSamePlans(const CompiledProgram& a, const CompiledProgram& b) {
+  EXPECT_EQ(a.strat.strata_clauses, b.strat.strata_clauses);
+  EXPECT_EQ(a.plan_reorders, b.plan_reorders);
+  EXPECT_EQ(a.plan_estimated_tuples, b.plan_estimated_tuples);
+  ASSERT_EQ(a.rules.size(), b.rules.size());
+  for (size_t r = 0; r < a.rules.size(); ++r) {
+    SCOPED_TRACE("rule " + std::to_string(r));
+    const RulePlan& pa = a.rules[r].plan;
+    const RulePlan& pb = b.rules[r].plan;
+    ExpectSameSteps(pa.free_plan.steps, pb.free_plan.steps);
+    ASSERT_EQ(pa.delta_plans.size(), pb.delta_plans.size());
+    for (size_t d = 0; d < pa.delta_plans.size(); ++d) {
+      ExpectSameSteps(pa.delta_plans[d].steps, pb.delta_plans[d].steps);
+    }
+    ExpectSameSteps(pa.seed_plan.steps, pb.seed_plan.steps);
+    ExpectSameSteps(pa.empty_branch_plan.steps, pb.empty_branch_plan.steps);
+    EXPECT_EQ(a.rules[r].in_stratum_literals, b.rules[r].in_stratum_literals);
+    EXPECT_EQ(a.rules[r].horn_simple, b.rules[r].horn_simple);
+    EXPECT_EQ(a.rules[r].parallel_safe, b.rules[r].parallel_safe);
+    EXPECT_EQ(a.rules[r].group_parallel_safe,
+              b.rules[r].group_parallel_safe);
+  }
+}
+
+void ExpectSameEvalStats(const EvalStats& a, const EvalStats& b) {
+  EXPECT_EQ(a.strata, b.strata);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.rule_runs, b.rule_runs);
+  EXPECT_EQ(a.tuples_derived, b.tuples_derived);
+  EXPECT_EQ(a.combos_checked, b.combos_checked);
+  EXPECT_EQ(a.seed_joins, b.seed_joins);
+  EXPECT_EQ(a.empty_branch_runs, b.empty_branch_runs);
+  EXPECT_EQ(a.threads_used, b.threads_used);
+  EXPECT_EQ(a.parallel_tasks, b.parallel_tasks);
+  EXPECT_EQ(a.parallel_tuples, b.parallel_tuples);
+  EXPECT_EQ(a.snapshot_fallbacks, b.snapshot_fallbacks);
+  EXPECT_EQ(a.plan_reorders, b.plan_reorders);
+  EXPECT_EQ(a.plan_estimated_tuples, b.plan_estimated_tuples);
+  EXPECT_EQ(a.subsumption_hits, b.subsumption_hits);
+  EXPECT_EQ(a.arena_bytes, b.arena_bytes);
+  EXPECT_EQ(a.index_bytes, b.index_bytes);
+  EXPECT_EQ(a.dedup_probes, b.dedup_probes);
+  EXPECT_EQ(a.groups_emitted, b.groups_emitted);
+  EXPECT_EQ(a.group_elements, b.group_elements);
+  EXPECT_EQ(a.set_interns, b.set_interns);
+  EXPECT_EQ(a.set_intern_hits, b.set_intern_hits);
+  EXPECT_EQ(a.magic_predicates, b.magic_predicates);
+  EXPECT_EQ(a.magic_tuples, b.magic_tuples);
+  EXPECT_EQ(a.demand_fallback_reason, b.demand_fallback_reason);
+  EXPECT_EQ(a.delta_rounds, b.delta_rounds);
+  EXPECT_EQ(a.overdeleted_tuples, b.overdeleted_tuples);
+  EXPECT_EQ(a.rederived_tuples, b.rederived_tuples);
+}
+
+TEST(CompiledProgramTest, ReusedProgramMatchesFreshEvaluate) {
+  Session session(LanguageMode::kLDL);
+  ASSERT_OK(session.Load(kCompileProgram));
+  ASSERT_OK(session.Compile());
+  const Program& program = *session.program();
+  const Signature& sig = program.signature();
+  const EvalOptions options;  // cost-based: the plans read statistics
+  // A first run interns every set the program builds, so the runs
+  // compared below count the same intern hits.
+  auto warm = session.database()->FactsFor(program);
+  ASSERT_OK(BottomUpEvaluator(&program, warm.get(), options).Evaluate());
+
+  auto first_db = session.database()->FactsFor(program);
+  BottomUpEvaluator first(&program, first_db.get(), options);
+  Result<CompiledProgram> compiled = first.Compile(first.PlanningStats());
+  ASSERT_OK(compiled.status());
+  ASSERT_TRUE(compiled->stats.has_value());
+  EXPECT_GT(compiled->plan_reorders, 0u);
+  ASSERT_OK(first.Run(*compiled));
+  // The run derived rows and built indexes: the database no longer has
+  // the statistics the program was compiled for.
+  EXPECT_FALSE(compiled->stats == first.PlanningStats());
+
+  // A database seeded alike has the statistics it was compiled for.
+  auto reused_db = session.database()->FactsFor(program);
+  BottomUpEvaluator reused(&program, reused_db.get(), options);
+  ASSERT_TRUE(compiled->stats == reused.PlanningStats());
+  ASSERT_OK(reused.Run(*compiled));
+
+  auto fresh_db = session.database()->FactsFor(program);
+  BottomUpEvaluator fresh(&program, fresh_db.get(), options);
+  ASSERT_OK(fresh.Evaluate());
+  EXPECT_EQ(reused_db->ToString(sig), fresh_db->ToString(sig));
+  EXPECT_EQ(first_db->ToString(sig), fresh_db->ToString(sig));
+  ExpectSameEvalStats(reused.stats(), fresh.stats());
+  EXPECT_GT(fresh.stats().seed_joins, 0u);
+  EXPECT_GT(fresh.stats().empty_branch_runs, 0u);
+  EXPECT_GT(fresh.stats().groups_emitted, 0u);
+
+  // What Evaluate() compiled over that database: the same plans.
+  auto plan_db = session.database()->FactsFor(program);
+  BottomUpEvaluator again(&program, plan_db.get(), options);
+  Result<CompiledProgram> recompiled = again.Compile(again.PlanningStats());
+  ASSERT_OK(recompiled.status());
+  ExpectSamePlans(*compiled, *recompiled);
+}
+
+TEST(CompiledProgramTest, DemandRunReusesTheRewritesCompiledProgram) {
+  Session session(LanguageMode::kLDL);
+  ASSERT_OK(session.Load(kCompileProgram));
+  ASSERT_OK(session.Compile());
+  TermStore* store = session.store();
+  const Program& program = *session.program();
+  const Database& src = *session.database();
+  Result<Literal> goal = ParseGoalText("leaf(X, Y)", LanguageMode::kLDL,
+                                       store, session.signature());
+  ASSERT_OK(goal.status());
+  Result<PreparedGoal> prepared =
+      PrepareGoal(*store, program, LanguageMode::kLDL, *goal);
+  ASSERT_OK(prepared.status());
+  auto applied_for = [&](const char* x) {
+    Substitution bind;
+    bind.Bind(prepared->vars[0], store->MakeConstant(x));
+    return ApplyGoal(store, prepared->goal, bind);
+  };
+  const EvalOptions options;
+  const Database::FactSeed seed = src.ListFactSeed(program);
+
+  DemandRewriteCache cache;
+  bool built = false;
+  Result<DemandRewriteCache::Entry*> entry =
+      cache.Get(program, prepared->goal, applied_for("a"), src,
+                options.reorder, &built);
+  ASSERT_OK(entry.status());
+  ASSERT_NE((*entry)->rewrite, nullptr);
+  const Signature& rw_sig = (*entry)->rewrite->program.signature();
+  struct Run {
+    std::unique_ptr<Database> db;
+    EvalStats stats;
+    bool compiled = false;
+  };
+  auto run = [&](DemandRewriteCache::Entry* e, const char* x) {
+    Run out;
+    out.db = std::make_unique<Database>(store, &rw_sig);
+    Status st = EvaluateDemand(e, applied_for(x), src, seed, nullptr,
+                               options, out.db.get(), &out.stats,
+                               &out.compiled);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return out;
+  };
+
+  EXPECT_TRUE(run(*entry, "a").compiled);
+  // Another seed value: the same statistics, so no compile.
+  Run reused = run(*entry, "b");
+  EXPECT_FALSE(reused.compiled);
+  // An entry holding the same rewrite and no compiled program.
+  DemandRewriteCache::Entry bare{(*entry)->rewrite, "", std::nullopt};
+  Run fresh = run(&bare, "b");
+  EXPECT_TRUE(fresh.compiled);
+
+  EXPECT_EQ(reused.db->ToString(rw_sig), fresh.db->ToString(rw_sig));
+  ExpectSameEvalStats(reused.stats, fresh.stats);
+  EXPECT_GT(fresh.stats.magic_tuples, 0u);
+  ExpectSamePlans(*(*entry)->compiled, *bare.compiled);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -533,6 +534,193 @@ TEST(QueryServerTest, FactOnlyRepublishRefreshesWorkerInPlace) {
   EXPECT_EQ(stats.worker_rebinds, 1u);  // only the initial bind
   EXPECT_EQ(stats.rewrites_built, 1u);  // cache survived the republish
   EXPECT_GE(stats.rewrite_cache_hits, 1u);
+}
+
+// Rendered rows of the session's own demand evaluation of `goal` with
+// X bound to `x`.
+std::set<std::string> SessionDemandRows(Session* session,
+                                        const std::string& goal,
+                                        const std::string& x) {
+  std::set<std::string> out;
+  auto q = session->Prepare(goal);
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  if (!q.ok() || !q->BindText("X", x).ok()) return out;
+  auto cursor = q->ExecuteDemand();
+  EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+  if (!cursor.ok()) return out;
+  auto rows = cursor->ToVector();
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  if (!rows.ok()) return out;
+  for (const Tuple& t : *rows) out.insert(session->TupleToString(t));
+  return out;
+}
+
+// Serves `goal` with X bound to `x` and returns the answer's rows.
+std::set<std::string> ServedRows(QueryServer* server, size_t query,
+                                 const std::string& x) {
+  ServeRequest req;
+  req.query = query;
+  req.params = {{"X", x}};
+  auto ans = server->Execute(req);
+  EXPECT_TRUE(ans.ok() && ans->status.ok());
+  if (!ans.ok()) return {};
+  return std::set<std::string>(ans->rows.begin(), ans->rows.end());
+}
+
+TEST(QueryServerTest, DemandCompilesOncePerWorkerOnOneEpoch) {
+  // Every request of one demand goal over one snapshot seeds a database
+  // with the same planner statistics, whatever its binding: each worker
+  // compiles the rewrite once and reuses the compiled program after.
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(kGraph));
+  SnapshotRegistry registry;
+  registry.Publish(FreezeGraph(&session));
+  QueryServer server(&registry, TwoThreads());
+  auto q = server.Prepare("path(X, Y)");
+  ASSERT_OK(q.status());
+  const std::vector<std::string> from = {"a", "b", "c", "d"};
+  std::vector<ServeRequest> batch;
+  for (size_t i = 0; i < 16; ++i) {
+    ServeRequest req;
+    req.query = *q;
+    req.params = {{"X", from[i % from.size()]}};
+    batch.push_back(req);
+  }
+  for (int round = 0; round < 2; ++round) {
+    auto answers = server.ExecuteBatch(batch);
+    ASSERT_OK(answers.status());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_OK((*answers)[i].status);
+      EXPECT_EQ((*answers)[i].count, from.size() - i % from.size());
+    }
+  }
+  serve::ServeStats stats = server.stats();
+  EXPECT_EQ(stats.demand_queries, 32u);
+  EXPECT_EQ(stats.rewrites_built, 2u);   // one per worker
+  EXPECT_EQ(stats.demand_compiles, 2u);  // one per worker that served
+}
+
+TEST(QueryServerTest, RefreshThatMovesReadStatisticsRecompiles) {
+  // A fact-only republish keeps the worker's cached rewrite, but a new
+  // edge changes the statistics of a relation the rewrite reads, so
+  // the next request compiles again - and answers what the session's
+  // own demand evaluation answers.
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(kGraph));
+  auto first = session.Freeze();
+  ASSERT_OK(first.status());
+  SnapshotRegistry registry;
+  registry.Publish(*first);
+  ServeOptions opts;
+  opts.threads = 1;  // one worker, so compile accounting is exact
+  QueryServer server(&registry, opts);
+  auto q = server.Prepare("path(X, Y)");
+  ASSERT_OK(q.status());
+  EXPECT_EQ(ServedRows(&server, *q, "a").size(), 4u);
+  EXPECT_EQ(ServedRows(&server, *q, "b").size(), 3u);
+  EXPECT_EQ(server.stats().demand_compiles, 1u);
+
+  MutationBatch batch = session.Mutate();
+  ASSERT_OK(batch.AddText("edge(b, a)"));
+  ASSERT_OK(batch.Commit());
+  auto next = session.FreezeIncremental(*first);
+  ASSERT_OK(next.status());
+  registry.Publish(*next);
+
+  EXPECT_EQ(ServedRows(&server, *q, "a"),
+            SessionDemandRows(&session, "path(X, Y)", "a"));
+  serve::ServeStats stats = server.stats();
+  EXPECT_EQ(stats.worker_refreshes, 1u);
+  EXPECT_EQ(stats.worker_rebinds, 1u);
+  EXPECT_EQ(stats.rewrites_built, 1u);   // the rewrite survived
+  EXPECT_EQ(stats.demand_compiles, 2u);  // its compiled program did not
+  EXPECT_EQ(ServedRows(&server, *q, "c"),
+            SessionDemandRows(&session, "path(X, Y)", "c"));
+  EXPECT_EQ(server.stats().demand_compiles, 2u);
+}
+
+TEST(QueryServerTest, RefreshOfAnUnreadPredicateKeepsTheCompiledProgram) {
+  // note/1 is no relation the path rewrite reads: a republish that
+  // changes only it leaves the statistics the program was compiled
+  // for as they were.
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(std::string(kGraph) + "note(a).\n"));
+  auto first = session.Freeze();
+  ASSERT_OK(first.status());
+  SnapshotRegistry registry;
+  registry.Publish(*first);
+  ServeOptions opts;
+  opts.threads = 1;
+  QueryServer server(&registry, opts);
+  auto q = server.Prepare("path(X, Y)");
+  ASSERT_OK(q.status());
+  EXPECT_EQ(ServedRows(&server, *q, "a").size(), 4u);
+
+  MutationBatch batch = session.Mutate();
+  ASSERT_OK(batch.AddText("note(b)"));
+  ASSERT_OK(batch.Commit());
+  auto next = session.FreezeIncremental(*first);
+  ASSERT_OK(next.status());
+  registry.Publish(*next);
+
+  EXPECT_EQ(ServedRows(&server, *q, "b"),
+            SessionDemandRows(&session, "path(X, Y)", "b"));
+  serve::ServeStats stats = server.stats();
+  EXPECT_EQ(stats.worker_refreshes, 1u);
+  EXPECT_EQ(stats.demand_compiles, 1u);
+}
+
+TEST(QueryServerTest, WideGoalAnswersEachAskPastColumn31) {
+  // Two asks of a 34-column goal bind different columns past 31, which
+  // no 32-bit mask names: neither may be answered from what the other
+  // cached, on the server or in a demand-mode session.
+  auto row = [](const std::string& c32, const std::string& c33) {
+    std::string out = "wide(";
+    for (int i = 0; i < 32; ++i) out += "k, ";
+    return out + c32 + ", " + c33 + ")";
+  };
+  std::string vars;
+  for (int i = 0; i < 34; ++i) {
+    vars += (i > 0 ? ", X" : "X") + std::to_string(i);
+  }
+  const std::string program = row("p", "q1") + ". " + row("p2", "q") +
+                              ".\nw(" + vars + ") :- wide(" + vars +
+                              ").\n";
+  const std::string goal = "w(" + vars + ")";
+  Options demand;
+  demand.demand = true;
+  Session session(LanguageMode::kLPS, demand);
+  ASSERT_OK(session.Load(program));
+  SnapshotRegistry registry;
+  registry.Publish(FreezeGraph(&session));
+  QueryServer server(&registry, TwoThreads());
+  auto sq = server.Prepare(goal);
+  ASSERT_OK(sq.status());
+  auto pq = session.Prepare(goal);
+  ASSERT_OK(pq.status());
+  for (auto [var, value, other] :
+       {std::tuple<const char*, const char*, const char*>{"X32", "p", "q1"},
+        {"X33", "q", "p2"}}) {
+    ServeRequest req;
+    req.query = *sq;
+    req.params = {{var, value}};
+    auto ans = server.Execute(req);
+    ASSERT_OK(ans.status());
+    ASSERT_OK(ans->status);
+    ASSERT_EQ(ans->count, 1u) << var;
+    EXPECT_NE(ans->rows[0].find(other), std::string::npos) << var;
+
+    pq->ClearBindings();
+    ASSERT_OK(pq->BindText(var, value));
+    auto cursor = pq->Execute();
+    ASSERT_OK(cursor.status());
+    auto rows = cursor->ToVector();
+    ASSERT_OK(rows.status());
+    ASSERT_EQ(rows->size(), 1u) << var;
+    EXPECT_NE(session.TupleToString((*rows)[0]).find(other),
+              std::string::npos)
+        << var;
+  }
 }
 
 TEST(QueryServerTest, BuiltinGoalsInternIntoWorkerScratch) {

@@ -765,6 +765,57 @@ TEST(SubsumptionTest, FactChurnInvalidatesMaterializedAnswers) {
   EXPECT_EQ(session.eval_stats().subsumption_hits, 1u);
 }
 
+TEST(DemandCompileTest, IndexBuiltIntoTheSessionRecompilesTheNextQuery) {
+  // A demand run indexes edge in the session's own database (its index
+  // home), within one fact epoch: the statistics the rewrite was
+  // compiled for are gone, so the next query - a fresh binding, no
+  // materialized answer to reuse - compiles again, and later ones
+  // reuse that program. Every answer is the full fixpoint's.
+  Options demand;
+  demand.demand = true;
+  Session session(LanguageMode::kLDL, demand);
+  ASSERT_OK(session.Load(kGraph));
+  Session full(LanguageMode::kLDL);
+  ASSERT_OK(full.Load(kGraph));
+  ASSERT_OK(full.Evaluate());
+  auto rows_of = [](Session* s, Result<AnswerCursor> cursor) {
+    std::vector<std::string> out;
+    EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+    if (!cursor.ok()) return out;
+    auto rows = cursor->ToVector();
+    EXPECT_TRUE(rows.ok());
+    if (!rows.ok()) return out;
+    for (const Tuple& t : *rows) out.push_back(s->TupleToString(t));
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  auto q = session.Prepare("path(X, Y)");
+  ASSERT_OK(q.status());
+  auto truth = full.Prepare("path(X, Y)");
+  ASSERT_OK(truth.status());
+  const PredicateId edge = session.signature()->Lookup("edge", 2);
+  ASSERT_TRUE(session.database()->FindRelation(edge)->Stats().masks.empty());
+
+  auto expect_full_answers = [&](const char* x) {
+    ASSERT_OK(q->BindText("X", x));
+    ASSERT_OK(truth->BindText("X", x));
+    EXPECT_EQ(rows_of(&session, q->Execute()),
+              rows_of(&full, truth->Execute()))
+        << x;
+  };
+  const uint64_t epoch = session.fact_epoch();
+  expect_full_answers("a");
+  EXPECT_EQ(session.demand_compile_count(), 1u);
+  EXPECT_FALSE(session.database()->FindRelation(edge)->Stats().masks.empty());
+  expect_full_answers("b");
+  EXPECT_EQ(session.demand_compile_count(), 2u);
+  expect_full_answers("c");
+  EXPECT_EQ(session.demand_compile_count(), 2u);
+  EXPECT_EQ(session.fact_epoch(), epoch);
+  EXPECT_EQ(session.demand_rewrite_count(), 1u);
+  EXPECT_EQ(session.demand_subsumption_count(), 0u);
+}
+
 // ---- Pipelined parallel bulk loading (Session::LoadFactsParallel) ----
 
 // Rules + a handful of seed facts loaded the ordinary way into every
