@@ -382,12 +382,16 @@ Status BottomUpEvaluator::RunFlatRound(
       }
     }
   }
-  return RunFlatTasks(tasks, [&](const FlatJob& task, FlatOutput& out) {
+  std::vector<FlatOutput> pooled;
+  std::vector<FlatOutput>& outputs = RunFlatTasks(tasks, &pooled);
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    const FlatOutput& out = outputs[t];
+    LPS_RETURN_IF_ERROR(out.status);
     for (TupleRef row : out.derived.rows()) {
-      LPS_RETURN_IF_ERROR(AddDerived(task.clause->head.pred, row));
+      LPS_RETURN_IF_ERROR(AddDerived(tasks[t].clause->head.pred, row));
     }
-    return Status::OK();
-  });
+  }
+  return Status::OK();
 }
 
 void BottomUpEvaluator::PrepareIndexes(const FlatJob& job) {
@@ -435,16 +439,14 @@ void BottomUpEvaluator::AppendTasks(const FlatJob& job,
   }
 }
 
-template <typename Merge>
-Status BottomUpEvaluator::RunFlatTasks(const std::vector<FlatJob>& tasks,
-                                       Merge merge) {
+std::vector<BottomUpEvaluator::FlatOutput>& BottomUpEvaluator::RunFlatTasks(
+    const std::vector<FlatJob>& tasks, std::vector<FlatOutput>* pooled) {
   // Without a pool every task runs on this thread, one after another,
   // so the evaluation's tasks and rounds share the output slots and the
   // kernel scratch, each slot emptied at the cost of what it last held.
   // Pooled tasks get fresh outputs, freed once merged: slots kept per
   // lane would only add to the peak footprint.
-  std::vector<FlatOutput> fresh;
-  std::vector<FlatOutput>& outputs = pool_ == nullptr ? outputs_ : fresh;
+  std::vector<FlatOutput>& outputs = pool_ == nullptr ? outputs_ : *pooled;
   if (outputs.size() < tasks.size()) outputs.resize(tasks.size());
   // Runs task t into its own output slot. Reads only state nobody
   // writes until every task is done, so any lane may run any task.
@@ -476,8 +478,8 @@ Status BottomUpEvaluator::RunFlatTasks(const std::vector<FlatJob>& tasks,
     }
     out.snapshot_fallbacks = rows.fallbacks();
   };
-  const bool pooled = pool_ != nullptr && tasks.size() > 1;
-  if (pooled) {
+  const bool on_pool = pool_ != nullptr && tasks.size() > 1;
+  if (on_pool) {
     // Workers claim tasks off a shared counter; the pool's join barrier
     // publishes their output slots back to this thread.
     std::atomic<size_t> next{0};
@@ -492,16 +494,12 @@ Status BottomUpEvaluator::RunFlatTasks(const std::vector<FlatJob>& tasks,
   }
   for (size_t t = 0; t < tasks.size(); ++t) {
     stats_.snapshot_fallbacks += outputs[t].snapshot_fallbacks;
-    if (pooled) {
+    if (on_pool) {
       ++stats_.parallel_tasks;
       stats_.parallel_tuples += outputs[t].derived.size();
     }
   }
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    LPS_RETURN_IF_ERROR(outputs[t].status);
-    LPS_RETURN_IF_ERROR(merge(tasks[t], outputs[t]));
-  }
-  return Status::OK();
+  return outputs;
 }
 
 Status BottomUpEvaluator::RunGroupingRule(const CompiledRule& rule) {
@@ -580,13 +578,17 @@ Status BottomUpEvaluator::RunFlatGrouping(const CompiledRule& rule) {
   std::vector<FlatJob> tasks;
   AppendTasks(job, &tasks);
   const size_t kw = group_acc_.key_width();
-  return RunFlatTasks(tasks, [&](const FlatJob&, FlatOutput& out) {
+  std::vector<FlatOutput> pooled;
+  std::vector<FlatOutput>& outputs = RunFlatTasks(tasks, &pooled);
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    const FlatOutput& out = outputs[t];
+    LPS_RETURN_IF_ERROR(out.status);
     const TermId* kp = out.group_keys.data();
     for (size_t i = 0; i < out.group_elems.size(); ++i, kp += kw) {
       group_acc_.AppendPair(TupleRef(kp, kw), out.group_elems[i]);
     }
-    return Status::OK();
-  });
+  }
+  return Status::OK();
 }
 
 Status BottomUpEvaluator::RunEmptyBranch(const CompiledRule& rule) {

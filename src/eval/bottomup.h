@@ -324,10 +324,11 @@ class BottomUpEvaluator {
   void AppendTasks(const FlatJob& job, std::vector<FlatJob>* tasks) const;
   /// Runs `tasks` on the kernel against the frozen database - on the
   /// pool when there is one and more than one task, inline otherwise -
-  /// then hands each task's output to merge(task, output), in task
-  /// order (Status merge(const FlatJob&, FlatOutput&)).
-  template <typename Merge>
-  Status RunFlatTasks(const std::vector<FlatJob>& tasks, Merge merge);
+  /// and returns the outputs, task t's in slot t: without a pool the
+  /// evaluator's own slots, reused across its tasks and rounds, else
+  /// `pooled`, which the caller frees once merged.
+  std::vector<FlatOutput>& RunFlatTasks(const std::vector<FlatJob>& tasks,
+                                        std::vector<FlatOutput>* pooled);
 
   // Executes plan steps [idx..) extending theta; calls cont on success.
   Status ExecSteps(const CompiledRule& rule,
