@@ -159,15 +159,19 @@ Result<CompiledProgram> BottomUpEvaluator::Compile(
   return out;
 }
 
+void BottomUpEvaluator::Bind(const CompiledProgram& compiled) {
+  compiled_ = &compiled;
+  last_version_.assign(compiled.rules.size(), UINT64_MAX);
+  stats_.plan_reorders = compiled.plan_reorders;
+  stats_.plan_estimated_tuples = compiled.plan_estimated_tuples;
+}
+
 Status BottomUpEvaluator::Run(const CompiledProgram& compiled) {
   const TermStore& store = *program_->store();
   const size_t set_interns_before = store.set_interns();
   const size_t set_intern_hits_before = store.set_intern_hits();
-  compiled_ = &compiled;
-  last_version_.assign(compiled.rules.size(), UINT64_MAX);
+  Bind(compiled);
   stats_.strata = compiled.strat.num_strata;
-  stats_.plan_reorders = compiled.plan_reorders;
-  stats_.plan_estimated_tuples = compiled.plan_estimated_tuples;
 
   // Resolve the lane count; only semi-naive evaluation shards work
   // (naive mode never starts a pool - see EvalOptions::threads) and
@@ -208,9 +212,13 @@ Status BottomUpEvaluator::Run(const CompiledProgram& compiled) {
     pool_.reset();
   }
 
+  Status status;
   for (const std::vector<size_t>& clauses : compiled.strat.strata_clauses) {
-    LPS_RETURN_IF_ERROR(EvaluateStratum(clauses));
+    status = EvaluateStratum(clauses);
+    if (!status.ok()) break;
   }
+  compiled_ = nullptr;
+  LPS_RETURN_IF_ERROR(status);
 
   Database::StorageStats storage = db_->storage_stats();
   stats_.arena_bytes = storage.arena_bytes;
@@ -225,7 +233,6 @@ Status BottomUpEvaluator::Run(const CompiledProgram& compiled) {
 Status BottomUpEvaluator::EvaluateStratum(
     const std::vector<size_t>& clause_indices, Marks* marks) {
   const std::vector<CompiledRule>& rules = compiled_->rules;
-  for (size_t ci : clause_indices) last_version_[ci] = UINT64_MAX;
 
   // Grouping rules first: their bodies live in strictly lower strata,
   // so one pass computes them completely.
@@ -242,15 +249,6 @@ Status BottomUpEvaluator::EvaluateStratum(
   Marks own_marks;
   Marks& mark = first_pass ? own_marks : *marks;
   size_t& rounds = first_pass ? stats_.iterations : stats_.delta_rounds;
-  // One entry per predicate a delta literal reads, refilled each round.
-  Deltas delta;
-  if (options_.semi_naive) {
-    for (size_t ci : clause_indices) {
-      for (size_t li : rules[ci].in_stratum_literals) {
-        delta.try_emplace(rules[ci].clause->body[li].pred);
-      }
-    }
-  }
   for (size_t round = 0;; ++round) {
     if (++rounds > options_.max_iterations) {
       return Status::ResourceExhausted("iteration limit exceeded");
@@ -268,12 +266,20 @@ Status BottomUpEvaluator::EvaluateStratum(
     // This round's deltas: what the previous round appended and
     // revived. No erase runs during a fixpoint, so every revived row
     // predates the marks and no range covers it.
-    for (auto& [p, d] : delta) {
-      d.end = db_->RelationSize(p);
-      d.begin = std::exchange(mark[p], d.end);
-      d.revived.clear();
-      auto rv = revived_.find(p);
-      if (rv != revived_.end()) d.revived.swap(rv->second);
+    Deltas delta;
+    if (options_.semi_naive) {
+      for (size_t ci : clause_indices) {
+        for (size_t li : rules[ci].in_stratum_literals) {
+          PredicateId p = rules[ci].clause->body[li].pred;
+          auto [it, fresh] = delta.try_emplace(p);
+          if (!fresh) continue;
+          Delta& d = it->second;
+          d.end = db_->RelationSize(p);
+          d.begin = std::exchange(mark[p], d.end);
+          auto rv = revived_.find(p);
+          if (rv != revived_.end()) d.revived = std::move(rv->second);
+        }
+      }
     }
     revived_.clear();
 
@@ -322,11 +328,8 @@ Status BottomUpEvaluator::EvaluateStratum(
   return Status::OK();
 }
 
-Status BottomUpEvaluator::Reconverge(const CompiledProgram& compiled,
-                                     Marks marks) {
-  compiled_ = &compiled;
-  last_version_.assign(compiled.rules.size(), UINT64_MAX);
-  return EvaluateStratum(compiled.strat.strata_clauses[0], &marks);
+Status BottomUpEvaluator::Reconverge(Marks marks) {
+  return EvaluateStratum(compiled_->strat.strata_clauses[0], &marks);
 }
 
 Status BottomUpEvaluator::RunRule(const CompiledRule& rule,
@@ -382,10 +385,9 @@ Status BottomUpEvaluator::RunFlatRound(
       }
     }
   }
-  std::vector<FlatOutput> pooled;
-  std::vector<FlatOutput>& outputs = RunFlatTasks(tasks, &pooled);
+  std::vector<FlatOutput> outputs = RunFlatTasks(tasks);
   for (size_t t = 0; t < tasks.size(); ++t) {
-    const FlatOutput& out = outputs[t];
+    FlatOutput& out = outputs[t];
     LPS_RETURN_IF_ERROR(out.status);
     for (TupleRef row : out.derived.rows()) {
       LPS_RETURN_IF_ERROR(AddDerived(tasks[t].clause->head.pred, row));
@@ -439,30 +441,23 @@ void BottomUpEvaluator::AppendTasks(const FlatJob& job,
   }
 }
 
-std::vector<BottomUpEvaluator::FlatOutput>& BottomUpEvaluator::RunFlatTasks(
-    const std::vector<FlatJob>& tasks, std::vector<FlatOutput>* pooled) {
-  // Without a pool every task runs on this thread, one after another,
-  // so the evaluation's tasks and rounds share the output slots and the
-  // kernel scratch, each slot emptied at the cost of what it last held.
-  // Pooled tasks get fresh outputs, freed once merged: slots kept per
-  // lane would only add to the peak footprint.
-  std::vector<FlatOutput>& outputs = pool_ == nullptr ? outputs_ : *pooled;
-  if (outputs.size() < tasks.size()) outputs.resize(tasks.size());
+std::vector<BottomUpEvaluator::FlatOutput> BottomUpEvaluator::RunFlatTasks(
+    const std::vector<FlatJob>& tasks) {
+  std::vector<FlatOutput> outputs(tasks.size());
   // Runs task t into its own output slot. Reads only state nobody
   // writes until every task is done, so any lane may run any task.
   auto run = [&](size_t t) {
     const Clause& clause = *tasks[t].clause;
     FlatOutput& out = outputs[t];
-    out.Reset(clause.head.args.size());
     FrozenRows rows(db_);
-    FlatScratch lane_scratch;
-    FlatScratch& scratch = pool_ == nullptr ? scratch_ : lane_scratch;
+    FlatScratch scratch;
     scratch.deadline = options_.deadline;
     if (clause.grouping.has_value()) {
       GroupSink sink(*program_, clause, &out.group_keys, &out.group_elems);
       out.status = FlatJoin(*program_, &rows, &sink, &scratch).Run(tasks[t]);
     } else {
       const PredicateId pred = clause.head.pred;
+      out.derived = Relation(clause.head.args.size());
       // Deduplicating in the task keeps the buffer and the max_tuples
       // check counting distinct tuples, not join multiplicity.
       HeadSink sink(*program_, clause.head, [&](const Tuple& tuple) {
@@ -478,8 +473,8 @@ std::vector<BottomUpEvaluator::FlatOutput>& BottomUpEvaluator::RunFlatTasks(
     }
     out.snapshot_fallbacks = rows.fallbacks();
   };
-  const bool on_pool = pool_ != nullptr && tasks.size() > 1;
-  if (on_pool) {
+  const bool pooled = pool_ != nullptr && tasks.size() > 1;
+  if (pooled) {
     // Workers claim tasks off a shared counter; the pool's join barrier
     // publishes their output slots back to this thread.
     std::atomic<size_t> next{0};
@@ -492,11 +487,11 @@ std::vector<BottomUpEvaluator::FlatOutput>& BottomUpEvaluator::RunFlatTasks(
   } else {
     for (size_t t = 0; t < tasks.size(); ++t) run(t);
   }
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    stats_.snapshot_fallbacks += outputs[t].snapshot_fallbacks;
-    if (on_pool) {
+  for (const FlatOutput& out : outputs) {
+    stats_.snapshot_fallbacks += out.snapshot_fallbacks;
+    if (pooled) {
       ++stats_.parallel_tasks;
-      stats_.parallel_tuples += outputs[t].derived.size();
+      stats_.parallel_tuples += out.derived.size();
     }
   }
   return outputs;
@@ -578,10 +573,7 @@ Status BottomUpEvaluator::RunFlatGrouping(const CompiledRule& rule) {
   std::vector<FlatJob> tasks;
   AppendTasks(job, &tasks);
   const size_t kw = group_acc_.key_width();
-  std::vector<FlatOutput> pooled;
-  std::vector<FlatOutput>& outputs = RunFlatTasks(tasks, &pooled);
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    const FlatOutput& out = outputs[t];
+  for (FlatOutput& out : RunFlatTasks(tasks)) {
     LPS_RETURN_IF_ERROR(out.status);
     const TermId* kp = out.group_keys.data();
     for (size_t i = 0; i < out.group_elems.size(); ++i, kp += kw) {

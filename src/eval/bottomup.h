@@ -24,8 +24,6 @@
 // (Reconverge). A round's delta is what the previous round appended -
 // a range past the watermark - plus the tombstoned rows its inserts
 // revived, which sit below every watermark and join as explicit rows.
-// Without a worker pool every task of a round runs on the calling
-// thread, and the rounds of one evaluation reuse its output buffers.
 //
 // Restricted universal quantifiers are evaluated as relational division
 // with first-element seeding, with a separate vacuous-truth branch for
@@ -271,16 +269,14 @@ class BottomUpEvaluator {
     std::vector<TermId> group_elems;
     Status status;
     size_t snapshot_fallbacks = 0;
-
-    /// Empties the output for a task whose head has `arity` columns.
-    void Reset(size_t arity) {
-      derived.Reset(arity);
-      group_keys.clear();
-      group_elems.clear();
-    }
   };
 
-  /// Runs one stratum's rounds of compiled_ to fixpoint. Without
+  /// Makes `compiled` the program EvaluateStratum runs: its rules, each
+  /// complex rule's version gate cleared, and the plan counters a run
+  /// reports in stats_. Called by Run, and by the maintainer once per
+  /// commit.
+  void Bind(const CompiledProgram& compiled);
+  /// Runs one stratum's rounds of the bound program to fixpoint. Without
   /// `marks`, round 0 is the first pass: every rule over the whole
   /// database, counted in `iterations`. With them the database was at
   /// fixpoint below the marks, so every round is a delta round, counted
@@ -290,10 +286,10 @@ class BottomUpEvaluator {
   /// Re-converges a database that was at fixpoint before rows were
   /// added past `marks` (through AddRow, so revived rows reach the
   /// first round too): EvaluateStratum with no first pass over the one
-  /// stratum of `compiled`, a Horn program without negation or
+  /// stratum of the bound program, a Horn program without negation or
   /// grouping, on the calling thread. A predicate without a mark is
   /// new: all its rows are delta.
-  Status Reconverge(const CompiledProgram& compiled, Marks marks);
+  Status Reconverge(Marks marks);
   /// Runs a rule on ExecSteps - its free plan, or with a delta its
   /// delta-first plan: naive mode and the non-flat rules.
   Status RunRule(const CompiledRule& rule, const DeltaSpec* delta);
@@ -324,11 +320,8 @@ class BottomUpEvaluator {
   void AppendTasks(const FlatJob& job, std::vector<FlatJob>* tasks) const;
   /// Runs `tasks` on the kernel against the frozen database - on the
   /// pool when there is one and more than one task, inline otherwise -
-  /// and returns the outputs, task t's in slot t: without a pool the
-  /// evaluator's own slots, reused across its tasks and rounds, else
-  /// `pooled`, which the caller frees once merged.
-  std::vector<FlatOutput>& RunFlatTasks(const std::vector<FlatJob>& tasks,
-                                        std::vector<FlatOutput>* pooled);
+  /// and returns each task's output in task order.
+  std::vector<FlatOutput> RunFlatTasks(const std::vector<FlatJob>& tasks);
 
   // Executes plan steps [idx..) extending theta; calls cont on success.
   Status ExecSteps(const CompiledRule& rule,
@@ -355,8 +348,7 @@ class BottomUpEvaluator {
   EvalOptions options_;
   EvalStats stats_;
   uint32_t deadline_tick_ = 0;  // CheckDeadline countdown for ExecSteps
-  FlatScratch scratch_;         // kernel state for first passes and,
-                                // without a pool, every flat task
+  FlatScratch scratch_;         // kernel state for first passes
 
   // Recycled scratch buffers for the sequential join loop: ExecSteps
   // frames lease a buffer on entry and return it on exit, so steady-
@@ -369,13 +361,10 @@ class BottomUpEvaluator {
   // strata.
   std::unique_ptr<WorkerPool> pool_;
 
-  // The program Run or Reconverge is running, and each of its rules'
-  // database version when it last ran (complex-rule gating).
+  // The bound program (Bind), and each of its rules' database version
+  // when it last ran (complex-rule gating). Run clears it on return.
   const CompiledProgram* compiled_ = nullptr;
   std::vector<uint64_t> last_version_;
-  // Without a pool, the flat tasks' output slots, reused across the
-  // tasks and rounds of the evaluation (RunFlatTasks).
-  std::vector<FlatOutput> outputs_;
   // Rows AddRow revived since the current round began, per predicate.
   std::unordered_map<PredicateId, std::vector<RowId>> revived_;
   // Arena-backed accumulator for the grouping rule being run, plus the

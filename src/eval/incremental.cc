@@ -158,8 +158,7 @@ Result<bool> IncrementalMaintainer::Maintain(
     const std::vector<FactOp>& retracts) {
   ineligible_reason_.clear();
   LPS_ASSIGN_OR_RETURN(compiled_, eval_.Compile(eval_.PlanningStats()));
-  eval_.stats_.plan_reorders = compiled_.plan_reorders;
-  eval_.stats_.plan_estimated_tuples = compiled_.plan_estimated_tuples;
+  eval_.Bind(compiled_);
 
   // Eligibility: deletion is only invertible rule-by-rule in the Horn
   // fragment. Negation and grouping are non-monotone (a deletion can
@@ -574,7 +573,7 @@ Status IncrementalMaintainer::Insert(const std::vector<FactOp>& inserts) {
     added = eval_.AddRow(op.pred, op.args) || added;
   }
   if (!added) return Status::OK();
-  return eval_.Reconverge(compiled_, std::move(marks));
+  return eval_.Reconverge(std::move(marks));
 }
 
 }  // namespace lps

@@ -278,30 +278,6 @@ bool Relation::Revive(RowId r) {
   return true;
 }
 
-void Relation::Reset(size_t arity) {
-  // Linear probing leaves every slot from a row's home to its own
-  // occupied, so clearing each row's run from its home onward reaches
-  // every entry: the work is the rows held, not the table's capacity.
-  if (!dedup_slots_.empty()) {
-    const size_t cap_mask = dedup_slots_.size() - 1;
-    for (TupleRef t : rows()) {
-      for (size_t slot = Slot(HashRange(t), cap_mask);
-           dedup_slots_[slot] != 0; slot = (slot + 1) & cap_mask) {
-        dedup_slots_[slot] = 0;
-      }
-    }
-  }
-  arity_ = arity;
-  num_rows_ = 0;
-  arena_.clear();
-  dead_.clear();
-  dead_count_ = 0;
-  base_.clear();
-  base_rows_ = 0;
-  indexes_.clear();
-  content_tick_ = NextContentTick();
-}
-
 void Relation::SetBaseCount(RowId r, uint32_t count) {
   if (base_count(r) == count) return;
   if (base_.size() <= r) base_.resize(num_rows_, 0);

@@ -267,12 +267,6 @@ class Relation {
   /// dead.
   bool Revive(RowId r);
 
-  /// Empties the relation and gives it `arity`, keeping the capacity of
-  /// its arena and dedup table for the rows to come. Costs the rows it
-  /// held, not that capacity: a reused buffer pays for what its last
-  /// user put in.
-  void Reset(size_t arity);
-
   /// Builds (or catches up) the index for `mask` over all rows
   /// currently stored, so that Lookup(mask, ...) hits it until the next
   /// insert.
