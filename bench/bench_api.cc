@@ -1,12 +1,11 @@
 // E15: the point of the Session API - compile-once/execute-many. The
-// ad-hoc string path (Engine::Query / Session::Query) re-parses,
-// re-validates and re-plans the goal text on every call; a
-// PreparedQuery pays that once at Prepare() time and then only
-// executes. Expected shape: prepared execution beats the string path
-// by well over 2x on point lookups (where execution is an index probe)
-// and the gap narrows as the answer set grows (execution cost
-// dominates); parameter re-binding costs nothing beyond a hash-map
-// insert.
+// ad-hoc string path (Session::Query) re-parses, re-validates and
+// re-plans the goal text on every call; a PreparedQuery pays that
+// once at Prepare() time and then only executes. Expected shape:
+// prepared execution beats the string path by well over 2x on point
+// lookups (where execution is an index probe) and the gap narrows as
+// the answer set grows (execution cost dominates); parameter
+// re-binding costs nothing beyond a hash-map insert.
 #include <benchmark/benchmark.h>
 
 #include "workloads.h"

@@ -12,7 +12,6 @@
 #include "eval/bottomup.h"        // fixpoint evaluation (Theorem 5)
 #include "eval/builtins.h"        // =, in, union, scons, arithmetic
 #include "eval/database.h"        // relations + active domains
-#include "eval/engine.h"          // legacy string-per-call facade
 #include "eval/topdown.h"         // SLD with set unification (Sec. 3.2)
 #include "ground/grounder.h"      // Lemma 4 grounding
 #include "ground/herbrand.h"      // bounded Herbrand universes

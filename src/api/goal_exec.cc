@@ -149,10 +149,8 @@ Result<DemandRewriteCache::Entry*> DemandRewriteCache::Get(
     const Program& program, const Literal& goal, const AppliedGoal& applied,
     const Database& db, bool reorder, bool* built) {
   *built = false;
-  if (applied.mask_exact()) {
-    auto it = entries_.find(applied.mask);
-    if (it != entries_.end()) return &it->second;
-  }
+  auto it = entries_.find(applied.mask);
+  if (it != entries_.end()) return &it->second;
   std::vector<bool> bound(applied.args.size());
   for (size_t i = 0; i < bound.size(); ++i) {
     bound[i] = program.store()->is_ground(applied.args[i]);
@@ -163,11 +161,10 @@ Result<DemandRewriteCache::Entry*> DemandRewriteCache::Get(
       MagicRewriteResult rw,
       MagicRewrite(program, goal, bound, reorder ? &sip : nullptr));
   *built = true;
-  Entry* entry = applied.mask_exact() ? &entries_[applied.mask] : &uncached_;
-  entry->rewrite = std::move(rw.rewrite);
-  entry->fallback_reason = std::move(rw.fallback_reason);
-  entry->compiled.reset();  // compiled from the rewrite it replaces
-  return entry;
+  Entry& entry = entries_[applied.mask];  // a miss: a fresh entry
+  entry.rewrite = std::move(rw.rewrite);
+  entry.fallback_reason = std::move(rw.fallback_reason);
+  return &entry;
 }
 
 Status EvaluateDemand(DemandRewriteCache::Entry* entry,

@@ -65,12 +65,6 @@ struct AppliedGoal {
   std::vector<TermId> args;
   uint32_t mask = 0;
   bool any_bound = false;
-
-  /// True when the mask names the whole binding pattern: no column
-  /// lies past the mask's 32 bits.
-  bool mask_exact() const {
-    return args.size() <= Relation::kMaxIndexedColumns;
-  }
 };
 
 AppliedGoal ApplyGoal(TermStore* store, const Literal& goal,
@@ -157,9 +151,9 @@ class GoalPlanExecutor {
 
 /// One goal's magic rewrites (transform/magic.h), cached per binding
 /// mask until the rules change (the owner calls Clear()). A rewrite
-/// that fell back is cached with its reason. A goal whose mask is not
-/// exact (AppliedGoal::mask_exact) is rewritten on every call: two
-/// patterns differing only past column 31 would share a mask. Not
+/// that fell back is cached with its reason. Patterns differing only
+/// past column 31 share a mask, and may share the entry: MagicRewrite
+/// falls back alike for every pattern of a goal that wide. Not
 /// thread-safe: each caller owns its cache (a server worker, a
 /// prepared query).
 class DemandRewriteCache {
@@ -169,7 +163,7 @@ class DemandRewriteCache {
     std::string fallback_reason;
     /// The rewrite's program as last compiled by EvaluateDemand, for
     /// the planner statistics of the database it ran over; empty until
-    /// the first run, and again whenever the rewrite is rebuilt.
+    /// the first run.
     std::optional<CompiledProgram> compiled;
   };
 
@@ -188,7 +182,6 @@ class DemandRewriteCache {
 
  private:
   std::map<uint32_t, Entry> entries_;
-  Entry uncached_;
 };
 
 /// Evaluates `entry`'s rewrite rw (entry->rewrite, non-null) for one

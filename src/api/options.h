@@ -69,9 +69,10 @@ struct Options {
   // ---- Shared builtin evaluation -------------------------------------
   BuiltinOptions builtins;
 
-  // The conversions below mirror every field by hand; a field added to
-  // EvalOptions or TopDownOptions must be added here and in both
-  // directions, or Engine-shim callers silently lose it.
+  // The conversions below copy every field by hand; a field added to
+  // EvalOptions or TopDownOptions must be added to its conversion too,
+  // or sessions silently drop it (OptionsTest.RoundTripsBothEvaluators
+  // checks each copied field).
 
   EvalOptions eval() const {
     EvalOptions o;
@@ -90,26 +91,6 @@ struct Options {
     o.max_subgoals = max_subgoals;
     o.max_answers_per_goal = max_answers_per_goal;
     o.builtins = builtins;
-    return o;
-  }
-
-  static Options FromEval(const EvalOptions& e) {
-    Options o;
-    o.semi_naive = e.semi_naive;
-    o.max_iterations = e.max_iterations;
-    o.max_tuples = e.max_tuples;
-    o.threads = e.threads;
-    o.reorder = e.reorder;
-    o.builtins = e.builtins;
-    return o;
-  }
-
-  static Options FromTopDown(const TopDownOptions& t) {
-    Options o;
-    o.max_depth = t.max_depth;
-    o.max_subgoals = t.max_subgoals;
-    o.max_answers_per_goal = t.max_answers_per_goal;
-    o.builtins = t.builtins;
     return o;
   }
 };

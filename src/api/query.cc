@@ -90,7 +90,7 @@ Result<AnswerCursor> PreparedQuery::Execute() {
     RefreshDemandState();
     // Any bound position - including ones past the 32-column mask -
     // routes to the demand path, which reports its own fallback
-    // reasons (e.g. "goal arity exceeds 32 bound positions").
+    // reasons (e.g. "goal arity exceeds 32 columns").
     if (plan_.demand_candidate && applied.any_bound) {
       return ExecuteDemand(std::move(applied));
     }
@@ -151,29 +151,27 @@ Result<AnswerCursor> PreparedQuery::ExecuteDemand(AppliedGoal applied) {
   // ground positions) instead of running rewrite + fixpoint again.
   // Among candidates, the widest mask wins: it is the most restricted
   // run, so the scan filters the fewest surplus rows.
-  if (applied.mask_exact()) {
-    const DemandResult* best = nullptr;
-    int best_bits = -1;
-    for (const auto& [m, r] : results_) {
-      if ((m & applied.mask) != m) continue;  // not a subset of this request
-      if (r.fact_epoch != session_->fact_epoch()) continue;
-      bool same_seed = true;
-      for (size_t pos : r.answers->rewrite->seed_positions) {
-        same_seed = same_seed && applied.args[pos] == r.args[pos];
-      }
-      if (!same_seed) continue;
-      if (std::popcount(m) > best_bits) {
-        best = &r;
-        best_bits = std::popcount(m);
-      }
+  const DemandResult* best = nullptr;
+  int best_bits = -1;
+  for (const auto& [m, r] : results_) {
+    if ((m & applied.mask) != m) continue;  // not a subset of this request
+    if (r.fact_epoch != session_->fact_epoch()) continue;
+    bool same_seed = true;
+    for (size_t pos : r.answers->rewrite->seed_positions) {
+      same_seed = same_seed && applied.args[pos] == r.args[pos];
     }
-    if (best != nullptr) {
-      ++session_->demand_subsumption_count_;
-      EvalStats stats = best->stats;
-      stats.subsumption_hits = 1;
-      session_->set_eval_stats(std::move(stats));
-      return StreamAnswers(best->answers, std::move(applied));
+    if (!same_seed) continue;
+    if (std::popcount(m) > best_bits) {
+      best = &r;
+      best_bits = std::popcount(m);
     }
+  }
+  if (best != nullptr) {
+    ++session_->demand_subsumption_count_;
+    EvalStats stats = best->stats;
+    stats.subsumption_hits = 1;
+    session_->set_eval_stats(std::move(stats));
+    return StreamAnswers(best->answers, std::move(applied));
   }
 
   Database* session_db = session_->database();
@@ -205,10 +203,8 @@ Result<AnswerCursor> PreparedQuery::ExecuteDemand(AppliedGoal applied) {
   auto answers = std::make_shared<DemandAnswers>(DemandAnswers{
       rw, Database(session_->store(), &rw->program.signature())});
   answers->db.AliasRelation(rw->goal.pred, db);
-  if (applied.mask_exact()) {
-    results_[applied.mask] = {answers, applied.args, session_->fact_epoch(),
-                              stats};
-  }
+  results_[applied.mask] = {answers, applied.args, session_->fact_epoch(),
+                            stats};
   session_->set_eval_stats(std::move(stats));
   return StreamAnswers(std::move(answers), std::move(applied));
 }

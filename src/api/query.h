@@ -163,7 +163,8 @@ class PreparedQuery {
   // the scan just filters the extra bound positions (DESIGN.md section
   // 17).
   // Stale epochs miss; rule changes clear every entry
-  // (RefreshDemandState).
+  // (RefreshDemandState). Only rewritten runs are kept, and no goal
+  // wider than the 32-column mask is rewritten (MagicRewrite).
   struct DemandResult {
     std::shared_ptr<DemandAnswers> answers;
     std::vector<TermId> args;

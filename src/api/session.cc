@@ -167,10 +167,11 @@ void Session::ResetDatabase() {
 Result<std::string> Session::ExplainPlans() {
   LPS_RETURN_IF_ERROR(Compile());
   const Signature& sig = program_->signature();
-  // The same statistics CompileRules would snapshot right now: the
-  // report shows the join orders the next Evaluate() picks (after an
-  // Evaluate() the relations are populated, so re-running shows the
-  // orders a re-evaluation or an incremental pass would use).
+  // The same statistics BottomUpEvaluator::PlanningStats would take
+  // right now: the report shows the join orders the next Evaluate()
+  // picks (after an Evaluate() the relations are populated, so
+  // re-running shows the orders a re-evaluation or an incremental pass
+  // would use).
   PlannerStats stats = PlannerStats::FromDatabase(*db_, *program_);
   const PlannerStats* sp = options_.reorder ? &stats : nullptr;
   std::string out;

@@ -16,10 +16,8 @@
 //             validated and planned exactly once, then re-executable
 //             against the current database with bound parameters.
 //
-// Answers stream through AnswerCursor (api/answer_cursor.h). The
-// legacy string-per-call facade (eval/engine.h) is a thin shim over
-// this class. See README.md for a tour and the Engine -> Session
-// migration table.
+// Answers stream through AnswerCursor (api/answer_cursor.h). See
+// README.md for a tour.
 #ifndef LPS_API_SESSION_H_
 #define LPS_API_SESSION_H_
 

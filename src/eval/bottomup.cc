@@ -658,7 +658,6 @@ Status BottomUpEvaluator::ExecSteps(
   if (idx == steps.size()) return cont(theta);
   const PlanStep& step = steps[idx];
   TermStore* store = program_->store();
-  const Signature& sig = program_->signature();
 
   switch (step.kind) {
     case StepKind::kScan: {
@@ -807,7 +806,6 @@ Status BottomUpEvaluator::ExecSteps(
       return enumerate(db_->set_domain());
     }
   }
-  (void)sig;
   return Status::Internal("unknown plan step");
 }
 

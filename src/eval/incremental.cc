@@ -261,7 +261,7 @@ Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
     // enumerates no domain where the free plan does not.
     s.head_steps[i] = BuildBodyPlan(store, sig, clause,
                                     rule.plan.free_literals, head_vars, {},
-                                    true, stats)
+                                    stats)
                           .steps;
   }
 

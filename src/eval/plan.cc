@@ -7,10 +7,6 @@
 
 namespace lps {
 
-void PlannerStats::SetRelation(PredicateId pred, RelationStats stats) {
-  rels_[pred] = std::move(stats);
-}
-
 void PlannerStats::MarkDerived(PredicateId pred) { derived_.insert(pred); }
 
 double PlannerStats::EstimateScan(PredicateId pred, uint32_t mask) const {
@@ -138,7 +134,6 @@ BodyPlan BuildBodyPlanImpl(const TermStore& store, const Signature& sig,
                            const std::vector<size_t>& literal_indices,
                            const std::vector<TermId>& initially_bound,
                            const std::vector<TermId>& must_bind,
-                           bool bind_all_literal_vars,
                            const PlannerStats* stats) {
   BodyPlan plan;
   std::vector<TermId> bound = initially_bound;
@@ -263,7 +258,6 @@ BodyPlan BuildBodyPlanImpl(const TermStore& store, const Signature& sig,
       AddUnique(&bound, v);
     }
   }
-  (void)bind_all_literal_vars;  // scans/builtins ground their variables
   if (stats != nullptr) plan.est_out = est_out;
   return plan;
 }
@@ -288,17 +282,13 @@ BodyPlan BuildBodyPlan(const TermStore& store, const Signature& sig,
                        const std::vector<size_t>& literal_indices,
                        const std::vector<TermId>& initially_bound,
                        const std::vector<TermId>& must_bind,
-                       bool bind_all_literal_vars,
                        const PlannerStats* stats) {
-  BodyPlan plan =
-      BuildBodyPlanImpl(store, sig, clause, literal_indices,
-                        initially_bound, must_bind, bind_all_literal_vars,
-                        stats);
+  BodyPlan plan = BuildBodyPlanImpl(store, sig, clause, literal_indices,
+                                    initially_bound, must_bind, stats);
   if (stats != nullptr && literal_indices.size() > 1) {
     BodyPlan heuristic =
         BuildBodyPlanImpl(store, sig, clause, literal_indices,
-                          initially_bound, must_bind,
-                          bind_all_literal_vars, nullptr);
+                          initially_bound, must_bind, nullptr);
     plan.reordered = LiteralOrder(plan) != LiteralOrder(heuristic);
   }
   return plan;
@@ -325,7 +315,7 @@ GoalPlan BuildGoalPlan(const TermStore& store, const Signature& sig,
   Clause synthetic;
   synthetic.head = goal;
   synthetic.body.push_back(goal);
-  plan.body = BuildBodyPlan(store, sig, synthetic, {0}, {}, {}, true);
+  plan.body = BuildBodyPlan(store, sig, synthetic, {0}, {}, {});
   plan.demand_candidate = GoalDemandCandidate(
       sig, program, goal, &plan.demand_ineligible_reason);
   return plan;
@@ -410,7 +400,7 @@ Result<RulePlan> BuildRulePlan(const TermStore& store, const Signature& sig,
   }
 
   plan.free_plan = BuildBodyPlan(store, sig, clause, plan.free_literals,
-                                 {}, must_bind, true, stats);
+                                 {}, must_bind, stats);
 
   // Delta-first variants for the semi-naive evaluator and the
   // incremental maintainer: scan the delta-carrying literal first.
@@ -427,7 +417,7 @@ Result<RulePlan> BuildRulePlan(const TermStore& store, const Signature& sig,
         // The delta literal always scans first (semi-naive seeds from
         // it); the tail reorders by cost with its variables bound.
         dp = BuildBodyPlan(store, sig, clause, rest, LitVars(store, lit),
-                           must_bind, true, stats);
+                           must_bind, stats);
         dp.steps.insert(dp.steps.begin(),
                         PlanStep{StepKind::kScan, li, kInvalidTerm});
       }
@@ -457,14 +447,14 @@ Result<RulePlan> BuildRulePlan(const TermStore& store, const Signature& sig,
     for (TermId v : qvars) AddUnique(&seed_bound, v);
     plan.seed_plan =
         BuildBodyPlan(store, sig, clause, plan.quantified_literals,
-                      seed_bound, plan.seed_vars, true, stats);
+                      seed_bound, plan.seed_vars, stats);
 
     // Empty-range branch: bind range vars and head vars by enumeration;
     // body is vacuously true.
     std::vector<TermId> empty_must = plan.range_vars_needed;
     for (TermId v : head_vars) AddUnique(&empty_must, v);
     plan.empty_branch_plan =
-        BuildBodyPlan(store, sig, clause, {}, {}, empty_must, true);
+        BuildBodyPlan(store, sig, clause, {}, {}, empty_must);
   }
   return plan;
 }

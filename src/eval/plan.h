@@ -41,8 +41,6 @@ class Database;
 /// later semi-naive round against the growing fixpoint.
 class PlannerStats {
  public:
-  /// Records `pred`'s measured statistics (overwrites).
-  void SetRelation(PredicateId pred, RelationStats stats);
   /// Marks `pred` as rule-defined: an empty relation means "unknown
   /// size", not "empty scan".
   void MarkDerived(PredicateId pred);
@@ -115,9 +113,6 @@ struct BodyPlan {
 /// Every variable in `must_bind` is bound by the end of the plan,
 /// inserting enumeration steps if no literal can bind it. Variables
 /// occurring in the chosen literals are bound as a side effect.
-/// If `bind_all_literal_vars` is set, enumeration steps are also added
-/// for any literal variable left unbound (needed when the plan's
-/// solutions must be ground).
 /// `stats` selects the ordering mode (see the header comment):
 /// nullptr reproduces the heuristic order byte-exactly, non-null ranks
 /// positive user literals by estimated selectivity and records
@@ -127,7 +122,6 @@ BodyPlan BuildBodyPlan(const TermStore& store, const Signature& sig,
                        const std::vector<size_t>& literal_indices,
                        const std::vector<TermId>& initially_bound,
                        const std::vector<TermId>& must_bind,
-                       bool bind_all_literal_vars,
                        const PlannerStats* stats = nullptr);
 
 /// How a prepared goal executes (api/query.h). `body` is always built:

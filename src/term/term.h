@@ -146,7 +146,6 @@ class TermStore {
   bool IsVariable(TermId id) const {
     return kind(id) == TermKind::kVariable;
   }
-  bool IsSet(TermId id) const { return kind(id) == TermKind::kSet; }
 
   /// Function arguments or canonical set elements.
   std::span<const TermId> args(TermId id) const {
@@ -230,9 +229,6 @@ class SetBuilder {
  public:
   void Clear() { elems_.clear(); }
   void Add(TermId t) { elems_.push_back(t); }
-  void AddAll(std::span<const TermId> ts) {
-    elems_.insert(elems_.end(), ts.begin(), ts.end());
-  }
   size_t size() const { return elems_.size(); }
 
   /// Canonicalizes and interns the collected elements; the builder is

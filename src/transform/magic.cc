@@ -69,11 +69,14 @@ Result<MagicRewriteResult> MagicRewrite(const Program& in,
   if (sig.IsBuiltin(goal.pred)) {
     return Fallback("builtin goal");
   }
+  // Before the bindings are read: adornment masks name 32 columns, so
+  // every binding pattern of a wider goal falls back alike.
+  if (goal.args.size() > 32) {
+    return Fallback("goal arity exceeds 32 columns");
+  }
   uint32_t goal_mask = 0;
   for (size_t i = 0; i < bound.size(); ++i) {
-    if (!bound[i]) continue;
-    if (i >= 32) return Fallback("goal arity exceeds 32 bound positions");
-    goal_mask |= ColumnBit(i);
+    if (bound[i]) goal_mask |= ColumnBit(i);
   }
   if (goal_mask == 0) {
     return Fallback("all-free goal: demand restricts nothing");
@@ -282,7 +285,7 @@ Result<MagicRewriteResult> MagicRewrite(const Program& in,
       if (stats != nullptr && sip.size() > 1) {
         std::vector<TermId> init(bound_vars.begin(), bound_vars.end());
         BodyPlan bp =
-            BuildBodyPlan(store, sig, c, sip, init, {}, false, stats);
+            BuildBodyPlan(store, sig, c, sip, init, {}, stats);
         std::vector<size_t> order;
         for (const PlanStep& s : bp.steps) {
           if (s.kind == StepKind::kScan || s.kind == StepKind::kBuiltin ||

@@ -81,7 +81,8 @@ struct MagicRewriteResult {
 
 /// Attempts the magic rewrite of `in` for `goal`, where `bound[i]`
 /// says goal argument i will be ground when the query executes
-/// (`bound.size()` must equal the goal arity). Free-standing and pure:
+/// (`bound.size()` must equal the goal arity). A goal of more than 32
+/// columns falls back whatever `bound` says. Free-standing and pure:
 /// the returned program shares `in`'s TermStore but owns a signature
 /// copy, so repeated rewrites never pollute the session signature.
 /// The rewrite depends only on `in`'s *rules* (a Program holds no

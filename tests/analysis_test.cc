@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "eval/engine.h"
+#include "api/session.h"
 
 namespace lps {
 namespace {
@@ -19,14 +19,15 @@ class AnalysisTest : public ::testing::Test {
  protected:
   void Load(const std::string& src,
             LanguageMode mode = LanguageMode::kLDL) {
-    engine_ = std::make_unique<Engine>(mode);
-    Status st = engine_->LoadString(src);
+    session_ = std::make_unique<Session>(mode);
+    Status st = session_->Load(src);
+    if (st.ok()) st = session_->Compile();
     ASSERT_TRUE(st.ok()) << st.ToString();
   }
   PredicateId Pred(const std::string& name, size_t arity) {
-    return engine_->signature()->Lookup(name, arity);
+    return session_->signature()->Lookup(name, arity);
   }
-  std::unique_ptr<Engine> engine_;
+  std::unique_ptr<Session> session_;
 };
 
 TEST_F(AnalysisTest, DependencyEdges) {
@@ -34,7 +35,7 @@ TEST_F(AnalysisTest, DependencyEdges) {
     p(X) :- q(X), not r(X).
     q(a).
   )");
-  DependencyGraph g = DependencyGraph::Build(*engine_->program());
+  DependencyGraph g = DependencyGraph::Build(*session_->program());
   ASSERT_EQ(g.edges().size(), 2u);
   bool saw_neg = false;
   for (const DependencyEdge& e : g.edges()) {
@@ -53,7 +54,7 @@ TEST_F(AnalysisTest, RecursionDetection) {
     path(X, Z) :- path(X, Y), edge(Y, Z).
     top(X) :- path(X, X).
   )");
-  DependencyGraph g = DependencyGraph::Build(*engine_->program());
+  DependencyGraph g = DependencyGraph::Build(*session_->program());
   EXPECT_TRUE(g.IsRecursive(Pred("path", 2)));
   EXPECT_FALSE(g.IsRecursive(Pred("edge", 2)));
   EXPECT_FALSE(g.IsRecursive(Pred("top", 1)));
@@ -66,7 +67,7 @@ TEST_F(AnalysisTest, NegativeCycleDetection) {
     r(X) :- p(X).
     q(a).
   )");
-  DependencyGraph g = DependencyGraph::Build(*engine_->program());
+  DependencyGraph g = DependencyGraph::Build(*session_->program());
   EXPECT_TRUE(g.HasNegativeCycle());
 }
 
@@ -77,21 +78,21 @@ TEST_F(AnalysisTest, ReachabilityAndPruning) {
     helper(X) :- b(X).
     unwanted(X) :- helper(X), c(X).
   )");
-  DependencyGraph g = DependencyGraph::Build(*engine_->program());
+  DependencyGraph g = DependencyGraph::Build(*session_->program());
   auto reach = g.Reachable({Pred("wanted", 1)});
   EXPECT_EQ(reach.size(), 2u);  // wanted, a
 
   Program pruned =
-      PruneUnreachable(*engine_->program(), {Pred("wanted", 1)});
+      PruneUnreachable(*session_->program(), {Pred("wanted", 1)});
   EXPECT_EQ(pruned.clauses().size(), 1u);
 
   // The pruned program still computes the root's relation from the
-  // engine's facts.
-  std::unique_ptr<Database> db = engine_->database()->FactsFor(pruned);
+  // session's facts.
+  std::unique_ptr<Database> db = session_->database()->FactsFor(pruned);
   auto stats = EvaluateProgram(pruned, db.get());
   ASSERT_TRUE(stats.ok());
   EXPECT_TRUE(
-      db->Contains(Pred("wanted", 1), {engine_->store()->MakeInt(1)}));
+      db->Contains(Pred("wanted", 1), {session_->store()->MakeInt(1)}));
 }
 
 TEST_F(AnalysisTest, PruningKeepsTransitiveSupport) {
@@ -101,7 +102,7 @@ TEST_F(AnalysisTest, PruningKeepsTransitiveSupport) {
     top(X) :- mid(X).
   )");
   Program pruned =
-      PruneUnreachable(*engine_->program(), {Pred("top", 1)});
+      PruneUnreachable(*session_->program(), {Pred("top", 1)});
   EXPECT_EQ(pruned.clauses().size(), 2u);
 }
 
@@ -114,7 +115,7 @@ TEST_F(AnalysisTest, StatsSummarise) {
     grp(X, <E>) :- s(X), E in X.
   )");
   ProgramStats stats =
-      AnalyzeProgram(*engine_->program(), *engine_->database());
+      AnalyzeProgram(*session_->program(), *session_->database());
   EXPECT_EQ(stats.facts, 2u);
   EXPECT_GE(stats.clauses, 3u);
   EXPECT_GE(stats.quantified_clauses, 1u);
@@ -134,9 +135,9 @@ TEST_F(AnalysisTest, TheoremSixAuxiliariesPruneAway) {
     either(X) :- q(X) ; r(X).
     solo(X) :- z(X).
   )");
-  size_t before = engine_->program()->clauses().size();
+  size_t before = session_->program()->clauses().size();
   Program pruned =
-      PruneUnreachable(*engine_->program(), {Pred("solo", 1)});
+      PruneUnreachable(*session_->program(), {Pred("solo", 1)});
   EXPECT_LT(pruned.clauses().size(), before);
   EXPECT_EQ(pruned.clauses().size(), 1u);
 }

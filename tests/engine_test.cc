@@ -1,6 +1,6 @@
 // End-to-end engine tests: parse -> compile -> evaluate -> query,
-// exercising the paper's introduction examples through the facade.
-#include "eval/engine.h"
+// exercising the paper's introduction examples through a Session.
+#include "api/session.h"
 
 #include <gtest/gtest.h>
 
@@ -14,203 +14,220 @@ namespace {
   } while (0)
 
 TEST(EngineTest, FactsAndHornRules) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     parent(tom, bob).
     parent(bob, ann).
     grandparent(X, Z) :- parent(X, Y), parent(Y, Z).
   )"));
-  ASSERT_OK(engine.Evaluate());
-  auto holds = engine.HoldsText("grandparent(tom, ann)");
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  auto holds = session.Holds("grandparent(tom, ann)");
   ASSERT_TRUE(holds.ok()) << holds.status().ToString();
   EXPECT_TRUE(*holds);
-  EXPECT_FALSE(*engine.HoldsText("grandparent(bob, tom)"));
+  EXPECT_FALSE(*session.Holds("grandparent(bob, tom)"));
 }
 
 TEST(EngineTest, TransitiveClosure) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     edge(a, b). edge(b, c). edge(c, d).
     path(X, Y) :- edge(X, Y).
     path(X, Z) :- path(X, Y), edge(Y, Z).
   )"));
-  ASSERT_OK(engine.Evaluate());
-  EXPECT_TRUE(*engine.HoldsText("path(a, d)"));
-  EXPECT_FALSE(*engine.HoldsText("path(d, a)"));
-  auto rows = engine.Query("path(a, X)");
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("path(a, d)"));
+  EXPECT_FALSE(*session.Holds("path(d, a)"));
+  auto rows = session.Query("path(a, X)");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 3u);  // b, c, d
 }
 
 TEST(EngineTest, Example1Disjointness) {
   // disj(X, Y) :- (forall x in X)(forall y in Y)(x != y).
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     s({1, 2}). s({3, 4}). s({2, 3}). s({}).
     disj(X, Y) :- s(X), s(Y), forall A in X, forall B in Y : A != B.
   )"));
-  ASSERT_OK(engine.Evaluate());
-  EXPECT_TRUE(*engine.HoldsText("disj({1,2}, {3,4})"));
-  EXPECT_FALSE(*engine.HoldsText("disj({1,2}, {2,3})"));
-  EXPECT_FALSE(*engine.HoldsText("disj({2,3}, {3,4})"));
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("disj({1,2}, {3,4})"));
+  EXPECT_FALSE(*session.Holds("disj({1,2}, {2,3})"));
+  EXPECT_FALSE(*session.Holds("disj({2,3}, {3,4})"));
   // Definition 4: vacuous truth on the empty set.
-  EXPECT_TRUE(*engine.HoldsText("disj({}, {1,2})"));
-  EXPECT_TRUE(*engine.HoldsText("disj({1,2}, {})"));
-  EXPECT_TRUE(*engine.HoldsText("disj({}, {})"));
+  EXPECT_TRUE(*session.Holds("disj({}, {1,2})"));
+  EXPECT_TRUE(*session.Holds("disj({1,2}, {})"));
+  EXPECT_TRUE(*session.Holds("disj({}, {})"));
 }
 
 TEST(EngineTest, Example2Subset) {
   // subset(X, Y) :- (forall x in X)(x in Y).
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     s({1, 2}). s({1, 2, 3}). s({4}). s({}).
     subset(X, Y) :- s(X), s(Y), forall A in X : A in Y.
   )"));
-  ASSERT_OK(engine.Evaluate());
-  EXPECT_TRUE(*engine.HoldsText("subset({1,2}, {1,2,3})"));
-  EXPECT_TRUE(*engine.HoldsText("subset({1,2}, {1,2})"));
-  EXPECT_FALSE(*engine.HoldsText("subset({1,2,3}, {1,2})"));
-  EXPECT_FALSE(*engine.HoldsText("subset({4}, {1,2,3})"));
-  EXPECT_TRUE(*engine.HoldsText("subset({}, {4})"));
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("subset({1,2}, {1,2,3})"));
+  EXPECT_TRUE(*session.Holds("subset({1,2}, {1,2})"));
+  EXPECT_FALSE(*session.Holds("subset({1,2,3}, {1,2})"));
+  EXPECT_FALSE(*session.Holds("subset({4}, {1,2,3})"));
+  EXPECT_TRUE(*session.Holds("subset({}, {4})"));
 }
 
 TEST(EngineTest, Example3UnionWithDisjunction) {
   // union defined with a disjunctive body (compiled via Theorem 6).
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     s({1}). s({2}). s({1, 2}). s({1, 2, 3}).
     myunion(X, Y, Z) :- s(X), s(Y), s(Z),
         (forall A in X : A in Z),
         (forall B in Y : B in Z),
         (forall C in Z : (C in X ; C in Y)).
   )"));
-  ASSERT_OK(engine.Evaluate());
-  EXPECT_TRUE(*engine.HoldsText("myunion({1}, {2}, {1,2})"));
-  EXPECT_TRUE(*engine.HoldsText("myunion({1}, {1,2}, {1,2})"));
-  EXPECT_FALSE(*engine.HoldsText("myunion({1}, {2}, {1,2,3})"));
-  EXPECT_FALSE(*engine.HoldsText("myunion({1}, {2}, {1})"));
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("myunion({1}, {2}, {1,2})"));
+  EXPECT_TRUE(*session.Holds("myunion({1}, {1,2}, {1,2})"));
+  EXPECT_FALSE(*session.Holds("myunion({1}, {2}, {1,2,3})"));
+  EXPECT_FALSE(*session.Holds("myunion({1}, {2}, {1})"));
 }
 
 TEST(EngineTest, BuiltinUnionAndScons) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     a({1, 2}). b({2, 3}).
     u(Z) :- a(X), b(Y), union(X, Y, Z).
     c(Z) :- a(X), scons(9, X, Z).
   )"));
-  ASSERT_OK(engine.Evaluate());
-  EXPECT_TRUE(*engine.HoldsText("u({1,2,3})"));
-  EXPECT_TRUE(*engine.HoldsText("c({1,2,9})"));
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("u({1,2,3})"));
+  EXPECT_TRUE(*session.Holds("c({1,2,9})"));
 }
 
 TEST(EngineTest, ArithmeticBuiltins) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     n(3). n(4).
     sum(K) :- n(X), n(Y), X < Y, add(X, Y, K).
     prod(K) :- n(X), n(Y), mul(X, Y, K).
   )"));
-  ASSERT_OK(engine.Evaluate());
-  EXPECT_TRUE(*engine.HoldsText("sum(7)"));
-  EXPECT_FALSE(*engine.HoldsText("sum(6)"));  // X < Y excludes 3+3
-  EXPECT_TRUE(*engine.HoldsText("prod(9)"));
-  EXPECT_TRUE(*engine.HoldsText("prod(12)"));
-  EXPECT_TRUE(*engine.HoldsText("prod(16)"));
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("sum(7)"));
+  EXPECT_FALSE(*session.Holds("sum(6)"));  // X < Y excludes 3+3
+  EXPECT_TRUE(*session.Holds("prod(9)"));
+  EXPECT_TRUE(*session.Holds("prod(12)"));
+  EXPECT_TRUE(*session.Holds("prod(16)"));
 }
 
 TEST(EngineTest, Example4Unnest) {
   // S(x, y) :- R(x, Y), y in Y.
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     r(p1, {a, b}).
     r(p2, {c}).
     s(X, Y) :- r(X, Ys), Y in Ys.
   )"));
-  ASSERT_OK(engine.Evaluate());
-  EXPECT_TRUE(*engine.HoldsText("s(p1, a)"));
-  EXPECT_TRUE(*engine.HoldsText("s(p1, b)"));
-  EXPECT_TRUE(*engine.HoldsText("s(p2, c)"));
-  auto rows = engine.Query("s(X, Y)");
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("s(p1, a)"));
+  EXPECT_TRUE(*session.Holds("s(p1, b)"));
+  EXPECT_TRUE(*session.Holds("s(p2, c)"));
+  auto rows = session.Query("s(X, Y)");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 3u);
 }
 
 TEST(EngineTest, SetValuedHeadConstruction) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     p(a, b).
     pair_set({X, Y}) :- p(X, Y).
   )"));
-  ASSERT_OK(engine.Evaluate());
-  EXPECT_TRUE(*engine.HoldsText("pair_set({a, b})"));
-  EXPECT_TRUE(*engine.HoldsText("pair_set({b, a})"));  // same set
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("pair_set({a, b})"));
+  EXPECT_TRUE(*session.Holds("pair_set({b, a})"));  // same set
 }
 
 TEST(EngineTest, StratifiedNegation) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     node(a). node(b). node(c).
     edge(a, b).
     unreachable(X) :- node(X), not reach(X).
     reach(b).
     reach(Y) :- reach(X), edge(X, Y).
   )"));
-  ASSERT_OK(engine.Evaluate());
-  EXPECT_TRUE(*engine.HoldsText("unreachable(a)"));
-  EXPECT_TRUE(*engine.HoldsText("unreachable(c)"));
-  EXPECT_FALSE(*engine.HoldsText("unreachable(b)"));
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("unreachable(a)"));
+  EXPECT_TRUE(*session.Holds("unreachable(c)"));
+  EXPECT_FALSE(*session.Holds("unreachable(b)"));
 }
 
 TEST(EngineTest, UnstratifiableProgramRejected) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     p(a) :- not q(a).
     q(a) :- not p(a).
   )"));
-  Status st = engine.Evaluate();
+  ASSERT_OK(session.Compile());
+  Status st = session.Evaluate();
   EXPECT_EQ(st.code(), StatusCode::kStratificationError);
 }
 
 TEST(EngineTest, MembershipQueryOnBuiltin) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString("s({1,2,3})."));
-  ASSERT_OK(engine.Evaluate());
-  auto rows = engine.Query("X in {1, 2, 3}");
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load("s({1,2,3})."));
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  auto rows = session.Query("X in {1, 2, 3}");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 3u);
 }
 
 TEST(EngineTest, PendingQueriesCollected) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     p(a).
     ?- p(X).
   )"));
-  EXPECT_EQ(engine.pending_queries().size(), 1u);
+  ASSERT_OK(session.Compile());
+  EXPECT_EQ(session.pending_queries().size(), 1u);
 }
 
 TEST(EngineTest, ParseErrorsSurfaceWithLocation) {
-  Engine engine(LanguageMode::kLPS);
-  Status st = engine.LoadString("p(a) :- q(.");
+  Session session(LanguageMode::kLPS);
+  Status st = session.Load("p(a) :- q(.");
+  if (st.ok()) st = session.Compile();
   EXPECT_EQ(st.code(), StatusCode::kParseError);
   EXPECT_NE(st.message().find("line"), std::string::npos);
 }
 
 TEST(EngineTest, LpsModeRejectsNestedSets) {
-  Engine engine(LanguageMode::kLPS);
-  Status st = engine.LoadString("p({{a}}).");
+  Session session(LanguageMode::kLPS);
+  Status st = session.Load("p({{a}}).");
+  if (st.ok()) st = session.Compile();
   EXPECT_EQ(st.code(), StatusCode::kSortError);
-  Engine elps(LanguageMode::kELPS);
-  ASSERT_OK(elps.LoadString("p({{a}})."));
+  Session elps(LanguageMode::kELPS);
+  ASSERT_OK(elps.Load("p({{a}})."));
+  ASSERT_OK(elps.Compile());
 }
 
 TEST(EngineTest, TopDownSolvesWithoutEvaluate) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     edge(a, b). edge(b, c).
     hop(X, Z) :- edge(X, Y), edge(Y, Z).
   )"));
-  auto rows = engine.SolveTopDown("hop(a, X)");
+  ASSERT_OK(session.Compile());
+  auto rows = session.SolveTopDown("hop(a, X)");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 1u);
 }

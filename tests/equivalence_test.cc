@@ -4,8 +4,8 @@
 // the common vocabulary.
 #include <gtest/gtest.h>
 
+#include "api/session.h"
 #include "eval/bottomup.h"
-#include "eval/engine.h"
 #include "transform/builtin_elim.h"
 #include "transform/quantifier_elim.h"
 
@@ -18,10 +18,10 @@ namespace {
     ASSERT_TRUE(_st.ok()) << _st.ToString();   \
   } while (0)
 
-// Evaluates `program` over the facts of `engine` in a fresh database.
-std::unique_ptr<Database> Eval(Engine& engine, const Program& program,
+// Evaluates `program` over the facts of `session` in a fresh database.
+std::unique_ptr<Database> Eval(Session& session, const Program& program,
                                EvalOptions options = {}) {
-  std::unique_ptr<Database> db = engine.database()->FactsFor(program);
+  std::unique_ptr<Database> db = session.database()->FactsFor(program);
   auto stats = EvaluateProgram(program, db.get(), options);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   return db;
@@ -48,14 +48,15 @@ class QuantElimTest : public ::testing::TestWithParam<SetPrimitive> {};
 
 TEST_P(QuantElimTest, SubsetProgramSurvivesRewrite) {
   // subset via quantifier vs via structural recursion on scons/union.
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     s({1, 2}). s({1, 2, 3}). s({4}). s({}).
     q(1). q(2).
     allq(X) :- s(X), forall E in X : q(E).
   )"));
-  Program original = *engine.program();
-  auto original_db = Eval(engine, original);
+  ASSERT_OK(session.Compile());
+  Program original = *session.program();
+  auto original_db = Eval(session, original);
 
   auto rewritten = EliminateQuantifiers(original, GetParam());
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
@@ -65,29 +66,30 @@ TEST_P(QuantElimTest, SubsetProgramSurvivesRewrite) {
   }
   EvalOptions opts;
   opts.max_tuples = 200000;
-  auto rewritten_db = Eval(engine, *rewritten, opts);
+  auto rewritten_db = Eval(session, *rewritten, opts);
 
-  PredicateId allq = engine.signature()->Lookup("allq", 1);
+  PredicateId allq = session.signature()->Lookup("allq", 1);
   ASSERT_NE(allq, kInvalidPredicate);
   ExpectSameRelation(*original_db, *rewritten_db, allq, "allq");
 }
 
 TEST_P(QuantElimTest, NestedQuantifiersPeelRecursively) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     s({1, 2}). s({3}). s({}).
     lessall(X, Y) :- s(X), s(Y), forall A in X, forall B in Y : A < B.
   )"));
-  Program original = *engine.program();
-  auto original_db = Eval(engine, original);
+  ASSERT_OK(session.Compile());
+  Program original = *session.program();
+  auto original_db = Eval(session, original);
 
   auto rewritten = EliminateQuantifiers(original, GetParam());
   ASSERT_TRUE(rewritten.ok());
   EvalOptions opts;
   opts.max_tuples = 500000;
-  auto rewritten_db = Eval(engine, *rewritten, opts);
+  auto rewritten_db = Eval(session, *rewritten, opts);
 
-  PredicateId lessall = engine.signature()->Lookup("lessall", 2);
+  PredicateId lessall = session.signature()->Lookup("lessall", 2);
   ExpectSameRelation(*original_db, *rewritten_db, lessall, "lessall");
 }
 
@@ -98,13 +100,14 @@ INSTANTIATE_TEST_SUITE_P(Primitives, QuantElimTest,
 // --- Theorem 10.1/10.2: builtin elimination ---------------------------
 
 TEST(BuiltinElimTest, UnionLiteralReplacedByDefinedPredicate) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     a({1, 2}). b({2, 3}). c({1, 2, 3}). c({9}).
     u(Z) :- a(X), b(Y), c(Z), union(X, Y, Z).
   )"));
-  Program original = *engine.program();
-  auto original_db = Eval(engine, original);
+  ASSERT_OK(session.Compile());
+  Program original = *session.program();
+  auto original_db = Eval(session, original);
 
   auto rewritten = EliminateUnionBuiltin(original);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
@@ -114,21 +117,22 @@ TEST(BuiltinElimTest, UnionLiteralReplacedByDefinedPredicate) {
       EXPECT_NE(l.pred, kPredUnion);
     }
   }
-  auto rewritten_db = Eval(engine, *rewritten);
-  PredicateId u = engine.signature()->Lookup("u", 1);
+  auto rewritten_db = Eval(session, *rewritten);
+  PredicateId u = session.signature()->Lookup("u", 1);
   ExpectSameRelation(*original_db, *rewritten_db, u, "u");
   EXPECT_TRUE(rewritten_db->Contains(
-      u, {engine.ParseTerm("{1,2,3}").value()}));
+      u, {session.ParseTerm("{1,2,3}").value()}));
 }
 
 TEST(BuiltinElimTest, SconsLiteralReplacedByDefinedPredicate) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     a({2}). c({1, 2}). c({2, 9}).
     u(Z) :- a(Y), c(Z), scons(1, Y, Z).
   )"));
-  Program original = *engine.program();
-  auto original_db = Eval(engine, original);
+  ASSERT_OK(session.Compile());
+  Program original = *session.program();
+  auto original_db = Eval(session, original);
 
   auto rewritten = EliminateSconsBuiltin(original);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
@@ -137,17 +141,18 @@ TEST(BuiltinElimTest, SconsLiteralReplacedByDefinedPredicate) {
       EXPECT_NE(l.pred, kPredScons);
     }
   }
-  auto rewritten_db = Eval(engine, *rewritten);
-  PredicateId u = engine.signature()->Lookup("u", 1);
+  auto rewritten_db = Eval(session, *rewritten);
+  PredicateId u = session.signature()->Lookup("u", 1);
   ExpectSameRelation(*original_db, *rewritten_db, u, "u");
   EXPECT_TRUE(rewritten_db->Contains(
-      u, {engine.ParseTerm("{1,2}").value()}));
+      u, {session.ParseTerm("{1,2}").value()}));
 }
 
 TEST(BuiltinElimTest, NoOpWhenBuiltinUnused) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString("p(a). q(X) :- p(X)."));
-  Program original = *engine.program();
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load("p(a). q(X) :- p(X)."));
+  ASSERT_OK(session.Compile());
+  Program original = *session.program();
   auto rewritten = EliminateUnionBuiltin(original);
   ASSERT_TRUE(rewritten.ok());
   EXPECT_EQ(rewritten->clauses().size(), original.clauses().size());
@@ -162,15 +167,16 @@ TEST(RoundTripTest, ElpsToHornAndBack) {
   // active domain - the dom facts seed them (see DESIGN.md on
   // active-domain semantics; the paper's full Herbrand universe contains
   // every finite set).
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     s({1, 2}). s({}).
     dom({1}). dom({2}).
     q(1). q(2).
     allq(X) :- s(X), forall E in X : q(E).
   )"));
-  Program original = *engine.program();
-  auto original_db = Eval(engine, original);
+  ASSERT_OK(session.Compile());
+  Program original = *session.program();
+  auto original_db = Eval(session, original);
 
   auto horn = EliminateQuantifiers(original, SetPrimitive::kScons);
   ASSERT_TRUE(horn.ok());
@@ -185,8 +191,8 @@ TEST(RoundTripTest, ElpsToHornAndBack) {
   }
   EvalOptions opts;
   opts.max_tuples = 500000;
-  auto back_db = Eval(engine, *back, opts);
-  PredicateId allq = engine.signature()->Lookup("allq", 1);
+  auto back_db = Eval(session, *back, opts);
+  PredicateId allq = session.signature()->Lookup("allq", 1);
   ExpectSameRelation(*original_db, *back_db, allq, "allq roundtrip");
 }
 

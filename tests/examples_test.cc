@@ -3,7 +3,7 @@
 // contrast that motivates LPS.
 #include <gtest/gtest.h>
 
-#include "eval/engine.h"
+#include "api/session.h"
 
 namespace lps {
 namespace {
@@ -16,8 +16,8 @@ namespace {
 
 // Examples 1-3 in one program: disj, subset, union.
 TEST(PaperExamples, Examples1To3) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     s({}). s({1}). s({2}). s({1, 2}). s({2, 3}). s({1, 2, 3}).
 
     % Example 1: disj(X, Y) :- (forall x in X)(forall y in Y)(x != y).
@@ -30,63 +30,66 @@ TEST(PaperExamples, Examples1To3) {
     u(X, Y, Z) :- subset(X, Z), subset(Y, Z),
                   forall C in Z : (C in X ; C in Y).
   )"));
-  ASSERT_OK(engine.Evaluate());
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
 
-  EXPECT_TRUE(*engine.HoldsText("disj({1}, {2,3})"));
-  EXPECT_FALSE(*engine.HoldsText("disj({1,2}, {2,3})"));
-  EXPECT_TRUE(*engine.HoldsText("disj({}, {1,2,3})"));
+  EXPECT_TRUE(*session.Holds("disj({1}, {2,3})"));
+  EXPECT_FALSE(*session.Holds("disj({1,2}, {2,3})"));
+  EXPECT_TRUE(*session.Holds("disj({}, {1,2,3})"));
 
-  EXPECT_TRUE(*engine.HoldsText("subset({1}, {1,2})"));
-  EXPECT_TRUE(*engine.HoldsText("subset({}, {})"));
-  EXPECT_FALSE(*engine.HoldsText("subset({2,3}, {1,2})"));
+  EXPECT_TRUE(*session.Holds("subset({1}, {1,2})"));
+  EXPECT_TRUE(*session.Holds("subset({}, {})"));
+  EXPECT_FALSE(*session.Holds("subset({2,3}, {1,2})"));
 
-  EXPECT_TRUE(*engine.HoldsText("u({1}, {2}, {1,2})"));
-  EXPECT_TRUE(*engine.HoldsText("u({1,2}, {2,3}, {1,2,3})"));
-  EXPECT_FALSE(*engine.HoldsText("u({1}, {2}, {1,2,3})"));
-  EXPECT_TRUE(*engine.HoldsText("u({}, {}, {})"));
+  EXPECT_TRUE(*session.Holds("u({1}, {2}, {1,2})"));
+  EXPECT_TRUE(*session.Holds("u({1,2}, {2,3}, {1,2,3})"));
+  EXPECT_FALSE(*session.Holds("u({1}, {2}, {1,2,3})"));
+  EXPECT_TRUE(*session.Holds("u({}, {}, {})"));
 }
 
 // Example 4: unnest of a non-1NF relation.
 TEST(PaperExamples, Example4Unnest) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     pred r(atom, set).
     r(row1, {a, b, c}).
     r(row2, {c, d}).
     s(X, Y) :- r(X, Ys), Y in Ys.
   )"));
-  ASSERT_OK(engine.Evaluate());
-  auto rows = engine.Query("s(X, Y)");
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  auto rows = session.Query("s(X, Y)");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 5u);
-  EXPECT_TRUE(*engine.HoldsText("s(row1, a)"));
-  EXPECT_TRUE(*engine.HoldsText("s(row2, d)"));
+  EXPECT_TRUE(*session.Holds("s(row1, a)"));
+  EXPECT_TRUE(*session.Holds("s(row2, d)"));
 }
 
 // Example 5: sum of a set of numbers, via the recursive disjoint-union
 // decomposition run top-down (the bottom-up direction would need all
 // subsets active; see DESIGN.md).
 TEST(PaperExamples, Example5Sum) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     sum({}, 0).
     sum(X, N) :- X = {E}, N = E.
     sum(Z, K) :- schoose(Z, E, Rest), sum(Rest, M), add(E, M, K).
   )"));
-  auto rows = engine.SolveTopDown("sum({3, 5, 9}, K)");
+  ASSERT_OK(session.Compile());
+  auto rows = session.SolveTopDown("sum({3, 5, 9}, K)");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_GE(rows->size(), 1u);
-  EXPECT_EQ((*rows)[0][1], engine.store()->MakeInt(17));
+  EXPECT_EQ((*rows)[0][1], session.store()->MakeInt(17));
   // Base cases from the paper: singleton and empty.
-  auto single = engine.SolveTopDown("sum({4}, K)");
+  auto single = session.SolveTopDown("sum({4}, K)");
   ASSERT_TRUE(single.ok());
-  EXPECT_EQ((*single)[0][1], engine.store()->MakeInt(4));
+  EXPECT_EQ((*single)[0][1], session.store()->MakeInt(4));
 }
 
 // Example 6: bill-of-materials cost rollup.
 TEST(PaperExamples, Example6ObjectCosts) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     pred parts(atom, set).
     pred cost(atom, atom).
     parts(car, {engine, wheel, frame}).
@@ -99,29 +102,31 @@ TEST(PaperExamples, Example6ObjectCosts) {
                        sum_costs(Rest, N), add(M, N, K).
     obj_cost(X, N) :- parts(X, Y), sum_costs(Y, N).
   )"));
-  auto car = engine.SolveTopDown("obj_cost(car, N)");
+  ASSERT_OK(session.Compile());
+  auto car = session.SolveTopDown("obj_cost(car, N)");
   ASSERT_TRUE(car.ok()) << car.status().ToString();
   ASSERT_EQ(car->size(), 1u);
-  EXPECT_EQ((*car)[0][1], engine.store()->MakeInt(185));
-  auto eng = engine.SolveTopDown("obj_cost(engine, N)");
+  EXPECT_EQ((*car)[0][1], session.store()->MakeInt(185));
+  auto eng = session.SolveTopDown("obj_cost(engine, N)");
   ASSERT_TRUE(eng.ok());
-  EXPECT_EQ((*eng)[0][1], engine.store()->MakeInt(50));
+  EXPECT_EQ((*eng)[0][1], session.store()->MakeInt(50));
 }
 
 // The introduction's Prolog pain point, solved declaratively: no list
 // iteration boilerplate, one rule per predicate.
 TEST(PaperExamples, IntroMotivationMemberAndDisj) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     s({p, q}). s({r}). s({}).
     nonempty(X) :- s(X), exists E in X : E = E.
   )"));
-  ASSERT_OK(engine.Evaluate());
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
   // member is primitive:
-  EXPECT_TRUE(*engine.HoldsText("p in {p, q}"));
-  EXPECT_FALSE(*engine.HoldsText("r in {p, q}"));
-  EXPECT_TRUE(*engine.HoldsText("nonempty({p,q})"));
-  EXPECT_FALSE(*engine.HoldsText("nonempty({})"));
+  EXPECT_TRUE(*session.Holds("p in {p, q}"));
+  EXPECT_FALSE(*session.Holds("r in {p, q}"));
+  EXPECT_TRUE(*session.Holds("nonempty({p,q})"));
+  EXPECT_FALSE(*session.Holds("nonempty({})"));
 }
 
 // Example 7's lesson: the clause ":- (forall x in X) p(x)" has no LPS
@@ -129,12 +134,13 @@ TEST(PaperExamples, IntroMotivationMemberAndDisj) {
 // denial clauses, but the vacuous-truth behaviour it rests on is
 // checkable: the body holds for X = {} regardless of p.
 TEST(PaperExamples, Example7VacuousTruth) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     witness(X) :- X = {}, forall E in X : p(E).
   )"));
-  ASSERT_OK(engine.Evaluate());
-  EXPECT_TRUE(*engine.HoldsText("witness({})"));
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("witness({})"));
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 // stratified repair of Section 4.2 is covered in ldl_test.cc.
 #include <gtest/gtest.h>
 
-#include "eval/engine.h"
+#include "api/session.h"
 #include "term/printer.h"
 #include "term/set_algebra.h"
 
@@ -28,8 +28,8 @@ namespace {
 // Section 4.1: splitting the disjunction into two clauses does NOT give
 // union; it gives "X u Y subseteq Z and (Z subseteq X or Z subseteq Y)".
 TEST(Theorem7Test, NaiveTwoClauseSplitIsNotUnion) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     s({1}). s({2}). s({1, 2}). s({1, 2, 3}).
     sub(X, Y) :- s(X), s(Y), forall E in X : E in Y.
     bad_union(X, Y, Z) :- sub(X, Z), sub(Y, Z), s(Z),
@@ -37,46 +37,49 @@ TEST(Theorem7Test, NaiveTwoClauseSplitIsNotUnion) {
     bad_union(X, Y, Z) :- sub(X, Z), sub(Y, Z), s(Z),
                           forall C in Z : C in Y.
   )"));
-  ASSERT_OK(engine.Evaluate());
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
   // The real union {1} u {2} = {1,2} is MISSED by the split ...
-  EXPECT_FALSE(*engine.HoldsText("bad_union({1}, {2}, {1,2})"));
+  EXPECT_FALSE(*session.Holds("bad_union({1}, {2}, {1,2})"));
   // ... while Z subseteq X cases wrongly pass with Y arbitrary.
-  EXPECT_TRUE(*engine.HoldsText("bad_union({1,2}, {1}, {1,2})"));
+  EXPECT_TRUE(*session.Holds("bad_union({1,2}, {1}, {1,2})"));
   // The correct aux-based definition (Example 3 / Theorem 6) is exact.
-  ASSERT_OK(engine.LoadString(R"(
+  ASSERT_OK(session.Load(R"(
     good_union(X, Y, Z) :- sub(X, Z), sub(Y, Z), s(Z),
                            forall C in Z : (C in X ; C in Y).
   )"));
-  ASSERT_OK(engine.Evaluate());
-  EXPECT_TRUE(*engine.HoldsText("good_union({1}, {2}, {1,2})"));
-  EXPECT_FALSE(*engine.HoldsText("good_union({1}, {2}, {1,2,3})"));
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("good_union({1}, {2}, {1,2})"));
+  EXPECT_FALSE(*session.Holds("good_union({1}, {2}, {1,2,3})"));
 }
 
 // Exhaustive check that the aux-based union agrees with set-theoretic
 // union on every active triple (the positive half of Theorem 7: *with*
 // auxiliary predicates the relation is definable).
 TEST(Theorem7Test, AuxUnionIsExactOnDomain) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     s({}). s({1}). s({2}). s({1, 2}). s({2, 3}). s({1, 2, 3}).
     sub(X, Y) :- s(X), s(Y), forall E in X : E in Y.
     u(X, Y, Z) :- sub(X, Z), sub(Y, Z), s(Z),
                   forall C in Z : (C in X ; C in Y).
   )"));
-  ASSERT_OK(engine.Evaluate());
-  auto sets = engine.Query("s(S)");
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  auto sets = session.Query("s(S)");
   ASSERT_TRUE(sets.ok());
   ASSERT_EQ(sets->size(), 6u);
-  PredicateId u = engine.signature()->Lookup("u", 3);
+  PredicateId u = session.signature()->Lookup("u", 3);
   size_t positives = 0;
   for (const Tuple& x : *sets) {
     for (const Tuple& y : *sets) {
-      TermId expected = SetUnion(engine.store(), x[0], y[0]);
+      TermId expected = SetUnion(session.store(), x[0], y[0]);
       for (const Tuple& z : *sets) {
         bool holds =
-            engine.database()->Contains(u, {x[0], y[0], z[0]});
+            session.database()->Contains(u, {x[0], y[0], z[0]});
         EXPECT_EQ(holds, z[0] == expected)
-            << engine.TupleToString({x[0], y[0], z[0]});
+            << session.TupleToString({x[0], y[0], z[0]});
         if (holds) ++positives;
       }
     }
@@ -96,33 +99,37 @@ TEST(Theorem8Test, PositiveBOverApproximatesUnderGrowth) {
     dom({c1}). dom({c2}). dom({c1, c2}). dom({}).
     b(X) :- dom(X), forall E in X : a(E).
   )";
-  Engine p1(LanguageMode::kLPS);
-  ASSERT_OK(p1.LoadString(kDefinition));
-  ASSERT_OK(p1.LoadString("a(c1)."));
+  Session p1(LanguageMode::kLPS);
+  ASSERT_OK(p1.Load(kDefinition));
+  ASSERT_OK(p1.Compile());
+  ASSERT_OK(p1.Load("a(c1)."));
+  ASSERT_OK(p1.Compile());
   ASSERT_OK(p1.Evaluate());
   // Under P1 the candidate definition already over-approximates:
-  EXPECT_TRUE(*p1.HoldsText("b({c1})"));
-  EXPECT_TRUE(*p1.HoldsText("b({})"));  // subset, wrongly accepted
-  EXPECT_FALSE(*p1.HoldsText("b({c1, c2})"));
+  EXPECT_TRUE(*p1.Holds("b({c1})"));
+  EXPECT_TRUE(*p1.Holds("b({})"));  // subset, wrongly accepted
+  EXPECT_FALSE(*p1.Holds("b({c1, c2})"));
 
-  Engine p2(LanguageMode::kLPS);
-  ASSERT_OK(p2.LoadString(kDefinition));
-  ASSERT_OK(p2.LoadString("a(c1). a(c2)."));
+  Session p2(LanguageMode::kLPS);
+  ASSERT_OK(p2.Load(kDefinition));
+  ASSERT_OK(p2.Compile());
+  ASSERT_OK(p2.Load("a(c1). a(c2)."));
+  ASSERT_OK(p2.Compile());
   ASSERT_OK(p2.Evaluate());
   // The true construction under P2 is {c1, c2} only; the positive
   // definition still accepts {c1} - exactly the proof's contradiction:
   // M_P1's B-facts persist in M_P2.
-  EXPECT_TRUE(*p2.HoldsText("b({c1, c2})"));
-  EXPECT_TRUE(*p2.HoldsText("b({c1})")) << "monotonicity violated?!";
+  EXPECT_TRUE(*p2.Holds("b({c1, c2})"));
+  EXPECT_TRUE(*p2.Holds("b({c1})")) << "monotonicity violated?!";
   // Machine-check the monotonicity claim itself.
   PredicateId b1 = p1.signature()->Lookup("b", 1);
   const Relation* r1 = p1.database()->FindRelation(b1);
   ASSERT_NE(r1, nullptr);
   for (TupleRef t : r1->rows()) {
-    // Same textual term in the other engine's store.
+    // Same textual term in the other session's store.
     std::string text =
         "b(" + TermToString(*p1.store(), t[0]) + ")";
-    EXPECT_TRUE(*p2.HoldsText(text)) << text;
+    EXPECT_TRUE(*p2.Holds(text)) << text;
   }
 }
 
@@ -136,21 +143,25 @@ TEST(Theorem8Test, StratifiedRepairIsExactUnderGrowth) {
             (forall E in X : E in Y), (exists W in Y : W notin X).
     b(X) :- dom(X), (forall E in X : a(E)), not c(X).
   )";
-  Engine p1(LanguageMode::kLPS);
-  ASSERT_OK(p1.LoadString(kDefinition));
-  ASSERT_OK(p1.LoadString("a(c1)."));
+  Session p1(LanguageMode::kLPS);
+  ASSERT_OK(p1.Load(kDefinition));
+  ASSERT_OK(p1.Compile());
+  ASSERT_OK(p1.Load("a(c1)."));
+  ASSERT_OK(p1.Compile());
   ASSERT_OK(p1.Evaluate());
-  EXPECT_TRUE(*p1.HoldsText("b({c1})"));
-  EXPECT_FALSE(*p1.HoldsText("b({})"));
-  EXPECT_FALSE(*p1.HoldsText("b({c1, c2})"));
+  EXPECT_TRUE(*p1.Holds("b({c1})"));
+  EXPECT_FALSE(*p1.Holds("b({})"));
+  EXPECT_FALSE(*p1.Holds("b({c1, c2})"));
 
-  Engine p2(LanguageMode::kLPS);
-  ASSERT_OK(p2.LoadString(kDefinition));
-  ASSERT_OK(p2.LoadString("a(c1). a(c2)."));
+  Session p2(LanguageMode::kLPS);
+  ASSERT_OK(p2.Load(kDefinition));
+  ASSERT_OK(p2.Compile());
+  ASSERT_OK(p2.Load("a(c1). a(c2)."));
+  ASSERT_OK(p2.Compile());
   ASSERT_OK(p2.Evaluate());
-  EXPECT_TRUE(*p2.HoldsText("b({c1, c2})"));
-  EXPECT_FALSE(*p2.HoldsText("b({c1})"));  // no longer maximal
-  EXPECT_FALSE(*p2.HoldsText("b({})"));
+  EXPECT_TRUE(*p2.Holds("b({c1, c2})"));
+  EXPECT_FALSE(*p2.Holds("b({c1})"));  // no longer maximal
+  EXPECT_FALSE(*p2.Holds("b({})"));
 }
 
 }  // namespace

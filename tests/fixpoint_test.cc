@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "eval/engine.h"
+#include "api/session.h"
 
 namespace lps {
 namespace {
@@ -130,33 +130,35 @@ TEST(FixpointTest, LpsModelEqualsGroundedHornModel) {
     allq(X) :- s(X), forall E in X : q(E).
     sub(X, Y) :- s(X), s(Y), forall E in X : E in Y.
   )";
-  Engine lps_engine(LanguageMode::kLPS);
-  ASSERT_TRUE(lps_engine.LoadString(kSource).ok());
-  ASSERT_TRUE(lps_engine.Evaluate().ok());
+  Session lps_session(LanguageMode::kLPS);
+  ASSERT_TRUE(lps_session.Load(kSource).ok());
+  ASSERT_TRUE(lps_session.Compile().ok());
+  ASSERT_TRUE(lps_session.Evaluate().ok());
 
   // Build the grounded program over the evaluated active domain (the
   // program creates no new sets, so the domain is the EDB's).
   // Loading stores the facts, which seeds the domains.
-  Engine ground_engine(LanguageMode::kLPS);
-  ASSERT_TRUE(ground_engine.LoadString(kSource).ok());
+  Session ground_session(LanguageMode::kLPS);
+  ASSERT_TRUE(ground_session.Load(kSource).ok());
+  ASSERT_TRUE(ground_session.Compile().ok());
   auto grounded = GroundProgramOverDomain(
-      *ground_engine.program(), ground_engine.database()->atom_domain(),
-      ground_engine.database()->set_domain());
+      *ground_session.program(), ground_session.database()->atom_domain(),
+      ground_session.database()->set_domain());
   ASSERT_TRUE(grounded.ok()) << grounded.status().ToString();
   // Every grounded clause is Horn (no quantifiers).
   for (const Clause& c : grounded->clauses()) {
     EXPECT_TRUE(c.quantifiers.empty());
   }
   std::unique_ptr<Database> ground_db =
-      ground_engine.database()->FactsFor(*grounded);
+      ground_session.database()->FactsFor(*grounded);
   ASSERT_TRUE(EvaluateProgram(*grounded, ground_db.get()).ok());
 
   // Compare the two models on the user predicates.
   for (const char* pred : {"allq", "sub"}) {
-    PredicateId p1 = lps_engine.signature()->Lookup(
+    PredicateId p1 = lps_session.signature()->Lookup(
         pred, pred == std::string("sub") ? 2 : 1);
     ASSERT_NE(p1, kInvalidPredicate);
-    const Relation* r1 = lps_engine.database()->FindRelation(p1);
+    const Relation* r1 = lps_session.database()->FindRelation(p1);
     const Relation* r2 = ground_db->FindRelation(p1);
     ASSERT_NE(r1, nullptr);
     ASSERT_NE(r2, nullptr);
@@ -175,13 +177,16 @@ TEST(FixpointTest, MonotoneUnderEdbGrowth) {
     q(a). q(b).
     allq(X) :- s(X), forall E in X : q(E).
   )";
-  Engine small(LanguageMode::kLPS);
-  ASSERT_TRUE(small.LoadString(kBase).ok());
+  Session small(LanguageMode::kLPS);
+  ASSERT_TRUE(small.Load(kBase).ok());
+  ASSERT_TRUE(small.Compile().ok());
   ASSERT_TRUE(small.Evaluate().ok());
 
-  Engine big(LanguageMode::kLPS);
-  ASSERT_TRUE(big.LoadString(kBase).ok());
-  ASSERT_TRUE(big.LoadString("s({b}). q(c).").ok());
+  Session big(LanguageMode::kLPS);
+  ASSERT_TRUE(big.Load(kBase).ok());
+  ASSERT_TRUE(big.Compile().ok());
+  ASSERT_TRUE(big.Load("s({b}). q(c).").ok());
+  ASSERT_TRUE(big.Compile().ok());
   ASSERT_TRUE(big.Evaluate().ok());
 
   PredicateId allq = small.signature()->Lookup("allq", 1);
@@ -203,26 +208,28 @@ TEST(FixpointTest, ConvergesInLinearRoundsOnChains) {
   }
   src += "path(X, Y) :- edge(X, Y).\n";
   src += "path(X, Z) :- path(X, Y), edge(Y, Z).\n";
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_TRUE(engine.LoadString(src).ok());
+  Session session(LanguageMode::kLPS);
+  ASSERT_TRUE(session.Load(src).ok());
+  ASSERT_TRUE(session.Compile().ok());
   // Legacy source-order plans lead with the recursive literal, so each
   // round extends paths by exactly one hop.
-  EvalOptions legacy;
+  Options legacy;
   legacy.reorder = false;
-  ASSERT_TRUE(engine.Evaluate(legacy).ok());
-  EXPECT_TRUE(*engine.HoldsText("path(n0, n20)"));
+  ASSERT_TRUE(session.Evaluate(legacy).ok());
+  EXPECT_TRUE(*session.Holds("path(n0, n20)"));
   // 20 hops need about 20 rounds, plus the fixpoint-detection round.
-  EXPECT_LE(engine.eval_stats().iterations, 25u);
-  EXPECT_GE(engine.eval_stats().iterations, 19u);
+  EXPECT_LE(session.eval_stats().iterations, 25u);
+  EXPECT_GE(session.eval_stats().iterations, 19u);
   // Cost-based ordering (the default) scans edge and probes the
   // growing path relation, so derivations cascade within a round: the
   // same model in far fewer rounds.
-  Engine fast(LanguageMode::kLPS);
-  ASSERT_TRUE(fast.LoadString(src).ok());
+  Session fast(LanguageMode::kLPS);
+  ASSERT_TRUE(fast.Load(src).ok());
+  ASSERT_TRUE(fast.Compile().ok());
   ASSERT_TRUE(fast.Evaluate().ok());
-  EXPECT_TRUE(*fast.HoldsText("path(n0, n20)"));
+  EXPECT_TRUE(*fast.Holds("path(n0, n20)"));
   EXPECT_LT(fast.eval_stats().iterations,
-            engine.eval_stats().iterations);
+            session.eval_stats().iterations);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "eval/engine.h"
+#include "api/session.h"
 #include "ground/grounder.h"
 
 namespace lps {
@@ -110,23 +110,22 @@ TEST(HerbrandTest, CollectGroundTermsFindsNestedOnes) {
 // is itself a model (T_P(M) subseteq M) and that removing any derived
 // atom breaks modelhood. We check T_P-closure via grounding.
 TEST(HerbrandTest, DerivedModelIsClosedUnderGroundRules) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_TRUE(engine
-                  .LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_TRUE(session.Load(R"(
     s({a, b}). s({b}).
     covers(X, Y) :- s(X), s(Y), forall E in Y : E in X.
-  )")
-                  .ok());
-  ASSERT_TRUE(engine.Evaluate().ok());
+  )").ok());
+  ASSERT_TRUE(session.Compile().ok());
+  ASSERT_TRUE(session.Evaluate().ok());
 
   // Ground the program over the active domain and check closure: for
   // every ground instance whose body holds in the database, the head
   // must hold too.
-  Database* db = engine.database();
+  Database* db = session.database();
   std::vector<Clause> ground;
   GroundOptions gopts;
-  for (const Clause& c : engine.program()->clauses()) {
-    ASSERT_TRUE(GroundClauseOverDomain(engine.store(), c,
+  for (const Clause& c : session.program()->clauses()) {
+    ASSERT_TRUE(GroundClauseOverDomain(session.store(), c,
                                        db->atom_domain(),
                                        db->set_domain(), gopts, &ground)
                     .ok());
@@ -137,8 +136,8 @@ TEST(HerbrandTest, DerivedModelIsClosedUnderGroundRules) {
     bool body_holds = true;
     for (const Literal& lit : g.body) {
       bool holds;
-      if (engine.signature()->IsBuiltin(lit.pred)) {
-        auto r = CheckBuiltin(engine.store(), lit.pred, lit.args, bopts);
+      if (session.signature()->IsBuiltin(lit.pred)) {
+        auto r = CheckBuiltin(session.store(), lit.pred, lit.args, bopts);
         ASSERT_TRUE(r.ok());
         holds = *r;
       } else {

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "api/session.h"
 #include "eval/bottomup.h"
-#include "eval/engine.h"
 #include "lang/validate.h"
 #include "term/set_algebra.h"
 #include "transform/stratify.h"
@@ -19,10 +19,10 @@ namespace {
     ASSERT_TRUE(_st.ok()) << _st.ToString();   \
   } while (0)
 
-// Evaluates `program` over the facts of `engine` in a fresh database.
-std::unique_ptr<Database> Eval(Engine& engine, const Program& program,
+// Evaluates `program` over the facts of `session` in a fresh database.
+std::unique_ptr<Database> Eval(Session& session, const Program& program,
                                EvalOptions options = {}) {
-  std::unique_ptr<Database> db = engine.database()->FactsFor(program);
+  std::unique_ptr<Database> db = session.database()->FactsFor(program);
   auto stats = EvaluateProgram(program, db.get(), options);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   return db;
@@ -32,15 +32,16 @@ TEST(GroupingElimTest, TranslationMatchesNativeGrouping) {
   // The witness sets (each group and its rivals) must be active for the
   // negation-based translation to quantify over them; subsets facts
   // seed the domain (active-domain semantics, see DESIGN.md).
-  Engine engine(LanguageMode::kLDL);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLDL);
+  ASSERT_OK(session.Load(R"(
     emp(sales, ann). emp(sales, bob). emp(dev, carol).
     dom({ann}). dom({bob}). dom({carol}). dom({ann, bob}).
     dom({ann, carol}). dom({bob, carol}). dom({ann, bob, carol}).
     team(D, <E>) :- emp(D, E).
   )"));
-  Program original = *engine.program();
-  auto native_db = Eval(engine, original);
+  ASSERT_OK(session.Compile());
+  Program original = *session.program();
+  auto native_db = Eval(session, original);
 
   auto translated = EliminateGrouping(original);
   ASSERT_TRUE(translated.ok()) << translated.status().ToString();
@@ -49,8 +50,8 @@ TEST(GroupingElimTest, TranslationMatchesNativeGrouping) {
   // The translation is stratified (Theorem 12).
   EXPECT_TRUE(Stratify(*translated).ok());
 
-  auto translated_db = Eval(engine, *translated);
-  PredicateId team = engine.signature()->Lookup("team", 2);
+  auto translated_db = Eval(session, *translated);
+  PredicateId team = session.signature()->Lookup("team", 2);
   ASSERT_NE(team, kInvalidPredicate);
 
   // Native groups must appear identically in the translation.
@@ -65,7 +66,7 @@ TEST(GroupingElimTest, TranslationMatchesNativeGrouping) {
   const Relation* rt = translated_db->FindRelation(team);
   ASSERT_NE(rt, nullptr);
   for (TupleRef t : rt->rows()) {
-    if (SetCardinality(*engine.store(), t[1]) > 0) {
+    if (SetCardinality(*session.store(), t[1]) > 0) {
       EXPECT_TRUE(rn->Contains(t))
           << "translation derived a spurious non-empty group";
     }
@@ -87,13 +88,14 @@ TEST(GroupingElimTest, RejectsEmptyBodyGrouping) {
 }
 
 TEST(UnionToGroupingTest, GroupedUnionMatchesBuiltin) {
-  Engine engine(LanguageMode::kLDL);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLDL);
+  ASSERT_OK(session.Load(R"(
     a({1, 2}). b({2, 3}).
     u(Z) :- a(X), b(Y), union(X, Y, Z).
   )"));
-  Program original = *engine.program();
-  auto original_db = Eval(engine, original);
+  ASSERT_OK(session.Compile());
+  Program original = *session.program();
+  auto original_db = Eval(session, original);
 
   auto translated = UnionToGrouping(original);
   ASSERT_TRUE(translated.ok()) << translated.status().ToString();
@@ -103,9 +105,9 @@ TEST(UnionToGroupingTest, GroupedUnionMatchesBuiltin) {
     }
   }
   EXPECT_TRUE(ProgramUsesGrouping(*translated));
-  auto translated_db = Eval(engine, *translated);
+  auto translated_db = Eval(session, *translated);
 
-  PredicateId u = engine.signature()->Lookup("u", 1);
+  PredicateId u = session.signature()->Lookup("u", 1);
   const Relation* r1 = original_db->FindRelation(u);
   const Relation* r2 = translated_db->FindRelation(u);
   ASSERT_NE(r1, nullptr);
@@ -115,30 +117,31 @@ TEST(UnionToGroupingTest, GroupedUnionMatchesBuiltin) {
     EXPECT_TRUE(r2->Contains(t));
   }
   EXPECT_TRUE(original_db->Contains(
-      u, {engine.ParseTerm("{1,2,3}").value()}));
+      u, {session.ParseTerm("{1,2,3}").value()}));
 }
 
 TEST(UnionToGroupingTest, StratificationPreserved) {
   // Theorem 12: the maps carry stratified programs to stratified ones.
-  Engine engine(LanguageMode::kLDL);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLDL);
+  ASSERT_OK(session.Load(R"(
     a({1}). b({2}). bad({9}).
     u(Z) :- a(X), b(Y), union(X, Y, Z).
     ok(Z) :- u(Z), not bad(Z).
   )"));
-  auto translated = UnionToGrouping(*engine.program());
+  ASSERT_OK(session.Compile());
+  auto translated = UnionToGrouping(*session.program());
   ASSERT_TRUE(translated.ok());
   EXPECT_TRUE(Stratify(*translated).ok());
-  auto db = Eval(engine, *translated);
-  PredicateId ok = engine.signature()->Lookup("ok", 1);
-  EXPECT_TRUE(db->Contains(ok, {engine.ParseTerm("{1,2}").value()}));
+  auto db = Eval(session, *translated);
+  PredicateId ok = session.signature()->Lookup("ok", 1);
+  EXPECT_TRUE(db->Contains(ok, {session.ParseTerm("{1,2}").value()}));
 }
 
 TEST(SetConstructionTest, Section42StratifiedDefinition) {
   // Section 4.2: B(X) = {x | A(x)} via stratified negation. Subset
   // facts seed the candidate space.
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     a(1). a(2).
     dom({}). dom({1}). dom({2}). dom({3}). dom({1, 2}).
     dom({1, 3}). dom({2, 3}). dom({1, 2, 3}).
@@ -146,37 +149,41 @@ TEST(SetConstructionTest, Section42StratifiedDefinition) {
             (forall E in X : E in Y), (exists W in Y : W notin X).
     b(X) :- dom(X), (forall E in X : a(E)), not c(X).
   )"));
-  ASSERT_OK(engine.Evaluate());
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
   // Exactly the full set {1, 2} satisfies b.
-  EXPECT_TRUE(*engine.HoldsText("b({1,2})"));
-  EXPECT_FALSE(*engine.HoldsText("b({1})"));
-  EXPECT_FALSE(*engine.HoldsText("b({2})"));
-  EXPECT_FALSE(*engine.HoldsText("b({})"));
-  EXPECT_FALSE(*engine.HoldsText("b({1,2,3})"));
-  auto rows = engine.Query("b(X)");
+  EXPECT_TRUE(*session.Holds("b({1,2})"));
+  EXPECT_FALSE(*session.Holds("b({1})"));
+  EXPECT_FALSE(*session.Holds("b({2})"));
+  EXPECT_FALSE(*session.Holds("b({})"));
+  EXPECT_FALSE(*session.Holds("b({1,2,3})"));
+  auto rows = session.Query("b(X)");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 1u);
 }
 
 TEST(LdlModeTest, GroupingValidatesOnlyInLdl) {
-  Engine lps(LanguageMode::kLPS);
-  Status st = lps.LoadString("g(X, <Y>) :- q(X, Y). q(a, b).");
+  Session lps(LanguageMode::kLPS);
+  Status st = lps.Load("g(X, <Y>) :- q(X, Y). q(a, b).");
+  if (st.ok()) st = lps.Compile();
   EXPECT_FALSE(st.ok());
-  Engine ldl(LanguageMode::kLDL);
-  ASSERT_OK(ldl.LoadString("g(X, <Y>) :- q(X, Y). q(a, b)."));
+  Session ldl(LanguageMode::kLDL);
+  ASSERT_OK(ldl.Load("g(X, <Y>) :- q(X, Y). q(a, b)."));
+  ASSERT_OK(ldl.Compile());
 }
 
 TEST(LdlModeTest, GroupingOfSetsInElps) {
   // Grouping can collect sets into a set of sets (ELPS nesting).
-  Engine engine(LanguageMode::kLDL);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLDL);
+  ASSERT_OK(session.Load(R"(
     pred owns(atom, set).
     owns(ann, {book}). owns(ann, {pen, ink}). owns(bob, {car}).
     estates(P, <S>) :- owns(P, S).
   )"));
-  ASSERT_OK(engine.Evaluate());
-  EXPECT_TRUE(*engine.HoldsText("estates(ann, {{book}, {pen, ink}})"));
-  EXPECT_TRUE(*engine.HoldsText("estates(bob, {{car}})"));
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("estates(ann, {{book}, {pen, ink}})"));
+  EXPECT_TRUE(*session.Holds("estates(bob, {{car}})"));
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "eval/engine.h"
+#include "api/session.h"
 #include "serve/snapshot.h"
 
 namespace lps {
@@ -163,21 +163,22 @@ TEST(Nf2ExportTest, ExportedFactsCommitThroughTheSession) {
 
 TEST_F(Nf2Test, RoundTripThroughEngine) {
   // Full bridge: nested relation -> LPS unnest rule -> relation again.
-  Engine engine(LanguageMode::kLPS);
+  Session session(LanguageMode::kLPS);
   NestedRelation rel({"obj", "parts"}, {Sort::kAtom, Sort::kSet});
-  TermStore* store = engine.store();
+  TermStore* store = session.store();
   ASSERT_OK(rel.AddRow(*store,
                        {store->MakeConstant("p1"),
                         store->MakeSet({store->MakeConstant("a"),
                                         store->MakeConstant("b")})}));
-  MutationBatch batch = engine.session().Mutate();
+  MutationBatch batch = session.Mutate();
   ASSERT_OK(rel.ExportFacts(&batch, "parts"));
   ASSERT_OK(batch.Commit());
-  ASSERT_OK(engine.LoadString(
+  ASSERT_OK(session.Load(
       "flat(X, E) :- parts(X, Y), E in Y."));
-  ASSERT_OK(engine.Evaluate());
-  PredicateId flat_pred = engine.signature()->Lookup("flat", 2);
-  const Relation* r = engine.database()->FindRelation(flat_pred);
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  PredicateId flat_pred = session.signature()->Lookup("flat", 2);
+  const Relation* r = session.database()->FindRelation(flat_pred);
   ASSERT_NE(r, nullptr);
   auto imported = NestedRelation::FromRelation(
       *store, *r, {"obj", "part"}, {Sort::kAtom, Sort::kAtom});

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "eval/engine.h"
+#include "api/session.h"
 #include "lang/validate.h"
 
 namespace lps {
@@ -122,17 +122,18 @@ TEST_F(CompilerFixture, ExistsBecomesMembershipConjunct) {
 // Example 9's observation, executably: the generated union definition is
 // bulkier than the hand-written one but semantically identical.
 TEST(CompilerSemanticsTest, CompiledUnionMatchesBuiltin) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     s({1}). s({2}). s({1, 2}). s({1, 3}). s({}). s({1, 2, 3}).
     myunion(X, Y, Z) :- s(X), s(Y), s(Z),
         (forall A in X : A in Z),
         (forall B in Y : B in Z),
         (forall C in Z : (C in X ; C in Y)).
   )"));
-  ASSERT_OK(engine.Evaluate());
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
   // Compare against the builtin on every domain triple.
-  auto sets = engine.Query("s(X)");
+  auto sets = session.Query("s(X)");
   ASSERT_TRUE(sets.ok());
   BuiltinOptions bopts;
   size_t agreements = 0;
@@ -141,12 +142,12 @@ TEST(CompilerSemanticsTest, CompiledUnionMatchesBuiltin) {
       for (const Tuple& zs : *sets) {
         std::vector<TermId> args = {xs[0], ys[0], zs[0]};
         auto expected =
-            CheckBuiltin(engine.store(), kPredUnion, args, bopts);
+            CheckBuiltin(session.store(), kPredUnion, args, bopts);
         ASSERT_TRUE(expected.ok());
-        PredicateId my = engine.signature()->Lookup("myunion", 3);
-        bool actual = engine.database()->Contains(my, args);
+        PredicateId my = session.signature()->Lookup("myunion", 3);
+        bool actual = session.database()->Contains(my, args);
         EXPECT_EQ(actual, *expected)
-            << engine.TupleToString(args);
+            << session.TupleToString(args);
         ++agreements;
       }
     }
@@ -156,46 +157,49 @@ TEST(CompilerSemanticsTest, CompiledUnionMatchesBuiltin) {
 
 TEST(CompilerSemanticsTest, MixedQuantifierDisjunctionExists) {
   // A body exercising every Theorem 6 case at once.
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     s({1, 2}). s({7}). s({}).
     odd(1). odd(7). odd(3).
     interesting(X) :- s(X),
         (exists E in X : odd(E), forall A in X : A <= 7)
         ; X = {}.
   )"));
-  ASSERT_OK(engine.Evaluate());
-  EXPECT_TRUE(*engine.HoldsText("interesting({1,2})"));
-  EXPECT_TRUE(*engine.HoldsText("interesting({7})"));
-  EXPECT_TRUE(*engine.HoldsText("interesting({})"));
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("interesting({1,2})"));
+  EXPECT_TRUE(*session.Holds("interesting({7})"));
+  EXPECT_TRUE(*session.Holds("interesting({})"));
 }
 
 TEST(CompilerSemanticsTest, AuxPredicatesInvisibleToQueries) {
   // Theorem 6's statement: consequences over the ORIGINAL language L
   // coincide. Aux predicates live in the extension L*.
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     q(a). r(b).
     p(X) :- q(X) ; r(X).
   )"));
-  ASSERT_OK(engine.Evaluate());
-  EXPECT_TRUE(*engine.HoldsText("p(a)"));
-  EXPECT_TRUE(*engine.HoldsText("p(b)"));
-  EXPECT_FALSE(*engine.HoldsText("p(c)"));
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("p(a)"));
+  EXPECT_TRUE(*session.Holds("p(b)"));
+  EXPECT_FALSE(*session.Holds("p(c)"));
 }
 
 TEST(CompilerSemanticsTest, GroupingBodyFunnelsThroughSingleAux) {
   // A disjunctive grouping body must produce ONE group per key, not one
   // per disjunct.
-  Engine engine(LanguageMode::kLDL);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLDL);
+  ASSERT_OK(session.Load(R"(
     likes(ann, tea). dislikes(ann, noise). likes(bob, beer).
     feelings(P, <T>) :- likes(P, T) ; dislikes(P, T).
   )"));
-  ASSERT_OK(engine.Evaluate());
-  EXPECT_TRUE(*engine.HoldsText("feelings(ann, {tea, noise})"));
-  EXPECT_TRUE(*engine.HoldsText("feelings(bob, {beer})"));
-  EXPECT_FALSE(*engine.HoldsText("feelings(ann, {tea})"));
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  EXPECT_TRUE(*session.Holds("feelings(ann, {tea, noise})"));
+  EXPECT_TRUE(*session.Holds("feelings(bob, {beer})"));
+  EXPECT_FALSE(*session.Holds("feelings(ann, {tea})"));
 }
 
 }  // namespace

@@ -721,6 +721,10 @@ TEST(QueryServerTest, WideGoalAnswersEachAskPastColumn31) {
               std::string::npos)
         << var;
   }
+  // A goal that wide falls back for every binding pattern, so the
+  // second ask reuses the fallback the first one cached.
+  EXPECT_EQ(server.stats().rewrites_built, 1u);
+  EXPECT_EQ(session.demand_rewrite_count(), 1u);
 }
 
 TEST(QueryServerTest, BuiltinGoalsInternIntoWorkerScratch) {

@@ -1,14 +1,13 @@
 // Tests for the Session / PreparedQuery / AnswerCursor API: the staged
 // lifecycle, prepared-query reuse (including across ResetDatabase()),
 // cursor streaming semantics, parameter binding, error surfacing
-// through Status, and equivalence with the legacy Engine facade.
+// through Status, and the options each evaluator receives.
 #include "api/session.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "eval/engine.h"
 #include "term/printer.h"
 
 namespace lps {
@@ -422,65 +421,40 @@ TEST(SessionErrorTest, UnstratifiableProgramRejectedAtEvaluate) {
   EXPECT_EQ(session.Evaluate().code(), StatusCode::kStratificationError);
 }
 
-// The Engine facade must behave exactly like the session it wraps.
-TEST(EngineShimTest, MatchesSessionAnswers) {
-  Engine engine(LanguageMode::kLPS);
-  Session session(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(kGraph));
-  ASSERT_OK(session.Load(kGraph));
-  ASSERT_OK(engine.Evaluate());
-  ASSERT_OK(session.Evaluate());
-
-  for (const char* goal :
-       {"path(a, X)", "path(X, Y)", "path(a, d)", "path(d, a)",
-        "edge(X, b)", "X in {1, 2, 3}"}) {
-    auto via_engine = engine.Query(goal);
-    auto via_session = session.Query(goal);
-    ASSERT_TRUE(via_engine.ok()) << goal;
-    ASSERT_TRUE(via_session.ok()) << goal;
-    EXPECT_EQ(*via_engine, *via_session) << goal;
-  }
-  EXPECT_EQ(*engine.HoldsText("path(a, c)"),
-            *session.Holds("path(a, c)"));
-  EXPECT_EQ(*engine.SolveTopDown("edge(a, X)"),
-            *session.SolveTopDown("edge(a, X)"));
-}
-
-TEST(EngineShimTest, SessionAccessorMigrationPath) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString("p(a)."));
-  // Engine exposes its session so call sites can migrate piecemeal.
-  auto query = engine.session().Prepare("p(X)");
-  ASSERT_TRUE(query.ok());
-  ASSERT_OK(engine.Evaluate());
-  EXPECT_EQ(*query->Execute()->Count(), 1u);
-}
-
 TEST(OptionsTest, RoundTripsBothEvaluators) {
   Options o;
   o.semi_naive = false;
   o.max_iterations = 7;
   o.max_tuples = 9;
   o.threads = 4;
+  o.reorder = false;
   o.max_depth = 11;
   o.max_subgoals = 13;
   o.max_answers_per_goal = 17;
+  o.builtins.max_candidates = 19;
+  o.builtins.max_decompose_cardinality = 23;
+  o.builtins.unify.max_unifiers = 29;
+  o.builtins.unify.max_branches = 31;
 
   EvalOptions e = o.eval();
   EXPECT_FALSE(e.semi_naive);
   EXPECT_EQ(e.max_iterations, 7u);
   EXPECT_EQ(e.max_tuples, 9u);
   EXPECT_EQ(e.threads, 4u);
+  EXPECT_FALSE(e.reorder);
+  EXPECT_EQ(e.builtins.max_candidates, 19u);
+  EXPECT_EQ(e.builtins.max_decompose_cardinality, 23u);
+  EXPECT_EQ(e.builtins.unify.max_unifiers, 29u);
+  EXPECT_EQ(e.builtins.unify.max_branches, 31u);
 
   TopDownOptions t = o.topdown();
   EXPECT_EQ(t.max_depth, 11u);
   EXPECT_EQ(t.max_subgoals, 13u);
   EXPECT_EQ(t.max_answers_per_goal, 17u);
-
-  Options back = Options::FromEval(e);
-  EXPECT_FALSE(back.semi_naive);
-  EXPECT_EQ(back.threads, 4u);
-  EXPECT_EQ(Options::FromTopDown(t).max_depth, 11u);
+  EXPECT_EQ(t.builtins.max_candidates, 19u);
+  EXPECT_EQ(t.builtins.max_decompose_cardinality, 23u);
+  EXPECT_EQ(t.builtins.unify.max_unifiers, 29u);
+  EXPECT_EQ(t.builtins.unify.max_branches, 31u);
 }
 
 TEST(OptionsTest, LimitsFlowThroughSession) {

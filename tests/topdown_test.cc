@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "eval/engine.h"
+#include "api/session.h"
 
 namespace lps {
 namespace {
@@ -16,55 +16,58 @@ namespace {
   } while (0)
 
 TEST(TopDownTest, FactsAndConjunctions) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     edge(a, b). edge(b, c). edge(a, c).
     tri(X, Y, Z) :- edge(X, Y), edge(Y, Z), edge(X, Z).
   )"));
-  auto rows = engine.SolveTopDown("tri(a, B, C)");
+  ASSERT_OK(session.Compile());
+  auto rows = session.SolveTopDown("tri(a, B, C)");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 1u);
-  auto ground = engine.SolveTopDown("tri(a, b, c)");
+  auto ground = session.SolveTopDown("tri(a, b, c)");
   ASSERT_TRUE(ground.ok());
   EXPECT_EQ(ground->size(), 1u);
 }
 
 TEST(TopDownTest, QuantifierExpansionOnGroundSets) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     q(a). q(b).
     allq(X) :- forall E in X : q(E).
   )"));
-  auto yes = engine.SolveTopDown("allq({a, b})");
+  ASSERT_OK(session.Compile());
+  auto yes = session.SolveTopDown("allq({a, b})");
   ASSERT_TRUE(yes.ok()) << yes.status().ToString();
   EXPECT_EQ(yes->size(), 1u);
-  auto no = engine.SolveTopDown("allq({a, zz})");
+  auto no = session.SolveTopDown("allq({a, zz})");
   ASSERT_TRUE(no.ok());
   EXPECT_TRUE(no->empty());
   // Vacuous truth on the empty set.
-  auto vac = engine.SolveTopDown("allq({})");
+  auto vac = session.SolveTopDown("allq({})");
   ASSERT_TRUE(vac.ok());
   EXPECT_EQ(vac->size(), 1u);
 }
 
 TEST(TopDownTest, Example5SumViaSchoose) {
   // sum(Z, k): structural recursion peeling the minimum element.
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     sum({}, 0).
     sum(Z, K) :- schoose(Z, E, Rest), sum(Rest, M), add(E, M, K).
   )"));
-  auto rows = engine.SolveTopDown("sum({1, 2, 3, 4}, K)");
+  ASSERT_OK(session.Compile());
+  auto rows = session.SolveTopDown("sum({1, 2, 3, 4}, K)");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 1u);
-  EXPECT_EQ((*rows)[0][1], engine.store()->MakeInt(10));
+  EXPECT_EQ((*rows)[0][1], session.store()->MakeInt(10));
 }
 
 TEST(TopDownTest, Example6BomCosts) {
   // obj-cost via parts/cost (Example 6), using schoose recursion for
   // sum-costs over the component set.
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     parts(bike, {wheel, frame}).
     parts(wheel, {rim, spoke}).
     cost(rim, 20). cost(spoke, 5). cost(frame, 100). cost(wheel, 25).
@@ -73,132 +76,142 @@ TEST(TopDownTest, Example6BomCosts) {
                        sum_costs(Rest, N), add(M, N, K).
     obj_cost(X, N) :- parts(X, Y), sum_costs(Y, N).
   )"));
-  auto bike = engine.SolveTopDown("obj_cost(bike, N)");
+  ASSERT_OK(session.Compile());
+  auto bike = session.SolveTopDown("obj_cost(bike, N)");
   ASSERT_TRUE(bike.ok()) << bike.status().ToString();
   ASSERT_EQ(bike->size(), 1u);
-  EXPECT_EQ((*bike)[0][1], engine.store()->MakeInt(125));
-  auto wheel = engine.SolveTopDown("obj_cost(wheel, N)");
+  EXPECT_EQ((*bike)[0][1], session.store()->MakeInt(125));
+  auto wheel = session.SolveTopDown("obj_cost(wheel, N)");
   ASSERT_TRUE(wheel.ok());
   ASSERT_EQ(wheel->size(), 1u);
-  EXPECT_EQ((*wheel)[0][1], engine.store()->MakeInt(25));
+  EXPECT_EQ((*wheel)[0][1], session.store()->MakeInt(25));
 }
 
 TEST(TopDownTest, SetUnificationBranchesInResolution) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     p({a, b}).
     q(X) :- p({X, b}).
   )"));
-  auto rows = engine.SolveTopDown("q(X)");
+  ASSERT_OK(session.Compile());
+  auto rows = session.SolveTopDown("q(X)");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   // {X, b} = {a, b}: X/a works; X/b would collapse to {b} != {a, b}.
   ASSERT_EQ(rows->size(), 1u);
-  EXPECT_EQ((*rows)[0][0], engine.store()->MakeConstant("a"));
+  EXPECT_EQ((*rows)[0][0], session.store()->MakeConstant("a"));
 }
 
 TEST(TopDownTest, NegationAsFailure) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     bird(tweety). bird(sam).
     penguin(sam).
     flies(X) :- bird(X), not penguin(X).
   )"));
-  auto rows = engine.SolveTopDown("flies(X)");
+  ASSERT_OK(session.Compile());
+  auto rows = session.SolveTopDown("flies(X)");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 1u);
-  EXPECT_EQ((*rows)[0][0], engine.store()->MakeConstant("tweety"));
+  EXPECT_EQ((*rows)[0][0], session.store()->MakeConstant("tweety"));
 }
 
 TEST(TopDownTest, FloundersOnNonGroundNegation) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     p(X) :- not q(X).
     q(a).
   )"));
-  auto rows = engine.SolveTopDown("p(X)");
+  ASSERT_OK(session.Compile());
+  auto rows = session.SolveTopDown("p(X)");
   EXPECT_EQ(rows.status().code(), StatusCode::kSafetyError);
 }
 
 TEST(TopDownTest, TablingMemoizesAnswers) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     f(0, 1). f(1, 1).
     f(N, K) :- 2 <= N, sub(N, 1, N1), sub(N, 2, N2),
                f(N1, K1), f(N2, K2), add(K1, K2, K).
   )"));
-  TopDownOptions opts;
-  auto rows = engine.SolveTopDown("f(15, K)", opts);
+  ASSERT_OK(session.Compile());
+  Options opts;
+  auto rows = session.SolveTopDown("f(15, K)", opts);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 1u);
-  EXPECT_EQ((*rows)[0][1], engine.store()->MakeInt(987));
+  EXPECT_EQ((*rows)[0][1], session.store()->MakeInt(987));
 }
 
 TEST(TopDownTest, CyclicGoalsAreCutNotLooped) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     p(X) :- p(X).
     p(a).
   )"));
-  auto rows = engine.SolveTopDown("p(a)");
+  ASSERT_OK(session.Compile());
+  auto rows = session.SolveTopDown("p(a)");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(rows->size(), 1u);  // the fact; the cyclic branch is cut
 }
 
 TEST(TopDownTest, DatabaseTuplesVisible) {
   // Tuples derived bottom-up participate in top-down solving.
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     edge(a, b). edge(b, c).
     path(X, Y) :- edge(X, Y).
     path(X, Z) :- path(X, Y), edge(Y, Z).
     far(X, Y) :- path(X, Y), not edge(X, Y).
   )"));
-  ASSERT_OK(engine.Evaluate());
-  auto rows = engine.SolveTopDown("far(a, c)");
+  ASSERT_OK(session.Compile());
+  ASSERT_OK(session.Evaluate());
+  auto rows = session.SolveTopDown("far(a, c)");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(rows->size(), 1u);
 }
 
 TEST(TopDownTest, DepthLimitSurfacesAsResourceExhausted) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     n(0).
     n(M) :- n(K), add(K, 1, M).
   )"));
-  TopDownOptions opts;
+  ASSERT_OK(session.Compile());
+  Options opts;
   opts.max_depth = 30;
   // n(X) with unbound X enumerates answers; recursion on fresh goals
   // cannot terminate and must hit a limit rather than hang. n(K) with
   // K fresh is the same canonical goal -> cycle cut, so this actually
   // terminates with the answers found before the cut.
-  auto rows = engine.SolveTopDown("n(X)", opts);
+  auto rows = session.SolveTopDown("n(X)", opts);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_GE(rows->size(), 1u);
 }
 
 TEST(TopDownTest, GroupingUnsupportedTopDown) {
-  Engine engine(LanguageMode::kLDL);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLDL);
+  ASSERT_OK(session.Load(R"(
     emp(sales, ann).
     team(D, <E>) :- emp(D, E).
   )"));
-  auto rows = engine.SolveTopDown("team(sales, T)");
+  ASSERT_OK(session.Compile());
+  auto rows = session.SolveTopDown("team(sales, T)");
   EXPECT_EQ(rows.status().code(), StatusCode::kUnimplemented);
 }
 
 TEST(TopDownTest, StatsTrackTableHits) {
-  Engine engine(LanguageMode::kLPS);
-  ASSERT_OK(engine.LoadString(R"(
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
     f(0, 1). f(1, 1).
     f(N, K) :- 2 <= N, sub(N, 1, N1), sub(N, 2, N2),
                f(N1, K1), f(N2, K2), add(K1, K2, K).
   )"));
-  TopDownSolver solver(engine.program(), engine.database());
-  PredicateId f = engine.signature()->Lookup("f", 2);
+  ASSERT_OK(session.Compile());
+  TopDownSolver solver(session.program(), session.database());
+  PredicateId f = session.signature()->Lookup("f", 2);
   ASSERT_NE(f, kInvalidPredicate);
   Literal goal{f,
-               {engine.store()->MakeInt(12),
-                engine.store()->MakeVariable("K", Sort::kAtom)},
+               {session.store()->MakeInt(12),
+                session.store()->MakeVariable("K", Sort::kAtom)},
                true};
   std::vector<Substitution> answers;
   ASSERT_OK(solver.Solve(goal, &answers));
