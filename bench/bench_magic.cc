@@ -111,19 +111,17 @@ void BM_TcMagicPoint(benchmark::State& state) {
 BENCHMARK(BM_TcMagicPoint)->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-// All-free goals must not regress under demand mode: Execute() takes
-// exactly the legacy lazy-scan path (no rewrite, no re-evaluation).
+// All-free goals must not regress on the demand entry: on a converged
+// session ExecuteDemand() records its fallback and takes the lazy scan
+// (no rewrite, no re-evaluation).
 void BM_TcAllFreeDemand(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  Options options;
-  options.demand = true;
   auto session = MustLoad(TcSource(n));
-  session->set_options(options);
   MustEvaluate(session.get());
   auto query = MustPrepare(session.get(), "path(X, Y)");
   size_t answers = 0;
   for (auto _ : state) {
-    auto count = query.Execute()->Count();
+    auto count = query.ExecuteDemand()->Count();
     if (!count.ok()) std::abort();
     answers = *count;
   }
@@ -132,7 +130,7 @@ void BM_TcAllFreeDemand(benchmark::State& state) {
 BENCHMARK(BM_TcAllFreeDemand)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
-// Reference for the all-free guard: the same scan with demand off.
+// Reference for the all-free guard: the same scan through Execute().
 void BM_TcAllFreeScan(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto session = MustLoad(TcSource(n));

@@ -78,9 +78,7 @@ struct Answers {
 
 Answers RunMode(const FuzzProgram& fuzz, const char* mode) {
   Answers out;
-  lps::Options options;
-  options.demand = (std::strcmp(mode, "magic") == 0);
-  lps::Session session(lps::LanguageMode::kLDL, options);
+  lps::Session session(lps::LanguageMode::kLDL);
   lps::Status st = session.Load(fuzz.source);
   if (st.ok()) st = session.Compile();
   if (!st.ok()) {

@@ -289,7 +289,6 @@ int main(int argc, char** argv) {
   buffer << in.rdbuf();
 
   lps::Options options;
-  options.demand = demand;
   options.incremental = incremental;
   if (lanes != 0) options.threads = lanes;  // default stays sequential
   lps::Session session(lps::LanguageMode::kLDL, options);

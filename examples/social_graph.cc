@@ -67,9 +67,9 @@ int main(int argc, char** argv) {
       argc > 2 ? static_cast<size_t>(std::strtoull(argv[2], nullptr, 10))
                : 0;  // 0 = hardware concurrency
 
-  lps::Options options;
-  options.demand = true;  // goal-directed: no up-front fixpoint
-  lps::Session session(lps::LanguageMode::kLDL, options);
+  // Goal-directed: the point queries below run ExecuteDemand(), so
+  // there is no up-front fixpoint.
+  lps::Session session(lps::LanguageMode::kLDL);
 
   lps::Status st = session.Load(R"(
     reach(X, Y) :- follows(X, Y).

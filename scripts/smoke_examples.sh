@@ -3,8 +3,11 @@
 # with no arguments, then two scripted lpsi sessions through every path
 # that writes facts (a retract, a bulk .load, an add) followed by a
 # query and a .serve over the republished snapshot - once under
-# --incremental, once under --demand --incremental. Exits nonzero if
-# any binary fails or an expected line is missing.
+# --incremental, once under --demand --incremental. The first session
+# then asks a set-pattern goal and a builtin goal with an enumeration
+# prefix, and serves the builtin one, so both goal routes run the
+# evaluator's step code. Exits nonzero if any binary fails or an
+# expected line is missing.
 #
 # Usage (from the repo root, after building with examples on):
 #   scripts/smoke_examples.sh <build-dir>
@@ -28,13 +31,19 @@ trap 'rm -rf "$dir"' EXIT
 
 # A scripted lpsi --incremental session through every path that writes
 # facts: a retract, a bulk .load, an add, then a query and a .serve
-# over the republished snapshot.
-printf 'edge(a, b). edge(b, c). edge(c, d).\npath(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), edge(Y, Z).\n' > "$dir/graph.lps"
+# over the republished snapshot. Then a goal whose set pattern holds a
+# variable (rows match by set unification), and X < 3, which
+# enumerates X over the active domain before the builtin runs: asked
+# of the session, then served.
+printf 'edge(a, b). edge(b, c). edge(c, d).\npath(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), edge(Y, Z).\nnum(1). num(2). num(3).\nowns(ann, {pen, ink}). owns(ann, {ink, cap}).\n' > "$dir/graph.lps"
 printf 'edge(d, e).\nedge(e, f).\n' > "$dir/more.facts"
-printf '.retract edge(c, d)\n.load %s\n.add edge(c, d)\npath(a, X)\n.serve 2 20\n' "$dir/more.facts" \
+printf '.retract edge(c, d)\n.load %s\n.add edge(c, d)\npath(a, X)\n.serve 2 20\nowns(ann, {pen, X})\nX < 3\n.serve 2 20\n' "$dir/more.facts" \
   | "$EXAMPLES/lpsi" --incremental "$dir/graph.lps" | tee "$dir/out.txt"
 grep -qx '(a, f)' "$dir/out.txt"
 grep -q ': 100 answers,' "$dir/out.txt"
+grep -Eqx '\(ann, \{(ink, pen|pen, ink)\}\)' "$dir/out.txt"
+grep -qx '(2, 3)' "$dir/out.txt"
+grep -q 'served 20 x X < 3 on 2 threads: 40 answers,' "$dir/out.txt"
 
 # The same session under --demand: path(a, X) answers through
 # PreparedQuery::ExecuteDemand, then .serve through the query server -

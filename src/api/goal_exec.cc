@@ -1,5 +1,9 @@
 #include "api/goal_exec.h"
 
+#include <functional>
+#include <span>
+#include <unordered_set>
+
 namespace lps {
 
 Result<PreparedGoal> PrepareGoal(const TermStore& store,
@@ -45,7 +49,10 @@ RelationScanSource::RelationScanSource(TermStore* store,
 Result<bool> RelationScanSource::Next(TupleRef* out) {
   while (pos_ < indices_.size()) {
     TupleRef row = rel_->row(indices_[pos_++]);
-    LPS_ASSIGN_OR_RETURN(bool match, Matches(row));
+    Substitution ext;
+    std::vector<Substitution> unifiers;
+    LPS_ASSIGN_OR_RETURN(bool match, MatchRow(store_, unify_, patterns_,
+                                              mask_, row, &ext, &unifiers));
     if (match) {
       *out = row;
       return true;
@@ -54,95 +61,29 @@ Result<bool> RelationScanSource::Next(TupleRef* out) {
   return false;
 }
 
-Result<bool> RelationScanSource::Matches(TupleRef row) {
-  Substitution ext;
-  std::vector<size_t> complex_positions;
-  for (size_t i = 0; i < patterns_.size(); ++i) {
-    if (MaskHasColumn(mask_, i)) continue;  // index-guaranteed equal
-    TermId p = ext.Apply(store_, patterns_[i]);
-    if (store_->is_ground(p)) {
-      if (p != row[i]) return false;
-    } else if (store_->IsVariable(p)) {
-      if (!SortAllowsBinding(*store_, p, row[i])) return false;
-      ext.Bind(p, row[i]);
-    } else {
-      complex_positions.push_back(i);
+Status AnswerBuiltinGoal(TermStore* store, const Database& db,
+                         const BuiltinOptions& builtins, const Literal& goal,
+                         const std::vector<PlanStep>& steps,
+                         const Substitution& bindings,
+                         std::vector<Tuple>* out) {
+  std::unordered_set<Tuple, TupleHash> seen;
+  std::function<Status(size_t, Substitution*)> run =
+      [&](size_t idx, Substitution* theta) -> Status {
+    if (idx < steps.size()) {
+      return ExecBuiltinStep(
+          store, db, builtins, std::span<const Literal>(&goal, 1),
+          steps[idx], theta,
+          [&](Substitution* next) { return run(idx + 1, next); });
     }
-  }
-  if (complex_positions.empty()) return true;
-  std::vector<TermId> pat, val;
-  for (size_t i : complex_positions) {
-    pat.push_back(ext.Apply(store_, patterns_[i]));
-    val.push_back(row[i]);
-  }
-  Unifier unifier(store_, unify_);
-  std::vector<Substitution> unifiers;
-  LPS_RETURN_IF_ERROR(unifier.EnumerateTuples(pat, val, &unifiers));
-  return !unifiers.empty();
-}
-
-Status GoalPlanExecutor::Run(const std::vector<PlanStep>& steps,
-                             const Substitution& initial,
-                             std::vector<Tuple>* out) {
-  out_ = out;
-  Substitution theta = initial;
-  return Exec(steps, 0, &theta);
-}
-
-Status GoalPlanExecutor::Emit(Substitution* theta) {
-  Tuple t;
-  t.reserve(goal_.args.size());
-  for (TermId a : goal_.args) t.push_back(theta->Apply(store_, a));
-  // Enumeration prefixes can reach the same answer twice; dedup.
-  if (seen_.insert(t).second) out_->push_back(std::move(t));
-  return Status::OK();
-}
-
-Status GoalPlanExecutor::Exec(const std::vector<PlanStep>& steps,
-                              size_t idx, Substitution* theta) {
-  if (idx == steps.size()) return Emit(theta);
-  const PlanStep& step = steps[idx];
-  switch (step.kind) {
-    case StepKind::kBuiltin: {
-      std::vector<TermId> args(goal_.args.size());
-      for (size_t i = 0; i < args.size(); ++i) {
-        args[i] = theta->Apply(store_, goal_.args[i]);
-      }
-      return EvalBuiltin(store_, goal_.pred, args, builtins_,
-                         [&](const Substitution& ext) {
-                           Substitution next = *theta;
-                           for (const auto& [v, t] : ext.bindings()) {
-                             next.Bind(v, t);
-                           }
-                           return Exec(steps, idx + 1, &next);
-                         });
-    }
-    case StepKind::kEnumAtom:
-    case StepKind::kEnumSet:
-    case StepKind::kEnumAny: {
-      if (theta->IsBound(step.var)) return Exec(steps, idx + 1, theta);
-      auto enumerate = [&](const std::vector<TermId>& domain) -> Status {
-        for (TermId value : domain) {
-          Substitution next = *theta;
-          next.Bind(step.var, value);
-          LPS_RETURN_IF_ERROR(Exec(steps, idx + 1, &next));
-        }
-        return Status::OK();
-      };
-      if (step.kind == StepKind::kEnumAtom) {
-        return enumerate(db_->atom_domain());
-      }
-      if (step.kind == StepKind::kEnumSet) {
-        return enumerate(db_->set_domain());
-      }
-      LPS_RETURN_IF_ERROR(enumerate(db_->atom_domain()));
-      return enumerate(db_->set_domain());
-    }
-    case StepKind::kScan:
-    case StepKind::kNegated:
-      break;
-  }
-  return Status::Internal("unexpected step in a builtin goal plan");
+    Tuple t;
+    t.reserve(goal.args.size());
+    for (TermId a : goal.args) t.push_back(theta->Apply(store, a));
+    // Enumeration prefixes can reach the same answer twice; dedup.
+    if (seen.insert(t).second) out->push_back(std::move(t));
+    return Status::OK();
+  };
+  Substitution theta = bindings;
+  return run(0, &theta);
 }
 
 Result<DemandRewriteCache::Entry*> DemandRewriteCache::Get(

@@ -1,11 +1,14 @@
 // Goal execution shared by PreparedQuery (api/query.cc) and the
 // concurrent query server (serve/server.cc): preparing a goal, applying
-// a binding to it, streaming a relation's rows that match it, running a
-// builtin goal plan, and the one demand path - a per-goal cache of
-// magic rewrites and the routine that evaluates one for a binding
-// (DESIGN.md section 13). Each caller keeps only its own policy around
-// them: the session its fallback to Evaluate() and its subsumption
-// memo, the server its admission control, deadline and answer cap.
+// a binding to it, streaming a relation's rows that match it, answering
+// a builtin goal, and the one demand path - a per-goal cache of magic
+// rewrites and the routine that evaluates one for a binding (DESIGN.md
+// section 13). A goal is answered on the evaluator's own step code: the
+// scan source matches rows with MatchRow and a builtin goal's plan runs
+// on ExecBuiltinStep (eval/bottomup.h), as a rule body's steps do. Each
+// caller keeps only its own policy around these: the session its
+// fallback to Evaluate() and its subsumption memo, the server its
+// admission control, deadline and answer cap.
 //
 // A demand request compiles once, not once per request: each cached
 // rewrite keeps its CompiledProgram (eval/bottomup.h), and
@@ -29,7 +32,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "api/answer_cursor.h"
@@ -76,22 +78,19 @@ AppliedGoal ApplyGoal(TermStore* store, const Literal& goal,
 // produced one Next() at a time as zero-copy views straight into the
 // relation's row arena (the database is frozen while a cursor streams
 // - Evaluate()/ResetDatabase() invalidate cursors), so callers that
-// stop pulling stop paying and matched rows are never copied.
-//
-// Row matching is the kScan step of BottomUpEvaluator::ExecSteps
-// (eval/bottomup.cc) cut down to match-or-not per row, where the
-// evaluator must continue into every unifier extension under delta
-// gating - keep the two in sync.
+// stop pulling stop paying and matched rows are never copied. A row
+// matches when MatchRow, the evaluator's kScan row matcher, finds it
+// at least once; the stream stops there, where a rule body continues
+// into every extension.
 class RelationScanSource final : public AnswerSource {
  public:
   /// `rel` may be null (predicate never stored - the stream is empty).
   /// `store` is the *caller's* store (a worker's private clone when
   /// serving): it must share the relation's TermId prefix, i.e. be the
   /// relation's store itself or a TermStore::Clone() descendant of it.
-  /// `owner`, if set, is what `rel` lives in (a snapshot, a demand
-  /// result): the source keeps it alive, so a cursor streams however
-  /// long its caller pulls, across registry retirement and cache
-  /// invalidation.
+  /// `owner`, if set, is what `rel` lives in (a demand result): the
+  /// source keeps it alive, so a cursor streams however long its
+  /// caller pulls, across cache invalidation.
   RelationScanSource(TermStore* store, UnifyOptions unify,
                      const Relation* rel, AppliedGoal pattern,
                      std::shared_ptr<const void> owner = nullptr);
@@ -105,11 +104,6 @@ class RelationScanSource final : public AnswerSource {
   bool index_hit() const { return index_hit_; }
 
  private:
-  // One row matches when the non-indexed positions can be consistently
-  // bound: repeated variables must agree, complex patterns (set or
-  // function terms containing variables) go through set unification.
-  Result<bool> Matches(TupleRef row);
-
   std::shared_ptr<const void> owner_;
   TermStore* store_;
   UnifyOptions unify_;
@@ -121,33 +115,18 @@ class RelationScanSource final : public AnswerSource {
   size_t pos_ = 0;
 };
 
-// Runs a builtin goal plan (active-domain enumeration steps followed by
-// the builtin itself) eagerly, emitting one tuple of substituted goal
-// arguments per distinct solution. Only reads the database's active
-// domains, so it can run against a frozen snapshot database; new terms
-// a builtin computes (sums, unions) intern into `store`, which must be
-// private to the caller on concurrent paths.
-class GoalPlanExecutor {
- public:
-  GoalPlanExecutor(TermStore* store, const Database* db,
-                   const BuiltinOptions& builtins, const Literal& goal)
-      : store_(store), db_(db), builtins_(builtins), goal_(goal) {}
-
-  Status Run(const std::vector<PlanStep>& steps,
-             const Substitution& initial, std::vector<Tuple>* out);
-
- private:
-  Status Emit(Substitution* theta);
-  Status Exec(const std::vector<PlanStep>& steps, size_t idx,
-              Substitution* theta);
-
-  TermStore* store_;
-  const Database* db_;
-  const BuiltinOptions& builtins_;
-  const Literal& goal_;
-  std::vector<Tuple>* out_ = nullptr;
-  std::unordered_set<Tuple, TupleHash> seen_;
-};
+/// Answers a builtin goal: runs its plan `steps` (active-domain
+/// enumeration steps, then the builtin itself) on ExecBuiltinStep from
+/// `bindings`, appending the goal's arguments under each distinct
+/// solution to *out. Reads only the database's active domains, so it
+/// can run against a frozen snapshot database; new terms a builtin
+/// computes (sums, unions) intern into `store`, which must be private
+/// to the caller on concurrent paths.
+Status AnswerBuiltinGoal(TermStore* store, const Database& db,
+                         const BuiltinOptions& builtins, const Literal& goal,
+                         const std::vector<PlanStep>& steps,
+                         const Substitution& bindings,
+                         std::vector<Tuple>* out);
 
 /// One goal's magic rewrites (transform/magic.h), cached per binding
 /// mask until the rules change (the owner calls Clear()). A rewrite

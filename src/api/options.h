@@ -27,27 +27,8 @@ struct Options {
   /// default; turn off to debug with the legacy source-order-heuristic
   /// plans, byte-exact to pre-planner behavior.
   bool reorder = true;
-  /// Demand-driven query evaluation (DESIGN.md section 13): when true,
-  /// PreparedQuery::Execute() answers goals that name a rule-defined
-  /// predicate with at least one bound argument by evaluating a
-  /// magic-set rewrite of the program into a private database
-  /// (transform/magic.h) instead of scanning the session database -
-  /// deriving only the slice the goal demands, with no prior
-  /// Session::Evaluate() needed for those goals. The private database
-  /// shares the session's fact relations while it evaluates instead of
-  /// copying them, so a point query costs the slice, not the facts. A
-  /// goal inside the fragment's reach that the rewrite still rejects,
-  /// e.g. quantifiers in its rule slice, falls back by running
-  /// Evaluate() (when the session is not converged) and scanning,
-  /// reason in EvalStats::demand_fallback_reason. Everything else -
-  /// all-free binding patterns, builtin goals, plain relation scans -
-  /// keeps the exact demand-off contract: a lazy scan of the session
-  /// database, complete only after an Evaluate(), with the reason
-  /// recorded but no evaluation triggered. Use
-  /// PreparedQuery::ExecuteDemand() directly for the self-contained
-  /// variant that falls back to the full fixpoint for every ineligible
-  /// goal (lpsi --demand does). Off by default.
-  bool demand = false;
+  // Demand-driven (magic-set) evaluation is asked for per goal, not
+  // here: PreparedQuery::ExecuteDemand() (DESIGN.md section 13).
   /// Incremental view maintenance (DESIGN.md section 16): when true, a
   /// MutationBatch commit on an already-evaluated session re-converges
   /// the database by delta rules - a semi-naive pass seeded from the

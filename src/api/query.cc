@@ -85,22 +85,7 @@ Result<AnswerCursor> PreparedQuery::Execute() {
     return Status::InvalidArgument("executing an empty PreparedQuery");
   }
   LPS_RETURN_IF_ERROR(session_->Compile());
-  AppliedGoal applied = ApplyGoal(session_->store(), goal_, bindings_);
-  if (session_->options().demand) {
-    RefreshDemandState();
-    // Any bound position - including ones past the 32-column mask -
-    // routes to the demand path, which reports its own fallback
-    // reasons (e.g. "goal arity exceeds 32 columns").
-    if (plan_.demand_candidate && applied.any_bound) {
-      return ExecuteDemand(std::move(applied));
-    }
-    // Shallow ineligibility (all-free pattern, builtin or rule-less
-    // goal): exactly the legacy path, with the reason on record.
-    RecordFallback(plan_.demand_candidate
-                       ? "all-free goal: demand restricts nothing"
-                       : plan_.demand_ineligible_reason);
-  }
-  return ExecuteScan(std::move(applied));
+  return ExecuteScan(ApplyGoal(session_->store(), goal_, bindings_));
 }
 
 Result<AnswerCursor> PreparedQuery::ExecuteScan(AppliedGoal applied) {
@@ -113,8 +98,9 @@ Result<AnswerCursor> PreparedQuery::ExecuteScan(AppliedGoal applied) {
         store, builtins.unify, rel, std::move(applied)));
   }
   std::vector<Tuple> rows;
-  GoalPlanExecutor exec(store, session_->database(), builtins, goal_);
-  LPS_RETURN_IF_ERROR(exec.Run(plan_.body.steps, bindings_, &rows));
+  LPS_RETURN_IF_ERROR(AnswerBuiltinGoal(store, *session_->database(),
+                                        builtins, goal_, plan_.body.steps,
+                                        bindings_, &rows));
   return AnswerCursor::FromTuples(std::move(rows));
 }
 

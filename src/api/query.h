@@ -37,10 +37,6 @@ namespace lps {
 
 class Session;
 
-namespace serve {
-class Snapshot;
-}  // namespace serve
-
 class PreparedQuery {
  public:
   /// An empty handle; executing it is an error. Assign from
@@ -68,11 +64,10 @@ class PreparedQuery {
   void ClearBindings();
   const Substitution& bindings() const { return bindings_; }
 
-  /// Answers the goal. Default mode: against the session's current
-  /// database (use after Evaluate()) - relation scans stream lazily,
-  /// builtin goals run their plan eagerly into the cursor. With
-  /// Options::demand set on the session, goals with at least one bound
-  /// argument route through ExecuteDemand() instead.
+  /// Answers the goal from the session's current database (use after
+  /// Evaluate()): relation scans stream lazily, builtin goals run their
+  /// plan eagerly into the cursor. ExecuteDemand() is the goal-directed
+  /// alternative that needs no prior Evaluate().
   Result<AnswerCursor> Execute();
 
   /// Goal-directed execution: evaluates a magic-set rewrite of the
@@ -94,20 +89,6 @@ class PreparedQuery {
   /// Session::eval_stats().demand_fallback_reason. Either way the
   /// answer set is identical to the full-fixpoint answers.
   Result<AnswerCursor> ExecuteDemand();
-
-  /// Executes against an explicit frozen snapshot (Session::Freeze)
-  /// instead of the session's live database: relation goals stream a
-  /// read-only scan of the snapshot's relation (prebuilt indexes,
-  /// never a lazy build), builtin goals run their plan against the
-  /// snapshot's active domains. Parameter bindings still come from
-  /// Bind() on this query, interned in the *session* store - sound
-  /// because the snapshot's ids are a stable prefix of the session's
-  /// (see TermStore::Clone), so a term interned after the freeze
-  /// simply matches nothing. The cursor shares ownership of the
-  /// snapshot and outlives registry retirement, session Evaluate() and
-  /// ResetDatabase(). Defined in serve/snapshot.cc.
-  Result<AnswerCursor> ExecuteSnapshot(
-      std::shared_ptr<const serve::Snapshot> snapshot);
 
   /// True if Execute() would yield at least one answer. On the lazy
   /// relation-scan path this stops at the first match; builtin goals

@@ -96,13 +96,14 @@ class Session {
   Status Evaluate(const Options& options);
 
   /// Statistics of the most recent evaluation: a Session::Evaluate()
-  /// run, or - in demand mode - the last goal-directed magic-set
-  /// evaluation (see eval/bottomup.h). The demand fields
-  /// (magic_predicates/magic_tuples/demand_fallback_reason) describe
-  /// the most recent *demand attempt* instead, which can be a later
-  /// scan-only execution: after a demand-ineligible Execute() they
-  /// hold that attempt's fallback reason and zeros while the
-  /// evaluation counters still describe the earlier evaluation.
+  /// run, or the last goal-directed magic-set evaluation of a
+  /// PreparedQuery::ExecuteDemand() (see eval/bottomup.h). Only
+  /// ExecuteDemand() writes the demand fields
+  /// (magic_predicates/magic_tuples/demand_fallback_reason), and they
+  /// describe its most recent *attempt*, which may have fallen back:
+  /// after a fallback on a converged session they hold that attempt's
+  /// reason and zeros while the evaluation counters still describe the
+  /// evaluation that converged it. Evaluate() clears them.
   /// Before the first evaluation of either kind this returns a
   /// value-initialized EvalStats: every counter 0 and
   /// demand_fallback_reason empty - callers may rely on that instead

@@ -650,6 +650,80 @@ void BottomUpEvaluator::AnalyzeRuleForParallel(CompiledRule* rule) const {
   (grouping ? rule->group_parallel_safe : rule->parallel_safe) = true;
 }
 
+Result<bool> MatchRow(TermStore* store, UnifyOptions unify,
+                      TupleRef patterns, uint32_t mask, TupleRef row,
+                      Substitution* ext, std::vector<Substitution>* unifiers) {
+  unifiers->clear();
+  std::vector<size_t> complex;
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    if (MaskHasColumn(mask, i)) continue;
+    TermId p = ext->Apply(store, patterns[i]);
+    if (store->is_ground(p)) {
+      if (p != row[i]) return false;
+    } else if (store->IsVariable(p)) {
+      if (!SortAllowsBinding(*store, p, row[i])) return false;
+      ext->Bind(p, row[i]);
+    } else {
+      complex.push_back(i);
+    }
+  }
+  if (complex.empty()) return true;
+  std::vector<TermId> pat, val;
+  for (size_t i : complex) {
+    pat.push_back(ext->Apply(store, patterns[i]));
+    val.push_back(row[i]);
+  }
+  Unifier unifier(store, unify);
+  LPS_RETURN_IF_ERROR(unifier.EnumerateTuples(pat, val, unifiers));
+  return !unifiers->empty();
+}
+
+Status ExecBuiltinStep(TermStore* store, const Database& db,
+                       const BuiltinOptions& builtins,
+                       std::span<const Literal> body, const PlanStep& step,
+                       Substitution* theta, const StepNext& next) {
+  auto enumerate = [&](const std::vector<TermId>& domain) -> Status {
+    size_t n = domain.size();  // snapshot: domain may grow
+    for (size_t i = 0; i < n; ++i) {
+      Substitution extended = *theta;
+      extended.Bind(step.var, domain[i]);
+      LPS_RETURN_IF_ERROR(next(&extended));
+    }
+    return Status::OK();
+  };
+  switch (step.kind) {
+    case StepKind::kBuiltin: {
+      const Literal& lit = body[step.literal_index];
+      std::vector<TermId> args(lit.args.size());
+      for (size_t i = 0; i < args.size(); ++i) {
+        args[i] = theta->Apply(store, lit.args[i]);
+      }
+      return EvalBuiltin(store, lit.pred, args, builtins,
+                         [&](const Substitution& ext) {
+                           Substitution extended = *theta;
+                           for (const auto& [v, t] : ext.bindings()) {
+                             extended.Bind(v, t);
+                           }
+                           return next(&extended);
+                         });
+    }
+    case StepKind::kEnumAtom:
+    case StepKind::kEnumSet:
+    case StepKind::kEnumAny:
+      if (theta->IsBound(step.var)) return next(theta);
+      if (step.kind == StepKind::kEnumAtom) {
+        return enumerate(db.atom_domain());
+      }
+      if (step.kind == StepKind::kEnumSet) return enumerate(db.set_domain());
+      LPS_RETURN_IF_ERROR(enumerate(db.atom_domain()));
+      return enumerate(db.set_domain());
+    case StepKind::kScan:
+    case StepKind::kNegated:
+      break;
+  }
+  return Status::Internal("ExecBuiltinStep given a relation step");
+}
+
 Status BottomUpEvaluator::ExecSteps(
     const CompiledRule& rule, const std::vector<PlanStep>& steps,
     size_t idx, Substitution* theta, const DeltaSpec* delta,
@@ -675,8 +749,7 @@ Status BottomUpEvaluator::ExecSteps(
       bool rows_mode = is_delta && delta->rows != nullptr;
       // An explicit-rows delta (revived rows, or the rows a retract
       // propagates) sits at scattered arena positions: mask 0 builds no
-      // index and routes every column through the binding loop below,
-      // which re-checks bound columns per row.
+      // index and has MatchRow re-check every bound column per row.
       if (rows_mode) mask = 0;
       const Relation* rel = db_->EnsureIndex(lit.pred, mask);
       if (rel == nullptr) return Status::OK();
@@ -700,8 +773,6 @@ Status BottomUpEvaluator::ExecSteps(
         // (ground) columns.
         rel->Lookup(mask, patterns, &indices);
       }
-      Lease<Tuple> row_lease(&tuple_pool_);
-      Tuple& row = *row_lease;
       for (RowId ti : indices) {
         if (is_delta && !rows_mode &&
             (ti < delta->begin || ti >= delta->end)) {
@@ -709,45 +780,19 @@ Status BottomUpEvaluator::ExecSteps(
         }
         // A range delta lists tombstoned rows too; skip them here.
         if (!rows_mode && !rel->IsLive(ti)) continue;
-        {
-          // Copy: the arena may grow (and reallocate) during recursion.
-          TupleRef r = rel->row(ti);
-          row.assign(r.begin(), r.end());
-        }
-        // Bind the non-ground positions.
+        // The row is read only while it matches, before the recursion
+        // below may grow (and reallocate) the arena.
         Substitution ext = *theta;
-        bool ok = true;
-        std::vector<size_t> complex;
-        for (size_t i = 0; i < patterns.size() && ok; ++i) {
-          if (MaskHasColumn(mask, i)) continue;
-          TermId p = ext.Apply(store, patterns[i]);
-          if (store->is_ground(p)) {
-            ok = (p == row[i]);
-          } else if (store->IsVariable(p)) {
-            if (!SortAllowsBinding(*store, p, row[i])) {
-              ok = false;
-            } else {
-              ext.Bind(p, row[i]);
-            }
-          } else {
-            complex.push_back(i);
-          }
-        }
-        if (!ok) continue;
-        if (complex.empty()) {
+        std::vector<Substitution> unifiers;
+        LPS_ASSIGN_OR_RETURN(
+            bool match, MatchRow(store, options_.builtins.unify, patterns,
+                                 mask, rel->row(ti), &ext, &unifiers));
+        if (!match) continue;
+        if (unifiers.empty()) {
           LPS_RETURN_IF_ERROR(
               ExecSteps(rule, steps, idx + 1, &ext, delta, cont));
           continue;
         }
-        // Complex patterns (set/function terms with variables): unify.
-        std::vector<TermId> pat, val;
-        for (size_t i : complex) {
-          pat.push_back(ext.Apply(store, patterns[i]));
-          val.push_back(row[i]);
-        }
-        Unifier unifier(store, options_.builtins.unify);
-        std::vector<Substitution> unifiers;
-        LPS_RETURN_IF_ERROR(unifier.EnumerateTuples(pat, val, &unifiers));
         for (const Substitution& u : unifiers) {
           Substitution ext2 = ext;
           for (const auto& [v, t] : u.bindings()) ext2.Bind(v, t);
@@ -757,20 +802,16 @@ Status BottomUpEvaluator::ExecSteps(
       }
       return Status::OK();
     }
-    case StepKind::kBuiltin: {
-      const Literal& lit = rule.clause->body[step.literal_index];
-      std::vector<TermId> args(lit.args.size());
-      for (size_t i = 0; i < args.size(); ++i) {
-        args[i] = theta->Apply(store, lit.args[i]);
-      }
-      return EvalBuiltin(
-          store, lit.pred, args, options_.builtins,
-          [&](const Substitution& ext) {
-            Substitution next = *theta;
-            for (const auto& [v, t] : ext.bindings()) next.Bind(v, t);
-            return ExecSteps(rule, steps, idx + 1, &next, delta, cont);
-          });
-    }
+    case StepKind::kBuiltin:
+    case StepKind::kEnumAtom:
+    case StepKind::kEnumSet:
+    case StepKind::kEnumAny:
+      return ExecBuiltinStep(store, *db_, options_.builtins,
+                             rule.clause->body, step, theta,
+                             [&](Substitution* next) {
+                               return ExecSteps(rule, steps, idx + 1, next,
+                                                delta, cont);
+                             });
     case StepKind::kNegated: {
       const Literal& lit = rule.clause->body[step.literal_index];
       LPS_ASSIGN_OR_RETURN(bool holds, LiteralHolds(lit, *theta));
@@ -779,31 +820,6 @@ Status BottomUpEvaluator::ExecSteps(
         return ExecSteps(rule, steps, idx + 1, theta, delta, cont);
       }
       return Status::OK();
-    }
-    case StepKind::kEnumAtom:
-    case StepKind::kEnumSet:
-    case StepKind::kEnumAny: {
-      if (theta->IsBound(step.var)) {
-        return ExecSteps(rule, steps, idx + 1, theta, delta, cont);
-      }
-      auto enumerate = [&](const std::vector<TermId>& domain) -> Status {
-        size_t n = domain.size();  // snapshot: domain may grow
-        for (size_t i = 0; i < n; ++i) {
-          Substitution next = *theta;
-          next.Bind(step.var, domain[i]);
-          LPS_RETURN_IF_ERROR(
-              ExecSteps(rule, steps, idx + 1, &next, delta, cont));
-        }
-        return Status::OK();
-      };
-      if (step.kind == StepKind::kEnumAtom) {
-        return enumerate(db_->atom_domain());
-      }
-      if (step.kind == StepKind::kEnumSet) {
-        return enumerate(db_->set_domain());
-      }
-      LPS_RETURN_IF_ERROR(enumerate(db_->atom_domain()));
-      return enumerate(db_->set_domain());
     }
   }
   return Status::Internal("unknown plan step");

@@ -33,8 +33,10 @@
 
 #include <array>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -116,8 +118,8 @@ struct EvalStats {
   // zero/empty after a plain full-fixpoint Evaluate(). ------------------
   size_t magic_predicates = 0;  // magic predicates in the rewrite
   size_t magic_tuples = 0;      // demand tuples derived into them
-  // Why the last demand-mode execution fell back to the full fixpoint;
-  // empty when the rewrite applied (or demand was never attempted).
+  // Why the last ExecuteDemand() fell back to the full fixpoint; empty
+  // when the rewrite applied (or demand was never attempted).
   std::string demand_fallback_reason;
   // ---- Incremental maintenance (eval/incremental.h), filled when a
   // mutation batch commits through the delta path; all zero after a
@@ -204,6 +206,37 @@ struct CompiledProgram {
   size_t plan_reorders = 0;          // what a run reports in EvalStats
   double plan_estimated_tuples = 0;
 };
+
+// ---- Step code shared with goal answering (api/goal_exec.h) ----------
+
+/// Matches one stored row against a scan literal's argument patterns,
+/// extending *ext - ExecSteps' kScan and the goal scan source both match
+/// rows here. Columns in `mask` are skipped (the index probe matched
+/// them); a ground pattern must equal the row's value; a variable binds
+/// to it after a sort check; the set and function patterns that still
+/// hold variables unify with their values through one
+/// Unifier::EnumerateTuples into *unifiers, which is cleared first.
+/// Returns whether the row matches: once, as *ext, when *unifiers stays
+/// empty, else once per unifier, each extending *ext.
+Result<bool> MatchRow(TermStore* store, UnifyOptions unify,
+                      TupleRef patterns, uint32_t mask, TupleRef row,
+                      Substitution* ext, std::vector<Substitution>* unifiers);
+
+/// What a plan step calls with each extension it admits.
+using StepNext = std::function<Status(Substitution*)>;
+
+/// Runs one kBuiltin or kEnum* step of a plan over `body` under *theta,
+/// calling `next` with every extension the step admits - ExecSteps and
+/// the builtin goal routes both run these steps here. kBuiltin evaluates
+/// body[step.literal_index] (EvalBuiltin); terms it computes (sums,
+/// unions) intern into `store`. kEnumAtom / kEnumSet / kEnumAny bind
+/// step.var, unless already bound, to each value of db's atom domain,
+/// set domain or both, as far as the domain reached when the step
+/// started: values the continuation adds are not enumerated.
+Status ExecBuiltinStep(TermStore* store, const Database& db,
+                       const BuiltinOptions& builtins,
+                       std::span<const Literal> body, const PlanStep& step,
+                       Substitution* theta, const StepNext& next);
 
 class BottomUpEvaluator {
  public:

@@ -128,11 +128,12 @@ BodyPlan BuildBodyPlan(const TermStore& store, const Signature& sig,
 /// one kScan / kBuiltin step, preceded by active-domain enumeration
 /// steps when a builtin's instantiation mode cannot be satisfied from
 /// the goal's ground arguments alone; it runs against the session's
-/// evaluated database. `demand_candidate` marks goals that may instead
-/// be answered by a goal-directed magic-set evaluation
-/// (transform/magic.h) when demand mode is on and the execution-time
-/// binding pattern has a bound position - the rewrite itself performs
-/// the deeper fragment check and can still fall back.
+/// evaluated database. `demand_candidate` marks goals that
+/// PreparedQuery::ExecuteDemand() and the query server's demand route
+/// may instead answer by a goal-directed magic-set evaluation
+/// (transform/magic.h) when the execution-time binding pattern has a
+/// bound position - the rewrite itself performs the deeper fragment
+/// check and can still fall back.
 struct GoalPlan {
   BodyPlan body;
   bool demand_candidate = false;

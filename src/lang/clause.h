@@ -68,13 +68,6 @@ struct Clause {
   bool IsFact() const {
     return quantifiers.empty() && body.empty() && !grouping.has_value();
   }
-  bool IsHorn() const {
-    if (!quantifiers.empty() || grouping.has_value()) return false;
-    for (const Literal& l : body) {
-      if (!l.positive) return false;
-    }
-    return true;
-  }
 
   bool operator==(const Clause& o) const {
     return head == o.head && quantifiers == o.quantifiers &&

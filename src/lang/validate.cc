@@ -4,18 +4,6 @@
 
 namespace lps {
 
-const char* LanguageModeToString(LanguageMode mode) {
-  switch (mode) {
-    case LanguageMode::kLPS:
-      return "LPS";
-    case LanguageMode::kELPS:
-      return "ELPS";
-    case LanguageMode::kLDL:
-      return "LDL";
-  }
-  return "?";
-}
-
 namespace {
 
 bool SortsCompatible(Sort expected, Sort actual) {

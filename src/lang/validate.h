@@ -26,8 +26,6 @@ enum class LanguageMode {
   kLDL,   // ELPS + grouping clauses
 };
 
-const char* LanguageModeToString(LanguageMode mode);
-
 /// Validates a single clause. `mode` selects the language restrictions.
 Status ValidateClause(const TermStore& store, const Signature& sig,
                       const Clause& clause, LanguageMode mode);

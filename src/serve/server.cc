@@ -6,6 +6,7 @@
 
 #include "api/goal_exec.h"
 #include "base/hash.h"
+#include "eval/flat_join.h"
 #include "parse/parser.h"
 #include "serve/resolve.h"
 #include "term/printer.h"
@@ -181,15 +182,6 @@ Status QueryServer::Answer(Worker* w, const Snapshot& snap,
   }
   const size_t max_tuples =
       req.max_tuples > 0 ? req.max_tuples : options_.default_max_tuples;
-  // Cursor-loop deadline probe: one branch per row, a clock read every
-  // 256th (answer emission is far cheaper than the eval steps behind
-  // it, so the coarser granularity still bounds overshoot tightly).
-  uint32_t deadline_tick = 0;
-  auto deadline_hit = [&]() -> bool {
-    if (deadline == Clock::time_point{}) return false;
-    if ((++deadline_tick & 255u) != 0) return false;
-    return Clock::now() >= deadline;
-  };
   // True when the row cap was reached (emission should stop; the
   // answer stays OK but is marked partial).
   auto capped = [&]() -> bool {
@@ -289,9 +281,9 @@ Status QueryServer::Answer(Worker* w, const Snapshot& snap,
     // domains; computed terms (sums, unions) intern into the scratch.
     ++w->delta.builtin_queries;
     std::vector<Tuple> rows;
-    GoalPlanExecutor exec(store, &snap.database(), builtins, goal);
-    Status s = exec.Run(e.prepared.plan.body.steps, bindings, &rows);
-    if (!s.ok()) return s;
+    LPS_RETURN_IF_ERROR(AnswerBuiltinGoal(store, snap.database(), builtins,
+                                          goal, e.prepared.plan.body.steps,
+                                          bindings, &rows));
     for (const Tuple& t : rows) {
       if (capped()) break;
       EmitRow(*store, t, options_.record_answers, out);
@@ -300,12 +292,14 @@ Status QueryServer::Answer(Worker* w, const Snapshot& snap,
   }
 
   AppliedGoal applied = ApplyGoal(store, goal, bindings);
-  // Renders `src`'s rows into *out until the cap or the deadline.
+  // Renders `src`'s rows into *out until the cap or the deadline, which
+  // it probes per row through the evaluator's CheckDeadline countdown.
   auto stream = [&](RelationScanSource* src) -> Status {
     TupleRef t;
+    uint32_t deadline_tick = 0;
     for (;;) {
       if (capped()) return Status::OK();
-      if (deadline_hit()) {
+      if (!CheckDeadline(deadline, &deadline_tick).ok()) {
         out->partial = true;
         return Status::DeadlineExceeded("deadline exceeded streaming answers");
       }

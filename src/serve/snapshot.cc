@@ -1,13 +1,12 @@
-// Defines Session::Freeze and PreparedQuery::ExecuteSnapshot here
-// rather than in src/api/ so the api headers only need forward
-// declarations of the serve types (no include cycle).
+// Defines Session::Freeze here rather than in src/api/ so the api
+// headers only need forward declarations of the serve types (no
+// include cycle). A snapshot is read through a QueryServer
+// (serve/server.h).
 #include "serve/snapshot.h"
 
 #include <string>
 #include <unordered_set>
 
-#include "api/goal_exec.h"
-#include "api/query.h"
 #include "api/session.h"
 
 namespace lps {
@@ -114,37 +113,6 @@ Result<std::shared_ptr<const serve::Snapshot>> Session::FreezeIncremental(
     }
   }
   return std::shared_ptr<const serve::Snapshot>(std::move(snap));
-}
-
-Result<AnswerCursor> PreparedQuery::ExecuteSnapshot(
-    std::shared_ptr<const serve::Snapshot> snapshot) {
-  if (session_ == nullptr) {
-    return Status::InvalidArgument("executing an empty PreparedQuery");
-  }
-  if (snapshot == nullptr) {
-    return Status::InvalidArgument("ExecuteSnapshot without a snapshot");
-  }
-  TermStore* store = session_->store();
-  const Signature& sig = snapshot->signature();
-  if (goal_.pred >= sig.size()) {
-    // The goal predicate was declared after the freeze, so the
-    // snapshot stores nothing under it.
-    return AnswerCursor::FromTuples({});
-  }
-  const BuiltinOptions& builtins = snapshot->options().builtins;
-
-  if (!sig.IsBuiltin(goal_.pred)) {
-    // The zero-copy views point into snapshot-owned rows.
-    const Relation* rel = snapshot->database().FindRelation(goal_.pred);
-    return AnswerCursor(std::make_unique<RelationScanSource>(
-        store, builtins.unify, rel, ApplyGoal(store, goal_, bindings_),
-        std::move(snapshot)));
-  }
-
-  std::vector<Tuple> rows;
-  GoalPlanExecutor exec(store, &snapshot->database(), builtins, goal_);
-  LPS_RETURN_IF_ERROR(exec.Run(plan_.body.steps, bindings_, &rows));
-  return AnswerCursor::FromTuples(std::move(rows));
 }
 
 }  // namespace lps

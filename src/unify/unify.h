@@ -52,11 +52,6 @@ class Unifier {
 
  private:
   struct Frame;
-  Status Recurse(const Substitution& current, std::vector<TermId> worklist,
-                 std::vector<Substitution>* out);
-  Status UnifyStep(Substitution subst, TermId a, TermId b,
-                   std::vector<TermId> rest,
-                   std::vector<Substitution>* out);
 
   TermStore* store_;
   UnifyOptions options_;

@@ -2,7 +2,8 @@
 // adornment tests (binding-pattern propagation, guard rules, negation
 // stratum placement, fact import), the fallback taxonomy, and an
 // equivalence sweep running representative programs from the rest of
-// the test suite under demand-on vs demand-off execution.
+// the test suite through ExecuteDemand() and through Evaluate() plus
+// Execute().
 #include "transform/magic.h"
 
 #include <algorithm>
@@ -371,16 +372,14 @@ INSTANTIATE_TEST_SUITE_P(
 // ---- Demand execution end-to-end --------------------------------------
 
 // Rendered (store-independent) sorted answers, so results can be
-// compared across sessions with different term-interning orders.
+// compared across sessions with different term-interning orders:
+// through ExecuteDemand() when `demand`, else through Execute().
 std::vector<std::string> SortedAnswers(Session* session,
                                        const std::string& goal,
                                        bool demand) {
-  Options options = session->options();
-  options.demand = demand;
-  session->set_options(options);
   auto q = session->Prepare(goal);
   EXPECT_TRUE(q.ok()) << q.status().ToString();
-  auto cursor = q->Execute();
+  auto cursor = demand ? q->ExecuteDemand() : q->Execute();
   EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
   auto rows = cursor->ToVector();
   EXPECT_TRUE(rows.ok()) << rows.status().ToString();
@@ -433,7 +432,6 @@ TEST(DemandExecutionTest, PointQueryWithoutEvaluate) {
     path(X, Z) :- path(X, Y), edge(Y, Z).
   )");
   Options options;
-  options.demand = true;
   // The magic-counter expectations below pin the legacy source-order
   // rewrite shape (one magic predicate for the left-linear rule); the
   // cost-based SIP order may adorn the recursive literal differently.
@@ -442,7 +440,7 @@ TEST(DemandExecutionTest, PointQueryWithoutEvaluate) {
   // No Session::Evaluate() was ever called.
   auto q = session->Prepare("path(a, X)");
   ASSERT_OK(q.status());
-  auto cursor = q->Execute();
+  auto cursor = q->ExecuteDemand();
   ASSERT_OK(cursor.status());
   auto rows = cursor->ToVector();
   ASSERT_OK(rows.status());
@@ -487,19 +485,16 @@ TEST(DemandExecutionTest, RewriteCacheInvalidatedByCompile) {
     path(X, Y) :- edge(X, Y).
     path(X, Z) :- path(X, Y), edge(Y, Z).
   )");
-  Options options;
-  options.demand = true;
-  session->set_options(options);
   auto q = session->Prepare("path(a, X)");
   ASSERT_OK(q.status());
-  EXPECT_EQ(*q->Execute()->Count(), 1u);
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 1u);
   // New facts arrive through a later Load/Compile; the cached rewrite
   // must not pin the old fact set.
   ASSERT_OK(session->Load("edge(b, c)."));
-  EXPECT_EQ(*q->Execute()->Count(), 2u);
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 2u);
   // New rules too.
   ASSERT_OK(session->Load("path(X, Y) :- back(X, Y). back(a, q)."));
-  EXPECT_EQ(*q->Execute()->Count(), 3u);
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 3u);
 }
 
 TEST(DemandExecutionTest, AddFactInvalidatesCachedRewrite) {
@@ -508,12 +503,9 @@ TEST(DemandExecutionTest, AddFactInvalidatesCachedRewrite) {
     path(X, Y) :- edge(X, Y).
     path(X, Z) :- path(X, Y), edge(Y, Z).
   )");
-  Options options;
-  options.demand = true;
-  session->set_options(options);
   auto q = session->Prepare("path(a, X)");
   ASSERT_OK(q.status());
-  EXPECT_EQ(*q->Execute()->Count(), 1u);
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 1u);
   // A committed mutation bypasses Load/Compile but still changes the
   // program; the cached rewrite must not go stale.
   TermStore* store = session->store();
@@ -521,7 +513,7 @@ TEST(DemandExecutionTest, AddFactInvalidatesCachedRewrite) {
   ASSERT_OK(batch.Add(
       "edge", {store->MakeConstant("b"), store->MakeConstant("c")}));
   ASSERT_OK(batch.Commit());
-  EXPECT_EQ(*q->Execute()->Count(), 2u);
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 2u);
 }
 
 TEST(DemandExecutionTest, FactOnlyMutationReusesCachedRewrite) {
@@ -530,12 +522,9 @@ TEST(DemandExecutionTest, FactOnlyMutationReusesCachedRewrite) {
     path(X, Y) :- edge(X, Y).
     path(X, Z) :- path(X, Y), edge(Y, Z).
   )");
-  Options options;
-  options.demand = true;
-  session->set_options(options);
   auto q = session->Prepare("path(a, X)");
   ASSERT_OK(q.status());
-  EXPECT_EQ(*q->Execute()->Count(), 1u);
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 1u);
   EXPECT_EQ(session->demand_rewrite_count(), 1u);
 
   // Fact-only commits bump fact_epoch() but not rule_epoch(): the
@@ -544,18 +533,18 @@ TEST(DemandExecutionTest, FactOnlyMutationReusesCachedRewrite) {
   MutationBatch grow = session->Mutate();
   ASSERT_OK(grow.AddText("edge(b, c)"));
   ASSERT_OK(grow.Commit());
-  EXPECT_EQ(*q->Execute()->Count(), 2u);
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 2u);
   EXPECT_EQ(session->demand_rewrite_count(), 1u);  // cache hit
 
   MutationBatch shrink = session->Mutate();
   ASSERT_OK(shrink.RetractText("edge(a, b)"));
   ASSERT_OK(shrink.Commit());
-  EXPECT_EQ(*q->Execute()->Count(), 0u);  // a is cut off
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 0u);  // a is cut off
   EXPECT_EQ(session->demand_rewrite_count(), 1u);  // still cached
 
   // A rule commit moves rule_epoch() and invalidates the cache.
   ASSERT_OK(session->Load("path(X, Y) :- back(X, Y). back(a, q)."));
-  EXPECT_EQ(*q->Execute()->Count(), 1u);
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 1u);
   EXPECT_EQ(session->demand_rewrite_count(), 2u);
 }
 
@@ -564,15 +553,12 @@ TEST(DemandExecutionTest, EligibilityRefreshesWhenRulesAppearLater) {
   // candidate); rules arrive afterwards and the same handle must
   // re-decide and take the demand path.
   auto session = Load("path(a, z). edge(a, b).");
-  Options options;
-  options.demand = true;
-  session->set_options(options);
   auto q = session->Prepare("path(a, X)");
   ASSERT_OK(q.status());
   EXPECT_FALSE(q->goal_plan().demand_candidate);
   ASSERT_OK(session->Load(
       "path(X, Y) :- edge(X, Y). path(X, Z) :- path(X, Y), edge(Y, Z)."));
-  EXPECT_EQ(*q->Execute()->Count(), 2u);  // z (fact) + b (derived)
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 2u);  // z (fact) + b (derived)
   // The demand path ran: the session database holds its facts alone,
   // magic stats set.
   EXPECT_EQ(session->database()->TupleCount(), 2u);
@@ -585,9 +571,6 @@ TEST(DemandExecutionTest, ExplicitDemandFallsBackToFullFixpoint) {
     s({1, 2}). q(1). q(2).
     allq(X) :- s(X), forall E in X : q(E).
   )");
-  Options options;
-  options.demand = true;
-  session->set_options(options);
   auto q = session->Prepare("allq({1, 2})");
   ASSERT_OK(q.status());
   // Quantifiers are outside the magic fragment: ExecuteDemand evaluates
@@ -668,29 +651,28 @@ TEST(DemandExecutionTest, BoundParameterDrivesTheSeed) {
     path(X, Y) :- edge(X, Y).
     path(X, Z) :- path(X, Y), edge(Y, Z).
   )");
-  Options options;
-  options.demand = true;
-  session->set_options(options);
   auto q = session->Prepare("path(S, T)");
   ASSERT_OK(q.status());
   ASSERT_OK(q->BindText("S", "p"));
-  EXPECT_EQ(*q->Execute()->Count(), 1u);  // q only
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 1u);  // q only
   ASSERT_OK(q->BindText("S", "a"));
-  EXPECT_EQ(*q->Execute()->Count(), 2u);  // b, c
-  // Unbinding flips the same handle back to the legacy scan path,
-  // which sees the (never evaluated) session database.
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 2u);  // b, c
+  // Unbound, the handle leaves demand nothing to restrict. Execute()
+  // scans the session database, which no demand run evaluated;
+  // ExecuteDemand() falls back to the full fixpoint, reason on record.
   q->ClearBindings();
   EXPECT_EQ(*q->Execute()->Count(), 0u);
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 4u);
   EXPECT_NE(session->eval_stats().demand_fallback_reason.find("all-free"),
             std::string::npos);
 }
 
-// ---- Equivalence sweep: demand-on vs demand-off -----------------------
+// ---- Equivalence sweep: ExecuteDemand() vs Evaluate() + Execute() ----
 //
 // Representative programs from across the test suite (bottomup,
-// stratify, builtins, ldl, expressiveness). Each goal is executed
-// demand-off (full Evaluate + scan) and demand-on (magic or recorded
-// fallback); the answer sets must match exactly.
+// stratify, builtins, ldl, expressiveness). Each goal is answered by a
+// full Evaluate() and a scan, and by ExecuteDemand() (magic or
+// recorded fallback); the answer sets must match exactly.
 
 struct SweepCase {
   const char* name;
@@ -707,20 +689,10 @@ TEST_P(MagicEquivalenceSweep, DemandMatchesFullFixpoint) {
     ASSERT_OK(full_session->Evaluate());
     auto full = SortedAnswers(full_session.get(), goal, false);
 
+    // No up-front Evaluate: ExecuteDemand() must self-serve, its
+    // fallbacks (all-free goals included) running the fixpoint on the
+    // session database themselves.
     auto demand_session = Load(GetParam().source);
-    // No up-front Evaluate: demand mode must self-serve (fallbacks run
-    // the fixpoint on the session database themselves via Execute()'s
-    // demand routing only for bound goals; unbound goals here evaluate
-    // first like the legacy contract requires).
-    bool has_bound = false;
-    {
-      auto q = demand_session->Prepare(goal);
-      ASSERT_OK(q.status());
-      for (TermId a : q->goal().args) {
-        has_bound |= demand_session->store()->is_ground(a);
-      }
-    }
-    if (!has_bound) ASSERT_OK(demand_session->Evaluate());
     auto demand = SortedAnswers(demand_session.get(), goal, true);
     EXPECT_EQ(demand, full)
         << GetParam().name << " diverges on goal " << goal;

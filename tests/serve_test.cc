@@ -150,6 +150,32 @@ TEST(ResolveTest, ClassifiesMisses) {
   EXPECT_EQ(again->missing, MissKind::kNone);
 }
 
+ServeOptions TwoThreads() {
+  ServeOptions o;
+  o.threads = 2;
+  return o;
+}
+
+// Sorted rendered answers of `goal_text` with `params`, served by a
+// fresh two-lane server over `snap`.
+std::vector<std::string> Served(
+    std::shared_ptr<const Snapshot> snap, const std::string& goal_text,
+    std::vector<std::pair<std::string, std::string>> params) {
+  SnapshotRegistry registry;
+  registry.Publish(std::move(snap));
+  QueryServer server(&registry, TwoThreads());
+  auto q = server.Prepare(goal_text);
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  ServeRequest req;
+  req.query = *q;
+  req.params = std::move(params);
+  auto ans = server.Execute(req);
+  EXPECT_TRUE(ans.ok() && ans->status.ok());
+  std::vector<std::string> rows(ans->rows.begin(), ans->rows.end());
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
 // ---- Snapshot freezing ----------------------------------------------
 
 TEST(SnapshotTest, FreezeIsImmutableUnderSessionMutation) {
@@ -166,41 +192,18 @@ TEST(SnapshotTest, FreezeIsImmutableUnderSessionMutation) {
   EXPECT_GT(session.database()->TupleCount(), frozen_rows);
   EXPECT_EQ(snap->database().TupleCount(), frozen_rows);
 
-  // Prepared queries execute against the snapshot: the post-freeze
-  // edges are invisible there but visible in the live session.
+  // The same goal answered by the live session and by a server over
+  // the snapshot: the post-freeze edges are invisible there but
+  // visible in the live session.
   auto q = session.Prepare("path(a, X)");
   ASSERT_OK(q.status());
   auto live = q->Execute();
   ASSERT_OK(live.status());
   auto live_rows = live->ToVector();
   ASSERT_OK(live_rows.status());
-  auto frozen = q->ExecuteSnapshot(snap);
-  ASSERT_OK(frozen.status());
-  auto frozen_answers = frozen->ToVector();
-  ASSERT_OK(frozen_answers.status());
-  EXPECT_EQ(frozen_answers->size(), 4u);  // b, c, d, e
-  EXPECT_GT(live_rows->size(), frozen_answers->size());
-}
-
-TEST(SnapshotTest, CursorOutlivesRegistryRetirement) {
-  Session session(LanguageMode::kLPS);
-  ASSERT_OK(session.Load(kGraph));
-  SnapshotRegistry registry;
-  registry.Publish(FreezeGraph(&session));
-
-  auto q = session.Prepare("edge(X, Y)");
-  ASSERT_OK(q.status());
-  PinnedSnapshot pin = registry.Pin();
-  auto cursor = q->ExecuteSnapshot(pin.snapshot());
-  ASSERT_OK(cursor.status());
-  // Retire the pinned epoch and drop the pin mid-stream: the cursor's
-  // shared ownership keeps the snapshot memory alive.
-  registry.Publish(FreezeGraph(&session));
-  pin.Release();
-  EXPECT_EQ(registry.reclaimed_count(), 1u);
-  auto rows = cursor->ToVector();
-  ASSERT_OK(rows.status());
-  EXPECT_EQ(rows->size(), 4u);
+  std::vector<std::string> frozen_answers = Served(snap, "path(a, X)", {});
+  EXPECT_EQ(frozen_answers.size(), 4u);  // b, c, d, e
+  EXPECT_GT(live_rows->size(), frozen_answers.size());
 }
 
 // ---- Registry lifecycle ---------------------------------------------
@@ -250,32 +253,6 @@ TEST(RegistryTest, PinRepublishUnpinReclamationOrder) {
 }
 
 // ---- QueryServer ----------------------------------------------------
-
-ServeOptions TwoThreads() {
-  ServeOptions o;
-  o.threads = 2;
-  return o;
-}
-
-// Sorted rendered answers of `goal_text` with `params`, served by a
-// fresh two-lane server over `snap`.
-std::vector<std::string> Served(
-    std::shared_ptr<const Snapshot> snap, const std::string& goal_text,
-    std::vector<std::pair<std::string, std::string>> params) {
-  SnapshotRegistry registry;
-  registry.Publish(std::move(snap));
-  QueryServer server(&registry, TwoThreads());
-  auto q = server.Prepare(goal_text);
-  EXPECT_TRUE(q.ok()) << q.status().ToString();
-  ServeRequest req;
-  req.query = *q;
-  req.params = std::move(params);
-  auto ans = server.Execute(req);
-  EXPECT_TRUE(ans.ok() && ans->status.ok());
-  std::vector<std::string> rows(ans->rows.begin(), ans->rows.end());
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
 
 TEST(QueryServerTest, FactMultiplicityHoldsAcrossCommitResetFreezeAndServe) {
   // path is rule-headed and also has a fact, asserted twice and
@@ -673,7 +650,7 @@ TEST(QueryServerTest, RefreshOfAnUnreadPredicateKeepsTheCompiledProgram) {
 TEST(QueryServerTest, WideGoalAnswersEachAskPastColumn31) {
   // Two asks of a 34-column goal bind different columns past 31, which
   // no 32-bit mask names: neither may be answered from what the other
-  // cached, on the server or in a demand-mode session.
+  // cached, on the server or through ExecuteDemand().
   auto row = [](const std::string& c32, const std::string& c33) {
     std::string out = "wide(";
     for (int i = 0; i < 32; ++i) out += "k, ";
@@ -687,9 +664,7 @@ TEST(QueryServerTest, WideGoalAnswersEachAskPastColumn31) {
                               ".\nw(" + vars + ") :- wide(" + vars +
                               ").\n";
   const std::string goal = "w(" + vars + ")";
-  Options demand;
-  demand.demand = true;
-  Session session(LanguageMode::kLPS, demand);
+  Session session(LanguageMode::kLPS);
   ASSERT_OK(session.Load(program));
   SnapshotRegistry registry;
   registry.Publish(FreezeGraph(&session));
@@ -712,7 +687,7 @@ TEST(QueryServerTest, WideGoalAnswersEachAskPastColumn31) {
 
     pq->ClearBindings();
     ASSERT_OK(pq->BindText(var, value));
-    auto cursor = pq->Execute();
+    auto cursor = pq->ExecuteDemand();
     ASSERT_OK(cursor.status());
     auto rows = cursor->ToVector();
     ASSERT_OK(rows.status());
@@ -727,9 +702,24 @@ TEST(QueryServerTest, WideGoalAnswersEachAskPastColumn31) {
   EXPECT_EQ(session.demand_rewrite_count(), 1u);
 }
 
+// Rendered rows of a session cursor, as a set.
+std::set<std::string> RowSet(Session* session, Result<AnswerCursor> cursor) {
+  std::set<std::string> out;
+  EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+  if (!cursor.ok()) return out;
+  auto rows = cursor->ToVector();
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  if (!rows.ok()) return out;
+  for (const Tuple& t : *rows) out.insert(session->TupleToString(t));
+  return out;
+}
+
 TEST(QueryServerTest, BuiltinGoalsInternIntoWorkerScratch) {
+  // X < 3 opens with an active-domain enumeration of X. The server, the
+  // session's Execute() and the body of r's rule all run it on the
+  // evaluator's step code, and agree on X.
   Session session(LanguageMode::kLDL);
-  ASSERT_OK(session.Load("num(1). num(2). num(3)."));
+  ASSERT_OK(session.Load("num(1). num(2). num(3). r(X) :- X < 3."));
   SnapshotRegistry registry;
   registry.Publish(FreezeGraph(&session));
   QueryServer server(&registry, TwoThreads());
@@ -742,6 +732,47 @@ TEST(QueryServerTest, BuiltinGoalsInternIntoWorkerScratch) {
   ASSERT_OK(ans->status);
   std::set<std::string> rows(ans->rows.begin(), ans->rows.end());
   EXPECT_EQ(rows, (std::set<std::string>{"(1, 3)", "(2, 3)"}));
+
+  auto goal = session.Prepare("X < 3");
+  ASSERT_OK(goal.status());
+  EXPECT_EQ(RowSet(&session, goal->Execute()), rows);
+  auto derived = session.Prepare("r(X)");
+  ASSERT_OK(derived.status());
+  EXPECT_EQ(RowSet(&session, derived->Execute()),
+            (std::set<std::string>{"(1)", "(2)"}));
+}
+
+TEST(QueryServerTest, SetPatternGoalMatchesLikeARuleBody) {
+  // owns(ann, {pen, X}) is a scan goal whose set pattern holds a
+  // variable, so each row matches by set unification: through the
+  // session's Execute(), through the server's scan route, and in the
+  // body of r's rule, whose head rebuilds the matched set.
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(R"(
+    owns(ann, {pen, ink}). owns(ann, {pen}). owns(ann, {ink, cap}).
+    owns(bob, {pen, cap}).
+    r(ann, {pen, X}) :- owns(ann, {pen, X}).
+  )"));
+  SnapshotRegistry registry;
+  registry.Publish(FreezeGraph(&session));
+  QueryServer server(&registry, TwoThreads());
+  auto q = server.Prepare("owns(ann, {pen, X})");
+  ASSERT_OK(q.status());
+  ServeRequest req;
+  req.query = *q;
+  auto ans = server.Execute(req);
+  ASSERT_OK(ans.status());
+  ASSERT_OK(ans->status);
+  EXPECT_EQ(server.stats().scan_queries, 1u);
+  std::set<std::string> served(ans->rows.begin(), ans->rows.end());
+  EXPECT_EQ(served.size(), 2u);  // {pen, ink} and {pen}
+
+  auto goal = session.Prepare("owns(ann, {pen, X})");
+  ASSERT_OK(goal.status());
+  EXPECT_EQ(RowSet(&session, goal->Execute()), served);
+  auto derived = session.Prepare("r(P, S)");
+  ASSERT_OK(derived.status());
+  EXPECT_EQ(RowSet(&session, derived->Execute()), served);
 }
 
 // Sequential ground truth for the hammer tests: every path(c, _)

@@ -519,17 +519,16 @@ TEST(EvalStatsTest, ZeroBeforeFirstEvaluate) {
 }
 
 TEST(EvalStatsTest, DemandCountersSurfaceThroughSession) {
-  Options demand;
-  demand.demand = true;
+  Options heuristic;
   // The exact magic predicate/tuple counts below pin the legacy
   // source-order rewrite; the cost-based SIP order may adorn the
   // recursive literal differently (same answers, different shape).
-  demand.reorder = false;
-  Session session(LanguageMode::kLPS, demand);
+  heuristic.reorder = false;
+  Session session(LanguageMode::kLPS, heuristic);
   ASSERT_OK(session.Load(kGraph));
   auto q = session.Prepare("path(a, X)");
   ASSERT_OK(q.status());
-  EXPECT_EQ(*q->Execute()->Count(), 3u);
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 3u);
   EXPECT_EQ(session.eval_stats().magic_predicates, 1u);
   EXPECT_EQ(session.eval_stats().magic_tuples, 1u);  // the seed
   EXPECT_TRUE(session.eval_stats().demand_fallback_reason.empty());
@@ -541,11 +540,11 @@ TEST(EvalStatsTest, DemandCountersSurfaceThroughSession) {
 
   // An ineligible goal records why it fell back - and clears the
   // magic counters, which describe the same (failed) demand attempt.
-  EXPECT_EQ(*q->Execute()->Count(), 3u);  // repopulate magic counters
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 3u);  // repopulate magic counters
   EXPECT_EQ(session.eval_stats().magic_predicates, 1u);
   auto all_free = session.Prepare("path(X, Y)");
   ASSERT_OK(all_free.status());
-  EXPECT_EQ(*all_free->Execute()->Count(), 6u);
+  EXPECT_EQ(*all_free->ExecuteDemand()->Count(), 6u);
   EXPECT_NE(
       session.eval_stats().demand_fallback_reason.find("all-free"),
       std::string::npos);
@@ -554,8 +553,8 @@ TEST(EvalStatsTest, DemandCountersSurfaceThroughSession) {
 }
 
 TEST(DemandModeTest, OffByDefaultAndHarmlessWhenOn) {
-  // demand=false: Execute() keeps the scan-the-evaluated-database
-  // contract bit for bit.
+  // Execute() keeps the scan-the-evaluated-database contract bit for
+  // bit.
   Session off(LanguageMode::kLPS);
   ASSERT_OK(off.Load(kGraph));
   auto q_off = off.Prepare("path(a, X)");
@@ -564,15 +563,13 @@ TEST(DemandModeTest, OffByDefaultAndHarmlessWhenOn) {
   ASSERT_OK(off.Evaluate());
   EXPECT_EQ(*q_off->Execute()->Count(), 3u);
 
-  // demand=true answers the same point query without any Evaluate()
-  // and without deriving into the session database.
-  Options demand;
-  demand.demand = true;
-  Session on(LanguageMode::kLPS, demand);
+  // ExecuteDemand() answers the same point query without any
+  // Evaluate() and without deriving into the session database.
+  Session on(LanguageMode::kLPS);
   ASSERT_OK(on.Load(kGraph));
   auto q_on = on.Prepare("path(a, X)");
   ASSERT_OK(q_on.status());
-  EXPECT_EQ(*q_on->Execute()->Count(), 3u);
+  EXPECT_EQ(*q_on->ExecuteDemand()->Count(), 3u);
   EXPECT_EQ(on.database()->TupleCount(), 3u);  // the three edge facts
   EXPECT_EQ(on.database()->fact_count(), 3u);
   EXPECT_EQ(on.rule_epoch(), 1u);
@@ -654,20 +651,18 @@ TEST(SubsumptionTest, WiderBindingServedFromCachedMaterialization) {
   // A bf execution materializes every answer for its seed; a later bb
   // execution with the same first argument is subsumed: same answers,
   // no second rewrite, no second fixpoint.
-  Options demand;
-  demand.demand = true;
-  Session session(LanguageMode::kLDL, demand);
+  Session session(LanguageMode::kLDL);
   ASSERT_OK(session.Load(kGraph));
   auto q = session.Prepare("path(X, Y)");
   ASSERT_OK(q.status());
 
   ASSERT_OK(q->BindText("X", "a"));
-  EXPECT_EQ(*q->Execute()->Count(), 3u);  // b, c, d
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 3u);  // b, c, d
   EXPECT_EQ(session.demand_rewrite_count(), 1u);
   EXPECT_EQ(session.demand_subsumption_count(), 0u);
 
   ASSERT_OK(q->BindText("Y", "c"));  // now bb, same X
-  auto bb = q->Execute();
+  auto bb = q->ExecuteDemand();
   ASSERT_OK(bb.status());
   auto rows = bb->ToVector();
   ASSERT_OK(rows.status());
@@ -682,40 +677,36 @@ TEST(SubsumptionTest, WiderBindingServedFromCachedMaterialization) {
   // its own materialization too: still one rewrite, zero evaluations.
   q->ClearBindings();
   ASSERT_OK(q->BindText("X", "a"));
-  EXPECT_EQ(*q->Execute()->Count(), 3u);
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 3u);
   EXPECT_EQ(session.demand_rewrite_count(), 1u);
   EXPECT_EQ(session.demand_subsumption_count(), 2u);
 }
 
 TEST(SubsumptionTest, DifferentSeedIsNotSubsumed) {
-  Options demand;
-  demand.demand = true;
-  Session session(LanguageMode::kLDL, demand);
+  Session session(LanguageMode::kLDL);
   ASSERT_OK(session.Load(kGraph));
   auto q = session.Prepare("path(X, Y)");
   ASSERT_OK(q.status());
 
   ASSERT_OK(q->BindText("X", "a"));
-  EXPECT_EQ(*q->Execute()->Count(), 3u);
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 3u);
   // Same mask, different seed value: the cached rewrite is reused (no
   // new MagicRewrite) but the materialized answers are for X = a, so
   // the fixpoint must run again for X = b.
   ASSERT_OK(q->BindText("X", "b"));
-  EXPECT_EQ(*q->Execute()->Count(), 2u);  // c, d
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 2u);  // c, d
   EXPECT_EQ(session.demand_rewrite_count(), 1u);
   EXPECT_EQ(session.demand_subsumption_count(), 0u);
 }
 
 TEST(SubsumptionTest, FactChurnInvalidatesMaterializedAnswers) {
-  Options demand;
-  demand.demand = true;
-  Session session(LanguageMode::kLDL, demand);
+  Session session(LanguageMode::kLDL);
   ASSERT_OK(session.Load(kGraph));
   auto q = session.Prepare("path(X, Y)");
   ASSERT_OK(q.status());
 
   ASSERT_OK(q->BindText("X", "a"));
-  EXPECT_EQ(*q->Execute()->Count(), 3u);
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 3u);
 
   // The materialization predates the new edge: serving the bb request
   // from it would lose path(a, e). The stale epoch forces a fresh
@@ -724,17 +715,17 @@ TEST(SubsumptionTest, FactChurnInvalidatesMaterializedAnswers) {
   ASSERT_OK(batch.AddText("edge(d, e)"));
   ASSERT_OK(batch.Commit());
   ASSERT_OK(q->BindText("Y", "e"));
-  EXPECT_EQ(*q->Execute()->Count(), 1u);
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 1u);
   EXPECT_EQ(session.demand_subsumption_count(), 0u);
   EXPECT_EQ(session.eval_stats().subsumption_hits, 0u);
   // Re-materialize the bf pattern at the new epoch: subsumption then
   // serves a narrower request again, new fact included.
   q->ClearBindings();
   ASSERT_OK(q->BindText("X", "a"));
-  EXPECT_EQ(*q->Execute()->Count(), 4u);  // b, c, d, e
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 4u);  // b, c, d, e
   EXPECT_EQ(session.demand_subsumption_count(), 0u);
   ASSERT_OK(q->BindText("Y", "e"));
-  EXPECT_EQ(*q->Execute()->Count(), 1u);
+  EXPECT_EQ(*q->ExecuteDemand()->Count(), 1u);
   EXPECT_EQ(session.demand_subsumption_count(), 1u);
   EXPECT_EQ(session.eval_stats().subsumption_hits, 1u);
 }
@@ -745,9 +736,7 @@ TEST(DemandCompileTest, IndexBuiltIntoTheSessionRecompilesTheNextQuery) {
   // compiled for are gone, so the next query - a fresh binding, no
   // materialized answer to reuse - compiles again, and later ones
   // reuse that program. Every answer is the full fixpoint's.
-  Options demand;
-  demand.demand = true;
-  Session session(LanguageMode::kLDL, demand);
+  Session session(LanguageMode::kLDL);
   ASSERT_OK(session.Load(kGraph));
   Session full(LanguageMode::kLDL);
   ASSERT_OK(full.Load(kGraph));
@@ -773,7 +762,7 @@ TEST(DemandCompileTest, IndexBuiltIntoTheSessionRecompilesTheNextQuery) {
   auto expect_full_answers = [&](const char* x) {
     ASSERT_OK(q->BindText("X", x));
     ASSERT_OK(truth->BindText("X", x));
-    EXPECT_EQ(rows_of(&session, q->Execute()),
+    EXPECT_EQ(rows_of(&session, q->ExecuteDemand()),
               rows_of(&full, truth->Execute()))
         << x;
   };
