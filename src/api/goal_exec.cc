@@ -65,10 +65,16 @@ Status AnswerBuiltinGoal(TermStore* store, const Database& db,
                          const BuiltinOptions& builtins, const Literal& goal,
                          const std::vector<PlanStep>& steps,
                          const Substitution& bindings,
-                         std::vector<Tuple>* out) {
+                         std::vector<Tuple>* out, size_t max_answers,
+                         std::chrono::steady_clock::time_point deadline) {
   std::unordered_set<Tuple, TupleHash> seen;
+  uint32_t deadline_tick = 0;
+  // Reaching the cap unwinds the enumeration with a status that this
+  // function turns back into OK.
+  bool full = false;
   std::function<Status(size_t, Substitution*)> run =
       [&](size_t idx, Substitution* theta) -> Status {
+    LPS_RETURN_IF_ERROR(CheckDeadline(deadline, &deadline_tick));
     if (idx < steps.size()) {
       return ExecBuiltinStep(
           store, db, builtins, std::span<const Literal>(&goal, 1),
@@ -80,10 +86,15 @@ Status AnswerBuiltinGoal(TermStore* store, const Database& db,
     for (TermId a : goal.args) t.push_back(theta->Apply(store, a));
     // Enumeration prefixes can reach the same answer twice; dedup.
     if (seen.insert(t).second) out->push_back(std::move(t));
+    if (max_answers != 0 && seen.size() == max_answers) {
+      full = true;
+      return Status::OutOfRange("answer cap reached");
+    }
     return Status::OK();
   };
   Substitution theta = bindings;
-  return run(0, &theta);
+  Status status = run(0, &theta);
+  return full ? Status::OK() : status;
 }
 
 Result<DemandRewriteCache::Entry*> DemandRewriteCache::Get(

@@ -121,12 +121,16 @@ class RelationScanSource final : public AnswerSource {
 /// solution to *out. Reads only the database's active domains, so it
 /// can run against a frozen snapshot database; new terms a builtin
 /// computes (sums, unions) intern into `store`, which must be private
-/// to the caller on concurrent paths.
+/// to the caller on concurrent paths. The plan stops, OK, once
+/// `max_answers` distinct answers are in (0: no cap); it checks
+/// `deadline` as it enumerates (CheckDeadline; the epoch: none) and
+/// returns kDeadlineExceeded once it passes, keeping the answers found.
 Status AnswerBuiltinGoal(TermStore* store, const Database& db,
                          const BuiltinOptions& builtins, const Literal& goal,
                          const std::vector<PlanStep>& steps,
                          const Substitution& bindings,
-                         std::vector<Tuple>* out);
+                         std::vector<Tuple>* out, size_t max_answers = 0,
+                         std::chrono::steady_clock::time_point deadline = {});
 
 /// One goal's magic rewrites (transform/magic.h), cached per binding
 /// mask until the rules change (the owner calls Clear()). A rewrite

@@ -167,18 +167,17 @@ void Session::ResetDatabase() {
 Result<std::string> Session::ExplainPlans() {
   LPS_RETURN_IF_ERROR(Compile());
   const Signature& sig = program_->signature();
-  // The same statistics BottomUpEvaluator::PlanningStats would take
-  // right now: the report shows the join orders the next Evaluate()
-  // picks (after an Evaluate() the relations are populated, so
-  // re-running shows the orders a re-evaluation or an incremental pass
-  // would use).
-  PlannerStats stats = PlannerStats::FromDatabase(*db_, *program_);
-  const PlannerStats* sp = options_.reorder ? &stats : nullptr;
+  // The plans the next Evaluate() compiles (after an Evaluate() the
+  // relations are populated, so re-running shows the orders a
+  // re-evaluation or an incremental pass would use).
+  BottomUpEvaluator eval(program_.get(), db_.get(), options_.eval());
+  LPS_ASSIGN_OR_RETURN(CompiledProgram compiled,
+                       eval.Compile(eval.PlanningStats()));
   std::string out;
   char buf[64];
-  for (const Clause& c : program_->clauses()) {
-    LPS_ASSIGN_OR_RETURN(RulePlan plan,
-                         BuildRulePlan(*store_, sig, c, sp));
+  for (const CompiledRule& rule : compiled.rules) {
+    const Clause& c = *rule.clause;
+    const RulePlan& plan = rule.plan;
     out += ClauseToString(*store_, sig, c);
     out += '\n';
     for (const PlanStep& s : plan.free_plan.steps) {

@@ -242,10 +242,12 @@ class Session {
     return demand_subsumption_count_;
   }
 
-  /// Human-readable join-order report: one block per rule with the
-  /// planned step order and, when cost-based ordering is on, the
-  /// per-step row estimates the planner used against the current
-  /// database (lpsi's .plan command prints this). Compiles first.
+  /// Human-readable join-order report of the plans the next Evaluate()
+  /// compiles: one block per rule with the planned step order and,
+  /// when cost-based ordering is on, the per-step row estimates the
+  /// planner used against the current database (lpsi's .plan command
+  /// prints this). Compiles first; a program that does not stratify
+  /// reports that error.
   Result<std::string> ExplainPlans();
 
  private:

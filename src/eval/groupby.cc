@@ -7,55 +7,30 @@
 
 namespace lps {
 
-namespace {
-constexpr size_t kInitialSlots = 64;  // power of two
-}  // namespace
-
 void GroupAccumulator::Reset(size_t key_width) {
   key_width_ = key_width;
   key_arena_.clear();
   postings_.clear();
   heads_.clear();
   tails_.clear();
-  if (slots_.empty()) {
-    slots_.assign(kInitialSlots, 0);
-  } else {
-    std::fill(slots_.begin(), slots_.end(), 0);
-  }
+  groups_.Clear();
 }
 
 uint32_t GroupAccumulator::Upsert(TupleRef key) {
   assert(key.size() == key_width_);
-  size_t mask = slots_.size() - 1;
-  size_t slot = Mix64(HashRange(key)) & mask;
-  for (;;) {
-    uint32_t v = slots_[slot];
-    if (v == 0) break;
-    uint32_t g = v - 1;
-    const TermId* stored = key_arena_.data() + size_t{g} * key_width_;
-    if (std::equal(key.begin(), key.end(), stored)) return g;
-    slot = (slot + 1) & mask;
+  const uint32_t fresh = static_cast<uint32_t>(heads_.size());
+  const uint32_t g = groups_.FindOrInsert(
+      HashRange(key), fresh,
+      [&](uint32_t e) {
+        return std::equal(key.begin(), key.end(), this->key(e).begin());
+      },
+      [&](uint32_t e) { return HashRange(this->key(e)); });
+  if (g == fresh) {
+    key_arena_.insert(key_arena_.end(), key.begin(), key.end());
+    heads_.push_back(0);
+    tails_.push_back(0);
   }
-  uint32_t g = static_cast<uint32_t>(heads_.size());
-  key_arena_.insert(key_arena_.end(), key.begin(), key.end());
-  heads_.push_back(0);
-  tails_.push_back(0);
-  slots_[slot] = g + 1;
-  // 3/4 load factor, like the relation dedup table.
-  if ((heads_.size() + 1) * 4 >= slots_.size() * 3) Grow();
   return g;
-}
-
-void GroupAccumulator::Grow() {
-  size_t cap = slots_.size() * 2;
-  slots_.assign(cap, 0);
-  size_t mask = cap - 1;
-  for (uint32_t g = 0; g < heads_.size(); ++g) {
-    TupleRef k = key(g);
-    size_t slot = Mix64(HashRange(k)) & mask;
-    while (slots_[slot] != 0) slot = (slot + 1) & mask;
-    slots_[slot] = g + 1;
-  }
 }
 
 void GroupAccumulator::Append(uint32_t group, TermId element) {

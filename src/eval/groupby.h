@@ -1,10 +1,10 @@
 // Arena-backed group-by accumulator for grouping heads (Definition 14).
 //
-// Mirrors the storage engine's dedup design (eval/relation.h): group
-// keys live in one contiguous TermId arena (group g = the span at
-// g * key_width), an open-addressed Mix64-hashed slot table maps key
-// spans to dense group ordinals (first-witness order), and each
-// group's elements form a posting chain in a shared posting arena.
+// Uses the storage engine's dedup design (eval/relation.h): group keys
+// live in one contiguous TermId arena (group g = the span at
+// g * key_width), an IdTable (base/id_table.h) maps key spans to dense
+// group ordinals (first-witness order), and each group's elements
+// form a posting chain in a shared posting arena.
 // Steady-state accumulation therefore costs zero heap allocations per
 // (key, element) pair - the replacement for the per-row Tuple +
 // unordered_map node traffic of the previous std::unordered_map<Tuple,
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/id_table.h"
 #include "eval/relation.h"
 #include "term/term.h"
 
@@ -66,11 +67,9 @@ class GroupAccumulator {
   size_t total_elements() const { return postings_.size(); }
 
  private:
-  void Grow();
-
   size_t key_width_ = 0;
   std::vector<TermId> key_arena_;    // num_groups * key_width ids
-  std::vector<uint32_t> slots_;      // group ordinal + 1; 0 = empty
+  IdTable groups_;                   // key -> group ordinal
   struct Posting {
     TermId elem;
     uint32_t next;  // posting index + 1; 0 = end of chain

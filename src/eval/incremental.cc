@@ -1,10 +1,10 @@
 #include "eval/incremental.h"
 
 #include <algorithm>
-#include <bit>
 #include <span>
 #include <utility>
 
+#include "base/id_table.h"
 #include "unify/unify.h"
 
 namespace lps {
@@ -30,60 +30,33 @@ uint64_t FactKey(PredicateId pred, RowId row) {
   return (static_cast<uint64_t>(pred) << 32) | row;
 }
 
-// Memo bits per fact, keyed by FactKey: an open-addressed table that
-// grows with the facts a retract touches, never with a relation.
+// Memo bits per fact, keyed by FactKey: a table that grows with the
+// facts a retract touches, never with a relation.
 class FactMemo {
  public:
   uint8_t Get(uint64_t key) const {
-    if (keys_.empty()) return 0;
-    for (size_t i = Home(key);; i = (i + 1) & mask_) {
-      if (keys_[i] == key) return bits_[i];
-      if (keys_[i] == kEmpty) return 0;
-    }
+    const uint32_t i =
+        table_.Find(key, [&](uint32_t e) { return keys_[e] == key; });
+    return i == IdTable::kNone ? 0 : bits_[i];
   }
   // The bits of `key`, inserted as 0 when absent. The reference is
   // invalidated by the next At().
   uint8_t& At(uint64_t key) {
-    if (2 * (size_ + 1) > keys_.size()) Grow();
-    for (size_t i = Home(key);; i = (i + 1) & mask_) {
-      if (keys_[i] == key) return bits_[i];
-      if (keys_[i] == kEmpty) {
-        keys_[i] = key;
-        ++size_;
-        return bits_[i];
-      }
+    const uint32_t fresh = static_cast<uint32_t>(keys_.size());
+    const uint32_t i = table_.FindOrInsert(
+        key, fresh, [&](uint32_t e) { return keys_[e] == key; },
+        [&](uint32_t e) { return keys_[e]; });
+    if (i == fresh) {
+      keys_.push_back(key);
+      bits_.push_back(0);
     }
+    return bits_[i];
   }
 
  private:
-  // (kNoPredicate, kNoRow): never a stored fact.
-  static constexpr uint64_t kEmpty = ~uint64_t{0};
-
-  size_t Home(uint64_t key) const {
-    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
-  void Grow() {
-    std::vector<uint64_t> keys = std::move(keys_);
-    std::vector<uint8_t> bits = std::move(bits_);
-    const size_t cap = std::max<size_t>(64, 2 * keys.size());
-    keys_.assign(cap, kEmpty);
-    bits_.assign(cap, 0);
-    mask_ = cap - 1;
-    shift_ = 64 - static_cast<int>(std::countr_zero(cap));
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (keys[i] == kEmpty) continue;
-      size_t j = Home(keys[i]);
-      while (keys_[j] != kEmpty) j = (j + 1) & mask_;
-      keys_[j] = keys[i];
-      bits_[j] = bits[i];
-    }
-  }
-
-  std::vector<uint64_t> keys_;
+  IdTable table_;
+  std::vector<uint64_t> keys_;  // by table id
   std::vector<uint8_t> bits_;
-  size_t size_ = 0;
-  size_t mask_ = 0;
-  int shift_ = 64;
 };
 
 // Flat-kernel sink handing each solution's bindings to fn(apply); the
@@ -233,13 +206,9 @@ Status IncrementalMaintainer::Retract(const std::vector<FactOp>& retracts) {
 
   // The rules a check or a propagation can run, and each rule's body
   // plan with its head bound: a check enumerates the instances deriving
-  // one known tuple.
-  PlannerStats planner_stats;
-  const PlannerStats* stats = nullptr;
-  if (eval_.options_.reorder) {
-    planner_stats = PlannerStats::FromDatabase(*db_);
-    stats = &planner_stats;
-  }
+  // one known tuple. Planned from the statistics this commit compiled
+  // the rules for.
+  const PlannerStats* stats = compiled_.stats ? &*compiled_.stats : nullptr;
   s.by_head.assign(npred, {});
   s.by_body.assign(npred, {});
   s.head_steps.resize(compiled_.rules.size());

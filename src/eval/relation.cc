@@ -15,17 +15,8 @@ uint64_t NextContentTick() {
 
 namespace {
 
-constexpr size_t kInitialSlots = 16;
-
 bool RowsEqual(TupleRef a, TupleRef b) {
   return std::equal(a.begin(), a.end(), b.begin(), b.end());
-}
-
-// Home slot for a hash: Mix64 first (see base/hash.h - unmixed
-// HashCombine output clusters sequential TermIds under a power-of-two
-// mask, which makes linear-probe misses quadratic).
-size_t Slot(size_t hash, size_t cap_mask) {
-  return static_cast<size_t>(Mix64(hash)) & cap_mask;
 }
 
 }  // namespace
@@ -50,77 +41,30 @@ bool Relation::MaskedEquals(TupleRef a, TupleRef b, uint32_t mask) {
 }
 
 Relation::InsertOutcome Relation::InsertRow(TupleRef t) {
-  if (dedup_slots_.empty()) dedup_slots_.assign(kInitialSlots, 0);
-  // The table holds exactly one entry per arena row (dead rows keep
-  // theirs), so num_rows_ is the exact entry count for the load test.
-  if ((num_rows_ + 1) * 4 > dedup_slots_.size() * 3) GrowDedup();
-  const size_t cap_mask = dedup_slots_.size() - 1;
-  size_t slot = Slot(HashRange(t), cap_mask);
-  for (;;) {
-    ++dedup_probes_;
-    uint32_t entry = dedup_slots_[slot];
-    if (entry == 0) break;
-    if (RowsEqual(row(entry - 1), t)) {
-      const RowId r = entry - 1;
-      if (IsLive(r)) return {false, false, r};
-      // The probe landed on a tombstoned row holding this tuple:
-      // revive it in place. Its RowId, dedup entry, and every posting
-      // that lists it serve again; the arena does not grow.
-      dead_[r] = false;
-      --dead_count_;
-      content_tick_ = NextContentTick();
-      return {true, true, r};
-    }
-    slot = (slot + 1) & cap_mask;
+  const RowId fresh = static_cast<RowId>(num_rows_);
+  const RowId r = dedup_.FindOrInsert(
+      HashRange(t), fresh, [&](RowId e) { return RowsEqual(row(e), t); },
+      [&](RowId e) { return RowHash(e); });
+  if (r != fresh) {
+    if (IsLive(r)) return {false, false, r};
+    // The probe landed on a tombstoned row holding this tuple: revive
+    // it in place. Its RowId, dedup entry, and every posting that lists
+    // it serve again; the arena does not grow.
+    dead_[r] = false;
+    --dead_count_;
+    content_tick_ = NextContentTick();
+    return {true, true, r};
   }
-  const RowId r = static_cast<RowId>(num_rows_);
-  dedup_slots_[slot] = r + 1;
   arena_.insert(arena_.end(), t.begin(), t.end());
   ++num_rows_;
   content_tick_ = NextContentTick();
   return {true, false, r};
 }
 
-void Relation::GrowDedup() {
-  const size_t cap = dedup_slots_.size() * 2;
-  std::vector<uint32_t> fresh(cap, 0);
-  const size_t cap_mask = cap - 1;
-  for (uint32_t entry : dedup_slots_) {
-    if (entry == 0) continue;
-    size_t slot = Slot(HashRange(row(entry - 1)), cap_mask);
-    while (fresh[slot] != 0) slot = (slot + 1) & cap_mask;
-    fresh[slot] = entry;
-  }
-  dedup_slots_.swap(fresh);
-}
-
 size_t Relation::Reserve(size_t additional_rows) {
-  const size_t target_rows = num_rows_ + additional_rows;
-  arena_.reserve(target_rows * arity_);
-  size_t cap = dedup_slots_.empty() ? kInitialSlots : dedup_slots_.size();
-  size_t doublings = 0;
-  while (target_rows * 4 > cap * 3) {
-    cap *= 2;
-    ++doublings;
-  }
-  if (doublings == 0) return 0;
-  if (dedup_slots_.empty()) {
-    // No entries yet: allocate at final size, zero rehash work at all.
-    dedup_slots_.assign(cap, 0);
-    return doublings;
-  }
-  // One rehash straight to the final size, in place of the `doublings`
-  // incremental rehashes the upcoming inserts would have triggered.
-  std::vector<uint32_t> fresh(cap, 0);
-  const size_t cap_mask = cap - 1;
-  for (uint32_t entry : dedup_slots_) {
-    if (entry == 0) continue;
-    size_t slot = Slot(HashRange(row(entry - 1)), cap_mask);
-    while (fresh[slot] != 0) slot = (slot + 1) & cap_mask;
-    fresh[slot] = entry;
-  }
-  dedup_slots_.swap(fresh);
-  return doublings;
+  arena_.reserve((num_rows_ + additional_rows) * arity_);
+  return dedup_.Reserve(additional_rows,
+                        [&](RowId e) { return RowHash(e); });
 }
 
 Relation::BulkLoad::BulkLoad(Relation* rel, size_t n, size_t parts)
@@ -131,12 +75,11 @@ Relation::BulkLoad::BulkLoad(Relation* rel, size_t n, size_t parts)
       home_(std::make_unique_for_overwrite<uint32_t[]>(n)),
       dest_(std::make_unique_for_overwrite<uint32_t[]>(n)),
       parts_state_(parts_) {
-  if (rel->dedup_slots_.empty()) rel->dedup_slots_.assign(kInitialSlots, 0);
   // Every fact fits under the load factor, so the table never grows
   // (and its parts never move) while the load runs.
   rehashes_avoided_ = rel->Reserve(n);
   rel->arena_.resize((stored_ + n) * rel->arity_);
-  const size_t cap = rel->dedup_slots_.size();
+  const size_t cap = rel->dedup_.capacity();
   shift_ = std::countr_zero(cap);
   for (size_t part = 0; part < parts_; ++part) {
     parts_state_[part].end = ((part + 1) * cap + parts_ - 1) / parts_;
@@ -144,30 +87,22 @@ Relation::BulkLoad::BulkLoad(Relation* rel, size_t n, size_t parts)
 }
 
 size_t Relation::BulkLoad::Staged(size_t i) {
-  const size_t slot = Slot(HashRange(TupleRef(Row(i), rel_->arity_)),
-                           rel_->dedup_slots_.size() - 1);
+  const size_t slot =
+      rel_->dedup_.Home(HashRange(TupleRef(Row(i), rel_->arity_)));
   home_[i] = static_cast<uint32_t>(slot);
   return PartOf(slot);
 }
 
 bool Relation::BulkLoad::ProbeFrom(size_t slot, size_t end, size_t i,
                                    uint64_t* probes) {
-  std::vector<uint32_t>& slots = rel_->dedup_slots_;
   const TupleRef t(Row(i), rel_->arity_);
-  for (; slot < end; ++slot) {
-    ++*probes;
-    const uint32_t entry = slots[slot];
-    if (entry == 0) {
-      slots[slot] = static_cast<uint32_t>(stored_ + i + 1);
-      dest_[i] = kFirst;
-      return true;
-    }
-    if (RowsEqual(rel_->row(entry - 1), t)) {
-      dest_[i] = entry - 1;
-      return true;
-    }
-  }
-  return false;
+  const RowId staged = static_cast<RowId>(stored_ + i);
+  const RowId r = rel_->dedup_.ProbeRange(
+      slot, end, staged,
+      [&](RowId e) { return RowsEqual(rel_->row(e), t); }, probes);
+  if (r == IdTable::kNone) return false;
+  dest_[i] = r == staged ? kFirst : r;
+  return true;
 }
 
 void Relation::BulkLoad::Probe(size_t part, size_t i) {
@@ -185,17 +120,16 @@ Relation::BulkLoad::Outcome Relation::BulkLoad::End() {
   // such a fact was deferred too: every slot between their home and
   // the part's end was taken when the first one ran.
   std::vector<uint32_t> deferred;
+  uint64_t probes = 0;
   for (PartState& ps : parts_state_) {
-    rel.dedup_probes_ += ps.probes;
+    probes += ps.probes;
     deferred.insert(deferred.end(), ps.deferred.begin(), ps.deferred.end());
   }
   std::sort(deferred.begin(), deferred.end());
-  const size_t cap = rel.dedup_slots_.size();
+  const size_t cap = rel.dedup_.capacity();
   for (uint32_t i : deferred) {
     // Wraps around once at most: the table always has an empty slot.
-    if (!ProbeFrom(home_[i], cap, i, &rel.dedup_probes_)) {
-      ProbeFrom(0, cap, i, &rel.dedup_probes_);
-    }
+    if (!ProbeFrom(home_[i], cap, i, &probes)) ProbeFrom(0, cap, i, &probes);
   }
 
   // First occurrences move down over the repeats, in input order; each
@@ -226,10 +160,10 @@ Relation::BulkLoad::Outcome Relation::BulkLoad::End() {
   }
   if (next != stored_ + n_) {
     // Repeats shifted the first occurrences: renumber their entries.
-    for (uint32_t& entry : rel.dedup_slots_) {
-      if (entry > stored_) entry = dest_[entry - 1 - stored_] + 1;
-    }
+    rel.dedup_.Renumber(static_cast<RowId>(stored_),
+                        [&](RowId e) { return dest_[e - stored_]; });
   }
+  rel.dedup_.EndRangeProbes(next, probes);
   rel.num_rows_ = next;
   rel.arena_.resize(next * arity);
   rel.base_.resize(next);
@@ -242,19 +176,10 @@ bool Relation::Contains(TupleRef t) const {
 }
 
 RowId Relation::Find(TupleRef t) const {
-  if (dedup_slots_.empty()) return kNoRow;
-  const size_t cap_mask = dedup_slots_.size() - 1;
-  size_t slot = Slot(HashRange(t), cap_mask);
-  for (;;) {
-    uint32_t entry = dedup_slots_[slot];
-    if (entry == 0) return kNoRow;
-    if (RowsEqual(row(entry - 1), t)) {
-      // One entry per tuple value, so this is the only candidate: a
-      // dead hit means the tuple is absent, no need to probe further.
-      return IsLive(entry - 1) ? entry - 1 : kNoRow;
-    }
-    slot = (slot + 1) & cap_mask;
-  }
+  const RowId r = dedup_.Find(HashRange(t),
+                              [&](RowId e) { return RowsEqual(row(e), t); });
+  // One entry per tuple value, so a dead hit means the tuple is absent.
+  return r != IdTable::kNone && IsLive(r) ? r : kNoRow;
 }
 
 bool Relation::EraseRow(RowId r) {
@@ -297,8 +222,7 @@ void Relation::EnsureIndex(uint32_t mask) {
       return;
     }
   }
-  indexes_.push_back(Index{mask, 0, {}, {}});
-  indexes_.back().slots.assign(kInitialSlots, 0);
+  indexes_.push_back(Index{mask, 0, IdTable(IdTable::kMinCapacity), {}});
   CatchUp(&indexes_.back());
 }
 
@@ -307,63 +231,23 @@ void Relation::FreezeIndexes() {
 }
 
 void Relation::CatchUp(Index* ix) {
+  const uint32_t mask = ix->mask;
   // Insertion order, so posting lists stay ascending.
   for (size_t i = ix->built_up_to; i < num_rows_; ++i) {
-    IndexInsert(ix, static_cast<RowId>(i));
+    const RowId r = static_cast<RowId>(i);
+    const TupleRef t = row(r);
+    const uint32_t fresh = static_cast<uint32_t>(ix->postings.size());
+    const uint32_t b = ix->buckets.FindOrInsert(
+        HashMasked(t, mask), fresh,
+        [&](uint32_t e) { return MaskedEquals(BucketKey(*ix, e), t, mask); },
+        [&](uint32_t e) { return HashMasked(BucketKey(*ix, e), mask); });
+    if (b == fresh) {
+      ix->postings.emplace_back(1, r);
+    } else {
+      ix->postings[b].push_back(r);
+    }
   }
   ix->built_up_to = num_rows_;
-}
-
-void Relation::IndexInsert(Index* ix, RowId r) {
-  if ((ix->postings.size() + 1) * 4 > ix->slots.size() * 3) {
-    GrowIndex(ix, *this);
-  }
-  TupleRef t = row(r);
-  const size_t cap_mask = ix->slots.size() - 1;
-  size_t slot = Slot(HashMasked(t, ix->mask), cap_mask);
-  for (;;) {
-    uint32_t entry = ix->slots[slot];
-    if (entry == 0) {
-      ix->slots[slot] = static_cast<uint32_t>(ix->postings.size()) + 1;
-      ix->postings.emplace_back(1, r);
-      return;
-    }
-    std::vector<RowId>& bucket = ix->postings[entry - 1];
-    if (MaskedEquals(row(bucket.front()), t, ix->mask)) {
-      bucket.push_back(r);
-      return;
-    }
-    slot = (slot + 1) & cap_mask;
-  }
-}
-
-void Relation::GrowIndex(Index* ix, const Relation& rel) {
-  const size_t cap = ix->slots.size() * 2;
-  std::vector<uint32_t> fresh(cap, 0);
-  const size_t cap_mask = cap - 1;
-  for (uint32_t entry : ix->slots) {
-    if (entry == 0) continue;
-    size_t slot = Slot(
-        HashMasked(rel.row(ix->postings[entry - 1].front()), ix->mask),
-        cap_mask);
-    while (fresh[slot] != 0) slot = (slot + 1) & cap_mask;
-    fresh[slot] = entry;
-  }
-  ix->slots.swap(fresh);
-}
-
-const std::vector<RowId>* Relation::ProbeIndex(const Index& ix,
-                                               TupleRef key) const {
-  if (ix.slots.empty()) return nullptr;
-  const size_t cap_mask = ix.slots.size() - 1;
-  size_t slot = Slot(HashMasked(key, ix.mask), cap_mask);
-  for (;;) {
-    uint32_t entry = ix.slots[slot];
-    if (entry == 0) return nullptr;
-    const std::vector<RowId>& bucket = ix.postings[entry - 1];
-    if (MaskedEquals(row(bucket.front()), key, ix.mask)) return &bucket;
-    slot = (slot + 1) & cap_mask;
-  }
 }
 
 bool Relation::HasIndexBuilt(uint32_t mask) const {
@@ -387,10 +271,12 @@ bool Relation::Lookup(uint32_t mask, TupleRef key,
   }
   for (const Index& ix : indexes_) {
     if (ix.mask != mask || ix.built_up_to < num_rows_) continue;
-    const std::vector<RowId>* bucket = ProbeIndex(ix, key);
-    if (bucket != nullptr) {
+    const uint32_t b = ix.buckets.Find(HashMasked(key, mask), [&](uint32_t e) {
+      return MaskedEquals(BucketKey(ix, e), key, mask);
+    });
+    if (b != IdTable::kNone) {
       // Tombstoned rows stay listed and are skipped.
-      for (RowId ti : *bucket) {
+      for (RowId ti : ix.postings[b]) {
         if (IsLive(ti)) out->push_back(ti);
       }
     }
@@ -432,9 +318,9 @@ size_t Relation::ArenaBytes() const {
 }
 
 size_t Relation::IndexBytes() const {
-  size_t bytes = dedup_slots_.capacity() * sizeof(uint32_t);
+  size_t bytes = dedup_.bytes();
   for (const Index& ix : indexes_) {
-    bytes += ix.slots.capacity() * sizeof(uint32_t);
+    bytes += ix.buckets.bytes();
     bytes += ix.postings.capacity() * sizeof(std::vector<RowId>);
     for (const std::vector<RowId>& bucket : ix.postings) {
       bytes += bucket.capacity() * sizeof(RowId);

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "base/hash.h"
+#include "base/id_table.h"
 #include "term/term.h"
 
 namespace lps {
@@ -314,40 +315,39 @@ class Relation {
   /// only on the mutating path, so concurrent Contains/Lookup readers
   /// stay pure (no shared counter races during the parallel
   /// phase).
-  uint64_t dedup_probes() const { return dedup_probes_; }
+  uint64_t dedup_probes() const { return dedup_.probes(); }
 
  private:
-  /// One per-mask index: an open-addressed table of bucket ordinals
-  /// over posting lists of RowIds. Keys are never copied - a bucket is
-  /// identified by its first RowId and hashed/compared by projecting
-  /// that row's masked columns straight from the arena.
+  /// One per-mask index: a table of bucket ordinals over posting lists
+  /// of RowIds. Keys are never copied - a bucket is identified by its
+  /// first RowId and hashed/compared by projecting that row's masked
+  /// columns straight from the arena.
   struct Index {
     uint32_t mask;
-    size_t built_up_to = 0;           // row prefix already indexed
-    std::vector<uint32_t> slots;      // bucket ordinal + 1; 0 = empty
+    size_t built_up_to = 0;                    // row prefix indexed
+    IdTable buckets;                           // key -> bucket ordinal
     std::vector<std::vector<RowId>> postings;  // ordinal -> ascending
   };
 
   static size_t HashMasked(TupleRef t, uint32_t mask);
   static bool MaskedEquals(TupleRef a, TupleRef b, uint32_t mask);
 
-  void GrowDedup();
+  size_t RowHash(RowId r) const { return HashRange(row(r)); }
+  /// The row whose masked columns are bucket b's key.
+  TupleRef BucketKey(const Index& ix, uint32_t b) const {
+    return row(ix.postings[b].front());
+  }
   /// Indexes the rows `ix` has not seen yet.
   void CatchUp(Index* ix);
-  void IndexInsert(Index* ix, RowId r);
-  static void GrowIndex(Index* ix, const Relation& rel);
-  const std::vector<RowId>* ProbeIndex(const Index& ix, TupleRef key) const;
 
   size_t arity_;
   uint64_t content_tick_ = 0;
   size_t num_rows_ = 0;
   std::vector<TermId> arena_;         // num_rows_ * arity_ TermIds
-  /// Slot states: 0 = empty, else RowId + 1. Exactly one entry per
-  /// stored tuple value, dead rows included (erasing keeps the entry
-  /// so re-insert can revive the row), so the entry count is always
-  /// num_rows_.
-  std::vector<uint32_t> dedup_slots_;
-  uint64_t dedup_probes_ = 0;
+  /// Tuple value -> RowId. Exactly one entry per stored tuple value,
+  /// dead rows included (erasing keeps the entry so re-insert can
+  /// revive the row), so the entry count is always num_rows_.
+  IdTable dedup_;
   std::vector<bool> dead_;            // sized lazily on first erase
   size_t dead_count_ = 0;
   std::vector<uint32_t> base_;        // sized lazily on first fact
@@ -367,13 +367,14 @@ class Relation {
 /// ranges and a fact belongs to the part its home slot falls in, so
 /// equal facts share a part: each part is probed by one thread, which
 /// calls Probe(part, i) for that part's staged facts in ascending i
-/// and reads and writes only its own slots and the rows they name.
-/// Probe places a first occurrence in the table under its staged row
-/// or notes the row it repeats; a probe that would run past the part's
-/// last slot waits for End. End (one thread, after every Probe)
-/// finishes those, moves the first occurrences down over the repeats
-/// in input order, sets base counts, revives repeated tombstoned rows
-/// and renumbers the table's entries to the final RowIds.
+/// and, through IdTable::ProbeRange, reads and writes only its own
+/// slots and the rows they name. Probe places a first occurrence in
+/// the table under its staged row or notes the row it repeats; a probe
+/// that would run past the part's last slot waits for End. End (one
+/// thread, after every Probe) finishes those, moves the first
+/// occurrences down over the repeats in input order, sets base counts,
+/// revives repeated tombstoned rows, renumbers the table's entries to
+/// the final RowIds and sets its entry count.
 ///
 ///   Relation::BulkLoad load(&rel, n, parts);
 ///   // stage:   copy fact i to load.Row(i); load.Staged(i);
@@ -398,9 +399,7 @@ class Relation::BulkLoad {
   size_t part(size_t i) const { return PartOf(home_[i]); }
   void Probe(size_t part, size_t i);
   /// Cache hint for an upcoming Probe of staged fact i.
-  void Prefetch(size_t i) const {
-    __builtin_prefetch(rel_->dedup_slots_.data() + home_[i]);
-  }
+  void Prefetch(size_t i) const { rel_->dedup_.Prefetch(home_[i]); }
 
   struct Outcome {
     size_t added = 0;  // facts that became live
@@ -411,7 +410,7 @@ class Relation::BulkLoad {
   size_t rehashes_avoided() const { return rehashes_avoided_; }
 
  private:
-  static constexpr uint32_t kFirst = static_cast<uint32_t>(-1);
+  static constexpr uint32_t kFirst = IdTable::kNone;
   struct alignas(64) PartState {
     size_t end = 0;                  // one past the part's last slot
     std::vector<uint32_t> deferred;  // input indexes, ascending

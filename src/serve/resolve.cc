@@ -72,7 +72,7 @@ Resolution Lookup(const TermStore& store, const PTerm& t) {
       } else {
         Symbol sym = store.symbols().Lookup(t.name);
         if (sym != kInvalidSymbol) {
-          id = store.TryLookupFunction(sym, std::move(args));
+          id = store.TryLookupFunction(sym, args);
         }
       }
       if (id == kInvalidTerm) return {kInvalidTerm, MissKind::kOther};

@@ -279,16 +279,18 @@ Status QueryServer::Answer(Worker* w, const Snapshot& snap,
   if (is_builtin) {
     // Builtin goals run their plan against the snapshot's active
     // domains; computed terms (sums, unions) intern into the scratch.
+    // The plan stops at the cap and checks the deadline as it runs.
     ++w->delta.builtin_queries;
     std::vector<Tuple> rows;
-    LPS_RETURN_IF_ERROR(AnswerBuiltinGoal(store, snap.database(), builtins,
-                                          goal, e.prepared.plan.body.steps,
-                                          bindings, &rows));
+    Status status = AnswerBuiltinGoal(store, snap.database(), builtins, goal,
+                                      e.prepared.plan.body.steps, bindings,
+                                      &rows, max_tuples, deadline);
     for (const Tuple& t : rows) {
-      if (capped()) break;
       EmitRow(*store, t, options_.record_answers, out);
     }
-    return Status::OK();
+    if (status.code() == StatusCode::kDeadlineExceeded) out->partial = true;
+    capped();  // an answer the cap stopped is partial
+    return status;
   }
 
   AppliedGoal applied = ApplyGoal(store, goal, bindings);

@@ -2,46 +2,24 @@
 
 namespace lps {
 
-size_t SymbolTable::FindSlot(std::string_view name, size_t hash) const {
-  const size_t mask = slots_.size() - 1;
-  for (size_t slot = hash & mask;; slot = (slot + 1) & mask) {
-    const uint32_t v = slots_[slot];
-    if (v == 0 || names_[v - 1] == name) return slot;
-  }
-}
-
-void SymbolTable::Rehash(size_t slot_count) {
-  slots_.assign(slot_count, 0);
-  for (size_t i = 0; i < names_.size(); ++i) {
-    slots_[FindSlot(names_[i], Hash(names_[i]))] =
-        static_cast<uint32_t>(i + 1);
-  }
-}
-
 void SymbolTable::Reserve(size_t additional) {
-  const size_t want = names_.size() + additional;
-  names_.reserve(want);
-  size_t slot_count = slots_.empty() ? 16 : slots_.size();
-  while (slot_count < 2 * want) slot_count *= 2;
-  if (slot_count != slots_.size()) Rehash(slot_count);
+  names_.reserve(names_.size() + additional);
+  table_.Reserve(additional, [&](Symbol s) { return Hash(names_[s]); });
 }
 
 Symbol SymbolTable::Intern(std::string_view name) {
-  if (2 * (names_.size() + 1) > slots_.size()) {
-    Rehash(slots_.empty() ? 16 : 2 * slots_.size());
-  }
-  const size_t slot = FindSlot(name, Hash(name));
-  if (slots_[slot] != 0) return slots_[slot] - 1;
-  const Symbol id = static_cast<Symbol>(names_.size());
-  names_.emplace_back(name);
-  slots_[slot] = id + 1;
+  const Symbol fresh = static_cast<Symbol>(names_.size());
+  const Symbol id = table_.FindOrInsert(
+      Hash(name), fresh, [&](Symbol s) { return names_[s] == name; },
+      [&](Symbol s) { return Hash(names_[s]); });
+  if (id == fresh) names_.emplace_back(name);
   return id;
 }
 
 Symbol SymbolTable::Lookup(std::string_view name) const {
-  if (slots_.empty()) return kInvalidSymbol;
-  const uint32_t v = slots_[FindSlot(name, Hash(name))];
-  return v == 0 ? kInvalidSymbol : v - 1;
+  const Symbol id =
+      table_.Find(Hash(name), [&](Symbol s) { return names_[s] == name; });
+  return id == IdTable::kNone ? kInvalidSymbol : id;
 }
 
 Symbol SymbolTable::Fresh(std::string_view base) {
@@ -54,7 +32,7 @@ Symbol SymbolTable::Fresh(std::string_view base) {
 
 void SymbolTable::CopyFrom(const SymbolTable& other) {
   names_ = other.names_;
-  slots_ = other.slots_;
+  table_ = other.table_;
   fresh_counter_ = other.fresh_counter_;
 }
 

@@ -9,6 +9,8 @@
 #include <string_view>
 #include <vector>
 
+#include "base/id_table.h"
+
 namespace lps {
 
 using Symbol = uint32_t;
@@ -31,9 +33,7 @@ class SymbolTable {
   /// Cache hint for an upcoming Intern(name) or Lookup(name): prefetches
   /// the index slot its probe starts at.
   void Prefetch(std::string_view name) const {
-    if (!slots_.empty()) {
-      __builtin_prefetch(slots_.data() + (Hash(name) & (slots_.size() - 1)));
-    }
+    if (table_.capacity() != 0) table_.Prefetch(table_.Home(Hash(name)));
   }
 
   /// The string for an interned id. `id` must be valid.
@@ -61,16 +61,11 @@ class SymbolTable {
   static size_t Hash(std::string_view s) {
     return std::hash<std::string_view>{}(s);
   }
-  /// The slot holding `name`, or the empty slot where it would go.
-  size_t FindSlot(std::string_view name, size_t hash) const;
-  void Rehash(size_t slot_count);
 
   std::vector<std::string> names_;
-  // Open-addressed index over names_: Symbol + 1 per slot, 0 = empty,
-  // a power of two in size and at most half full. Probes compare
-  // against names_ directly, so interning a new name costs its one
-  // string and no hash node.
-  std::vector<uint32_t> slots_;
+  // Name -> Symbol. Probes compare against names_ directly, so
+  // interning a new name costs its one string and no hash node.
+  IdTable table_;
   uint64_t fresh_counter_ = 0;
 };
 

@@ -20,85 +20,117 @@ const char* SortToString(Sort sort) {
   return "?";
 }
 
-size_t TermStore::KeyHash::operator()(const Key& k) const {
-  size_t seed = 0;
-  HashCombine(&seed, static_cast<size_t>(k.kind));
-  HashCombine(&seed, static_cast<size_t>(k.sort));
-  HashCombine(&seed, static_cast<size_t>(k.symbol));
-  HashCombine(&seed, std::hash<int64_t>{}(k.int_value));
-  HashCombine(&seed, HashRange(k.args));
-  return seed;
+namespace {
+
+// The fields of a term's identity besides its arguments. Intern
+// derives the rest of the node.
+TermNode Identity(TermKind kind, Sort sort, Symbol symbol,
+                  int64_t int_value) {
+  TermNode key{};
+  key.kind = kind;
+  key.sort = sort;
+  key.symbol = symbol;
+  key.int_value = int_value;
+  return key;
 }
+
+}  // namespace
 
 TermStore::TermStore() {
   empty_set_ = MakeSet({});
 }
 
-TermId TermStore::Intern(Key key) {
-  assert(key.kind != TermKind::kSet &&
-         "kSet terms intern through InternCanonicalSet");
-  auto it = index_.find(key);
-  if (it != index_.end()) return it->second;
+size_t TermStore::Hash(const TermNode& key, std::span<const TermId> args) {
+  // The sort stays out: a name's atom and set variables share a home
+  // slot, so Identifies' sort test tells them apart on every probe.
+  size_t seed = HashRange(args);
+  HashCombine(&seed, static_cast<size_t>(key.kind));
+  HashCombine(&seed, static_cast<size_t>(key.symbol));
+  HashCombine(&seed, std::hash<int64_t>{}(key.int_value));
+  return seed;
+}
 
-  TermNode node;
-  node.kind = key.kind;
-  node.symbol = key.symbol;
-  node.int_value = key.int_value;
-  node.args_begin = static_cast<uint32_t>(args_.size());
-  args_.insert(args_.end(), key.args.begin(), key.args.end());
-  node.args_end = static_cast<uint32_t>(args_.size());
+bool TermStore::Identifies(TermId id, const TermNode& key,
+                           std::span<const TermId> key_args) const {
+  const TermNode& n = nodes_[id];
+  const std::span<const TermId> a = args(id);
+  return n.kind == key.kind && n.sort == key.sort &&
+         n.symbol == key.symbol && n.int_value == key.int_value &&
+         std::equal(a.begin(), a.end(), key_args.begin(), key_args.end());
+}
 
-  switch (key.kind) {
-    case TermKind::kConstant:
-    case TermKind::kInt:
-      node.sort = Sort::kAtom;
-      node.ground = true;
-      node.depth = 0;
-      break;
-    case TermKind::kVariable:
-      node.sort = key.sort;
-      node.ground = false;
-      node.depth = (key.sort == Sort::kSet) ? 1 : 0;
-      break;
-    case TermKind::kFunction: {
-      node.sort = Sort::kAtom;  // function ranges are atoms (Def. 1.2, §5)
-      node.ground = true;
-      node.depth = 0;
-      for (TermId a : key.args) {
-        node.ground = node.ground && nodes_[a].ground;
-      }
-      break;
-    }
-    case TermKind::kSet:
-      break;  // unreachable: guarded by the assert above
+TermId TermStore::Find(const TermNode& key,
+                       std::span<const TermId> key_args) const {
+  const TermId id = table_.Find(Hash(key, key_args), [&](TermId t) {
+    return Identifies(t, key, key_args);
+  });
+  return id == IdTable::kNone ? kInvalidTerm : id;
+}
+
+TermId TermStore::Intern(const TermNode& key,
+                         std::span<const TermId> key_args) {
+  const TermId fresh = static_cast<TermId>(nodes_.size());
+  const TermId id = table_.FindOrInsert(
+      Hash(key, key_args), fresh,
+      [&](TermId t) { return Identifies(t, key, key_args); },
+      [&](TermId t) { return Hash(nodes_[t], args(t)); });
+  return id == fresh ? NewNode(key, key_args) : id;
+}
+
+TermId TermStore::NewNode(const TermNode& key,
+                          std::span<const TermId> key_args) {
+  TermNode node = key;
+  node.ground = key.kind != TermKind::kVariable;
+  uint16_t max_child = 0;
+  for (TermId a : key_args) {
+    node.ground = node.ground && nodes_[a].ground;
+    max_child = std::max(max_child, nodes_[a].depth);
+  }
+  // Set-nesting depth: a set is one deeper than its deepest element, a
+  // set variable stands for depth 1, and atoms (function ranges
+  // included, Def. 1.2, §5) are 0.
+  if (key.kind == TermKind::kSet) {
+    node.depth = static_cast<uint16_t>(max_child + 1);
+  } else {
+    node.depth =
+        key.kind == TermKind::kVariable && key.sort == Sort::kSet ? 1 : 0;
   }
 
-  TermId id = static_cast<TermId>(nodes_.size());
+  // `key_args` may view this store's own arena (e.g. an args() span of
+  // an existing set): append element-wise through indices then, since
+  // a self-range insert is UB even with capacity reserved. std::less
+  // gives the total pointer order the aliasing test needs.
+  node.args_begin = static_cast<uint32_t>(args_.size());
+  const TermId* data = key_args.data();
+  std::less<const TermId*> before;
+  const bool aliases = !before(data, args_.data()) &&
+                       before(data, args_.data() + args_.size());
+  if (aliases) {
+    size_t offset = static_cast<size_t>(data - args_.data());
+    args_.reserve(args_.size() + key_args.size());
+    for (size_t i = 0; i < key_args.size(); ++i) {
+      args_.push_back(args_[offset + i]);
+    }
+  } else {
+    args_.insert(args_.end(), data, data + key_args.size());
+  }
+  node.args_end = static_cast<uint32_t>(args_.size());
+  const TermId id = static_cast<TermId>(nodes_.size());
   nodes_.push_back(node);
-  index_.emplace(std::move(key), id);
   return id;
 }
 
 TermId TermStore::MakeConstant(Symbol name) {
   // Constants are keyed by their (dense) Symbol alone, so they
-  // hash-cons through a flat side table instead of the Key map: a hit
-  // is one vector load, a miss appends a node with no map insert.
+  // hash-cons through a flat side table instead of the term table: a
+  // hit is one vector load, a miss appends a node with no table insert.
   // Bulk loading interns millions of fresh constants through here.
   if (name < constants_by_symbol_.size() &&
       constants_by_symbol_[name] != kInvalidTerm) {
     return constants_by_symbol_[name];
   }
-  TermNode node;
-  node.kind = TermKind::kConstant;
-  node.sort = Sort::kAtom;
-  node.ground = true;
-  node.depth = 0;
-  node.symbol = name;
-  node.int_value = 0;
-  node.args_begin = static_cast<uint32_t>(args_.size());
-  node.args_end = node.args_begin;
-  TermId id = static_cast<TermId>(nodes_.size());
-  nodes_.push_back(node);
+  const TermId id =
+      NewNode(Identity(TermKind::kConstant, Sort::kAtom, name, 0), {});
   if (name >= constants_by_symbol_.size()) {
     constants_by_symbol_.resize(static_cast<size_t>(name) + 1,
                                 kInvalidTerm);
@@ -112,11 +144,12 @@ TermId TermStore::MakeConstant(std::string_view name) {
 }
 
 TermId TermStore::MakeInt(int64_t value) {
-  return Intern({TermKind::kInt, Sort::kAtom, kInvalidSymbol, value, {}});
+  return Intern(Identity(TermKind::kInt, Sort::kAtom, kInvalidSymbol, value),
+                {});
 }
 
 TermId TermStore::MakeVariable(Symbol name, Sort sort) {
-  return Intern({TermKind::kVariable, sort, name, 0, {}});
+  return Intern(Identity(TermKind::kVariable, sort, name, 0), {});
 }
 
 TermId TermStore::MakeVariable(std::string_view name, Sort sort) {
@@ -128,8 +161,7 @@ TermId TermStore::MakeFreshVariable(std::string_view base, Sort sort) {
 }
 
 TermId TermStore::MakeFunction(Symbol name, std::vector<TermId> args) {
-  return Intern(
-      {TermKind::kFunction, Sort::kAtom, name, 0, std::move(args)});
+  return Intern(Identity(TermKind::kFunction, Sort::kAtom, name, 0), args);
 }
 
 TermId TermStore::MakeFunction(std::string_view name,
@@ -153,87 +185,17 @@ TermId TermStore::MakeSet(std::span<const TermId> elements) {
   return InternCanonicalSet(set_scratch_);
 }
 
-size_t TermStore::HashElementSpan(std::span<const TermId> elems) {
-  return HashRange(elems);
-}
-
 TermId TermStore::InternCanonicalSet(std::span<const TermId> elements) {
   assert(std::is_sorted(elements.begin(), elements.end()) &&
          std::adjacent_find(elements.begin(), elements.end()) ==
              elements.end() &&
          "InternCanonicalSet requires strictly ascending elements");
   ++set_interns_;
-  if (set_slots_.empty()) GrowSetTable();
-  size_t mask = set_slots_.size() - 1;
-  size_t slot = Mix64(HashElementSpan(elements)) & mask;
-  for (;;) {
-    uint32_t v = set_slots_[slot];
-    if (v == 0) break;
-    const TermNode& n = nodes_[v - 1];
-    size_t sz = n.args_end - n.args_begin;
-    if (sz == elements.size() &&
-        std::equal(elements.begin(), elements.end(),
-                   args_.begin() + n.args_begin)) {
-      ++set_intern_hits_;
-      return v - 1;
-    }
-    slot = (slot + 1) & mask;
-  }
-
-  TermNode node;
-  node.kind = TermKind::kSet;
-  node.sort = Sort::kSet;
-  node.symbol = kInvalidSymbol;
-  node.int_value = 0;
-  node.ground = true;
-  uint16_t max_child = 0;
-  for (TermId a : elements) {
-    node.ground = node.ground && nodes_[a].ground;
-    max_child = std::max(max_child, nodes_[a].depth);
-  }
-  node.depth = static_cast<uint16_t>(max_child + 1);
-
-  // `elements` may view this store's own arena (e.g. an args() span of
-  // an existing set): append element-wise through indices then, since
-  // a self-range insert is UB even with capacity reserved. std::less
-  // gives the total pointer order the aliasing test needs.
-  node.args_begin = static_cast<uint32_t>(args_.size());
-  const TermId* data = elements.data();
-  std::less<const TermId*> before;
-  const bool aliases = !before(data, args_.data()) &&
-                       before(data, args_.data() + args_.size());
-  if (aliases) {
-    size_t offset = static_cast<size_t>(data - args_.data());
-    args_.reserve(args_.size() + elements.size());
-    for (size_t i = 0; i < elements.size(); ++i) {
-      args_.push_back(args_[offset + i]);
-    }
-  } else {
-    args_.insert(args_.end(), data, data + elements.size());
-  }
-  node.args_end = static_cast<uint32_t>(args_.size());
-
-  TermId id = static_cast<TermId>(nodes_.size());
-  nodes_.push_back(node);
-  set_slots_[slot] = id + 1;
-  if (++set_count_ * 4 >= set_slots_.size() * 3) GrowSetTable();
+  const size_t before = nodes_.size();
+  const TermId id = Intern(
+      Identity(TermKind::kSet, Sort::kSet, kInvalidSymbol, 0), elements);
+  if (id < before) ++set_intern_hits_;
   return id;
-}
-
-void TermStore::GrowSetTable() {
-  size_t cap = set_slots_.empty() ? 64 : set_slots_.size() * 2;
-  std::vector<uint32_t> old = std::move(set_slots_);
-  set_slots_.assign(cap, 0);
-  size_t mask = cap - 1;
-  for (uint32_t v : old) {
-    if (v == 0) continue;
-    const TermNode& n = nodes_[v - 1];
-    std::span<const TermId> elems(args_.data() + n.args_begin,
-                                  n.args_end - n.args_begin);
-    size_t slot = Mix64(HashElementSpan(elems)) & mask;
-    while (set_slots_[slot] != 0) slot = (slot + 1) & mask;
-    set_slots_[slot] = v;
-  }
 }
 
 std::unique_ptr<TermStore> TermStore::Clone() const {
@@ -241,10 +203,8 @@ std::unique_ptr<TermStore> TermStore::Clone() const {
   clone->symbols_.CopyFrom(symbols_);
   clone->nodes_ = nodes_;
   clone->args_ = args_;
-  clone->index_ = index_;
+  clone->table_ = table_;
   clone->constants_by_symbol_ = constants_by_symbol_;
-  clone->set_slots_ = set_slots_;
-  clone->set_count_ = set_count_;
   clone->set_interns_ = set_interns_;
   clone->set_intern_hits_ = set_intern_hits_;
   clone->empty_set_ = empty_set_;
@@ -259,16 +219,13 @@ TermId TermStore::TryLookupConstant(std::string_view name) const {
 }
 
 TermId TermStore::TryLookupInt(int64_t value) const {
-  auto it = index_.find(
-      {TermKind::kInt, Sort::kAtom, kInvalidSymbol, value, {}});
-  return it == index_.end() ? kInvalidTerm : it->second;
+  return Find(Identity(TermKind::kInt, Sort::kAtom, kInvalidSymbol, value),
+              {});
 }
 
 TermId TermStore::TryLookupFunction(Symbol name,
-                                    std::vector<TermId> args) const {
-  auto it = index_.find(
-      {TermKind::kFunction, Sort::kAtom, name, 0, std::move(args)});
-  return it == index_.end() ? kInvalidTerm : it->second;
+                                    std::span<const TermId> args) const {
+  return Find(Identity(TermKind::kFunction, Sort::kAtom, name, 0), args);
 }
 
 TermId TermStore::TryLookupCanonicalSet(
@@ -277,21 +234,8 @@ TermId TermStore::TryLookupCanonicalSet(
          std::adjacent_find(elements.begin(), elements.end()) ==
              elements.end() &&
          "TryLookupCanonicalSet requires strictly ascending elements");
-  if (set_slots_.empty()) return kInvalidTerm;
-  size_t mask = set_slots_.size() - 1;
-  size_t slot = Mix64(HashElementSpan(elements)) & mask;
-  for (;;) {
-    uint32_t v = set_slots_[slot];
-    if (v == 0) return kInvalidTerm;
-    const TermNode& n = nodes_[v - 1];
-    size_t sz = n.args_end - n.args_begin;
-    if (sz == elements.size() &&
-        std::equal(elements.begin(), elements.end(),
-                   args_.begin() + n.args_begin)) {
-      return v - 1;
-    }
-    slot = (slot + 1) & mask;
-  }
+  return Find(Identity(TermKind::kSet, Sort::kSet, kInvalidSymbol, 0),
+              elements);
 }
 
 TermId SetBuilder::Build(TermStore* store) {

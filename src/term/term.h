@@ -18,9 +18,9 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "base/id_table.h"
 #include "base/status.h"
 #include "term/symbol.h"
 
@@ -120,8 +120,7 @@ class TermStore {
 
   TermId TryLookupConstant(std::string_view name) const;
   TermId TryLookupInt(int64_t value) const;
-  TermId TryLookupFunction(Symbol name,
-                           std::vector<TermId> args) const;
+  TermId TryLookupFunction(Symbol name, std::span<const TermId> args) const;
   /// `elements` must be canonical (strictly ascending), as for
   /// InternCanonicalSet.
   TermId TryLookupCanonicalSet(std::span<const TermId> elements) const;
@@ -155,13 +154,14 @@ class TermStore {
 
   size_t size() const { return nodes_.size(); }
 
-  /// Pre-grows the node arena, intern index and symbol table for up to
+  /// Pre-grows the node arena and symbol table for up to
   /// `additional_terms` upcoming interns (an upper bound is fine).
   /// Capacity only - no ids are minted - so a bulk load pays one
-  /// rehash per table up front instead of log-many doublings.
+  /// rehash up front instead of log-many doublings. The term table is
+  /// left as it is: a bulk load's new terms are constants, which never
+  /// enter it.
   void Reserve(size_t additional_terms) {
     nodes_.reserve(nodes_.size() + additional_terms);
-    index_.reserve(index_.size() + additional_terms);
     symbols_.Reserve(additional_terms);
   }
 
@@ -178,41 +178,34 @@ class TermStore {
   struct CloneTag {};
   explicit TermStore(CloneTag) {}
 
-  struct Key {
-    TermKind kind;
-    Sort sort;  // distinguishes variables of different sorts
-    Symbol symbol;
-    int64_t int_value;
-    std::vector<TermId> args;
-    bool operator==(const Key& o) const {
-      return kind == o.kind && sort == o.sort && symbol == o.symbol &&
-             int_value == o.int_value && args == o.args;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const;
-  };
-
-  TermId Intern(Key key);
-
-  /// Canonical-set intern table: open-addressed, Mix64-hashed slots of
-  /// TermId + 1 (0 = empty), hashing and comparing element spans
-  /// straight against args_ - kSet terms never touch the generic
-  /// Key-based index_, so a set intern costs zero heap allocations on
-  /// a hit and only the arena append on a miss.
-  void GrowSetTable();
-  static size_t HashElementSpan(std::span<const TermId> elems);
+  // A term of the table is identified by a key node - its kind, sort,
+  // symbol and int_value - and its arguments (function arguments or
+  // canonical set elements).
+  static size_t Hash(const TermNode& key, std::span<const TermId> args);
+  /// Whether term `id` is the one `key` and `args` identify.
+  bool Identifies(TermId id, const TermNode& key,
+                  std::span<const TermId> args) const;
+  /// The one probe of the term table: the id of the term `key` and
+  /// `args` identify, or kInvalidTerm.
+  TermId Find(const TermNode& key, std::span<const TermId> args) const;
+  /// Find, creating the term when it is absent. `args` may view args_.
+  TermId Intern(const TermNode& key, std::span<const TermId> args);
+  /// Appends the term `key` and `args` identify (a miss of the term
+  /// table, or a new constant), deriving the rest of its node.
+  TermId NewNode(const TermNode& key, std::span<const TermId> args);
 
   SymbolTable symbols_;
   std::vector<TermNode> nodes_;
   std::vector<TermId> args_;
-  std::unordered_map<Key, TermId, KeyHash> index_;
+  /// Ints, variables, functions and sets -> TermId. The keys are the
+  /// nodes themselves, hashed and compared straight against nodes_
+  /// and args_, so an intern allocates nothing on a hit and only the
+  /// arena appends on a miss.
+  IdTable table_;
   /// Constant terms keyed by their Symbol (kInvalidTerm = none yet):
-  /// the authoritative intern table for kConstant, which never touches
-  /// the Key-based index_. Symbols are dense, so this is a flat array.
+  /// the intern table for kConstant, which never enters table_.
+  /// Symbols are dense, so this is a flat array.
   std::vector<TermId> constants_by_symbol_;
-  std::vector<uint32_t> set_slots_;  // TermId + 1; 0 = empty
-  size_t set_count_ = 0;
   std::vector<TermId> set_scratch_;  // MakeSet(span) canonicalization
   size_t set_interns_ = 0;
   size_t set_intern_hits_ = 0;

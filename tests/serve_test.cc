@@ -75,13 +75,13 @@ TEST(TryLookupTest, FindsInternedTermsAndMissesOthers) {
   EXPECT_EQ(cs.TryLookupConstant("a"), a);
   EXPECT_EQ(cs.TryLookupInt(42), i);
   Symbol fs = cs.symbols().Lookup("f");
-  EXPECT_EQ(cs.TryLookupFunction(fs, {a, i}), f);
+  EXPECT_EQ(cs.TryLookupFunction(fs, Tuple{a, i}), f);
   Tuple elems(store.args(s).begin(), store.args(s).end());
   EXPECT_EQ(cs.TryLookupCanonicalSet(elems), s);
 
   EXPECT_EQ(cs.TryLookupConstant("zzz"), kInvalidTerm);
   EXPECT_EQ(cs.TryLookupInt(-7), kInvalidTerm);
-  EXPECT_EQ(cs.TryLookupFunction(fs, {i, a}), kInvalidTerm);
+  EXPECT_EQ(cs.TryLookupFunction(fs, Tuple{i, a}), kInvalidTerm);
   Tuple other = {a};
   EXPECT_EQ(cs.TryLookupCanonicalSet(other), kInvalidTerm);
   // Pure probes: nothing was interned by any of the misses.
@@ -1391,6 +1391,48 @@ TEST(QueryServerTest, ZeroDeadlineUnlimitedAndMaxTuplesTruncates) {
   serve::ServeStats stats = server.stats();
   EXPECT_EQ(stats.deadline_exceeded, 0u);
   EXPECT_EQ(stats.admission_rejected, 0u);
+}
+
+TEST(QueryServerTest, BuiltinGoalStopsAtTheCapAndTheDeadline) {
+  // X < Y enumerates both variables over 1,500 ints: 2.25M candidate
+  // pairs. The builtin route's plan stops at the deadline and at the
+  // cap instead of running through before either is looked at.
+  std::string facts;
+  for (int i = 0; i < 1500; ++i) {
+    facts += "num(" + std::to_string(i) + ").\n";
+  }
+  Session session(LanguageMode::kLDL);
+  ASSERT_OK(session.Load(facts));
+  SnapshotRegistry registry;
+  registry.Publish(FreezeGraph(&session));
+  ServeOptions one_lane;
+  one_lane.threads = 1;
+  QueryServer server(&registry, one_lane);
+  auto q = server.Prepare("X < Y");
+  ASSERT_OK(q.status());
+
+  ServeRequest timed;
+  timed.query = *q;
+  timed.timeout_micros = 1000;
+  auto ans = server.Execute(timed);
+  ASSERT_OK(ans.status());
+  EXPECT_EQ(ans->status.code(), StatusCode::kDeadlineExceeded)
+      << ans->status.ToString();
+  EXPECT_TRUE(ans->partial);
+
+  ServeRequest capped;
+  capped.query = *q;
+  capped.max_tuples = 10;
+  ans = server.Execute(capped);
+  ASSERT_OK(ans.status());
+  ASSERT_OK(ans->status);
+  EXPECT_TRUE(ans->partial);
+  EXPECT_EQ(ans->count, 10u);
+  EXPECT_EQ(ans->rows.size(), 10u);
+
+  serve::ServeStats stats = server.stats();
+  EXPECT_EQ(stats.deadline_exceeded, 1u);
+  EXPECT_EQ(stats.errors, 0u);
 }
 
 // ---- COW republish soak ---------------------------------------------

@@ -61,6 +61,28 @@ TEST(SessionTest, StorageStatsSurfaceThroughEvalStats) {
   EXPECT_GE(stats.dedup_probes, stats.tuples_derived);
 }
 
+TEST(SessionTest, ExplainPlansListsTheCompiledCostOrder) {
+  // Source order scans hay (fifty rows) first; pin's two rows make the
+  // cost order start there, and the report shows the plan Evaluate()
+  // compiles: the pin scan first, with its estimate, marked reordered.
+  std::string source = "pin(k1, v). pin(k2, w).\n";
+  for (int i = 0; i < 50; ++i) {
+    source += "hay(h" + std::to_string(i) + ", k" + std::to_string(i) +
+              ").\n";
+  }
+  source += "found(X) :- hay(X, Y), pin(Y, Z).\n";
+  Session session(LanguageMode::kLPS);
+  ASSERT_OK(session.Load(source));
+  Result<std::string> plans = session.ExplainPlans();
+  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+  const size_t pin = plans->find("scan    pin(Y, Z)  ~2 rows");
+  const size_t hay = plans->find("scan    hay(X, Y)");
+  ASSERT_NE(pin, std::string::npos) << *plans;
+  ASSERT_NE(hay, std::string::npos) << *plans;
+  EXPECT_LT(pin, hay) << *plans;
+  EXPECT_NE(plans->find("(reordered)"), std::string::npos) << *plans;
+}
+
 TEST(SessionTest, GroupingAndSetInternCountersSurface) {
   Session session(LanguageMode::kLDL);
   ASSERT_OK(session.Load(R"(

@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "term/printer.h"
@@ -247,6 +250,130 @@ TEST_F(TermTest, RandomizedSetInternMatchesCanonicalizationOracle) {
   // growth well past the initial slot count.
   EXPECT_GT(store_.set_intern_hits(), 1000u);
   EXPECT_GT(by_canonical_form.size(), 200u);
+}
+
+// Ints, variables of both sorts under shared names, functions and
+// nested sets intern interleaved through one table as it doubles many
+// times. Each kind is checked against an oracle keyed by its own
+// fields; the const lookups must find exactly what was interned, and a
+// clone must resolve every id alike and keep interning past the clone
+// point.
+TEST_F(TermTest, MixedKindInternsMatchPerKindOracles) {
+  uint64_t state = 0x2545F4914F6CDD1Dull;
+  auto rnd = [&state]() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  std::map<int64_t, TermId> ints;
+  std::map<std::pair<std::string, Sort>, TermId> vars;
+  std::map<std::pair<std::string, std::vector<TermId>>, TermId> funs;
+  std::map<std::vector<TermId>, TermId> sets;  // canonical elements
+  std::vector<TermId> pool = {store_.MakeConstant("c")};
+  auto pick = [&](size_t max) {
+    std::vector<TermId> picked(rnd() % (max + 1));
+    for (TermId& t : picked) t = pool[rnd() % pool.size()];
+    return picked;
+  };
+  for (int op = 0; op < 6000; ++op) {
+    TermId id = kInvalidTerm;
+    switch (rnd() % 4) {
+      case 0: {
+        const int64_t v = static_cast<int64_t>(rnd() % 400) - 200;
+        id = store_.MakeInt(v);
+        ASSERT_EQ(ints.emplace(v, id).first->second, id);
+        break;
+      }
+      case 1: {
+        const std::string name = "V" + std::to_string(rnd() % 60);
+        const Sort sort = rnd() % 2 == 0 ? Sort::kAtom : Sort::kSet;
+        id = store_.MakeVariable(name, sort);
+        ASSERT_EQ(vars.emplace(std::make_pair(name, sort), id).first->second,
+                  id);
+        EXPECT_EQ(store_.sort(id), sort);
+        break;
+      }
+      case 2: {
+        const std::string name = rnd() % 2 == 0 ? "f" : "g";
+        std::vector<TermId> args = pick(2);
+        if (args.empty()) args.push_back(pool[0]);
+        id = store_.MakeFunction(name, args);
+        ASSERT_EQ(funs.emplace(std::make_pair(name, args), id).first->second,
+                  id);
+        break;
+      }
+      default: {
+        std::vector<TermId> elems = pick(3);
+        std::sort(elems.begin(), elems.end());
+        elems.erase(std::unique(elems.begin(), elems.end()), elems.end());
+        id = store_.MakeSet(elems);
+        ASSERT_EQ(sets.emplace(elems, id).first->second, id);
+        auto stored = store_.args(id);
+        ASSERT_TRUE(std::equal(stored.begin(), stored.end(), elems.begin(),
+                               elems.end()));
+        uint16_t depth = 0;
+        for (TermId e : elems) depth = std::max(depth, store_.depth(e));
+        EXPECT_EQ(store_.depth(id), depth + 1);
+        break;
+      }
+    }
+    pool.push_back(id);
+  }
+  // Distinct keys of any kinds got distinct ids.
+  std::set<TermId> ids;
+  for (const auto& [v, id] : ints) ids.insert(id);
+  for (const auto& [k, id] : vars) ids.insert(id);
+  for (const auto& [k, id] : funs) ids.insert(id);
+  for (const auto& [k, id] : sets) ids.insert(id);
+  EXPECT_EQ(ids.size(),
+            ints.size() + vars.size() + funs.size() + sets.size());
+  EXPECT_GT(vars.size(), 100u);  // same names under both sorts
+  EXPECT_GT(sets.size(), 500u);
+
+  auto lookups_agree = [&](const TermStore& st) {
+    for (const auto& [v, id] : ints) ASSERT_EQ(st.TryLookupInt(v), id);
+    for (const auto& [k, id] : funs) {
+      ASSERT_EQ(st.TryLookupFunction(st.symbols().Lookup(k.first), k.second),
+                id);
+    }
+    for (const auto& [elems, id] : sets) {
+      ASSERT_EQ(st.TryLookupCanonicalSet(elems), id);
+    }
+    EXPECT_EQ(st.TryLookupInt(1000), kInvalidTerm);
+    const std::vector<TermId> none = {pool[0], pool[0]};
+    EXPECT_EQ(st.TryLookupFunction(st.symbols().Lookup("f"), none),
+              kInvalidTerm);
+    EXPECT_EQ(st.TryLookupCanonicalSet(std::vector<TermId>{
+                  static_cast<TermId>(st.size() - 1),
+                  static_cast<TermId>(st.size())}),
+              kInvalidTerm);
+  };
+  const size_t size = store_.size();
+  lookups_agree(store_);
+  EXPECT_EQ(store_.size(), size);  // the lookups interned nothing
+  for (const auto& [k, id] : vars) {
+    EXPECT_EQ(store_.MakeVariable(k.first, k.second), id);
+  }
+  EXPECT_EQ(store_.size(), size);
+
+  std::unique_ptr<TermStore> clone = store_.Clone();
+  lookups_agree(*clone);
+  for (const auto& [k, id] : vars) {
+    EXPECT_EQ(clone->MakeVariable(k.first, k.second), id);
+  }
+  for (const auto& [elems, id] : sets) EXPECT_EQ(clone->MakeSet(elems), id);
+  EXPECT_EQ(clone->size(), size);
+  // Past the clone point: new ids continue the arena and resolve in
+  // the clone alone.
+  const TermId big = clone->MakeInt(1000);
+  const TermId fresh_set = clone->MakeSet({big, pool[0]});
+  EXPECT_EQ(big, size);
+  EXPECT_EQ(fresh_set, size + 1);
+  EXPECT_EQ(clone->TryLookupInt(1000), big);
+  EXPECT_EQ(clone->MakeSet({pool[0], big}), fresh_set);
+  EXPECT_EQ(store_.TryLookupInt(1000), kInvalidTerm);
+  EXPECT_EQ(store_.size(), size);
 }
 
 TEST_F(TermTest, InternCanonicalSetAcceptsArenaAliasingSpans) {
